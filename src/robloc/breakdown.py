@@ -37,6 +37,7 @@ from .estimators import EstimateSet, LocationEstimator
 from .geometry import (
     GP_RTOL,
     Facet,
+    ShearFamily,
     basis_from_normal,
     check_general_position,
     enumerate_facets,
@@ -443,6 +444,33 @@ class _ShearPositionScreen:
         return True, None
 
 
+def _prepare_frame(
+    T: LocationEstimator, X: DataSet, frame: _ShearFrame, screen: _ShearPositionScreen
+) -> tuple:
+    """Invariants of one shear frame, shared by every (m, rule) sweep of it:
+    (basis, screen row determinants, normal offsets, estimator sweep)."""
+    basis = basis_from_normal(frame.normal, frame.origin)
+    return (
+        basis,
+        screen.row_replacements(basis.e(2)),
+        X.points @ frame.normal - frame.level,
+        T.shear_sweep(X, basis),
+    )
+
+
+def _screened_gamma(screen: _ShearPositionScreen, gamma: float, d1_list) -> float:
+    """gamma, or gamma nudged once, whichever keeps general position."""
+    witness = None
+    for g in (gamma, gamma * (1.0 + _NUDGE_REL)):
+        ok, witness = screen.gamma_ok(g, d1_list)
+        if ok:
+            return g
+    raise GeneralPositionError(
+        f"contaminated dataset not in general position even after nudging gamma={gamma!r}",
+        witness=witness,
+    )
+
+
 def _run_shear_sweep(
     T: LocationEstimator,
     X: DataSet,
@@ -454,16 +482,14 @@ def _run_shear_sweep(
     threshold: float,
     seed: int | None,
     screen: _ShearPositionScreen | None = None,
+    prepared: tuple | None = None,
 ) -> AttackTrace:
     n, k = X.n, X.k
     a_idx, b_idx = _partition(X, frame, m, b_rule)
     include_preimage_family = 0 < len(a_idx) <= m
-    basis = basis_from_normal(frame.normal, frame.origin)
-    pts = X.points
-
     screen = screen or _ShearPositionScreen(X)
-    row_dets = screen.row_replacements(basis.e(2))
-    offsets = pts @ frame.normal - frame.level
+    basis, row_dets, offsets, estimate = prepared or _prepare_frame(T, X, frame, screen)
+
     c_far = np.zeros(n)
     c_far[list(b_idx)] = offsets[list(b_idx)]
     d1_list = [screen.linear_coeff(row_dets, c_far)]
@@ -472,47 +498,27 @@ def _run_shear_sweep(
         c_near[list(a_idx)] = -offsets[list(a_idx)]
         d1_list.append(screen.linear_coeff(row_dets, c_near))
 
-    def image_of(g: float, indices) -> np.ndarray:
-        return shear_transform(g, basis).apply(pts[list(indices)])
+    requested = [float(gamma) for gamma in gamma_grid]
+    used = [_screened_gamma(screen, gamma, d1_list) for gamma in requested]
+    families = [("shear_replace_far", ShearFamily.of(X, basis, b_idx, used))]
+    if include_preimage_family:
+        near = ShearFamily.of(X, basis, a_idx, [-g for g in used])
+        for g, Xb, Xa in zip(used, families[0][1].datasets, near.datasets):
+            _check_preimage_identity(Xb, Xa, g, basis, offsets, frame.kept)
+        families.append(("shear_replace_near", near))
+    estimates = [estimate(family) for _, family in families]
 
     records = []
-    for gamma in gamma_grid:
-        g_used = None
-        witness = None
-        for g in (float(gamma), float(gamma) * (1.0 + _NUDGE_REL)):
-            ok, witness = screen.gamma_ok(g, d1_list)
-            if ok:
-                g_used = g
-                break
-        if g_used is None:
-            raise GeneralPositionError(
-                f"contaminated dataset not in general position even after nudging gamma={gamma!r}",
-                witness=witness,
-            )
-        Xb = X.with_replaced(b_idx, image_of(g_used, b_idx))
-        est_b = T(Xb)
-        records.append(
-            AttackRecord(
-                family="shear_replace_far",
-                parameter=g_used,
-                requested_parameter=float(gamma),
-                replaced_indices=b_idx,
-                estimate=est_b,
-                distance=estimate_set_distance(est_b, baseline),
-            )
-        )
-        if include_preimage_family:
-            Xa = X.with_replaced(a_idx, image_of(-g_used, a_idx))
-            _check_preimage_identity(Xb, Xa, g_used, basis, offsets, frame.kept)
-            est_a = T(Xa)
+    for j, gamma in enumerate(requested):
+        for (label, family), ests in zip(families, estimates):
             records.append(
                 AttackRecord(
-                    family="shear_replace_near",
-                    parameter=g_used,
-                    requested_parameter=float(gamma),
-                    replaced_indices=a_idx,
-                    estimate=est_a,
-                    distance=estimate_set_distance(est_a, baseline),
+                    family=label,
+                    parameter=used[j],
+                    requested_parameter=gamma,
+                    replaced_indices=family.replaced,
+                    estimate=ests[j],
+                    distance=estimate_set_distance(ests[j], baseline),
                 )
             )
     details = {
@@ -534,7 +540,7 @@ def _run_shear_sweep(
         k=k,
         m=m,
         h=len(frame.kept),
-        parameters=tuple(float(g) for g in gamma_grid),
+        parameters=tuple(requested),
         records=tuple(records),
         divergence_threshold=threshold,
         details=details,
@@ -860,6 +866,7 @@ def empirical_fsbv(
     theta = baseline.canonical
 
     frames_by_h: dict[int, list] = {}
+    prepared: dict[tuple, tuple] = {}
     screen = None
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
@@ -878,11 +885,13 @@ def empirical_fsbv(
         for h, frames in frames_by_h.items():
             if m > n - h:
                 continue
-            for frame in frames:
+            for i, frame in enumerate(frames):
+                if (h, i) not in prepared:
+                    prepared[h, i] = _prepare_frame(T, X, frame, screen)
                 for b_rule in suite.partition_rules:
                     trace = _run_shear_sweep(
                         T, X, baseline, frame, m, suite.gamma_grid, b_rule, threshold,
-                        suite.cone_seed, screen=screen,
+                        suite.cone_seed, screen=screen, prepared=prepared[h, i],
                     )
                     families.append(f"shear(h={h},facet={frame.facet.indices},rule={b_rule})")
                     max_distance = max(max_distance, trace.max_distance)

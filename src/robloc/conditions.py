@@ -180,7 +180,7 @@ def _tie_probes_from_data_normals(X: DataSet, h: int, tol: float) -> list:
             if h < n and y[h] - y[h - 1] <= tol:
                 continue
             tied = tuple(sorted(int(i) for i in order[:h]))
-            key = (tied, round(float(u[0]), 12))
+            key = (tied, tuple(round(float(v), 12) for v in u))
             if key in seen:
                 continue
             seen.add(key)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -73,9 +74,7 @@ def direction_set(X: DataSet, budget: DirectionBudget) -> np.ndarray:
         keep = norms > 1e-12
         dirs.append(raw[keep] / norms[keep, None])
     if budget.include_data_directions and n >= k:
-        total = 1
-        for i in range(k):
-            total = total * (n - i) // (i + 1)
+        total = comb(n, k)
         if total > _DATA_DIRECTION_CAP:
             raise CombinatorialBudgetError(
                 f"C({n},{k}) = {total} data directions exceeds the desk-scale cap"

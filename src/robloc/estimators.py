@@ -9,13 +9,16 @@ data, and the breakdown machinery measures divergence over all members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import combinations, product
+from math import comb
 from typing import Callable
 
 import numpy as np
 
 from .dataset import DataSet
 from .depth import DirectionBudget, OutlyingnessEvaluator
+from .geometry import OrthonormalBasis, ShearFamily
 from .errors import (
     CombinatorialBudgetError,
     DegenerateSampleError,
@@ -31,6 +34,7 @@ __all__ = [
     "weighted_mean",
     "MCDResult",
     "mcd_exhaustive",
+    "MCDShearSweep",
     "default_mcd_coverage",
     "trimmed_mean",
     "projection_median",
@@ -43,6 +47,10 @@ _DEDUP_ATOL = 1e-12
 
 # Exhaustive MCD refuses to enumerate more subsets than this.
 _MCD_SUBSET_BUDGET = 10_000_000
+# MCD subsets within this relative distance of the best determinant tie.
+_MCD_TIE_RTOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
 
 # Fixed fallback budget for estimators whose callers did not supply one:
 # 2000 random probes plus the data-derived hyperplane normals. The seed is
@@ -112,11 +120,25 @@ class LocationEstimator:
 
     ``evaluate`` must be deterministic given the input dataset and whatever
     seed was frozen into it at construction time.
+
+    ``sweep`` is an optional fast path for the shear attack, which evaluates
+    the estimator on many datasets that differ from a base dataset only in
+    where a shear moved a few rows. ``sweep(X, basis)`` is called once per
+    shear frame of the base data X and returns a function that takes a
+    :class:`~robloc.geometry.ShearFamily` of that frame and returns one
+    EstimateSet per dataset of the family. Each must be exactly what
+    ``evaluate`` returns on that dataset: the same members, in the same
+    order, to the last bit, because certificates built through either path
+    are compared byte for byte. Errors must be the ones ``evaluate`` raises.
+    Without a hook, :meth:`shear_sweep` evaluates each dataset in turn.
     """
 
     name: str
     equivariance_class: str  # "translation" | "affine"
     evaluate: Callable[[DataSet], EstimateSet] = field(repr=False)
+    sweep: Callable[[DataSet, OrthonormalBasis], Callable[[ShearFamily], list]] | None = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self):
         if self.equivariance_class not in ("translation", "affine"):
@@ -124,6 +146,12 @@ class LocationEstimator:
 
     def __call__(self, X: DataSet) -> EstimateSet:
         return self.evaluate(X)
+
+    def shear_sweep(self, X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], list]:
+        """Per-frame evaluator: a shear family to one estimate per dataset."""
+        if self.sweep is None:
+            return lambda family: [self(Xg) for Xg in family.datasets]
+        return self.sweep(X, basis)
 
 
 def coordinatewise_median(X: DataSet) -> EstimateSet:
@@ -165,6 +193,55 @@ class MCDResult:
     optimal_subsets: tuple
 
 
+def _mcd_coverage(n: int, k: int, coverage: int | None) -> int:
+    """Validated coverage h, within the exhaustive-enumeration budget."""
+    h = default_mcd_coverage(n, k) if coverage is None else int(coverage)
+    if h < k + 1 or h > n:
+        raise ParameterError(f"coverage must be in [k+1, n] = [{k + 1}, {n}], got {h}")
+    total = comb(n, h)
+    if total > _MCD_SUBSET_BUDGET:
+        raise CombinatorialBudgetError(
+            f"C({n},{h}) = {total} exceeds the exhaustive-MCD budget {_MCD_SUBSET_BUDGET}"
+        )
+    return h
+
+
+@lru_cache(maxsize=32)
+def _subset_index(n: int, h: int) -> np.ndarray:
+    """Every h-subset of range(n) in lexicographic order, as one shared
+    read-only (C(n, h), h) index array."""
+    idx = np.array(list(combinations(range(n), h)), dtype=int)
+    idx.setflags(write=False)
+    return idx
+
+
+def _subset_objectives(groups: np.ndarray) -> tuple:
+    """Means and covariance determinants of stacked (S, h, k) subsets."""
+    h, k = groups.shape[1:]
+    means = groups.mean(axis=1)  # (S, k)
+    centered = groups - means[:, None, :]
+    svals = np.linalg.svd(centered, compute_uv=False)  # (S, k), h >= k+1 > k
+    dets = np.prod(svals, axis=1) ** 2 / float(h - 1) ** k
+    return means, dets
+
+
+def _mcd_pick(subsets: np.ndarray, means: np.ndarray, dets: np.ndarray) -> MCDResult:
+    """The MCD tie rule: every nonsingular subset within 1e-9 relative of
+    the smallest determinant, in the order given."""
+    valid = np.isfinite(dets) & (dets > 0.0)
+    if not np.any(valid):
+        raise DegenerateSampleError("every coverage subset has singular covariance")
+    best = float(dets[valid].min())
+    tie_tol = _MCD_TIE_RTOL * best
+    winners = np.flatnonzero(valid & (dets <= best + tie_tol))
+    members = means[winners]
+    return MCDResult(
+        estimates=EstimateSet.of(members, canonical=members[0]),
+        objective=best,
+        optimal_subsets=tuple(tuple(int(i) for i in subsets[w]) for w in winners),
+    )
+
+
 def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     """Minimum covariance determinant location by full subset enumeration.
 
@@ -181,41 +258,147 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     number and loses the tiny determinant to cancellation long before the
     singular values do.
 
+    **Along a shear** the objective is quadratic in the slope, which
+    :class:`MCDShearSweep` uses to reproduce this function on whole shear
+    families at once. A shear of slope gamma moves replaced row i by
+    gamma * c_i * e2, with c_i = e1 . (x_i - origin), so in the shear basis
+    only the e2 column of a centered subset Y moves: y2 + gamma * w, w the
+    centered c. With O the other columns, g_O = det(O^T O) and r, s the
+    parts of y2, w orthogonal to span(O),
+
+        det(Y^T Y) = g_O |r + gamma s|^2 = alpha + beta gamma + zeta gamma^2,
+
+    alpha = g_O |r|^2 = det Gram[O, y2], zeta = g_O |s|^2 = det Gram[O, w]
+    and beta = 2 g_O r . s = 2 det([O, w]^T [O, y2]). The sweep evaluates
+    vol = sqrt(g_O) |r + gamma s| for every subset and slope in one pass,
+    as a norm so that it does not cancel near a degenerate slope.
+
+    **Candidate bound.** What must be reproduced is the SVD determinant of
+    the floating-point coordinates, which at large slopes differs from the
+    exact one (on demo10_2d at gamma = 1e8, h = 2, m = 4, the near family's
+    winner scores 38.32 by SVD and 24.43 in exact rational arithmetic on
+    the same float coordinates). The computed singular values are those of
+    Y + E, and eta bounds |E|_2 by adding up the rounding of coordinates of
+    size |x| + gamma |c| by the shear, the rounding of the subset mean and
+    centering, the SVD backward error (a multiple of eps |Y|), the sweep's
+    own backward error and the basis's departure from orthonormality. By
+    Weyl's inequality the volume then moves by at most
+    sum_j eta^j e_{k-j}(sigma); the elementary symmetric functions of the
+    singular values are bounded through interlacing with O's singular
+    values and Maclaurin's inequality. A subset is a candidate when its
+    lower bound comes within the 1e-9 tie tolerance of the smallest upper
+    bound, so every subset that can win or tie is one. The candidates of
+    all slopes go through one batched SVD of the real contaminated
+    coordinates, and the tie rule below picks the winners among them in
+    enumeration order.
+
     Enumeration order is deterministic (lexicographic index tuples), which
     makes tie reporting and the canonical member reproducible.
     """
-    n, k = X.n, X.k
-    h = default_mcd_coverage(n, k) if coverage is None else int(coverage)
-    if h < k + 1 or h > n:
-        raise ParameterError(f"coverage must be in [k+1, n] = [{k + 1}, {n}], got {h}")
-    total = 1
-    for i in range(h):
-        total = total * (n - i) // (i + 1)
-    if total > _MCD_SUBSET_BUDGET:
-        raise CombinatorialBudgetError(
-            f"C({n},{h}) = {total} exceeds the exhaustive-MCD budget {_MCD_SUBSET_BUDGET}"
+    h = _mcd_coverage(X.n, X.k, coverage)
+    subsets = _subset_index(X.n, h)
+    means, dets = _subset_objectives(X.points[subsets])
+    return _mcd_pick(subsets, means, dets)
+
+
+class MCDShearSweep:
+    """Exhaustive MCD over the datasets of shear families of one frame.
+
+    Built once per shear frame (base data X and shear basis); called on a
+    :class:`ShearFamily`, it returns for every dataset of the family exactly
+    the estimate :func:`mcd_exhaustive` returns on it, by the quadratic
+    identity and candidate bound described there. At a slope where the
+    bound is not finite or a candidate is singular the full
+    :func:`mcd_exhaustive` runs instead; ``fallbacks`` counts those slopes
+    and ``candidates`` the subsets that went through the SVD.
+    """
+
+    def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
+        n, k = X.n, X.k
+        self.X = X
+        self.h = h = _mcd_coverage(n, k, coverage)
+        self.subsets = _subset_index(n, h)
+        self.fallbacks = 0
+        self.candidates = 0
+        pts = X.points
+        groups = pts[self.subsets]
+        shear = (groups - groups.mean(axis=1, keepdims=True)) @ basis.vectors  # (S, h, k)
+        others = np.delete(shear, 1, axis=2)
+        self._q, R = np.linalg.qr(others)
+        self._vol_o = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+        self._r = self._orthogonal_part(shear[:, :, 1])
+        self._norm = np.sqrt((shear * shear).sum(axis=(1, 2)))
+        # Maclaurin: e_j of O's k-1 singular values <= C(k-1, j) (|O|_F^2 / (k-1))^(j/2).
+        mean_sq = (others * others).sum(axis=(1, 2)) / (k - 1)
+        self._sym_o = [comb(k - 1, j) * mean_sq ** (j / 2) for j in range(k)]
+        origin = basis.origin_shift
+        self._offset = (pts - origin) @ basis.e(1)
+        self._size = np.abs(pts).sum(axis=1) + np.abs(origin).sum()
+        self._mag = np.abs(pts).max(axis=1)[self.subsets].max(axis=1)
+        self._rho = k * float(np.abs(basis.vectors.T @ basis.vectors - np.eye(k)).max())
+
+    def _orthogonal_part(self, v: np.ndarray) -> np.ndarray:
+        """Component of each subset's column v (S, h) orthogonal to span(O)."""
+        q = self._q
+        return v - (q @ (q.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
+
+    def bounds(self, family: ShearFamily) -> tuple:
+        """(S, G) lower and upper bounds on prod(sigma_i)^2, the SVD
+        objective of every subset at every slope of the family before its
+        division by (h - 1)^k."""
+        h, k, n = self.h, self.X.k, self.X.n
+        replaced = list(family.replaced)
+        c = np.zeros(n)
+        c[replaced] = self._offset[replaced]
+        cs = c[self.subsets]
+        w = cs - cs.mean(axis=1, keepdims=True)
+        s = self._orthogonal_part(w)
+        slopes = np.asarray(family.slopes, dtype=float)
+        g = np.abs(slopes)[None, :]
+        v = self._r[:, None, :] + slopes[None, :, None] * s[:, None, :]  # (S, G, h)
+        vol = self._vol_o[:, None] * np.sqrt((v * v).sum(axis=2))
+
+        size = np.zeros(n)
+        size[replaced] = self._size[replaced]
+        size = size[self.subsets].max(axis=1)[:, None]
+        moved = np.abs(cs).max(axis=1)[:, None]
+        top = (1.0 + 1e-6) * (self._norm[:, None] + g * np.sqrt((w * w).sum(axis=1))[:, None])
+        coords = np.sqrt(h * k) * _EPS * (
+            2 * (k + 2) * (1.0 + g) * size + (h + 2) * (self._mag[:, None] + g * moved)
         )
+        eta = 2.0 * coords + (4 * h * k * _EPS + np.sqrt(k) * self._rho) * top
+        sym = [np.ones_like(top)] + [
+            top * self._sym_o[j - 1][:, None] + self._sym_o[j][:, None] for j in range(1, k)
+        ]
+        delta = (1.0 + 1e-6) * sum(eta**j * sym[k - j] for j in range(1, k + 1))
+        tau = (k + 2) * self._rho + 16 * k * _EPS
+        low = np.maximum(vol * (1.0 - tau) - delta, 0.0) ** 2 * (1.0 - 8 * _EPS)
+        high = (vol * (1.0 + tau) + delta) ** 2 * (1.0 + 8 * _EPS)
+        return low, high
 
-    subsets = np.array(list(combinations(range(n), h)), dtype=int)
-    groups = X.points[subsets]  # (S, h, k)
-    means = groups.mean(axis=1)  # (S, k)
-    centered = groups - means[:, None, :]
-    svals = np.linalg.svd(centered, compute_uv=False)  # (S, k), h >= k+1 > k
-    dets = np.prod(svals, axis=1) ** 2 / float(h - 1) ** k
+    def results(self, family: ShearFamily) -> list:
+        """One :class:`MCDResult` per dataset of the family."""
+        low, high = self.bounds(family)
+        finite = np.isfinite(high).all(axis=0)
+        cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
+        gi, si = np.nonzero((low <= cutoff).T & finite[:, None])
+        self.candidates += int(gi.size)
+        pts = np.stack([Xg.points for Xg in family.datasets])
+        means, dets = _subset_objectives(pts[gi[:, None], self.subsets[si]])
+        edges = np.searchsorted(gi, np.arange(len(family.datasets) + 1))
+        out = []
+        for j, Xg in enumerate(family.datasets):
+            part = slice(edges[j], edges[j + 1])
+            d = dets[part]
+            if finite[j] and np.all(np.isfinite(d) & (d > 0.0)):
+                out.append(_mcd_pick(self.subsets[si[part]], means[part], d))
+            else:
+                self.fallbacks += 1
+                out.append(mcd_exhaustive(Xg, self.h))
+        return out
 
-    valid = np.isfinite(dets) & (dets > 0.0)
-    if not np.any(valid):
-        raise DegenerateSampleError("every coverage subset has singular covariance")
-    best = float(dets[valid].min())
-    tie_tol = 1e-9 * best
-    winners = np.flatnonzero(valid & (dets <= best + tie_tol))
-    members = means[winners]
-    opt_subsets = tuple(tuple(int(i) for i in subsets[w]) for w in winners)
-    return MCDResult(
-        estimates=EstimateSet.of(members, canonical=members[0]),
-        objective=best,
-        optimal_subsets=opt_subsets,
-    )
+    def __call__(self, family: ShearFamily) -> list:
+        return [r.estimates for r in self.results(family)]
 
 
 def _probe_budget(X: DataSet, budget: DirectionBudget | None) -> DirectionBudget:
@@ -346,7 +529,9 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         coverage = params.get("coverage")
         def _mcd(X: DataSet) -> EstimateSet:
             return mcd_exhaustive(X, coverage=coverage).estimates
-        return LocationEstimator("mcd", "affine", _mcd)
+        return LocationEstimator(
+            "mcd", "affine", _mcd, sweep=partial(MCDShearSweep, coverage=coverage)
+        )
 
     if name == "tmean":
         trim = int(params.get("trim_count", 1))

@@ -33,6 +33,7 @@ __all__ = [
     "basis_from_normal",
     "AffineMap",
     "shear_transform",
+    "ShearFamily",
     "apply_map",
 ]
 
@@ -369,6 +370,29 @@ def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     M = np.eye(k) + g * np.outer(e2, e1)
     offset = -g * float(e1 @ basis.origin_shift) * e2
     return _trusted_affine(M, offset)
+
+
+class ShearFamily(NamedTuple):
+    """Contaminated datasets along one shear, one per slope.
+
+    ``datasets[j]`` is the base data with rows ``replaced`` moved to their
+    images under ``shear_transform(slopes[j], basis)``. Slopes are signed:
+    the near family of the shear attack uses the inverse shear, slope -gamma.
+    """
+
+    replaced: tuple
+    slopes: tuple
+    datasets: tuple
+
+    @classmethod
+    def of(cls, X: DataSet, basis: OrthonormalBasis, replaced, slopes) -> "ShearFamily":
+        replaced = tuple(int(i) for i in replaced)
+        rows = X.points[list(replaced)]
+        slopes = tuple(float(g) for g in slopes)
+        datasets = tuple(
+            X.with_replaced(replaced, shear_transform(g, basis).apply(rows)) for g in slopes
+        )
+        return cls(replaced, slopes, datasets)
 
 
 def apply_map(g: AffineMap, X: DataSet) -> DataSet:

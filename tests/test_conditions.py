@@ -142,6 +142,16 @@ def test_condition_margin_h_above_k_on_degenerate_data():
     assert report.holds_empirically
 
 
+def test_tie_probes_keep_opposite_normals_with_zero_first_component():
+    # three collinear points tie along both (0, 1) and (0, -1); the two
+    # normals share their first component and must not be merged
+    from robloc.conditions import _tie_probes_from_data_normals
+
+    X = DataSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    probes = _tie_probes_from_data_normals(X, 3, 1e-9 * X.diameter)
+    assert sorted(tuple(float(v) for v in u) for u, *_ in probes) == [(0.0, -1.0), (0.0, 1.0)]
+
+
 def test_condition_report_is_json_serializable(demo10):
     report = condition_margin(make_estimator("mcd"), demo10, h=2)
     parsed = json.loads(report.to_json())
