@@ -41,8 +41,11 @@ from .geometry import (
     basis_from_normal,
     check_general_position,
     enumerate_facets,
+    normal_cone_ties,
     require_general_position,
     shear_transform,
+    subset_index,
+    tie_level,
     unit_direction,
 )
 from .metric import estimate_set_distance
@@ -72,6 +75,8 @@ DEFAULT_RADIUS_GRID = tuple(10.0**p for p in range(1, 10))
 DEFAULT_THRESHOLD_FACTOR = 1e6
 SURVIVED_MARKER = "no attack in suite succeeded (not a proof of robustness)"
 
+# Dirichlet draws per h-point face when sampling a tie direction for h < k.
+_CONE_SAMPLES = 64
 # Relative size of the single gamma nudge allowed to restore general position.
 _NUDGE_REL = 1e-6
 # Tolerance for the inline check that family two is the affine preimage of
@@ -284,52 +289,6 @@ class _ShearFrame:
     origin: np.ndarray = field(repr=False)
 
 
-def _verify_tie_direction(
-    X: DataSet, u: np.ndarray, kept: tuple, theta: np.ndarray, tol: float
-):
-    """Check u ties exactly the kept points at the minimal projection with
-    the estimate strictly above; return (level, ok)."""
-    proj = X.points @ u
-    kept_list = list(kept)
-    level = float(np.mean(proj[kept_list]))
-    if np.abs(proj[kept_list] - level).max() > tol:
-        return level, False
-    others = np.setdiff1d(np.arange(X.n), kept_list, assume_unique=True)
-    if others.size and np.min(proj[others] - level) <= tol:
-        return level, False
-    if float(u @ theta) - level <= tol:
-        return level, False
-    return level, True
-
-
-def _cone_direction(
-    X: DataSet,
-    facets: list,
-    kept: tuple,
-    theta: np.ndarray,
-    tol: float,
-    seed: int,
-    samples: int = 64,
-) -> tuple | None:
-    """Sample a verified direction in the normal cone of an h-point face."""
-    incident = [f for f in facets if set(kept) <= set(f.indices)]
-    if len(incident) < 2:
-        return None
-    normals = np.array([f.inward_normal for f in incident])
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        w = rng.dirichlet(np.ones(len(incident)))
-        u = w @ normals
-        norm = np.linalg.norm(u)
-        if norm <= 1e-12:
-            continue
-        u = u / norm
-        level, ok = _verify_tie_direction(X, u, kept, theta, tol)
-        if ok:
-            return u, level
-    return None
-
-
 def _shear_frames(
     X: DataSet,
     theta: np.ndarray,
@@ -363,14 +322,16 @@ def _shear_frames(
         for kept in subsets:
             if h == X.k:
                 u = facet.inward_normal
-                level, ok = _verify_tie_direction(X, u, kept, theta, tol)
-                if not ok:
-                    continue
+                level = tie_level(X.points @ u, kept, tol)
+                ties = [] if level is None else [(u, level, None)]
             else:
-                found = _cone_direction(X, facets, kept, theta, tol, seed=cone_seed)
-                if found is None:
-                    continue
-                u, level = found
+                rng = np.random.default_rng(cone_seed)
+                ties = normal_cone_ties(X, facets, kept, rng, _CONE_SAMPLES, tol)
+            # the first verified tie direction with the estimate strictly above
+            found = next(((u, level) for u, level, _ in ties if float(u @ theta) - level > tol), None)
+            if found is None:
+                continue
+            u, level = found
             origin = X.points[list(kept)].mean(axis=0)
             frames.append(_ShearFrame(facet, kept, u, level, origin))
     return frames
@@ -413,7 +374,7 @@ class _ShearPositionScreen:
         pts = X.points
         self.k = k
         self.tol = GP_RTOL * max(X.diameter, 1e-300) ** k
-        self.subsets = np.array(list(combinations(range(n), k + 1)), dtype=int)
+        self.subsets = subset_index(n, k + 1)
         base = pts[self.subsets]  # (S, k+1, k)
         self.rows = base[:, 1:, :] - base[:, :1, :]  # (S, k, k)
         self.d0 = np.linalg.det(self.rows)

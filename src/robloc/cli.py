@@ -9,6 +9,7 @@ estimator problem, 4 parameter out of range.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 import time
@@ -32,12 +33,7 @@ from .breakdown import (
 from .conditions import condition_margin
 from .dataset import load_dataset_csv
 from .depth import DirectionBudget, OutlyingnessEvaluator, tukey_depth
-from .errors import (
-    DatasetFormatError,
-    EstimatorError,
-    ParameterError,
-    RoblocError,
-)
+from .errors import DatasetFormatError, ParameterError, RoblocError
 from .estimators import ESTIMATOR_NAMES, make_estimator
 from .metric import sample_distance
 
@@ -63,38 +59,14 @@ def _load(path):
         _fail(EXIT_INPUT, f"cannot read dataset {path}: {exc}")
 
 
-def _resolve_estimator(name, seed, params):
-    try:
-        return make_estimator(name, seed=seed, **params)
-    except EstimatorError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
-
-
 def _parse_grid(text, what):
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        _fail(EXIT_PARAMETER, f"cannot parse {what} grid {text!r}")
+        raise ParameterError(f"cannot parse {what} grid {text!r}") from None
     if not values:
-        _fail(EXIT_PARAMETER, f"{what} grid is empty")
+        raise ParameterError(f"{what} grid is empty")
     return tuple(values)
-
-
-def _estimator_params(coverage, trim_count, scale_shift, random_count, grid_refinements):
-    params = {}
-    if coverage is not None:
-        params["coverage"] = coverage
-    if trim_count is not None:
-        params["trim_count"] = trim_count
-    if scale_shift is not None:
-        params["scale_shift"] = scale_shift
-    if random_count is not None:
-        params["random_count"] = random_count
-    if grid_refinements is not None:
-        params["grid_refinements"] = grid_refinements
-    return params
 
 
 _ESTIMATOR_OPTIONS = [
@@ -106,15 +78,42 @@ _ESTIMATOR_OPTIONS = [
     click.option("--random-count", type=int, default=None, help="random probe directions"),
     click.option("--grid-refinements", type=int, default=None, help="pm: grid halvings"),
 ]
+_ESTIMATOR_PARAMS = ("coverage", "trim_count", "scale_shift", "random_count", "grid_refinements")
 
 
 def _with_estimator_options(fn):
+    """Add the estimator options to a command.
+
+    The command receives the built estimator ``T``, ``seed``, and
+    ``params``: the estimator parameters given on the command line, which
+    its config hash records.
+    """
+
+    @functools.wraps(fn)
+    def command(estimator, seed, **kwargs):
+        params = {p: v for p in _ESTIMATOR_PARAMS if (v := kwargs.pop(p)) is not None}
+        T = make_estimator(estimator, seed=seed, **params)
+        return fn(T=T, seed=seed, params=params, **kwargs)
+
     for opt in reversed(_ESTIMATOR_OPTIONS):
-        fn = opt(fn)
-    return fn
+        command = opt(command)
+    return command
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one place library errors become exit codes: 4 for a parameter
+    out of range, 3 for any other robloc error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParameterError as exc:
+            _fail(EXIT_PARAMETER, str(exc))
+        except RoblocError as exc:
+            _fail(EXIT_ESTIMATOR, str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Robust location estimators and breakdown certification."""
 
@@ -122,16 +121,11 @@ def main():
 @main.command()
 @click.argument("dataset", type=click.Path())
 @_with_estimator_options
-def estimate(dataset, estimator, seed, coverage, trim_count, scale_shift, random_count, grid_refinements):
+def estimate(dataset, T, seed, params):
     """Evaluate an estimator on a CSV dataset."""
     X = _load(dataset)
-    params = _estimator_params(coverage, trim_count, scale_shift, random_count, grid_refinements)
-    T = _resolve_estimator(estimator, seed, params)
     t0 = time.perf_counter()
-    try:
-        est = T(X)
-    except RoblocError as exc:
-        _fail(EXIT_ESTIMATOR, f"estimator failed: {exc}")
+    est = T(X)
     elapsed = time.perf_counter() - t0
     click.echo(f"runtime_seconds: {elapsed:.6f}", err=True)
     _emit(
@@ -145,7 +139,7 @@ def estimate(dataset, estimator, seed, coverage, trim_count, scale_shift, random
             "canonical": [float(v) for v in est.canonical],
             "seed": seed,
             "config_hash": config_digest(
-                {"command": "estimate", "estimator": estimator, "seed": seed, "params": params}
+                {"command": "estimate", "estimator": T.name, "seed": seed, "params": params}
             ),
         }
     )
@@ -163,41 +157,33 @@ def estimate(dataset, estimator, seed, coverage, trim_count, scale_shift, random
 @click.option("--b-rule", type=click.Choice(["largest_projection", "smallest_projection"]),
               default="largest_projection")
 @click.option("--emit-curve", type=click.Path(), default=None, help="write (parameter, distance) CSV")
-def attack(dataset, estimator, seed, coverage, trim_count, scale_shift, random_count,
-           grid_refinements, family, h_value, m_value, gamma_grid, radius_grid, direction,
-           b_rule, emit_curve):
+def attack(dataset, T, seed, params, family, h_value, m_value, gamma_grid, radius_grid,
+           direction, b_rule, emit_curve):
     """Run one contamination family against an estimator."""
     X = _load(dataset)
-    params = _estimator_params(coverage, trim_count, scale_shift, random_count, grid_refinements)
-    T = _resolve_estimator(estimator, seed, params)
     if m_value is not None and m_value > X.n:
-        _fail(EXIT_PARAMETER, f"m = {m_value} exceeds n = {X.n}")
-    try:
-        if family == "shear":
-            h = X.k if h_value is None else h_value
-            if h < X.k and seed is None:
-                _fail(EXIT_PARAMETER, "shear attacks with h < k sample tie directions; --seed is mandatory")
-            grid = DEFAULT_GAMMA_GRID if gamma_grid is None else _parse_grid(gamma_grid, "gamma")
-            trace = shear_attack(
-                T, X, h, gamma_grid=grid, partition_rule=PartitionRule(b_rule=b_rule),
-                m=m_value, cone_seed=0 if seed is None else seed,
-            )
-        else:
-            if m_value is None:
-                _fail(EXIT_PARAMETER, "cluster attack requires --m")
-            grid = DEFAULT_RADIUS_GRID if radius_grid is None else _parse_grid(radius_grid, "radius")
-            dir_vec = None
-            if direction is not None:
-                raw = np.array(_parse_grid(direction, "direction"))
-                norm = np.linalg.norm(raw)
-                if norm == 0:
-                    _fail(EXIT_PARAMETER, "direction must be nonzero")
-                dir_vec = raw / norm
-            trace = translation_cluster_attack(T, X, m_value, radius_grid=grid, direction=dir_vec)
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
-    except RoblocError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
+        raise ParameterError(f"m = {m_value} exceeds n = {X.n}")
+    if family == "shear":
+        h = X.k if h_value is None else h_value
+        if h < X.k and seed is None:
+            raise ParameterError("shear attacks with h < k sample tie directions; --seed is mandatory")
+        grid = DEFAULT_GAMMA_GRID if gamma_grid is None else _parse_grid(gamma_grid, "gamma")
+        trace = shear_attack(
+            T, X, h, gamma_grid=grid, partition_rule=PartitionRule(b_rule=b_rule),
+            m=m_value, cone_seed=0 if seed is None else seed,
+        )
+    else:
+        if m_value is None:
+            raise ParameterError("cluster attack requires --m")
+        grid = DEFAULT_RADIUS_GRID if radius_grid is None else _parse_grid(radius_grid, "radius")
+        dir_vec = None
+        if direction is not None:
+            raw = np.array(_parse_grid(direction, "direction"))
+            norm = np.linalg.norm(raw)
+            if norm == 0:
+                raise ParameterError("direction must be nonzero")
+            dir_vec = raw / norm
+        trace = translation_cluster_attack(T, X, m_value, radius_grid=grid, direction=dir_vec)
     if emit_curve:
         with open(emit_curve, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -215,25 +201,17 @@ def attack(dataset, estimator, seed, coverage, trim_count, scale_shift, random_c
 @click.option("--threshold-factor", type=float, default=DEFAULT_THRESHOLD_FACTOR, show_default=True)
 @click.option("--gamma-grid", type=str, default=None)
 @click.option("--radius-grid", type=str, default=None)
-def fsbv(dataset, estimator, seed, coverage, trim_count, scale_shift, random_count,
-         grid_refinements, threshold_factor, gamma_grid, radius_grid):
+def fsbv(dataset, T, seed, params, threshold_factor, gamma_grid, radius_grid):
     """Certify the empirical breakdown fraction of an estimator."""
     X = _load(dataset)
     if X.k >= 2 and seed is None:
-        _fail(EXIT_PARAMETER, "the attack suite samples tie directions for h < k; --seed is mandatory")
-    params = _estimator_params(coverage, trim_count, scale_shift, random_count, grid_refinements)
-    T = _resolve_estimator(estimator, seed, params)
+        raise ParameterError("the attack suite samples tie directions for h < k; --seed is mandatory")
     suite = AttackSuite(
         gamma_grid=DEFAULT_GAMMA_GRID if gamma_grid is None else _parse_grid(gamma_grid, "gamma"),
         radius_grid=DEFAULT_RADIUS_GRID if radius_grid is None else _parse_grid(radius_grid, "radius"),
         cone_seed=0 if seed is None else seed,
     )
-    try:
-        result = empirical_fsbv(T, X, suite=suite, threshold_factor=threshold_factor)
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
-    except RoblocError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
+    result = empirical_fsbv(T, X, suite=suite, threshold_factor=threshold_factor)
     payload = result.to_dict()
     payload["command"] = "fsbv"
     payload["seed"] = seed
@@ -246,10 +224,7 @@ def fsbv(dataset, estimator, seed, coverage, trim_count, scale_shift, random_cou
 @click.argument("h", type=int)
 def bounds(n, k, h):
     """Print the exact breakdown bound table for (n, k, h)."""
-    try:
-        table = theoretical_bounds(n, k, h)
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
+    table = theoretical_bounds(n, k, h)
     payload = table.to_dict()
     payload["command"] = "bounds"
     payload["config_hash"] = config_digest({"command": "bounds", "n": n, "k": k, "h": h})
@@ -269,14 +244,9 @@ def depth(dataset, point, mode, seed, random_count):
     budget = None
     if mode == "sampled":
         if seed is None:
-            _fail(EXIT_PARAMETER, "sampled mode requires --seed")
+            raise ParameterError("sampled mode requires --seed")
         budget = DirectionBudget(random_count, True, seed)
-    try:
-        value = tukey_depth(x, X, mode=mode, budget=budget)
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
-    except RoblocError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
+    value = tukey_depth(x, X, mode=mode, budget=budget)
     _emit(
         {
             "command": "depth",
@@ -299,27 +269,19 @@ def depth(dataset, point, mode, seed, random_count):
 @click.argument("dataset", type=click.Path())
 @_with_estimator_options
 @click.option("--h", "h_value", type=int, default=None, help="tie order (default k)")
-def condition(dataset, estimator, seed, coverage, trim_count, scale_shift, random_count,
-              grid_refinements, h_value):
+def condition(dataset, T, seed, params, h_value):
     """Margin report for an estimator above tied minimal projections."""
     X = _load(dataset)
-    params = _estimator_params(coverage, trim_count, scale_shift, random_count, grid_refinements)
-    T = _resolve_estimator(estimator, seed, params)
     h = X.k if h_value is None else h_value
     if h < X.k and seed is None:
-        _fail(EXIT_PARAMETER, "h < k samples directions from normal cones; --seed is mandatory")
-    try:
-        report = condition_margin(T, X, h, seed=0 if seed is None else seed)
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
-    except RoblocError as exc:
-        _fail(EXIT_ESTIMATOR, str(exc))
+        raise ParameterError("h < k samples directions from normal cones; --seed is mandatory")
+    report = condition_margin(T, X, h, seed=0 if seed is None else seed)
     payload = report.to_dict()
     payload["command"] = "condition"
     payload["estimator"] = T.name
     payload["seed"] = seed
     payload["config_hash"] = config_digest(
-        {"command": "condition", "estimator": estimator, "h": h, "seed": seed, "params": params}
+        {"command": "condition", "estimator": T.name, "h": h, "seed": seed, "params": params}
     )
     _emit(payload)
 
@@ -334,10 +296,7 @@ def metric(sample_x, sample_y):
     Y = _load(sample_y)
     if X.k != 1 or Y.k != 1:
         _fail(EXIT_INPUT, "metric expects single-column samples")
-    try:
-        d = sample_distance(X.points[:, 0], Y.points[:, 0])
-    except ParameterError as exc:
-        _fail(EXIT_PARAMETER, str(exc))
+    d = sample_distance(X.points[:, 0], Y.points[:, 0])
     _emit(
         {
             "command": "metric",
@@ -361,11 +320,11 @@ def scenario_pm(m_value, deltas, noise_scale, seed, random_count, grid_refinemen
     delta_values = _parse_grid(deltas, "delta")
     for d in delta_values:
         if not (0.0 < d < 1.0):
-            _fail(EXIT_PARAMETER, f"delta must be in (0, 1), got {d}")
+            raise ParameterError(f"delta must be in (0, 1), got {d}")
     if m_value < 2:
-        _fail(EXIT_PARAMETER, f"m must be >= 2, got {m_value}")
+        raise ParameterError(f"m must be >= 2, got {m_value}")
     if noise_scale <= 0:
-        _fail(EXIT_PARAMETER, f"noise_scale must be positive, got {noise_scale}")
+        raise ParameterError(f"noise_scale must be positive, got {noise_scale}")
     rows = []
     for d in delta_values:
         X = pm_counterexample(m_value, d, noise_scale=noise_scale, seed=seed)

@@ -27,7 +27,10 @@ from .geometry import (
     AffineMap,
     apply_map,
     enumerate_facets,
+    hyperplane_normal,
+    normal_cone_ties,
     require_general_position,
+    subset_index,
 )
 from .metric import hausdorff_set_distance
 
@@ -107,46 +110,18 @@ def _face_probes_exact(X: DataSet, facets) -> list:
 
 
 def _face_probes_sampled(X: DataSet, facets, h: int, seed: int, per_face: int, tol: float) -> list:
-    """Sample verified directions from the normal cone of each h-point face.
+    """Verified directions from the normal cone of each h-point hull face.
 
-    Every h-subset of a facet of a simplicial hull is a face; its normal
-    cone is positively spanned by the normals of the facets containing it.
-    Strictly positive combinations tie the face's points at the minimum and
-    keep everything else strictly above, which is verified per sample before
-    admission.
+    Every h-subset of a facet of a simplicial hull is a face. One generator
+    serves all faces in lexicographic order, ``per_face`` draws each.
     """
     rng = np.random.default_rng(seed)
-    pts = X.points
-    n = X.n
-    faces: dict[tuple, list] = {}
-    for f in facets:
-        for sub in combinations(f.indices, h):
-            faces.setdefault(tuple(sorted(sub)), []).append(f)
-    probes = []
-    for face_idx, incident in sorted(faces.items()):
-        if len(incident) < 2:
-            # A boundary-of-cone direction would tie more than h points.
-            continue
-        normals = np.array([f.inward_normal for f in incident])
-        admitted = 0
-        for _ in range(per_face):
-            w = rng.dirichlet(np.ones(len(incident)))
-            u = w @ normals
-            norm = np.linalg.norm(u)
-            if norm <= 1e-12:
-                continue
-            u = u / norm
-            proj = pts @ u
-            level = float(np.mean(proj[list(face_idx)]))
-            others = np.setdiff1d(np.arange(n), face_idx, assume_unique=True)
-            if np.abs(proj[list(face_idx)] - level).max() > tol:
-                continue
-            if np.min(proj[others] - level) <= tol:
-                continue
-            probes.append((u, face_idx, level, proj))
-            admitted += 1
-        # admitted == 0 is fine; other faces may still produce probes
-    return probes
+    faces = sorted({sub for f in facets for sub in combinations(f.indices, h)})
+    return [
+        (u, face, level, proj)
+        for face in faces
+        for u, level, proj in normal_cone_ties(X, facets, face, rng, per_face, tol)
+    ]
 
 
 def _tie_probes_from_data_normals(X: DataSet, h: int, tol: float) -> list:
@@ -157,20 +132,12 @@ def _tie_probes_from_data_normals(X: DataSet, h: int, tol: float) -> list:
     position is deliberately not required here). Ties of that kind can only
     occur along a normal of a hyperplane through k data points.
     """
-    from itertools import combinations
-
-    from .geometry import hyperplane_normal
-    from .errors import GeneralPositionError
-
     pts = X.points
     n = X.n
+    normals, degenerate = hyperplane_normal(pts[subset_index(n, X.k)])
     probes = []
     seen = set()
-    for subset in combinations(range(n), X.k):
-        try:
-            normal = hyperplane_normal(pts[list(subset)])
-        except GeneralPositionError:
-            continue
+    for normal in normals[~degenerate]:
         for u in (normal, -normal):
             proj = pts @ u
             order = np.argsort(proj, kind="stable")
@@ -367,7 +334,7 @@ def check_equivariance(
         gX = apply_map(g, X)
         lhs = T(gX).members
         rhs = g.apply(T(X).members)
-        denom = max(1.0, apply_map(g, X).diameter)
+        denom = max(1.0, gX.diameter)
         worst = max(worst, hausdorff_set_distance(lhs, rhs) / denom)
     return EquivarianceReport(
         estimator=T.name,

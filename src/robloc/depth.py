@@ -14,13 +14,13 @@ higher dimensions only a sampled upper bound is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .dataset import DataSet
 from .errors import CombinatorialBudgetError, DegenerateSampleError, ParameterError
+from .geometry import hyperplane_normal, subset_index
 
 __all__ = [
     "DirectionBudget",
@@ -60,9 +60,6 @@ def direction_set(X: DataSet, budget: DirectionBudget) -> np.ndarray:
     to it. Data-derived directions are hyperplane normals through each
     k-subset of points; affinely dependent subsets are skipped.
     """
-    from .geometry import hyperplane_normal
-    from .errors import GeneralPositionError
-
     n, k = X.n, X.k
     if k == 1:
         return np.array([[1.0]])
@@ -79,14 +76,9 @@ def direction_set(X: DataSet, budget: DirectionBudget) -> np.ndarray:
             raise CombinatorialBudgetError(
                 f"C({n},{k}) = {total} data directions exceeds the desk-scale cap"
             )
-        normals = []
-        for subset in combinations(range(n), k):
-            try:
-                normals.append(hyperplane_normal(X.points[list(subset)]))
-            except GeneralPositionError:
-                continue
-        if normals:
-            dirs.append(np.array(normals))
+        normals, degenerate = hyperplane_normal(X.points[subset_index(n, k)])
+        if not degenerate.all():
+            dirs.append(normals[~degenerate])
     if not dirs:
         raise ParameterError("direction budget produced no directions")
     return np.vstack(dirs)

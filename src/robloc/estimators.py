@@ -9,8 +9,8 @@ data, and the breakdown machinery measures divergence over all members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import combinations, product
+from functools import partial
+from itertools import product
 from math import comb
 from typing import Callable
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .depth import DirectionBudget, OutlyingnessEvaluator
-from .geometry import OrthonormalBasis, ShearFamily
+from .geometry import OrthonormalBasis, ShearFamily, subset_index
 from .errors import (
     CombinatorialBudgetError,
     DegenerateSampleError,
@@ -206,15 +206,6 @@ def _mcd_coverage(n: int, k: int, coverage: int | None) -> int:
     return h
 
 
-@lru_cache(maxsize=32)
-def _subset_index(n: int, h: int) -> np.ndarray:
-    """Every h-subset of range(n) in lexicographic order, as one shared
-    read-only (C(n, h), h) index array."""
-    idx = np.array(list(combinations(range(n), h)), dtype=int)
-    idx.setflags(write=False)
-    return idx
-
-
 def _subset_objectives(groups: np.ndarray) -> tuple:
     """Means and covariance determinants of stacked (S, h, k) subsets."""
     h, k = groups.shape[1:]
@@ -296,7 +287,7 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     makes tie reporting and the canonical member reproducible.
     """
     h = _mcd_coverage(X.n, X.k, coverage)
-    subsets = _subset_index(X.n, h)
+    subsets = subset_index(X.n, h)
     means, dets = _subset_objectives(X.points[subsets])
     return _mcd_pick(subsets, means, dets)
 
@@ -317,7 +308,7 @@ class MCDShearSweep:
         n, k = X.n, X.k
         self.X = X
         self.h = h = _mcd_coverage(n, k, coverage)
-        self.subsets = _subset_index(n, h)
+        self.subsets = subset_index(n, h)
         self.fallbacks = 0
         self.candidates = 0
         pts = X.points
@@ -401,7 +392,7 @@ class MCDShearSweep:
         return [r.estimates for r in self.results(family)]
 
 
-def _probe_budget(X: DataSet, budget: DirectionBudget | None) -> DirectionBudget:
+def _probe_budget(budget: DirectionBudget | None) -> DirectionBudget:
     if budget is not None:
         return budget
     return DirectionBudget(
@@ -427,7 +418,7 @@ def trimmed_mean(
         raise ParameterError(f"trim_count must satisfy 0 <= t <= n-k-1 = {X.n - X.k - 1}, got {t}")
     if t == 0:
         return X.points.mean(axis=0)
-    evaluator = OutlyingnessEvaluator(X, scale_shift, _probe_budget(X, budget))
+    evaluator = OutlyingnessEvaluator(X, scale_shift, _probe_budget(budget))
     scores = evaluator.batch(X.points)
     order = np.lexsort((np.arange(X.n), scores))
     keep = np.sort(order[: X.n - t])
@@ -456,7 +447,7 @@ def projection_median(
     """
     k = X.k
     shift = (k - 1) if scale_shift is None else int(scale_shift)
-    evaluator = OutlyingnessEvaluator(X, shift, _probe_budget(X, budget))
+    evaluator = OutlyingnessEvaluator(X, shift, _probe_budget(budget))
 
     def depth_of(pts: np.ndarray) -> np.ndarray:
         out = evaluator.batch(pts)

@@ -13,6 +13,7 @@ of ``1e-9`` times the relevant diameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -27,7 +28,10 @@ __all__ = [
     "check_general_position",
     "Facet",
     "enumerate_facets",
+    "tie_level",
+    "normal_cone_ties",
     "hyperplane_normal",
+    "subset_index",
     "unit_direction",
     "OrthonormalBasis",
     "basis_from_normal",
@@ -62,7 +66,7 @@ def unit_direction(u) -> np.ndarray:
     return u
 
 
-def check_general_position(X: DataSet, reference_diameter: float | None = None) -> GeneralPositionReport:
+def check_general_position(X: DataSet) -> GeneralPositionReport:
     """Test whether no k+1 points of X lie on a common affine hyperplane.
 
     Every (k+1)-subset is tested for affine independence via the determinant
@@ -71,13 +75,6 @@ def check_general_position(X: DataSet, reference_diameter: float | None = None) 
     comparison is scale-free). Returns ``(ok, witness)`` where ``witness``
     is one violating index subset when ``ok`` is false.
 
-    ``reference_diameter`` pins the threshold scale instead of using each
-    subset's own diameter. The contamination engine needs this: a shear
-    preserves every subset determinant while stretching subset diameters
-    without bound, so the subset-relative test would reject arbitrarily
-    large shears that are in exact general position. Degeneracy of a
-    contaminated set is judged at the scale of the data it came from.
-
     Attack sweeps re-test every contaminated dataset, so the subset loop is
     batched through numpy.
     """
@@ -85,15 +82,12 @@ def check_general_position(X: DataSet, reference_diameter: float | None = None) 
     n, k = X.n, X.k
     if n < k + 1:
         return GeneralPositionReport(True, None)
-    subsets = np.array(list(combinations(range(n), k + 1)), dtype=int)  # (S, k+1)
+    subsets = subset_index(n, k + 1)  # (S, k+1)
     groups = pts[subsets]  # (S, k+1, k)
     diffs = groups[:, 1:, :] - groups[:, :1, :]  # (S, k, k)
     dets = np.abs(np.linalg.det(diffs))
-    if reference_diameter is None:
-        pair = groups[:, :, None, :] - groups[:, None, :, :]
-        diams = np.sqrt((pair * pair).sum(axis=3)).max(axis=(1, 2))
-    else:
-        diams = np.full(len(subsets), float(reference_diameter))
+    pair = groups[:, :, None, :] - groups[:, None, :, :]
+    diams = np.sqrt((pair * pair).sum(axis=3)).max(axis=(1, 2))
     bad = dets <= GP_RTOL * diams**k
     if np.any(bad):
         witness = tuple(int(i) for i in subsets[int(np.flatnonzero(bad)[0])])
@@ -110,34 +104,45 @@ def require_general_position(X: DataSet, context: str = "operation") -> None:
         )
 
 
-def _subset_diameter(pts: np.ndarray) -> float:
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).max())
+@lru_cache(maxsize=32)
+def subset_index(n: int, h: int) -> np.ndarray:
+    """Every h-subset of range(n) in lexicographic order, as one shared
+    read-only (C(n, h), h) index array."""
+    idx = np.array(list(combinations(range(n), h)), dtype=int).reshape(-1, h)
+    idx.setflags(write=False)
+    return idx
 
 
-def hyperplane_normal(pts: np.ndarray) -> np.ndarray:
-    """Unit normal of the affine hyperplane spanned by k points in R^k.
+def hyperplane_normal(groups: np.ndarray) -> tuple:
+    """Unit normals of the affine hyperplanes through stacked k-point subsets.
 
-    Computed as the smallest right singular vector of the difference matrix;
-    the sign is canonicalized so the first nonzero component is positive.
-    Raises if the points do not span a full (k-1)-dimensional hyperplane.
+    ``groups`` has shape (S, k, k): S subsets of k points in R^k. Returns
+    ``(normals, degenerate)``: the (S, k) unit normals and an (S,) mask of
+    subsets that do not span a full (k-1)-dimensional hyperplane, whose
+    normal rows are meaningless. Each normal is the smallest right singular
+    vector of the subset's difference matrix, from one batched SVD; the
+    sign is canonicalized so the first component above 1e-14 in magnitude
+    is positive. A subset is degenerate when its smallest singular value is
+    at most 1e-12 times max(1, largest absolute difference). For k = 1 every
+    normal is +1.
     """
-    pts = np.asarray(pts, dtype=float)
-    k = pts.shape[1]
-    if pts.shape[0] != k:
-        raise ParameterError(f"need exactly k={k} points, got {pts.shape[0]}")
+    groups = np.asarray(groups, dtype=float)
+    if groups.ndim != 3 or groups.shape[1] != groups.shape[2]:
+        raise ParameterError(f"need a stack of k points in R^k, got shape {groups.shape}")
+    S, k = groups.shape[:2]
     if k == 1:
-        return np.array([1.0])
-    diffs = pts[1:] - pts[0]
-    scale = max(1.0, float(np.abs(diffs).max()))
+        return np.ones((S, 1)), np.zeros(S, dtype=bool)
+    diffs = groups[:, 1:] - groups[:, :1]  # (S, k-1, k)
+    scale = np.maximum(1.0, np.abs(diffs).max(axis=(1, 2)))
     _, svals, vt = np.linalg.svd(diffs)
-    if svals.size < k - 1 or svals[-1] <= 1e-12 * scale:
-        raise GeneralPositionError("points are affinely dependent; hyperplane is not unique")
-    normal = vt[-1]
-    nz = np.flatnonzero(np.abs(normal) > 1e-14)
-    if nz.size and normal[nz[0]] < 0:
-        normal = -normal
-    return normal / np.linalg.norm(normal)
+    degenerate = svals[:, -1] <= 1e-12 * scale
+    normals = vt[:, -1]  # (S, k)
+    nonzero = np.abs(normals) > 1e-14
+    lead = normals[np.arange(S), np.argmax(nonzero, axis=1)]
+    normals = np.where((nonzero.any(axis=1) & (lead < 0))[:, None], -normals, normals)
+    # a per-row dot reproduces np.linalg.norm of each row bit for bit
+    norms = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
+    return normals / norms, degenerate
 
 
 @dataclass(frozen=True)
@@ -174,30 +179,76 @@ def enumerate_facets(X: DataSet) -> list[Facet]:
         raise ParameterError(f"facet enumeration requires n > k, got n={n}, k={k}")
     pts = X.points
     tol = GP_RTOL * max(X.diameter, 1e-300)
+    subsets = subset_index(n, k)
+    normals, degenerate = hyperplane_normal(pts[subsets])
+    proj = (pts @ normals[:, :, None])[:, :, 0]  # (S, n)
+    rows = np.arange(len(subsets))[:, None]
+    support = proj[rows, subsets].mean(axis=1)
+    side = proj - support[:, None]
+    side[rows, subsets] = np.nan  # a subset's own points are on its hyperplane
+    on_plane = np.abs(side) <= tol
+    bad = np.flatnonzero(degenerate | on_plane.any(axis=1))
+    if bad.size:
+        subset = tuple(int(i) for i in subsets[bad[0]])
+        if degenerate[bad[0]]:
+            raise GeneralPositionError(f"facet points {subset} are affinely dependent", witness=subset)
+        extra = int(np.flatnonzero(on_plane[bad[0]])[0])
+        raise GeneralPositionError(
+            f"point {extra} lies on the hyperplane through {subset}",
+            witness=tuple(sorted(subset + (extra,))),
+        )
     facets = []
-    for subset in combinations(range(n), k):
-        idx = list(subset)
-        try:
-            normal = hyperplane_normal(pts[idx])
-        except GeneralPositionError:
-            raise GeneralPositionError(
-                f"facet points {subset} are affinely dependent", witness=subset
-            ) from None
-        support = float(np.mean(pts[idx] @ normal))
-        others = np.setdiff1d(np.arange(n), idx, assume_unique=True)
-        side = pts[others] @ normal - support
-        on_plane = np.abs(side) <= tol
-        if np.any(on_plane):
-            extra = int(others[np.flatnonzero(on_plane)[0]])
-            raise GeneralPositionError(
-                f"point {extra} lies on the hyperplane through {subset}",
-                witness=tuple(sorted(subset + (extra,))),
-            )
-        if np.all(side > tol):
-            facets.append(Facet(tuple(subset), normal, support))
-        elif np.all(side < -tol):
-            facets.append(Facet(tuple(subset), -normal, -support))
+    above = np.nanmin(side, axis=1) > tol
+    below = np.nanmax(side, axis=1) < -tol
+    for s in np.flatnonzero(above | below):
+        subset = tuple(int(i) for i in subsets[s])
+        if above[s]:
+            facets.append(Facet(subset, normals[s], float(support[s])))
+        else:
+            facets.append(Facet(subset, -normals[s], -float(support[s])))
     return facets
+
+
+def tie_level(proj: np.ndarray, face, tol: float) -> float | None:
+    """Level at which the projections ``proj`` tie exactly the ``face`` points
+    at the minimum: the face points' mean projection when they agree within
+    ``tol`` and every other point is more than ``tol`` above it, else None."""
+    face = list(face)
+    level = float(np.mean(proj[face]))
+    if np.abs(proj[face] - level).max() > tol:
+        return None
+    others = np.setdiff1d(np.arange(proj.size), face, assume_unique=True)
+    if others.size and np.min(proj[others] - level) <= tol:
+        return None
+    return level
+
+
+def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float):
+    """Yield ``(u, level, proj)`` for verified directions in the normal cone
+    of a hull face.
+
+    The normal cone of a face of a simplicial hull is positively spanned by
+    the inward normals of the facets containing it; strictly positive
+    combinations tie the face's points at the minimal projection and keep
+    every other point above. Each of ``samples`` Dirichlet draws from ``rng``
+    is normalized and yielded only if :func:`tie_level` confirms the tie.
+    A face on fewer than two facets yields nothing and draws nothing: a
+    boundary-of-cone direction would tie more points than the face.
+    """
+    normals = [f.inward_normal for f in facets if set(face) <= set(f.indices)]
+    if len(normals) < 2:
+        return
+    normals = np.array(normals)
+    for _ in range(samples):
+        u = rng.dirichlet(np.ones(len(normals))) @ normals
+        norm = np.linalg.norm(u)
+        if norm <= 1e-12:
+            continue
+        u = u / norm
+        proj = X.points @ u
+        level = tie_level(proj, face, tol)
+        if level is not None:
+            yield u, level, proj
 
 
 @dataclass(frozen=True)

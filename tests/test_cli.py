@@ -212,3 +212,35 @@ def test_scenario_pm_small_run(runner):
     assert len(payload["rows"]) == 2
     assert payload["rows"][0]["n"] == 10
     assert invoke(runner, args).stdout == result.stdout  # byte determinism
+
+
+def assert_fails(runner, args, code):
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+
+
+def test_estimate_coverage_out_of_range_exits_4(runner, demo10_csv):
+    # raised while evaluating, not while building: still a parameter error
+    assert_fails(runner, ["estimate", demo10_csv, "-e", "mcd", "--coverage", "99"], 4)
+
+
+def test_fsbv_coverage_out_of_range_exits_4(runner, demo10_csv):
+    assert_fails(runner, ["fsbv", demo10_csv, "-e", "mcd", "--coverage", "99", "--seed", "0"], 4)
+
+
+def test_depth_negative_random_count_exits_4(runner, demo10_csv):
+    args = ["depth", demo10_csv, "--point", "1,1", "--mode", "sampled", "--seed", "1",
+            "--random-count", "-1"]
+    assert_fails(runner, args, 4)
+
+
+def test_scenario_pm_negative_random_count_exits_4(runner):
+    assert_fails(runner, ["scenario-pm", "--seed", "1", "--random-count", "-1"], 4)
+
+
+def test_condition_on_degenerate_data_exits_3(runner, tmp_path):
+    path = tmp_path / "collinear.csv"
+    path.write_text("0,0\n1,0\n2,0\n0,1\n")
+    assert_fails(runner, ["condition", str(path), "-e", "cmedian"], 3)

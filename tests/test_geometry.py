@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robloc import (
     AffineMap,
@@ -158,8 +160,74 @@ def test_unit_direction_validates():
 
 
 def test_hyperplane_normal_r2():
-    u = hyperplane_normal(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    assert np.allclose(np.abs(u), [0, 1])
+    normals, degenerate = hyperplane_normal(np.array([[[0.0, 0.0], [2.0, 0.0]]]))
+    assert np.allclose(np.abs(normals), [[0, 1]])
+    assert not degenerate.any()
+
+
+def per_subset_normal(pts):
+    """Oracle: one SVD per subset, smallest right singular vector, first
+    component above 1e-14 in magnitude made positive."""
+    diffs = pts[1:] - pts[0]
+    _, svals, vt = np.linalg.svd(diffs)
+    degenerate = bool(svals[-1] <= 1e-12 * max(1.0, float(np.abs(diffs).max())))
+    normal = vt[-1]
+    nz = np.flatnonzero(np.abs(normal) > 1e-14)
+    if nz.size and normal[nz[0]] < 0:
+        normal = -normal
+    return normal / np.linalg.norm(normal), degenerate
+
+
+@st.composite
+def gp_stacks(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 1, k + 5))
+    X = random_gp_dataset(n, k, draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return X.points[np.array(list(combinations(range(n), k)))] * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(gp_stacks())
+def test_batched_normals_match_per_subset_svd(groups):
+    normals, degenerate = hyperplane_normal(groups)
+    assert not degenerate.any()
+    for g, u in zip(groups, normals):
+        want, flat = per_subset_normal(g)
+        assert not flat
+        assert np.array_equal(u, want)
+
+
+def test_hyperplane_normal_sign_rule_skips_zero_first_component():
+    # both normals lie along e2; the first component is 0, so the sign is
+    # fixed by the second
+    groups = np.array([[[0.0, 0.0], [2.0, 0.0]], [[1.0, 3.0], [-4.0, 3.0]]])
+    normals, _ = hyperplane_normal(groups)
+    assert normals.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    normals, _ = hyperplane_normal(np.array([[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]))
+    assert normals.tolist() == [[1.0, 0.0, 0.0]]
+
+
+def test_hyperplane_normal_flags_degenerate_subsets():
+    groups = np.array([
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],  # collinear
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 5.0, 1.0]],  # repeated point
+    ])
+    normals, degenerate = hyperplane_normal(groups)
+    assert degenerate.tolist() == [False, True, True]
+    assert normals[0].tolist() == [0.0, 0.0, 1.0]
+
+
+def test_hyperplane_normal_k1():
+    normals, degenerate = hyperplane_normal(np.array([[[3.0]], [[-2.0]]]))
+    assert normals.tolist() == [[1.0], [1.0]]
+    assert not degenerate.any()
+
+
+def test_hyperplane_normal_rejects_non_square_subsets():
+    with pytest.raises(ParameterError):
+        hyperplane_normal(np.zeros((2, 3, 2)))
 
 
 # --- shear / affine maps ------------------------------------------------------
