@@ -35,6 +35,8 @@ CASES = {
         ["attack", DEMO10, "-e", "cmedian", "--family", "cluster", "--m", "3"], True),
     "fsbv_mcd": (["fsbv", DEMO10, "-e", "mcd", "--seed", "0"], False),
     "fsbv_cmedian": (["fsbv", DEMO10, "-e", "cmedian", "--seed", "0"], False),
+    "fsbv_pm": (["fsbv", DEMO10, "-e", "pm", "--seed", "0", "--random-count", "200"], False),
+    "fsbv_tmean": (["fsbv", DEMO10, "-e", "tmean", "--seed", "0"], False),
     "bounds": (["bounds", "10", "2", "2"], False),
     "depth_exact2d": (["depth", DEMO10, "--point", "3.5,5.0"], False),
     "depth_sampled": (
