@@ -325,6 +325,8 @@ def scenario_pm(m_value, deltas, noise_scale, seed, random_count, grid_refinemen
         raise ParameterError(f"m must be >= 2, got {m_value}")
     if noise_scale <= 0:
         raise ParameterError(f"noise_scale must be positive, got {noise_scale}")
+    if grid_refinements < 0:
+        raise ParameterError(f"grid_refinements must be nonnegative, got {grid_refinements}")
     rows = []
     for d in delta_values:
         X = pm_counterexample(m_value, d, noise_scale=noise_scale, seed=seed)

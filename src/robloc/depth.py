@@ -14,6 +14,7 @@ higher dimensions only a sampled upper bound is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -39,7 +40,7 @@ class DirectionBudget:
     """Reproducible direction probe set: random count, data normals, seed.
 
     The seed is mandatory; every stochastic path in the package owes its
-    reproducibility to it.
+    reproducibility to it, and the probe cache is keyed on it.
     """
 
     random_count: int
@@ -47,6 +48,8 @@ class DirectionBudget:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.random_count < 0:
             raise ParameterError("random_count must be nonnegative")
         if self.random_count == 0 and not self.include_data_directions:
@@ -58,18 +61,17 @@ def direction_set(X: DataSet, budget: DirectionBudget) -> np.ndarray:
 
     For k = 1 the only direction up to sign is +1 and the budget collapses
     to it. Data-derived directions are hyperplane normals through each
-    k-subset of points; affinely dependent subsets are skipped.
+    k-subset of points; affinely dependent subsets are skipped. The seeded
+    random block depends only on (seed, count, k), so it is drawn and
+    normalised once per such triple and cached read-only; every call still
+    returns a fresh array the caller may write to.
     """
     n, k = X.n, X.k
     if k == 1:
         return np.array([[1.0]])
     dirs = []
     if budget.random_count > 0:
-        rng = np.random.default_rng(budget.seed)
-        raw = rng.standard_normal((budget.random_count, k))
-        norms = np.linalg.norm(raw, axis=1)
-        keep = norms > 1e-12
-        dirs.append(raw[keep] / norms[keep, None])
+        dirs.append(_random_directions(budget.seed, budget.random_count, k))
     if budget.include_data_directions and n >= k:
         total = comb(n, k)
         if total > _DATA_DIRECTION_CAP:
@@ -84,13 +86,34 @@ def direction_set(X: DataSet, budget: DirectionBudget) -> np.ndarray:
     return np.vstack(dirs)
 
 
+@lru_cache(maxsize=32)
+def _random_directions(seed: int, count: int, k: int) -> np.ndarray:
+    """Seeded standard-normal draws scaled to unit length, read-only."""
+    raw = np.random.default_rng(seed).standard_normal((count, k))
+    norms = np.linalg.norm(raw, axis=1)
+    keep = norms > 1e-12
+    block = raw[keep] / norms[keep, None]
+    block.flags.writeable = False
+    return block
+
+
 class OutlyingnessEvaluator:
     """Worst-case standardized projection distance over a fixed probe set.
 
     The per-direction median midpoints and MAD scales depend only on the
-    dataset and the budget, so they are precomputed once; evaluating a query
-    point is then a single matrix-vector product. This is what makes the
-    candidate-grid search in the projection median cheap.
+    dataset and the budget, so they are precomputed once, together with the
+    transposed (k, D) view of the directions and the mask of zero-scale
+    directions. Scoring C query points is then one (C, k) x (k, D) product
+    followed by in-place subtract, absolute value and divide on that one
+    (C, D) array, and a row maximum; when no direction has zero scale, which
+    is the usual case, no column is selected and nothing is copied.
+
+    Scores are reproducible to the last bit, because the projection
+    median's incumbent and the trimmed mean's ranking compare them exactly.
+    Hence the kernel divides by the MAD instead of multiplying by a
+    precomputed reciprocal (x * (1/s) and x / s differ in the last bit for
+    some x), and keeps the transposed view instead of a contiguous copy
+    (BLAS rounds the product differently for the two layouts).
     """
 
     def __init__(
@@ -113,8 +136,13 @@ class OutlyingnessEvaluator:
             dirs = np.asarray(directions, dtype=float)
             if dirs.ndim != 2 or dirs.shape[1] != X.k or dirs.shape[0] == 0:
                 raise ParameterError("directions must be a nonempty (D, k) array")
+            if not np.isfinite(dirs).all():
+                raise ParameterError("directions must be finite")
+            if not (dirs != 0.0).any(axis=1).all():
+                raise ParameterError("directions must be nonzero")
             self.directions = dirs
-        proj = X.points @ self.directions.T  # (n, D)
+        self._dirs_t = self.directions.T
+        proj = X.points @ self._dirs_t  # (n, D)
         n = X.n
         s = np.sort(proj, axis=0)
         if n % 2 == 1:
@@ -124,6 +152,8 @@ class OutlyingnessEvaluator:
         devs = np.sort(np.abs(proj - self._med), axis=0)
         rank = min(-(-(n + self.scale_shift + 1) // 2), n)
         self._mad = devs[rank - 1].copy()
+        self._zero = self._mad == 0.0
+        self._any_zero = bool(self._zero.any())
 
     def __call__(self, x) -> float:
         return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -134,10 +164,19 @@ class OutlyingnessEvaluator:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs.reshape(1, -1)
-        num = np.abs(xs @ self.directions.T - self._med)  # (C, D)
-        zero = self._mad == 0.0
+        if xs.ndim != 2 or xs.shape[1] != self.dataset.k:
+            raise ParameterError(
+                f"query points must be rows of dimension {self.dataset.k}, got shape {xs.shape}"
+            )
+        num = xs @ self._dirs_t  # (C, D)
+        num -= self._med
+        np.abs(num, out=num)
+        if not self._any_zero:
+            num /= self._mad
+            return num.max(axis=1)
+        zero = self._zero
         out = np.zeros(xs.shape[0])
-        if np.any(~zero):
+        if not zero.all():
             out = (num[:, ~zero] / self._mad[~zero]).max(axis=1)
         elif np.any(~(num > 0.0).any(axis=1)):
             # some query row sits on a sample that is flat in every probed
@@ -145,10 +184,8 @@ class OutlyingnessEvaluator:
             raise DegenerateSampleError(
                 "every probed direction has zero scale and zero spread"
             )
-        if np.any(zero):
-            blown = (num[:, zero] > 0.0).any(axis=1)
-            out = np.where(blown, np.inf, out)
-        return out
+        blown = (num[:, zero] > 0.0).any(axis=1)
+        return np.where(blown, np.inf, out)
 
 
 def outlyingness(x, X: DataSet, scale_shift: int, budget: DirectionBudget) -> float:

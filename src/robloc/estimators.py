@@ -446,6 +446,8 @@ def projection_median(
     projection.
     """
     k = X.k
+    if grid_refinements < 0:
+        raise ParameterError(f"grid_refinements must be nonnegative, got {grid_refinements}")
     shift = (k - 1) if scale_shift is None else int(scale_shift)
     evaluator = OutlyingnessEvaluator(X, shift, _probe_budget(budget))
 
@@ -464,10 +466,11 @@ def projection_median(
     all_depths = [depths]
     width = max(X.diameter, 1e-12)
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    # (5^k, k) lattice offsets, rows in itertools.product order
+    steps = offsets[np.indices((offsets.size,) * k).reshape(k, -1).T]
     for level in range(int(grid_refinements)):
         half = width / 2.0 ** (level + 1)
-        axes = [incumbent[j] + half * offsets for j in range(k)]
-        lattice = np.array(list(product(*axes)))
+        lattice = incumbent + half * steps
         d = depth_of(lattice)
         all_pts.append(lattice)
         all_depths.append(d)
@@ -499,7 +502,8 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
     * ``tmean`` -- outlyingness-trimmed mean; ``trim_count`` (default 1),
       ``scale_shift``, ``random_count``.
     * ``pm`` -- projection median; ``scale_shift`` (default k-1),
-      ``random_count`` (default 2000), ``grid_refinements`` (default 8).
+      ``random_count`` (default 2000), ``grid_refinements`` (default 8,
+      nonnegative).
       Requires ``seed``.
     * ``wmean`` -- unweighted mean (all weights 1, affine equivariant).
     """
@@ -540,6 +544,8 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         shift = params.get("scale_shift")
         count = int(params.get("random_count", 2000))
         refinements = int(params.get("grid_refinements", 8))
+        if refinements < 0:
+            raise ParameterError(f"grid_refinements must be nonnegative, got {refinements}")
         def _pm(X: DataSet) -> EstimateSet:
             b = DirectionBudget(count, True, int(seed))
             s = (X.k - 1) if shift is None else int(shift)

@@ -244,3 +244,12 @@ def test_condition_on_degenerate_data_exits_3(runner, tmp_path):
     path = tmp_path / "collinear.csv"
     path.write_text("0,0\n1,0\n2,0\n0,1\n")
     assert_fails(runner, ["condition", str(path), "-e", "cmedian"], 3)
+
+
+def test_estimate_pm_negative_grid_refinements_exits_4(runner, demo10_csv):
+    args = ["estimate", demo10_csv, "-e", "pm", "--seed", "3", "--grid-refinements", "-2"]
+    assert_fails(runner, args, 4)
+
+
+def test_scenario_pm_negative_grid_refinements_exits_4(runner):
+    assert_fails(runner, ["scenario-pm", "--seed", "1", "--grid-refinements", "-1"], 4)

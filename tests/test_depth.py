@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robloc import (
     DataSet,
@@ -45,6 +47,12 @@ def test_budget_requires_some_direction():
         DirectionBudget(0, False, seed=1)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, [1, 2]])
+def test_budget_requires_integer_seed(seed):
+    with pytest.raises(ParameterError):
+        DirectionBudget(10, True, seed=seed)
+
+
 def test_direction_set_is_unit_norm(demo10, budget):
     dirs = direction_set(demo10, budget)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
@@ -88,6 +96,80 @@ def test_outlyingness_degenerate_sample_raises():
         ev.batch(np.array([[1.0, 1.0], [0.0, 0.0]]))
     # all-flat sample with every query off it: infinities, no error
     assert np.all(np.isinf(ev.batch(np.array([[1.0, 1.0], [2.0, 0.0]]))))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Small samples with many tied projections, explicit directions that
+    include the tied axes, and queries on and off the data."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pts = rng.standard_normal((n, k))
+    ties = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        pts[:ties] = pts[0]  # duplicated rows: every direction ties there
+    else:
+        pts[:ties, 0] = pts[0, 0]  # one tied coordinate: e_0 ties there
+    dirs = [rng.standard_normal((draw(st.integers(0, 6)), k))]
+    dirs.append(np.eye(k)[: draw(st.integers(0 if dirs[0].size else 1, k))])
+    on_data = draw(st.booleans())
+    off_data = rng.standard_normal((draw(st.integers(0 if on_data else 1, 5)), k))
+    queries = np.vstack([pts, off_data]) if on_data else off_data
+    shift = draw(st.integers(0, n - 1))
+    return DataSet(pts), shift, np.vstack(dirs), queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_batch_matches_reference_formula(case):
+    X, shift, dirs, xs = case
+    proj = X.points @ dirs.T
+    med = np.median(proj, axis=0)
+    rank = min(-(-(X.n + shift + 1) // 2), X.n)
+    mad = np.sort(np.abs(proj - med), axis=0)[rank - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(xs @ dirs.T - med) / mad
+    ev = OutlyingnessEvaluator(X, shift, directions=dirs)
+    # 0/0 means a query on a flat direction: no evidence either way
+    undefined = np.isnan(ratio)
+    if undefined.all(axis=1).any():
+        with pytest.raises(DegenerateSampleError):
+            ev.batch(xs)
+        return
+    expected = np.where(undefined, 0.0, ratio).max(axis=1)
+    assert np.array_equal(ev.batch(xs), expected)
+
+
+def test_direction_set_random_block_is_fresh_each_call(demo10):
+    # random block only: the returned array must still not be the cached one
+    b = DirectionBudget(300, False, seed=21)
+    raw = np.random.default_rng(21).standard_normal((300, 2))
+    unit = raw / np.linalg.norm(raw, axis=1)[:, None]
+    first = direction_set(demo10, b)
+    assert np.array_equal(first, unit)
+    first[:] = 0.0
+    again = direction_set(demo10, b)
+    assert np.array_equal(again, unit)
+    assert again.flags.writeable and again is not direction_set(demo10, b)
+
+
+def test_outlyingness_rejects_query_of_wrong_dimension(demo10, budget):
+    with pytest.raises(ParameterError):
+        outlyingness([1.0, 2.0, 3.0], demo10, 1, budget)
+    ev = OutlyingnessEvaluator(demo10, 1, budget)
+    with pytest.raises(ParameterError):
+        ev.batch(np.zeros((4, 3)))
+    with pytest.raises(ParameterError):
+        ev.batch(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "dirs", [[[np.nan, 1.0]], [[np.inf, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+)
+def test_evaluator_rejects_nonfinite_or_zero_directions(demo10, dirs):
+    with pytest.raises(ParameterError):
+        OutlyingnessEvaluator(demo10, 1, directions=dirs)
 
 
 def test_outlyingness_orthogonal_invariance_with_matched_directions():

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from robloc import (
     DataSet,
     DirectionBudget,
+    OutlyingnessEvaluator,
     coordinatewise_median,
     make_estimator,
     mcd_exhaustive,
@@ -167,6 +168,54 @@ def test_projection_median_centrally_symmetric():
                           [1.0, 1.0], [-1.0, -1.0]]))
     est = projection_median(X, budget=DirectionBudget(200, True, seed=3))
     assert np.linalg.norm(est.canonical) <= 1e-9
+
+
+def lattice_search_oracle(X, budget, refinements):
+    """The refining 5^k lattice built with itertools.product, as the
+    projection median's candidate search is specified."""
+    ev = OutlyingnessEvaluator(X, X.k - 1, budget)
+    cand = np.vstack([X.points, coordinatewise_median(X).canonical])
+    depth = 1.0 / (1.0 + ev.batch(cand))
+    best, incumbent = depth.max(), cand[np.argmax(depth)]
+    pts, deps = [cand], [depth]
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    for level in range(refinements):
+        half = max(X.diameter, 1e-12) / 2.0 ** (level + 1)
+        lattice = np.array(list(product(*[c + half * offsets for c in incumbent])))
+        d = 1.0 / (1.0 + ev.batch(lattice))
+        pts.append(lattice)
+        deps.append(d)
+        if d.max() > best:
+            best, incumbent = d.max(), lattice[np.argmax(d)]
+    dep = np.concatenate(deps)
+    return np.vstack(pts)[dep >= best - 1e-9 * best], incumbent
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_projection_median_lattice_matches_product_order(k, monkeypatch):
+    queried = []
+    batch = OutlyingnessEvaluator.batch
+    monkeypatch.setattr(
+        OutlyingnessEvaluator, "batch", lambda ev, xs: queried.append(xs.copy()) or batch(ev, xs)
+    )
+    X = random_gp_dataset(k + 4, k, seed=40 + k)
+    b = DirectionBudget(60, True, seed=k)
+    est = projection_median(X, budget=b, grid_refinements=3)
+    ours = queried[:]
+    queried.clear()
+    winners, incumbent = lattice_search_oracle(X, b, 3)
+    # every candidate block, row for row
+    assert len(ours) == len(queried) == 4
+    assert all(np.array_equal(a, c) for a, c in zip(ours, queried))
+    assert np.array_equal(est.canonical, incumbent)
+    assert np.array_equal(est.members, EstimateSet.of(winners).members)
+
+
+def test_projection_median_rejects_negative_refinements(demo10):
+    with pytest.raises(ParameterError):
+        projection_median(demo10, budget=DirectionBudget(20, True, seed=1), grid_refinements=-1)
+    with pytest.raises(ParameterError):
+        make_estimator("pm", seed=1, grid_refinements=-2)
 
 
 def test_registry_names_and_classes(demo10):
