@@ -101,12 +101,12 @@ class OutlyingnessEvaluator:
     """Worst-case standardized projection distance over a fixed probe set.
 
     The per-direction median midpoints and MAD scales depend only on the
-    dataset and the budget, so they are precomputed once, together with the
-    transposed (k, D) view of the directions and the mask of zero-scale
-    directions. Scoring C query points is then one (C, k) x (k, D) product
-    followed by in-place subtract, absolute value and divide on that one
-    (C, D) array, and a row maximum; when no direction has zero scale, which
-    is the usual case, no column is selected and nothing is copied.
+    dataset and the budget, so they are precomputed once. Scoring C query
+    points is then one (C, k) x (k, D) product followed by in-place
+    subtract, absolute value and divide on that one (C, D) array, and a
+    NaN-skipping row maximum; no column is ever selected or copied. A
+    zero-scale direction needs no separate path: it divides to +inf where
+    the numerator is nonzero and to NaN (skipped) where it is 0/0.
 
     Scores are reproducible to the last bit, because the projection
     median's incumbent and the trimmed mean's ranking compare them exactly.
@@ -141,8 +141,7 @@ class OutlyingnessEvaluator:
             if not (dirs != 0.0).any(axis=1).all():
                 raise ParameterError("directions must be nonzero")
             self.directions = dirs
-        self._dirs_t = self.directions.T
-        proj = X.points @ self._dirs_t  # (n, D)
+        proj = X.points @ self.directions.T  # (n, D)
         n = X.n
         s = np.sort(proj, axis=0)
         if n % 2 == 1:
@@ -152,8 +151,6 @@ class OutlyingnessEvaluator:
         devs = np.sort(np.abs(proj - self._med), axis=0)
         rank = min(-(-(n + self.scale_shift + 1) // 2), n)
         self._mad = devs[rank - 1].copy()
-        self._zero = self._mad == 0.0
-        self._any_zero = bool(self._zero.any())
 
     def __call__(self, x) -> float:
         return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -168,24 +165,19 @@ class OutlyingnessEvaluator:
             raise ParameterError(
                 f"query points must be rows of dimension {self.dataset.k}, got shape {xs.shape}"
             )
-        num = xs @ self._dirs_t  # (C, D)
+        if not np.isfinite(xs).all():
+            raise ParameterError("query points must be finite")
+        num = xs @ self.directions.T  # (C, D)
         num -= self._med
         np.abs(num, out=num)
-        if not self._any_zero:
+        # a row left NaN is flat in every probed direction: no finite or
+        # infinite score is defined for it
+        with np.errstate(divide="ignore", invalid="ignore"):
             num /= self._mad
-            return num.max(axis=1)
-        zero = self._zero
-        out = np.zeros(xs.shape[0])
-        if not zero.all():
-            out = (num[:, ~zero] / self._mad[~zero]).max(axis=1)
-        elif np.any(~(num > 0.0).any(axis=1)):
-            # some query row sits on a sample that is flat in every probed
-            # direction: no finite or infinite score is defined for it
-            raise DegenerateSampleError(
-                "every probed direction has zero scale and zero spread"
-            )
-        blown = (num[:, zero] > 0.0).any(axis=1)
-        return np.where(blown, np.inf, out)
+        out = np.fmax.reduce(num, axis=1)
+        if np.isnan(out).any():
+            raise DegenerateSampleError("every probed direction has zero scale and zero spread")
+        return out
 
 
 def outlyingness(x, X: DataSet, scale_shift: int, budget: DirectionBudget) -> float:

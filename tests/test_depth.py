@@ -164,6 +164,15 @@ def test_outlyingness_rejects_query_of_wrong_dimension(demo10, budget):
         ev.batch(np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_outlyingness_rejects_nonfinite_query(demo10, budget, bad):
+    ev = OutlyingnessEvaluator(demo10, 1, budget)
+    with pytest.raises(ParameterError):
+        ev.batch(np.array([[0.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(ParameterError):
+        outlyingness([1.0, bad], demo10, 1, budget)
+
+
 @pytest.mark.parametrize(
     "dirs", [[[np.nan, 1.0]], [[np.inf, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 )
