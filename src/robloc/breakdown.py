@@ -38,17 +38,17 @@ from .geometry import (
     GP_RTOL,
     Facet,
     ShearFamily,
+    apply_shears,
     basis_from_normal,
     check_general_position,
     enumerate_facets,
     normal_cone_ties,
     require_general_position,
-    shear_transform,
     subset_index,
     tie_level,
     unit_direction,
 )
-from .metric import estimate_set_distance
+from .metric import estimate_set_distance, estimate_set_distances
 
 __all__ = [
     "BoundTable",
@@ -337,16 +337,22 @@ def _shear_frames(
     return frames
 
 
-def _partition(X: DataSet, frame: _ShearFrame, m: int, b_rule: str) -> tuple:
-    """Split the non-kept indices into (kept-out A, replaced B) with |B| = m."""
+def _rankings(X: DataSet, frame: _ShearFrame) -> dict:
+    """The non-kept indices of a frame in replacement order, per b_rule:
+    largest or smallest offset from the pinned hyperplane first, ties by
+    index."""
     rest = np.setdiff1d(np.arange(X.n), list(frame.kept), assume_unique=True)
     proj = X.points[rest] @ frame.normal - frame.level
-    if b_rule == "largest_projection":
-        order = np.lexsort((rest, -proj))
-    else:
-        order = np.lexsort((rest, proj))
-    b_idx = np.sort(rest[order[:m]])
-    a_idx = np.setdiff1d(rest, b_idx, assume_unique=True)
+    return {
+        "largest_projection": rest[np.lexsort((rest, -proj))],
+        "smallest_projection": rest[np.lexsort((rest, proj))],
+    }
+
+
+def _partition(ranked: np.ndarray, m: int) -> tuple:
+    """Split ranked indices into (kept-out A, replaced B), |B| = m, each
+    in increasing index order."""
+    a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
     return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
 
 
@@ -396,6 +402,16 @@ class _ShearPositionScreen:
         dc = cs[:, 1:] - cs[:, :1]  # (S, k)
         return (dc * M).sum(axis=1)
 
+    def grid_ok(self, gammas, d1_list) -> np.ndarray:
+        """Per slope of the grid, True when every subset clears the
+        threshold under every D1 in one (G, S) pass; False also where
+        :meth:`gamma_ok` must decide (a NaN determinant)."""
+        g = np.asarray(gammas, dtype=float)[:, None]
+        ok = np.ones(g.shape[0], dtype=bool)
+        for d1 in d1_list:
+            ok &= np.abs(self.d0 + g * d1).min(axis=1) > self.tol
+        return ok
+
     def gamma_ok(self, gamma: float, d1_list) -> tuple:
         for d1 in d1_list:
             vals = np.abs(self.d0 + gamma * d1)
@@ -409,14 +425,23 @@ def _prepare_frame(
     T: LocationEstimator, X: DataSet, frame: _ShearFrame, screen: _ShearPositionScreen
 ) -> tuple:
     """Invariants of one shear frame, shared by every (m, rule) sweep of it:
-    (basis, screen row determinants, normal offsets, estimator sweep)."""
+    (basis, screen row determinants, normal offsets, rankings, estimator
+    sweep)."""
     basis = basis_from_normal(frame.normal, frame.origin)
     return (
         basis,
         screen.row_replacements(basis.e(2)),
         X.points @ frame.normal - frame.level,
+        _rankings(X, frame),
         T.shear_sweep(X, basis),
     )
+
+
+def _screened_grid(screen: _ShearPositionScreen, gammas, d1_list) -> list:
+    """Each slope of the grid, or that slope nudged once where it breaks
+    general position."""
+    ok = screen.grid_ok(gammas, d1_list)
+    return [g if fine else _screened_gamma(screen, g, d1_list) for g, fine in zip(gammas, ok)]
 
 
 def _screened_gamma(screen: _ShearPositionScreen, gamma: float, d1_list) -> float:
@@ -430,6 +455,15 @@ def _screened_gamma(screen: _ShearPositionScreen, gamma: float, d1_list) -> floa
         f"contaminated dataset not in general position even after nudging gamma={gamma!r}",
         witness=witness,
     )
+
+
+def _family_distances(estimates: list, baseline: EstimateSet) -> list:
+    """Distance of each estimate of a family to the baseline: one broadcast
+    when every member set has the same size, else one by one."""
+    if len({e.size for e in estimates}) == 1:
+        stack = np.stack([e.members for e in estimates])
+        return estimate_set_distances(stack, baseline).tolist()
+    return [estimate_set_distance(e, baseline) for e in estimates]
 
 
 def _run_shear_sweep(
@@ -446,10 +480,10 @@ def _run_shear_sweep(
     prepared: tuple | None = None,
 ) -> AttackTrace:
     n, k = X.n, X.k
-    a_idx, b_idx = _partition(X, frame, m, b_rule)
-    include_preimage_family = 0 < len(a_idx) <= m
     screen = screen or _ShearPositionScreen(X)
-    basis, row_dets, offsets, estimate = prepared or _prepare_frame(T, X, frame, screen)
+    basis, row_dets, offsets, rankings, estimate = prepared or _prepare_frame(T, X, frame, screen)
+    a_idx, b_idx = _partition(rankings[b_rule], m)
+    include_preimage_family = 0 < len(a_idx) <= m
 
     c_far = np.zeros(n)
     c_far[list(b_idx)] = offsets[list(b_idx)]
@@ -460,26 +494,28 @@ def _run_shear_sweep(
         d1_list.append(screen.linear_coeff(row_dets, c_near))
 
     requested = [float(gamma) for gamma in gamma_grid]
-    used = [_screened_gamma(screen, gamma, d1_list) for gamma in requested]
+    used = _screened_grid(screen, requested, d1_list)
     families = [("shear_replace_far", ShearFamily.of(X, basis, b_idx, used))]
     if include_preimage_family:
         near = ShearFamily.of(X, basis, a_idx, [-g for g in used])
-        for g, Xb, Xa in zip(used, families[0][1].datasets, near.datasets):
-            _check_preimage_identity(Xb, Xa, g, basis, offsets, frame.kept)
+        _check_preimage_identity(families[0][1], near, basis, offsets, frame.kept)
         families.append(("shear_replace_near", near))
-    estimates = [estimate(family) for _, family in families]
+    results = []
+    for label, family in families:
+        ests = estimate(family)
+        results.append((label, family.replaced, ests, _family_distances(ests, baseline)))
 
     records = []
     for j, gamma in enumerate(requested):
-        for (label, family), ests in zip(families, estimates):
+        for label, replaced, ests, dists in results:
             records.append(
                 AttackRecord(
                     family=label,
                     parameter=used[j],
                     requested_parameter=gamma,
-                    replaced_indices=family.replaced,
+                    replaced_indices=replaced,
                     estimate=ests[j],
-                    distance=estimate_set_distance(ests[j], baseline),
+                    distance=dists[j],
                 )
             )
     details = {
@@ -509,15 +545,16 @@ def _run_shear_sweep(
 
 
 def _check_preimage_identity(
-    Xb: DataSet,
-    Xa: DataSet,
-    gamma: float,
+    far: ShearFamily,
+    near: ShearFamily,
     basis,
     offsets: np.ndarray,
     kept,
 ) -> None:
-    """The far-replacement dataset must be the shear image of the
-    near-replacement dataset, row for row. Checked on every sweep step.
+    """Every far-replacement dataset must be the shear image of the
+    near-replacement dataset of the same slope, row for row. Checked on the
+    whole grid of every sweep; the first slope in grid order that fails
+    raises.
 
     The identity is exact coefficient algebra once points are written as
     q_i + gamma * c_i * e2: applying the shear adds gamma * a_i * e2 (the
@@ -532,23 +569,26 @@ def _check_preimage_identity(
     exceeds 1e-9 relative once gamma is beyond about 1e6.
     """
     e1, e2 = basis.e(1), basis.e(2)
-    blown = max(1.0, float(np.abs(Xb.points).max()), float(np.abs(Xa.points).max()))
     orth = abs(float(e1 @ e2))
     if orth > 1e-12:
         raise RoblocError(f"shear basis lost orthogonality: |e1.e2| = {orth:.3e}")
-    pinned_travel = abs(gamma) * float(np.abs(offsets[list(kept)]).max())
-    if pinned_travel > _IDENTITY_RTOL * blown:
-        raise RoblocError(
-            f"pinned points travel {pinned_travel:.3e} under the shear, beyond "
-            f"{_IDENTITY_RTOL * blown:.3e}"
-        )
-    g = shear_transform(gamma, basis)
-    diff = float(np.abs(g.apply(Xa.points) - Xb.points).max())
+    gamma = np.abs(np.asarray(far.slopes, dtype=float))
+    blown = np.maximum(
+        1.0, np.maximum(np.abs(far.points).max(axis=(1, 2)), np.abs(near.points).max(axis=(1, 2)))
+    )
+    travel = gamma * float(np.abs(offsets[list(kept)]).max())
+    diff = np.abs(apply_shears(near.points, far.slopes, basis) - far.points).max(axis=(1, 2))
     eps = float(np.finfo(float).eps)
-    bound = max(_IDENTITY_RTOL, 8.0 * eps * abs(gamma)) * blown
-    if diff > bound:
+    bound = np.maximum(_IDENTITY_RTOL, 8.0 * eps * gamma) * blown
+    travels = travel > _IDENTITY_RTOL * blown
+    for j in np.flatnonzero(travels | (diff > bound))[:1]:
+        if travels[j]:
+            raise RoblocError(
+                f"pinned points travel {travel[j]:.3e} under the shear, beyond "
+                f"{_IDENTITY_RTOL * blown[j]:.3e}"
+            )
         raise RoblocError(
-            f"shear families lost their preimage identity: max deviation {diff:.3e} > {bound:.3e}"
+            f"shear families lost their preimage identity: max deviation {diff[j]:.3e} > {bound[j]:.3e}"
         )
 
 
@@ -627,13 +667,16 @@ def translation_cluster_attack(
     radius_grid=DEFAULT_RADIUS_GRID,
     direction=None,
     divergence_threshold: float | None = None,
+    *,
+    baseline: EstimateSet | None = None,
 ) -> AttackTrace:
     """Replace the m points farthest along a direction with a distant cluster.
 
     The cluster sits at the original estimate plus radius times the
     direction, with deterministic per-copy jitter of relative size 1e-6
     cycling through the coordinate axes so the copies do not create exact
-    degeneracies on their own.
+    degeneracies on their own. ``baseline`` is ``T(X)`` when the caller
+    already holds it; it is computed here otherwise.
     """
     n, k = X.n, X.k
     if m < 0 or m > n:
@@ -641,7 +684,8 @@ def translation_cluster_attack(
     if direction is None:
         direction = np.eye(k)[0]
     u = unit_direction(direction)
-    baseline = T(X)
+    if baseline is None:
+        baseline = T(X)
     theta = baseline.canonical
     scores = X.points @ u
     order = np.lexsort((np.arange(n), -scores))
@@ -651,14 +695,13 @@ def translation_cluster_attack(
         if divergence_threshold is None
         else float(divergence_threshold)
     )
+    copies = np.arange(m)
     records = []
     for radius in radius_grid:
         R = float(radius)
-        cluster = np.empty((m, k))
-        for i in range(m):
-            jitter = np.zeros(k)
-            jitter[i % k] = _NUDGE_REL * R * (i + 1)
-            cluster[i] = theta + R * u + jitter
+        jitter = np.zeros((m, k))
+        jitter[copies, copies % k] = _NUDGE_REL * R * (copies + 1)
+        cluster = theta + R * u + jitter
         Xc = X.with_replaced(replaced, cluster) if m > 0 else X
         est = T(Xc)
         records.append(
@@ -867,7 +910,8 @@ def empirical_fsbv(
         if witness is None or not suite.stop_m_on_divergence:
             for direction in suite.resolved_directions(k):
                 trace = translation_cluster_attack(
-                    T, X, m, suite.radius_grid, direction, divergence_threshold=threshold
+                    T, X, m, suite.radius_grid, direction, divergence_threshold=threshold,
+                    baseline=baseline,
                 )
                 families.append(f"cluster(direction={direction})")
                 max_distance = max(max_distance, trace.max_distance)

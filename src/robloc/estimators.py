@@ -31,6 +31,7 @@ __all__ = [
     "EstimateSet",
     "LocationEstimator",
     "coordinatewise_median",
+    "coordinatewise_median_sweep",
     "weighted_mean",
     "MCDResult",
     "mcd_exhaustive",
@@ -126,7 +127,9 @@ class LocationEstimator:
     where a shear moved a few rows. ``sweep(X, basis)`` is called once per
     shear frame of the base data X and returns a function that takes a
     :class:`~robloc.geometry.ShearFamily` of that frame and returns one
-    EstimateSet per dataset of the family. Each must be exactly what
+    EstimateSet per dataset of the family. A hook reads the family's
+    (G, n, k) ``points`` stack directly; building ``family.datasets``
+    costs one DataSet per slope. Each estimate must be exactly what
     ``evaluate`` returns on that dataset: the same members, in the same
     order, to the last bit, because certificates built through either path
     are compared byte for byte. Errors must be the ones ``evaluate`` raises.
@@ -162,10 +165,31 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     even n need not be a member.
     """
     intervals = [univariate_median(X.points[:, j]) for j in range(X.k)]
-    axes = [(iv.low,) if iv.is_point else (iv.low, iv.high) for iv in intervals]
-    corners = np.array([corner for corner in product(*axes)], dtype=float)
-    midpoint = np.array([iv.midpoint for iv in intervals])
+    return _median_box([iv.low for iv in intervals], [iv.high for iv in intervals])
+
+
+def _median_box(low, high) -> EstimateSet:
+    """Corners of the box [low, high] in ``product`` order, a point
+    coordinate giving one value, plus the box midpoint."""
+    axes = [(a,) if a == b else (a, b) for a, b in zip(low, high)]
+    corners = np.array(list(product(*axes)), dtype=float)
+    midpoint = 0.5 * (np.asarray(low, dtype=float) + np.asarray(high, dtype=float))
     return EstimateSet.of(corners, canonical=midpoint)
+
+
+def coordinatewise_median_sweep(X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], list]:
+    """The coordinatewise median of every dataset of a shear family: one
+    sort of the whole stack, then each slope's box as
+    :func:`coordinatewise_median` builds it. Needs nothing of the frame."""
+
+    def sweep(family: ShearFamily) -> list:
+        ordered = np.sort(family.points, axis=1)  # (G, n, k)
+        n = ordered.shape[1]
+        low = ordered[:, (n - 1) // 2].tolist()
+        high = ordered[:, n // 2].tolist()
+        return [_median_box(lo, hi) for lo, hi in zip(low, high)]
+
+    return sweep
 
 
 def weighted_mean(X: DataSet, weights) -> np.ndarray:
@@ -374,18 +398,17 @@ class MCDShearSweep:
         cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
         gi, si = np.nonzero((low <= cutoff).T & finite[:, None])
         self.candidates += int(gi.size)
-        pts = np.stack([Xg.points for Xg in family.datasets])
-        means, dets = _subset_objectives(pts[gi[:, None], self.subsets[si]])
-        edges = np.searchsorted(gi, np.arange(len(family.datasets) + 1))
+        means, dets = _subset_objectives(family.points[gi[:, None], self.subsets[si]])
+        edges = np.searchsorted(gi, np.arange(len(family.slopes) + 1))
         out = []
-        for j, Xg in enumerate(family.datasets):
+        for j in range(len(family.slopes)):
             part = slice(edges[j], edges[j + 1])
             d = dets[part]
             if finite[j] and np.all(np.isfinite(d) & (d > 0.0)):
                 out.append(_mcd_pick(self.subsets[si[part]], means[part], d))
             else:
                 self.fallbacks += 1
-                out.append(mcd_exhaustive(Xg, self.h))
+                out.append(mcd_exhaustive(DataSet(family.points[j]), self.h))
         return out
 
     def __call__(self, family: ShearFamily) -> list:
@@ -513,7 +536,9 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         raise ParameterError(f"unknown estimator parameters: {sorted(unknown)}")
 
     if name == "cmedian":
-        return LocationEstimator("cmedian", "translation", coordinatewise_median)
+        return LocationEstimator(
+            "cmedian", "translation", coordinatewise_median, sweep=coordinatewise_median_sweep
+        )
 
     if name == "wmean":
         def _wmean(X: DataSet) -> EstimateSet:

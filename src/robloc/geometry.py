@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataSet
-from .errors import GeneralPositionError, ParameterError
+from .errors import DatasetFormatError, GeneralPositionError, ParameterError
 
 __all__ = [
     "GP_RTOL",
@@ -37,6 +37,7 @@ __all__ = [
     "basis_from_normal",
     "AffineMap",
     "shear_transform",
+    "apply_shears",
     "ShearFamily",
     "apply_map",
 ]
@@ -402,6 +403,18 @@ def _trusted_affine(matrix: np.ndarray, offset: np.ndarray) -> AffineMap:
     return m
 
 
+def _shear_stack(slopes: np.ndarray, basis: OrthonormalBasis) -> tuple:
+    """Matrices (G, k, k) and offsets (G, k) of the shears of every slope."""
+    k = basis.k
+    if k < 2:
+        raise ParameterError("shear transform requires k >= 2")
+    e1 = basis.e(1)
+    e2 = basis.e(2)
+    matrices = np.eye(k)[None] + slopes[:, None, None] * np.outer(e2, e1)[None]
+    offsets = (-slopes * float(e1 @ basis.origin_shift))[:, None] * e2
+    return matrices, offsets
+
+
 def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     """The volume-preserving shear that fixes the basis hyperplane.
 
@@ -412,38 +425,60 @@ def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     determinant exactly 1 (it is unipotent), and a point with
     e_1-coordinate c travels a distance |gamma| * |c|.
     """
-    k = basis.k
-    if k < 2:
-        raise ParameterError("shear transform requires k >= 2")
-    g = float(gamma)
-    e1 = basis.e(1)
-    e2 = basis.e(2)
-    M = np.eye(k) + g * np.outer(e2, e1)
-    offset = -g * float(e1 @ basis.origin_shift) * e2
-    return _trusted_affine(M, offset)
+    matrices, offsets = _shear_stack(np.array([float(gamma)]), basis)
+    return _trusted_affine(matrices[0], offsets[0])
+
+
+def apply_shears(points: np.ndarray, slopes, basis: OrthonormalBasis) -> np.ndarray:
+    """Images of points under the shear of every slope, as a (G, r, k) stack.
+
+    ``points`` is one (r, k) array, mapped by every slope, or a (G, r, k)
+    stack whose j-th block is mapped by the j-th slope. Block j equals
+    ``shear_transform(slopes[j], basis).apply`` of the same rows to the
+    last bit (``tests/test_geometry.py`` compares them).
+    """
+    matrices, offsets = _shear_stack(np.asarray(slopes, dtype=float).reshape(-1), basis)
+    return np.matmul(points, matrices.transpose(0, 2, 1)) + offsets[:, None, :]
 
 
 class ShearFamily(NamedTuple):
-    """Contaminated datasets along one shear, one per slope.
+    """Contaminated datasets along one shear, one per slope, as one stack.
 
-    ``datasets[j]`` is the base data with rows ``replaced`` moved to their
-    images under ``shear_transform(slopes[j], basis)``. Slopes are signed:
-    the near family of the shear attack uses the inverse shear, slope -gamma.
+    ``points`` is a read-only (G, n, k) array: ``points[j]`` is the base
+    data with rows ``replaced`` moved to their images under
+    ``shear_transform(slopes[j], basis)``. Slopes are signed: the near
+    family of the shear attack uses the inverse shear, slope -gamma.
+    ``datasets`` wraps each block in a :class:`DataSet`, for estimators
+    that are evaluated one dataset at a time.
     """
 
     replaced: tuple
     slopes: tuple
-    datasets: tuple
+    points: np.ndarray
 
     @classmethod
     def of(cls, X: DataSet, basis: OrthonormalBasis, replaced, slopes) -> "ShearFamily":
+        """Build the whole stack at once. Raises what ``X.with_replaced``
+        and ``DataSet`` raise: ParameterError for repeated or out-of-range
+        indices, DatasetFormatError when a sheared coordinate is not finite."""
         replaced = tuple(int(i) for i in replaced)
-        rows = X.points[list(replaced)]
+        if len(set(replaced)) != len(replaced):
+            raise ParameterError("replacement indices must be distinct")
+        if any(i < 0 or i >= X.n for i in replaced):
+            raise ParameterError("replacement index out of range")
         slopes = tuple(float(g) for g in slopes)
-        datasets = tuple(
-            X.with_replaced(replaced, shear_transform(g, basis).apply(rows)) for g in slopes
-        )
-        return cls(replaced, slopes, datasets)
+        idx = list(replaced)
+        points = np.repeat(X.points[None], len(slopes), axis=0)
+        points[:, idx] = apply_shears(X.points[idx], slopes, basis)
+        if not np.all(np.isfinite(points)):
+            raise DatasetFormatError("all coordinates must be finite")
+        points.setflags(write=False)
+        return cls(replaced, slopes, points)
+
+    @property
+    def datasets(self) -> tuple:
+        """One DataSet per slope, built from ``points`` on each access."""
+        return tuple(DataSet(p) for p in self.points)
 
 
 def apply_map(g: AffineMap, X: DataSet) -> DataSet:

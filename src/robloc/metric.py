@@ -18,6 +18,7 @@ from .errors import ParameterError
 __all__ = [
     "sample_distance",
     "estimate_set_distance",
+    "estimate_set_distances",
     "hausdorff_set_distance",
     "lipschitz_probe",
 ]
@@ -51,10 +52,23 @@ def _members(S) -> np.ndarray:
 
 def estimate_set_distance(S1, S2) -> float:
     """Supremum of Euclidean distances over all member pairs."""
-    a = _members(S1)
-    b = _members(S2)
-    d = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).max())
+    return float(_sup_distance(_members(S1), _members(S2)))
+
+
+def estimate_set_distances(stack: np.ndarray, S) -> np.ndarray:
+    """:func:`estimate_set_distance` from each member set of a (G, m, k)
+    stack to S, in one broadcast; entry j equals the distance of
+    ``stack[j]`` bit for bit."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] == 0:
+        raise ParameterError(f"need a (G, m, k) stack of nonempty member sets, got shape {stack.shape}")
+    return _sup_distance(stack, _members(S))
+
+
+def _sup_distance(a: np.ndarray, b: np.ndarray):
+    """Largest distance between the rows of a (..., m, k) and b (p, k)."""
+    d = a[..., :, None, :] - b[None, :, :]
+    return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
 
 
 def hausdorff_set_distance(S1, S2) -> float:

@@ -15,7 +15,7 @@ from robloc import (
     translation_cluster_attack,
 )
 from robloc.breakdown import AttackSuite, SURVIVED_MARKER
-from robloc.errors import GeneralPositionError, ParameterError
+from robloc.errors import GeneralPositionError, ParameterError, RoblocError
 from robloc.estimators import EstimateSet, LocationEstimator
 from robloc.geometry import basis_from_normal, check_general_position, shear_transform
 
@@ -151,7 +151,7 @@ def test_shear_attack_requires_gp():
 def test_shear_attack_nudges_degenerate_gamma(demo10):
     # hit a slope at which some subset determinant D0 + gamma*D1 vanishes
     # exactly: the sweep must recover by the one allowed relative nudge
-    from robloc.breakdown import _ShearPositionScreen, _shear_frames, _partition
+    from robloc.breakdown import _ShearPositionScreen, _partition, _rankings, _shear_frames
     from robloc.geometry import basis_from_normal
 
     T = make_estimator("mcd")
@@ -160,7 +160,7 @@ def test_shear_attack_nudges_degenerate_gamma(demo10):
     screen = _ShearPositionScreen(demo10)
     row_dets = screen.row_replacements(basis_from_normal(frame.normal, frame.origin).e(2))
     offsets = demo10.points @ frame.normal - frame.level
-    a_idx, b_idx = _partition(demo10, frame, 4, "largest_projection")
+    a_idx, b_idx = _partition(_rankings(demo10, frame)["largest_projection"], 4)
     c = np.zeros(demo10.n)
     c[list(b_idx)] = offsets[list(b_idx)]
     d1 = screen.linear_coeff(row_dets, c)
@@ -172,6 +172,59 @@ def test_shear_attack_nudges_degenerate_gamma(demo10):
     far = [r for r in trace.records if r.family == "shear_replace_far"][0]
     assert far.nudged
     assert far.parameter == pytest.approx(gamma_bad * (1 + 1e-6))
+
+
+def preimage_families(X, slopes):
+    """Far and near shear families of the first h = 2 frame of X, with
+    what the preimage check reads."""
+    from robloc.breakdown import _partition, _rankings, _shear_frames
+    from robloc.geometry import ShearFamily
+
+    theta = make_estimator("cmedian")(X).canonical
+    frame = _shear_frames(X, theta, 2, all_s_choices=False, cone_seed=0)[0]
+    basis = basis_from_normal(frame.normal, frame.origin)
+    offsets = X.points @ frame.normal - frame.level
+    a_idx, b_idx = _partition(_rankings(X, frame)["largest_projection"], 4)
+    far = ShearFamily.of(X, basis, b_idx, slopes)
+    near = ShearFamily.of(X, basis, a_idx, [-g for g in slopes])
+    return far, near, basis, offsets, frame.kept
+
+
+def test_preimage_check_catches_a_perturbed_row(demo10):
+    from robloc.breakdown import _check_preimage_identity
+
+    slopes = (10.0, 100.0, 1000.0)
+    far, near, basis, offsets, kept = preimage_families(demo10, slopes)
+    _check_preimage_identity(far, near, basis, offsets, kept)
+    scale = float(np.abs(demo10.points).max())
+    for j in (1, 2):
+        points = near.points.copy()
+        points[j, 0] += 1e-6 * scale  # first failing slope is j
+        points[2, 1] += 1e-6 * scale
+        # the message of the per-slope check at slope j
+        image = shear_transform(slopes[j], basis).apply(points[j])
+        diff = float(np.abs(image - far.points[j]).max())
+        blown = max(1.0, float(np.abs(far.points[j]).max()), float(np.abs(points[j]).max()))
+        bound = max(1e-9, 8.0 * float(np.finfo(float).eps) * slopes[j]) * blown
+        assert diff > bound
+        message = f"shear families lost their preimage identity: max deviation {diff:.3e} > {bound:.3e}"
+        with pytest.raises(RoblocError) as info:
+            _check_preimage_identity(far, near._replace(points=points), basis, offsets, kept)
+        assert str(info.value) == message
+
+
+def test_preimage_check_catches_a_travelling_pinned_point(demo10):
+    from robloc.breakdown import _check_preimage_identity
+
+    slopes = (10.0, 100.0)
+    far, near, basis, offsets, kept = preimage_families(demo10, slopes)
+    moved = offsets.copy()
+    moved[kept[0]] = 1e-3
+    blown = max(1.0, float(np.abs(far.points[0]).max()), float(np.abs(near.points[0]).max()))
+    message = f"pinned points travel {10.0 * 1e-3:.3e} under the shear, beyond {1e-9 * blown:.3e}"
+    with pytest.raises(RoblocError) as info:
+        _check_preimage_identity(far, near, basis, moved, kept)
+    assert str(info.value) == message
 
 
 # --- cluster attack ------------------------------------------------------------

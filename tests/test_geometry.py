@@ -15,8 +15,8 @@ from robloc import (
     random_gp_dataset,
     shear_transform,
 )
-from robloc.errors import GeneralPositionError, ParameterError
-from robloc.geometry import hyperplane_normal, unit_direction
+from robloc.errors import DatasetFormatError, GeneralPositionError, ParameterError
+from robloc.geometry import ShearFamily, apply_shears, hyperplane_normal, unit_direction
 
 
 # --- independent oracles -------------------------------------------------
@@ -307,6 +307,63 @@ def test_shear_integer_power_is_slope_multiple():
 def test_shear_requires_k2():
     with pytest.raises(ParameterError):
         shear_transform(1.0, basis_from_normal(np.array([1.0]), np.zeros(1)))
+
+
+# --- shear families ----------------------------------------------------------
+
+@st.composite
+def shear_family_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 2, k + 7))
+    m = draw(st.integers(1, n - k))
+    replaced = draw(st.permutations(range(n)))[:m]
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    X = DataSet(rng.uniform(-5.0, 5.0, size=(n, k)) * 10.0 ** rng.integers(-2, 3))
+    u = rng.standard_normal(k)
+    basis = basis_from_normal(u / np.linalg.norm(u), rng.uniform(-5.0, 5.0, size=k))
+    powers = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    slopes = [sign * 10.0**p for p in powers for sign in (1.0, -1.0)]
+    slopes.append(slopes[0] * (1.0 + 1e-6))  # a nudged slope
+    return X, basis, replaced, slopes
+
+
+@settings(max_examples=60, deadline=None)
+@given(shear_family_cases())
+def test_shear_family_stack_matches_per_slope_construction(case):
+    X, basis, replaced, slopes = case
+    family = ShearFamily.of(X, basis, replaced, slopes)
+    assert family.points.shape == (len(slopes), X.n, X.k)
+    assert not family.points.flags.writeable
+    rows = X.points[list(replaced)]
+    images = apply_shears(family.points, slopes, basis)  # block j by slope j
+    for j, g in enumerate(slopes):
+        shear = shear_transform(g, basis)
+        oracle = X.with_replaced(replaced, shear.apply(rows))
+        assert np.array_equal(family.points[j], oracle.points)
+        assert np.array_equal(images[j], shear.apply(family.points[j]))
+
+
+def test_shear_family_datasets_view_the_stack(demo10):
+    basis = basis_from_normal(np.array([0.6, 0.8]), demo10.points[0])
+    family = ShearFamily.of(demo10, basis, (3, 1, 7), (10.0, -1e8, 0.0))
+    assert len(family.datasets) == 3
+    for j, Xg in enumerate(family.datasets):
+        assert np.array_equal(Xg.points, family.points[j])
+    assert np.array_equal(family.points[2], demo10.points)
+
+
+@pytest.mark.parametrize("replaced", [(2, 2), (1, 4, 1), (10,), (-1,), (0, 99)])
+def test_shear_family_rejects_bad_indices(demo10, replaced):
+    basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
+    with pytest.raises(ParameterError):
+        ShearFamily.of(demo10, basis, replaced, (1.0, 2.0))
+
+
+def test_shear_family_rejects_non_finite_images(demo10):
+    basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
+    with pytest.raises(DatasetFormatError), np.errstate(over="ignore"):
+        ShearFamily.of(demo10, basis, (0,), (1.0, 1e308))
 
 
 def test_apply_map_identity_and_inverse(demo10):

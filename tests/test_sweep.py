@@ -1,4 +1,4 @@
-"""The MCD shear sweep against the generic per-gamma loop it replaces."""
+"""The estimators' shear sweeps against the generic per-gamma loop they replace."""
 
 import dataclasses
 import json
@@ -8,10 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robloc import AttackSuite, empirical_fsbv, make_estimator, random_gp_dataset, shear_attack
-from robloc.breakdown import _partition, _shear_frames
+from robloc import (
+    AttackSuite,
+    DataSet,
+    check_general_position,
+    empirical_fsbv,
+    make_estimator,
+    random_gp_dataset,
+    shear_attack,
+)
+from robloc.breakdown import _partition, _rankings, _shear_frames
 from robloc.errors import RoblocError
-from robloc.estimators import MCDShearSweep, default_mcd_coverage, mcd_exhaustive
+from robloc.estimators import (
+    MCDShearSweep,
+    coordinatewise_median,
+    default_mcd_coverage,
+    mcd_exhaustive,
+)
 from robloc.geometry import ShearFamily, basis_from_normal
 
 
@@ -73,7 +86,7 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
     for frame in _shear_frames(X, theta, k, all_s_choices=False, cone_seed=0)[:3]:
         basis = basis_from_normal(frame.normal, frame.origin)
         sweep = MCDShearSweep(X, basis)
-        _, replaced = _partition(X, frame, 2, "largest_projection")
+        _, replaced = _partition(_rankings(X, frame)["largest_projection"], 2)
         family = ShearFamily.of(X, basis, replaced, slopes)
         low, high = sweep.bounds(family)
         for j, Xg in enumerate(family.datasets):
@@ -107,3 +120,65 @@ def test_mcd_sweep_screens_out_most_subsets(demo10):
     empirical_fsbv(dataclasses.replace(make_estimator("mcd"), sweep=CountingSweep), demo10)
     assert made and sum(s.fallbacks for s in made) == 0
     assert sum(s.candidates for s in made) < sum(s.pairs for s in made) / 4
+
+
+def integer_gp_dataset(n, k, seed):
+    """General-position points on the integer grid {0..n-1}^k: coordinates
+    tie, so even-n median intervals can collapse to a point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        X = DataSet(rng.integers(0, n, size=(n, k)).astype(float))
+        if check_general_position(X).ok:
+            return X
+    raise AssertionError(f"no integer GP set for n={n}, k={k}, seed={seed}")
+
+
+@st.composite
+def cmedian_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 2, k + 5))
+    seed = draw(st.integers(0, 2**16))
+    make = draw(st.sampled_from((random_gp_dataset, integer_gp_dataset)))
+    grid = sorted(draw(st.sets(st.sampled_from((1e1, 1e3, 1e5, 1e7)), max_size=2)))
+    return make(n, k, seed), tuple(grid) + (1e8,), seed
+
+
+@settings(max_examples=16, deadline=None)
+@given(cmedian_cases())
+def test_cmedian_sweep_matches_generic_loop(case):
+    X, grid, seed = case
+    T = make_estimator("cmedian")
+    suite = AttackSuite(gamma_grid=grid, radius_grid=(1e9,), cone_seed=seed)
+    assert outcome(empirical_fsbv, T, X, suite) == outcome(empirical_fsbv, generic(T), X, suite)
+    for h in range(1, X.k + 1):
+        kwargs = dict(gamma_grid=grid, cone_seed=seed)
+        assert outcome(shear_attack, T, X, h, **kwargs) == outcome(
+            shear_attack, generic(T), X, h, **kwargs
+        )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n_extra", [2, 3])
+@pytest.mark.parametrize("make", [random_gp_dataset, integer_gp_dataset])
+def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
+    X = make(k + n_extra, k, 60 + k)
+    T = make_estimator("cmedian")
+    theta = T(X).canonical
+    slopes = [sign * 10.0**p for p in range(9) for sign in (1.0, -1.0)]
+    collapsed = 0
+    for frame in _shear_frames(X, theta, k, all_s_choices=False, cone_seed=0)[:3]:
+        basis = basis_from_normal(frame.normal, frame.origin)
+        ranked = _rankings(X, frame)["smallest_projection"]
+        for m in (1, X.n - k):
+            a_idx, b_idx = _partition(ranked, m)
+            for replaced in (a_idx, b_idx):
+                family = ShearFamily.of(X, basis, replaced, slopes)
+                got = T.shear_sweep(X, basis)(family)
+                for est, Xg in zip(got, family.datasets):
+                    want = coordinatewise_median(Xg)
+                    assert np.array_equal(est.members, want.members)
+                    assert np.array_equal(est.canonical, want.canonical)
+                    collapsed += est.size < 2**k
+    if make is integer_gp_dataset and X.n % 2 == 0:
+        # tied central order statistics: fewer corners than 2^k
+        assert collapsed
