@@ -48,7 +48,7 @@ from .geometry import (
     tie_level,
     unit_direction,
 )
-from .metric import estimate_set_distance, estimate_set_distances
+from .metric import _row_sup_distances, estimate_set_distance
 
 __all__ = [
     "BoundTable",
@@ -458,12 +458,14 @@ def _screened_gamma(screen: _ShearPositionScreen, gamma: float, d1_list) -> floa
 
 
 def _family_distances(estimates: list, baseline: EstimateSet) -> list:
-    """Distance of each estimate of a family to the baseline: one broadcast
-    when every member set has the same size, else one by one."""
-    if len({e.size for e in estimates}) == 1:
-        stack = np.stack([e.members for e in estimates])
-        return estimate_set_distances(stack, baseline).tolist()
-    return [estimate_set_distance(e, baseline) for e in estimates]
+    """``estimate_set_distance`` of each estimate of a family to the
+    baseline: the largest distance of every member, then the largest per
+    estimate, in one pass over all members."""
+    if not estimates:
+        return []
+    rows = np.concatenate([e.members for e in estimates])
+    starts = np.cumsum([0] + [e.size for e in estimates[:-1]])
+    return np.maximum.reduceat(_row_sup_distances(rows, baseline.members), starts).tolist()
 
 
 def _run_shear_sweep(
@@ -667,25 +669,32 @@ def translation_cluster_attack(
     radius_grid=DEFAULT_RADIUS_GRID,
     direction=None,
     divergence_threshold: float | None = None,
-    *,
-    baseline: EstimateSet | None = None,
 ) -> AttackTrace:
     """Replace the m points farthest along a direction with a distant cluster.
 
     The cluster sits at the original estimate plus radius times the
     direction, with deterministic per-copy jitter of relative size 1e-6
     cycling through the coordinate axes so the copies do not create exact
-    degeneracies on their own. ``baseline`` is ``T(X)`` when the caller
-    already holds it; it is computed here otherwise.
+    degeneracies on their own.
     """
-    n, k = X.n, X.k
-    if m < 0 or m > n:
+    if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
-    if direction is None:
-        direction = np.eye(k)[0]
-    u = unit_direction(direction)
-    if baseline is None:
-        baseline = T(X)
+    u = unit_direction(np.eye(X.k)[0] if direction is None else direction)
+    return _cluster_attack(T, X, m, T(X), radius_grid, u, divergence_threshold)
+
+
+def _cluster_attack(
+    T: LocationEstimator,
+    X: DataSet,
+    m: int,
+    baseline: EstimateSet,
+    radius_grid,
+    u: np.ndarray,
+    divergence_threshold: float | None,
+) -> AttackTrace:
+    """:func:`translation_cluster_attack` along the unit direction u, given
+    ``baseline = T(X)``."""
+    n, k = X.n, X.k
     theta = baseline.canonical
     scores = X.points @ u
     order = np.lexsort((np.arange(n), -scores))
@@ -750,6 +759,10 @@ class AttackSuite:
     all_s_choices: bool = True
     cone_seed: int = 0
     stop_m_on_divergence: bool = True
+
+    def __post_init__(self):
+        for rule in self.partition_rules:
+            PartitionRule(b_rule=rule)
 
     def resolved_h_values(self, k: int) -> tuple:
         if self.h_values is not None:
@@ -909,9 +922,8 @@ def empirical_fsbv(
                 break
         if witness is None or not suite.stop_m_on_divergence:
             for direction in suite.resolved_directions(k):
-                trace = translation_cluster_attack(
-                    T, X, m, suite.radius_grid, direction, divergence_threshold=threshold,
-                    baseline=baseline,
+                trace = _cluster_attack(
+                    T, X, m, baseline, suite.radius_grid, unit_direction(direction), threshold
                 )
                 families.append(f"cluster(direction={direction})")
                 max_distance = max(max_distance, trace.max_distance)

@@ -49,8 +49,7 @@ class DataSet:
         n, k = pts.shape
         if n < 1 or k < 1:
             raise DatasetFormatError(f"need at least one point and one coordinate, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise DatasetFormatError("all coordinates must be finite")
+        _require_finite(pts)
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -73,16 +72,26 @@ class DataSet:
         """Return a copy in which ``points[indices]`` are replaced row-wise."""
         idx = np.asarray(indices, dtype=int)
         repl = np.asarray(new_points, dtype=float).reshape(len(idx), self.k)
-        if len(set(idx.tolist())) != len(idx):
-            raise ParameterError("replacement indices must be distinct")
-        if np.any(idx < 0) or np.any(idx >= self.n):
-            raise ParameterError("replacement index out of range")
+        _check_replacement_index(idx, self.n)
         pts = self.points.copy()
         pts[idx] = repl
         return DataSet(pts)
 
     def __iter__(self):
         return iter(self.points)
+
+
+def _require_finite(points: np.ndarray) -> None:
+    if not np.all(np.isfinite(points)):
+        raise DatasetFormatError("all coordinates must be finite")
+
+
+def _check_replacement_index(idx: np.ndarray, n: int) -> None:
+    """Replacement rows must be distinct indices into an n-point set."""
+    if len(set(idx.tolist())) != len(idx):
+        raise ParameterError("replacement indices must be distinct")
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise ParameterError("replacement index out of range")
 
 
 def loads_dataset_csv(text: str) -> DataSet:

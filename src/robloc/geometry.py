@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataSet
-from .errors import DatasetFormatError, GeneralPositionError, ParameterError
+from .dataset import DataSet, _check_replacement_index, _require_finite
+from .errors import GeneralPositionError, ParameterError
 
 __all__ = [
     "GP_RTOL",
@@ -461,19 +461,14 @@ class ShearFamily(NamedTuple):
         """Build the whole stack at once. Raises what ``X.with_replaced``
         and ``DataSet`` raise: ParameterError for repeated or out-of-range
         indices, DatasetFormatError when a sheared coordinate is not finite."""
-        replaced = tuple(int(i) for i in replaced)
-        if len(set(replaced)) != len(replaced):
-            raise ParameterError("replacement indices must be distinct")
-        if any(i < 0 or i >= X.n for i in replaced):
-            raise ParameterError("replacement index out of range")
+        idx = np.asarray(replaced, dtype=int)
+        _check_replacement_index(idx, X.n)
         slopes = tuple(float(g) for g in slopes)
-        idx = list(replaced)
         points = np.repeat(X.points[None], len(slopes), axis=0)
         points[:, idx] = apply_shears(X.points[idx], slopes, basis)
-        if not np.all(np.isfinite(points)):
-            raise DatasetFormatError("all coordinates must be finite")
+        _require_finite(points)
         points.setflags(write=False)
-        return cls(replaced, slopes, points)
+        return cls(tuple(int(i) for i in idx), slopes, points)
 
     @property
     def datasets(self) -> tuple:

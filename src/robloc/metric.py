@@ -18,7 +18,6 @@ from .errors import ParameterError
 __all__ = [
     "sample_distance",
     "estimate_set_distance",
-    "estimate_set_distances",
     "hausdorff_set_distance",
     "lipschitz_probe",
 ]
@@ -52,23 +51,13 @@ def _members(S) -> np.ndarray:
 
 def estimate_set_distance(S1, S2) -> float:
     """Supremum of Euclidean distances over all member pairs."""
-    return float(_sup_distance(_members(S1), _members(S2)))
+    return float(_row_sup_distances(_members(S1), _members(S2)).max())
 
 
-def estimate_set_distances(stack: np.ndarray, S) -> np.ndarray:
-    """:func:`estimate_set_distance` from each member set of a (G, m, k)
-    stack to S, in one broadcast; entry j equals the distance of
-    ``stack[j]`` bit for bit."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] == 0:
-        raise ParameterError(f"need a (G, m, k) stack of nonempty member sets, got shape {stack.shape}")
-    return _sup_distance(stack, _members(S))
-
-
-def _sup_distance(a: np.ndarray, b: np.ndarray):
-    """Largest distance between the rows of a (..., m, k) and b (p, k)."""
-    d = a[..., :, None, :] - b[None, :, :]
-    return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
+def _row_sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest distance from each row of a (m, k) to the rows of b (p, k)."""
+    d = a[:, None, :] - b[None, :, :]
+    return np.sqrt((d * d).sum(axis=2)).max(axis=1)
 
 
 def hausdorff_set_distance(S1, S2) -> float:

@@ -18,6 +18,7 @@ from robloc.breakdown import AttackSuite, SURVIVED_MARKER
 from robloc.errors import GeneralPositionError, ParameterError, RoblocError
 from robloc.estimators import EstimateSet, LocationEstimator
 from robloc.geometry import basis_from_normal, check_general_position, shear_transform
+from robloc.metric import estimate_set_distance
 
 
 def as_fraction(pair):
@@ -227,6 +228,20 @@ def test_preimage_check_catches_a_travelling_pinned_point(demo10):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_distances_match_one_by_one(k):
+    from robloc.breakdown import _family_distances
+
+    rng = np.random.default_rng(k)
+    baseline = EstimateSet.of(rng.standard_normal((2, k)))
+    for sizes in ((1,) * 9, (4,) * 9, (1, 4, 2, 1, 3, 4, 1)):
+        ests = [EstimateSet.of(rng.standard_normal((s, k)) * 10.0 ** rng.integers(-3, 9)) for s in sizes]
+        assert [e.size for e in ests] == list(sizes)
+        got = _family_distances(ests, baseline)
+        assert got == [estimate_set_distance(e, baseline) for e in ests]
+    assert _family_distances([], baseline) == []
+
+
 # --- cluster attack ------------------------------------------------------------
 
 def test_cluster_attack_m_zero_distance_zero(demo5):
@@ -314,6 +329,12 @@ def test_fsbv_result_json_reproducible(demo5):
     a = empirical_fsbv(make_estimator("cmedian"), demo5).to_dict()
     b = empirical_fsbv(make_estimator("cmedian"), demo5).to_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_attack_suite_rejects_unknown_partition_rule():
+    with pytest.raises(ParameterError) as info:
+        AttackSuite(partition_rules=("largest_projection", "median_projection"))
+    assert str(info.value) == "unknown b_rule 'median_projection'"
 
 
 def test_fsbv_mcd_demo10_smoke(demo10):

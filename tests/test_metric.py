@@ -14,7 +14,6 @@ from robloc import (
 )
 from robloc.errors import ParameterError
 from robloc.estimators import EstimateSet
-from robloc.metric import estimate_set_distances
 
 
 def factorial_distance(x, y):
@@ -75,18 +74,6 @@ def test_estimate_set_distance_is_sup_over_pairs():
     # sup over pairs, not a matching: identical two-member sets are 1 apart
     s = np.array([[0.0], [1.0]])
     assert estimate_set_distance(s, s) == 1.0
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_stacked_distances_match_one_by_one(k):
-    rng = np.random.default_rng(k)
-    for members in (1, 4):
-        stack = rng.standard_normal((9, members, k)) * 10.0 ** rng.integers(-3, 9, size=(9, 1, 1))
-        other = EstimateSet.of(rng.standard_normal((2, k)))
-        got = estimate_set_distances(stack, other)
-        assert got.tolist() == [estimate_set_distance(s, other) for s in stack]
-    with pytest.raises(ParameterError):
-        estimate_set_distances(np.zeros((3, 0, k)), other)
 
 
 def test_hausdorff_distance_vanishes_on_equal_sets():
