@@ -37,6 +37,9 @@ CASES = {
     "fsbv_cmedian": (["fsbv", DEMO10, "-e", "cmedian", "--seed", "0"], False),
     "fsbv_pm": (["fsbv", DEMO10, "-e", "pm", "--seed", "0", "--random-count", "200"], False),
     "fsbv_tmean": (["fsbv", DEMO10, "-e", "tmean", "--seed", "0"], False),
+    # 1-D certifications: no shear frame exists, so every witness is a cluster
+    "fsbv_sample5_cmedian": (["fsbv", SAMPLE5, "-e", "cmedian"], False),
+    "fsbv_sample5_tmean": (["fsbv", SAMPLE5, "-e", "tmean"], False),
     "bounds": (["bounds", "10", "2", "2"], False),
     "depth_exact2d": (["depth", DEMO10, "--point", "3.5,5.0"], False),
     "depth_sampled": (
