@@ -48,7 +48,7 @@ from .geometry import (
     tie_level,
     unit_direction,
 )
-from .metric import _row_sup_distances, estimate_set_distance
+from .metric import _row_sup_distances
 
 __all__ = [
     "BoundTable",
@@ -203,7 +203,15 @@ class AttackRecord:
 
 @dataclass(frozen=True)
 class AttackTrace:
-    """Full record of one contamination family swept over its grid."""
+    """One attack swept over its parameter grid, kept as columns.
+
+    Each contamination family of the attack (the far and near shear
+    replacements, or the one cluster) is a column: its label, its replaced
+    indices, and per grid point its estimate and its distance to the clean
+    estimate. ``distances`` is the (G, F) array of those distances, and
+    every verdict is a reduction of it. ``records`` builds one
+    :class:`AttackRecord` per (grid point, family), grid-major, on demand.
+    """
 
     family: str
     estimator: str
@@ -211,33 +219,49 @@ class AttackTrace:
     k: int
     m: int
     h: int | None
-    parameters: tuple
-    records: tuple
+    parameters: tuple  # the requested grid
+    used_parameters: tuple  # the grid after general-position nudges
+    labels: tuple  # per family
+    replaced: tuple  # per family
+    estimates: tuple  # per family, one EstimateSet per grid point
+    distances: np.ndarray = field(repr=False)  # (G, F)
     divergence_threshold: float
     details: dict = field(repr=False)
 
+    def _record(self, j: int, f: int) -> AttackRecord:
+        return AttackRecord(
+            family=self.labels[f],
+            parameter=self.used_parameters[j],
+            requested_parameter=self.parameters[j],
+            replaced_indices=self.replaced[f],
+            estimate=self.estimates[f][j],
+            distance=float(self.distances[j, f]),
+        )
+
+    @property
+    def records(self) -> tuple:
+        G, F = self.distances.shape
+        return tuple(self._record(j, f) for j in range(G) for f in range(F))
+
     @property
     def diverged(self) -> bool:
-        return any(r.distance > self.divergence_threshold for r in self.records)
+        return bool((self.distances > self.divergence_threshold).any())
 
     @property
     def max_distance(self) -> float:
-        return max((r.distance for r in self.records), default=0.0)
+        return float(self.distances.max())
 
     @property
     def witness_record(self) -> AttackRecord | None:
-        for r in self.records:
-            if r.distance > self.divergence_threshold:
-                return r
-        return None
+        """The first record beyond the threshold, grid-major."""
+        hits = np.flatnonzero(self.distances > self.divergence_threshold)
+        return self._record(*divmod(int(hits[0]), len(self.labels))) if hits.size else None
 
     def distances_per_parameter(self) -> list:
-        """Max recorded distance at each grid parameter, in grid order."""
-        out = []
-        for p in self.parameters:
-            ds = [r.distance for r in self.records if r.requested_parameter == p]
-            out.append(max(ds) if ds else float("nan"))
-        return out
+        """Max recorded distance at each grid parameter, in grid order.
+        Equal requested parameters give equal rows, so the row maximum is
+        also the maximum over every record of that parameter."""
+        return self.distances.max(axis=1).tolist()
 
     def curve_rows(self) -> list:
         """(parameter, distance) rows for CSV plotting output."""
@@ -468,6 +492,39 @@ def _family_distances(estimates: list, baseline: EstimateSet) -> list:
     return np.maximum.reduceat(_row_sup_distances(rows, baseline.members), starts).tolist()
 
 
+def _divergence_threshold(
+    X: DataSet, given: float | None = None, factor: float = DEFAULT_THRESHOLD_FACTOR
+) -> float:
+    """``given``, or else ``factor`` times the data diameter: the finite
+    proxy for an unbounded estimate."""
+    return factor * max(X.diameter, 1e-300) if given is None else float(given)
+
+
+def _attack_trace(
+    family: str, T: LocationEstimator, X: DataSet, m: int, h: int | None, requested: list, used: list,
+    columns: list, baseline: EstimateSet, threshold: float, details: dict,
+) -> AttackTrace:
+    """The trace of one attack from its (label, replaced, estimates)
+    columns, with the distances of every column to the baseline."""
+    labels, replaced, estimates = zip(*columns)
+    return AttackTrace(
+        family=family,
+        estimator=T.name,
+        n=X.n,
+        k=X.k,
+        m=m,
+        h=h,
+        parameters=tuple(requested),
+        used_parameters=tuple(used),
+        labels=labels,
+        replaced=replaced,
+        estimates=estimates,
+        distances=np.column_stack([_family_distances(e, baseline) for e in estimates]),
+        divergence_threshold=threshold,
+        details=details,
+    )
+
+
 def _run_shear_sweep(
     T: LocationEstimator,
     X: DataSet,
@@ -478,12 +535,11 @@ def _run_shear_sweep(
     b_rule: str,
     threshold: float,
     seed: int | None,
-    screen: _ShearPositionScreen | None = None,
-    prepared: tuple | None = None,
+    screen: _ShearPositionScreen,
+    prepared: tuple,
 ) -> AttackTrace:
-    n, k = X.n, X.k
-    screen = screen or _ShearPositionScreen(X)
-    basis, row_dets, offsets, rankings, estimate = prepared or _prepare_frame(T, X, frame, screen)
+    n = X.n
+    basis, row_dets, offsets, rankings, estimate = prepared
     a_idx, b_idx = _partition(rankings[b_rule], m)
     include_preimage_family = 0 < len(a_idx) <= m
 
@@ -502,24 +558,7 @@ def _run_shear_sweep(
         near = ShearFamily.of(X, basis, a_idx, [-g for g in used])
         _check_preimage_identity(families[0][1], near, basis, offsets, frame.kept)
         families.append(("shear_replace_near", near))
-    results = []
-    for label, family in families:
-        ests = estimate(family)
-        results.append((label, family.replaced, ests, _family_distances(ests, baseline)))
-
-    records = []
-    for j, gamma in enumerate(requested):
-        for label, replaced, ests, dists in results:
-            records.append(
-                AttackRecord(
-                    family=label,
-                    parameter=used[j],
-                    requested_parameter=gamma,
-                    replaced_indices=replaced,
-                    estimate=ests[j],
-                    distance=dists[j],
-                )
-            )
+    columns = [(label, family.replaced, estimate(family)) for label, family in families]
     details = {
         "facet": list(frame.facet.indices),
         "kept": list(frame.kept),
@@ -532,17 +571,8 @@ def _run_shear_sweep(
         "seed": seed,
         "preimage_family_included": include_preimage_family,
     }
-    return AttackTrace(
-        family="shear",
-        estimator=T.name,
-        n=n,
-        k=k,
-        m=m,
-        h=len(frame.kept),
-        parameters=tuple(requested),
-        records=tuple(records),
-        divergence_threshold=threshold,
-        details=details,
+    return _attack_trace(
+        "shear", T, X, m, len(frame.kept), requested, used, columns, baseline, threshold, details
     )
 
 
@@ -636,13 +666,11 @@ def shear_attack(
     )
     if not frames:
         raise NoFacetAdmitsEstimateError(T.name)
-    threshold = (
-        DEFAULT_THRESHOLD_FACTOR * max(X.diameter, 1e-300)
-        if divergence_threshold is None
-        else float(divergence_threshold)
-    )
+    screen = _ShearPositionScreen(X)
     return _run_shear_sweep(
-        T, X, baseline, frames[0], m_eff, tuple(gamma_grid), partition_rule.b_rule, threshold, cone_seed
+        T, X, baseline, frames[0], m_eff, tuple(gamma_grid), partition_rule.b_rule,
+        _divergence_threshold(X, divergence_threshold), cone_seed, screen,
+        _prepare_frame(T, X, frames[0], screen),
     )
 
 
@@ -680,7 +708,7 @@ def translation_cluster_attack(
     if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
     u = unit_direction(np.eye(X.k)[0] if direction is None else direction)
-    return _cluster_attack(T, X, m, T(X), radius_grid, u, divergence_threshold)
+    return _cluster_attack(T, X, m, T(X), radius_grid, u, _divergence_threshold(X, divergence_threshold))
 
 
 def _cluster_attack(
@@ -690,55 +718,27 @@ def _cluster_attack(
     baseline: EstimateSet,
     radius_grid,
     u: np.ndarray,
-    divergence_threshold: float | None,
+    threshold: float,
 ) -> AttackTrace:
     """:func:`translation_cluster_attack` along the unit direction u, given
-    ``baseline = T(X)``."""
-    n, k = X.n, X.k
+    ``baseline = T(X)``: all G clusters in one (G, m, k) broadcast."""
     theta = baseline.canonical
-    scores = X.points @ u
-    order = np.lexsort((np.arange(n), -scores))
+    order = np.lexsort((np.arange(X.n), -(X.points @ u)))
     replaced = tuple(int(i) for i in np.sort(order[:m]))
-    threshold = (
-        DEFAULT_THRESHOLD_FACTOR * max(X.diameter, 1e-300)
-        if divergence_threshold is None
-        else float(divergence_threshold)
-    )
+    radii = [float(r) for r in radius_grid]
+    R = np.array(radii)
     copies = np.arange(m)
-    records = []
-    for radius in radius_grid:
-        R = float(radius)
-        jitter = np.zeros((m, k))
-        jitter[copies, copies % k] = _NUDGE_REL * R * (copies + 1)
-        cluster = theta + R * u + jitter
-        Xc = X.with_replaced(replaced, cluster) if m > 0 else X
-        est = T(Xc)
-        records.append(
-            AttackRecord(
-                family="cluster",
-                parameter=R,
-                requested_parameter=R,
-                replaced_indices=replaced,
-                estimate=est,
-                distance=estimate_set_distance(est, baseline),
-            )
-        )
+    jitter = np.zeros((R.size, m, X.k))
+    jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
+    clusters = (theta + R[:, None] * u)[:, None, :] + jitter
+    ests = [T(X.with_replaced(replaced, cluster) if m > 0 else X) for cluster in clusters]
     details = {
         "direction": [float(v) for v in u],
         "anchor": [float(v) for v in theta],
         "seed": None,
     }
-    return AttackTrace(
-        family="cluster",
-        estimator=T.name,
-        n=n,
-        k=k,
-        m=m,
-        h=None,
-        parameters=tuple(float(r) for r in radius_grid),
-        records=tuple(records),
-        divergence_threshold=threshold,
-        details=details,
+    return _attack_trace(
+        "cluster", T, X, m, None, radii, radii, [("cluster", replaced, ests)], baseline, threshold, details
     )
 
 
@@ -749,7 +749,11 @@ def _cluster_attack(
 
 @dataclass(frozen=True)
 class AttackSuite:
-    """Configuration of the certification sweep."""
+    """Configuration of the certification sweep.
+
+    Certification always stops a budget at its first diverging attack;
+    ``to_dict`` records that as ``"stop_m_on_divergence": true``.
+    """
 
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
     radius_grid: tuple = DEFAULT_RADIUS_GRID
@@ -758,7 +762,6 @@ class AttackSuite:
     partition_rules: tuple = ("largest_projection", "smallest_projection")
     all_s_choices: bool = True
     cone_seed: int = 0
-    stop_m_on_divergence: bool = True
 
     def __post_init__(self):
         for rule in self.partition_rules:
@@ -787,7 +790,7 @@ class AttackSuite:
             "partition_rules": list(self.partition_rules),
             "all_s_choices": self.all_s_choices,
             "cone_seed": self.cone_seed,
-            "stop_m_on_divergence": self.stop_m_on_divergence,
+            "stop_m_on_divergence": True,
         }
 
 
@@ -878,69 +881,58 @@ def empirical_fsbv(
         raise ParameterError("threshold_factor must be at least 1e3 to mean anything")
     suite = suite or AttackSuite()
     n, k = X.n, X.k
-    threshold = threshold_factor * max(X.diameter, 1e-300)
+    threshold = _divergence_threshold(X, factor=threshold_factor)
     baseline = T(X)
     theta = baseline.canonical
 
-    frames_by_h: dict[int, list] = {}
-    prepared: dict[tuple, tuple] = {}
+    frames = []  # (h, frame), h ascending
     screen = None
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
         screen = _ShearPositionScreen(X)
         for h in suite.resolved_h_values(k):
-            frames_by_h[h] = _shear_frames(
-                X, theta, h, all_s_choices=suite.all_s_choices, cone_seed=suite.cone_seed
-            )
+            found = _shear_frames(X, theta, h, all_s_choices=suite.all_s_choices, cone_seed=suite.cone_seed)
+            frames += [(h, frame) for frame in found]
+    prepared = {}
+
+    def attacks(m):
+        """(label, trace) of every attack of the suite at budget m, lazily."""
+        for i, (h, frame) in enumerate(frames):
+            if m > n - h:
+                continue
+            if i not in prepared:
+                prepared[i] = _prepare_frame(T, X, frame, screen)
+            for b_rule in suite.partition_rules:
+                trace = _run_shear_sweep(
+                    T, X, baseline, frame, m, suite.gamma_grid, b_rule, threshold,
+                    suite.cone_seed, screen, prepared[i],
+                )
+                yield f"shear(h={h},facet={frame.facet.indices},rule={b_rule})", trace
+        for direction in suite.resolved_directions(k):
+            trace = _cluster_attack(T, X, m, baseline, suite.radius_grid, unit_direction(direction), threshold)
+            yield f"cluster(direction={direction})", trace
 
     certificates = {}
     first_broken = None
     for m in range(1, -(-n // 2) + 1):
-        families = []
+        tried = []
         max_distance = 0.0
         witness = None
-        for h, frames in frames_by_h.items():
-            if m > n - h:
-                continue
-            for i, frame in enumerate(frames):
-                if (h, i) not in prepared:
-                    prepared[h, i] = _prepare_frame(T, X, frame, screen)
-                for b_rule in suite.partition_rules:
-                    trace = _run_shear_sweep(
-                        T, X, baseline, frame, m, suite.gamma_grid, b_rule, threshold,
-                        suite.cone_seed, screen=screen, prepared=prepared[h, i],
-                    )
-                    families.append(f"shear(h={h},facet={frame.facet.indices},rule={b_rule})")
-                    max_distance = max(max_distance, trace.max_distance)
-                    if trace.diverged and witness is None:
-                        witness = trace
-                    if witness is not None and suite.stop_m_on_divergence:
-                        break
-                if witness is not None and suite.stop_m_on_divergence:
-                    break
-            if witness is not None and suite.stop_m_on_divergence:
+        for label, trace in attacks(m):
+            tried.append(label)
+            max_distance = max(max_distance, trace.max_distance)
+            if trace.diverged:
+                witness = trace
                 break
-        if witness is None or not suite.stop_m_on_divergence:
-            for direction in suite.resolved_directions(k):
-                trace = _cluster_attack(
-                    T, X, m, baseline, suite.radius_grid, unit_direction(direction), threshold
-                )
-                families.append(f"cluster(direction={direction})")
-                max_distance = max(max_distance, trace.max_distance)
-                if trace.diverged and witness is None:
-                    witness = trace
-                if witness is not None and suite.stop_m_on_divergence:
-                    break
-        status = "broken" if witness is not None else "survived"
         certificates[m] = BreakdownCertificate(
             m=m,
             n=n,
-            status=status,
-            attack_families_tried=tuple(families),
+            status="survived" if witness is None else "broken",
+            attack_families_tried=tuple(tried),
             max_distance=max_distance,
             witness=witness,
         )
-        if status == "broken" and first_broken is None:
+        if witness is not None and first_broken is None:
             first_broken = m
     return FsbvResult(
         estimator=T.name,
