@@ -84,6 +84,15 @@ _NUDGE_REL = 1e-6
 _IDENTITY_RTOL = 1e-9
 
 
+def _require_grid(grid, what: str) -> tuple:
+    """The attack grid as floats: it must be nonempty and every value
+    finite, or no contaminated dataset could be built from it."""
+    values = tuple(float(v) for v in grid)
+    if not values or not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} grid must be nonempty and finite, got {list(values)}")
+    return values
+
+
 def config_digest(mapping: dict) -> str:
     """Stable short hash over every parameter that affects a result."""
     blob = json.dumps(mapping, sort_keys=True, default=str).encode("utf-8")
@@ -653,8 +662,7 @@ def shear_attack(
         raise ParameterError("shear attack requires k >= 2")
     if not (1 <= h <= X.k):
         raise ParameterError(f"need 1 <= h <= k, got h={h}")
-    if len(tuple(gamma_grid)) == 0:
-        raise ParameterError("gamma grid must be nonempty")
+    gamma_grid = _require_grid(gamma_grid, "gamma")
     n = X.n
     m_eff = (n - h + 1) // 2 if m is None else int(m)
     if not (1 <= m_eff <= n - h):
@@ -668,7 +676,7 @@ def shear_attack(
         raise NoFacetAdmitsEstimateError(T.name)
     screen = _ShearPositionScreen(X)
     return _run_shear_sweep(
-        T, X, baseline, frames[0], m_eff, tuple(gamma_grid), partition_rule.b_rule,
+        T, X, baseline, frames[0], m_eff, gamma_grid, partition_rule.b_rule,
         _divergence_threshold(X, divergence_threshold), cone_seed, screen,
         _prepare_frame(T, X, frames[0], screen),
     )
@@ -707,6 +715,7 @@ def translation_cluster_attack(
     """
     if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
+    radius_grid = _require_grid(radius_grid, "radius")
     u = unit_direction(np.eye(X.k)[0] if direction is None else direction)
     return _cluster_attack(T, X, m, T(X), radius_grid, u, _divergence_threshold(X, divergence_threshold))
 
@@ -751,8 +760,11 @@ def _cluster_attack(
 class AttackSuite:
     """Configuration of the certification sweep.
 
-    Certification always stops a budget at its first diverging attack;
-    ``to_dict`` records that as ``"stop_m_on_divergence": true``.
+    Both grids must be nonempty and finite (``ParameterError`` otherwise):
+    an empty grid would let every budget "survive" without a single
+    contaminated dataset being evaluated. Certification always stops a
+    budget at its first diverging attack; ``to_dict`` records that as
+    ``"stop_m_on_divergence": true``.
     """
 
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
@@ -764,6 +776,8 @@ class AttackSuite:
     cone_seed: int = 0
 
     def __post_init__(self):
+        _require_grid(self.gamma_grid, "gamma")
+        _require_grid(self.radius_grid, "radius")
         for rule in self.partition_rules:
             PartitionRule(b_rule=rule)
 
@@ -873,9 +887,14 @@ def empirical_fsbv(
     For each m the suite runs every shear frame (all admissible facets, all
     kept-subset choices, both partition rules, both dual families when they
     fit the budget) and the translation cluster attack along each configured
-    direction. The certified fraction is the smallest m whose certificate is
-    "broken", as the unreduced pair (m, n); when nothing breaks the result
-    carries the survived marker instead of a fabricated fraction.
+    direction. Each budget walks one lazy sequence of (label, trace): the
+    shear frames (h ascending, best facet first) times the partition rules,
+    then the cluster directions. It stops at the first trace that diverges,
+    which becomes the witness; ``attack_families_tried`` lists the attacks
+    run up to and including it. The certified fraction is the smallest m
+    whose certificate is "broken", as the unreduced pair (m, n); when
+    nothing breaks the result carries the survived marker instead of a
+    fabricated fraction.
     """
     if threshold_factor < 1e3:
         raise ParameterError("threshold_factor must be at least 1e3 to mean anything")

@@ -14,7 +14,7 @@ from robloc import (
     theoretical_bounds,
     translation_cluster_attack,
 )
-from robloc.breakdown import AttackSuite, SURVIVED_MARKER
+from robloc.breakdown import AttackSuite, PartitionRule, SURVIVED_MARKER
 from robloc.errors import GeneralPositionError, ParameterError, RoblocError
 from robloc.estimators import EstimateSet, LocationEstimator
 from robloc.geometry import basis_from_normal, check_general_position, shear_transform
@@ -23,6 +23,33 @@ from robloc.metric import estimate_set_distance
 
 def as_fraction(pair):
     return Fraction(pair[0], pair[1])
+
+
+def assert_reductions_match_records(trace):
+    """A trace's columnar verdicts equal their definitions over its records,
+    which come grid-major: every family at the first grid point, then the
+    next."""
+    records = trace.records
+    thr = trace.divergence_threshold
+    F = len(trace.labels)
+    assert len(records) == len(trace.parameters) * F
+    for i, r in enumerate(records):
+        j, f = divmod(i, F)
+        assert (r.requested_parameter, r.parameter) == (trace.parameters[j], trace.used_parameters[j])
+        assert (r.family, r.replaced_indices) == (trace.labels[f], trace.replaced[f])
+        assert r.estimate is trace.estimates[f][j]
+    assert trace.diverged == any(r.distance > thr for r in records)
+    assert trace.max_distance == max(r.distance for r in records)
+    over = [r for r in records if r.distance > thr]
+    witness = trace.witness_record
+    if over:
+        assert witness.to_dict() == over[0].to_dict()
+        assert witness.estimate is over[0].estimate
+    else:
+        assert witness is None
+    assert trace.distances_per_parameter() == [
+        max(r.distance for r in records if r.requested_parameter == p) for p in trace.parameters
+    ]
 
 
 # --- bound tables -----------------------------------------------------------
@@ -169,10 +196,48 @@ def test_shear_attack_nudges_degenerate_gamma(demo10):
     gamma_bad = float(roots[roots > 1.0].min())
     ok, _ = screen.gamma_ok(gamma_bad, [d1])
     assert not ok
-    trace = shear_attack(T, demo10, h=2, gamma_grid=(gamma_bad,))
+    trace = shear_attack(T, demo10, h=2, gamma_grid=(gamma_bad, 10.0))
     far = [r for r in trace.records if r.family == "shear_replace_far"][0]
     assert far.nudged
     assert far.parameter == pytest.approx(gamma_bad * (1 + 1e-6))
+    assert trace.used_parameters == (far.parameter, 10.0)
+    assert_reductions_match_records(trace)
+
+
+def test_trace_reductions_match_record_definitions(demo5, demo10):
+    # a repeated grid value, both rules, h = 1 and 2, diverging and bounded
+    # traces; the cluster trace's columns come from one broadcast
+    grid = (10.0, 10.0, 1e8)
+    traces = [
+        shear_attack(make_estimator(name), demo10, h=h, gamma_grid=grid,
+                     partition_rule=PartitionRule(b_rule=rule), m=m)
+        for name in ("mcd", "cmedian")
+        for h in (1, 2)
+        for rule in ("largest_projection", "smallest_projection")
+        for m in (1, (demo10.n - h + 1) // 2)
+    ]
+    traces += [
+        translation_cluster_attack(make_estimator("cmedian"), demo5, m, radius_grid=(10.0, 1e9, 1e9, 1e3),
+                                   direction=np.array([1.0]))
+        for m in (2, 3)
+    ]
+    for trace in traces:
+        assert_reductions_match_records(trace)
+    assert {t.diverged for t in traces} == {True, False}
+    assert {len(t.labels) for t in traces} == {1, 2}
+
+
+@pytest.mark.parametrize("bad", [(), (10.0, float("nan")), (float("inf"),), (1e400, 10.0)])
+def test_attack_grids_must_be_nonempty_and_finite(bad, demo5, demo10):
+    T = make_estimator("cmedian")
+    with pytest.raises(ParameterError, match="^gamma grid must be nonempty and finite"):
+        AttackSuite(gamma_grid=bad)
+    with pytest.raises(ParameterError, match="^radius grid must be nonempty and finite"):
+        AttackSuite(radius_grid=bad)
+    with pytest.raises(ParameterError, match="^gamma grid must be nonempty and finite"):
+        shear_attack(T, demo10, h=2, gamma_grid=bad)
+    with pytest.raises(ParameterError, match="^radius grid must be nonempty and finite"):
+        translation_cluster_attack(T, demo5, 2, radius_grid=bad)
 
 
 def preimage_families(X, slopes):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_attack_cluster_requires_m(runner, demo10_csv):
         main, ["attack", demo10_csv, "--estimator", "mcd", "--family", "cluster"]
     )
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("args, grid", [
+    (["fsbv", "-e", "cmedian", "--seed", "0", "--gamma-grid", "nan"], "gamma"),
+    (["fsbv", "-e", "cmedian", "--seed", "0", "--gamma-grid", "inf"], "gamma"),
+    (["fsbv", "-e", "cmedian", "--seed", "0", "--gamma-grid", "1e400"], "gamma"),
+    (["fsbv", "-e", "cmedian", "--seed", "0", "--radius-grid", "10,nan"], "radius"),
+    (["attack", "-e", "cmedian", "--family", "cluster", "--m", "3", "--radius-grid", "nan"], "radius"),
+    (["attack", "-e", "cmedian", "--gamma-grid", "10,-inf"], "gamma"),
+])
+def test_non_finite_grid_exits_4(runner, demo10_csv, args, grid):
+    # rejected before any contaminated dataset is built: no numpy warning,
+    # one error line naming the grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [args[0], demo10_csv, *args[1:]])
+    assert result.exit_code == 4
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {grid} grid must be nonempty and finite, got [")
 
 
 def test_fsbv_median_demo5(runner, demo5_csv):

@@ -1,0 +1,47 @@
+"""The benchmark's span tracer must find every layer it wraps.
+
+``bench/tracer.py`` patches robloc functions by name and reports every
+metric of a name it cannot find as ``null``. ``pytest bench`` traces only
+the estimate-direct workload, which never reaches ``breakdown``, so a
+rename there would go unnoticed; this test installs the tracer on the
+package and runs one small certification under it.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import robloc
+from robloc import AttackSuite, empirical_fsbv, make_estimator
+from robloc import breakdown
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_target_and_uninstalls(demo10, monkeypatch):
+    tracer_mod = load_bench_module("tracer", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
+    originals = (breakdown._run_shear_sweep, breakdown.translation_cluster_attack)
+    tracer = tracer_mod.Tracer()
+    tracer.install(robloc, workloads)
+    try:
+        assert tracer.missing == set()
+        suite = AttackSuite(gamma_grid=(1e2, 1e7), radius_grid=(1e3, 1e9), cone_seed=0)
+        T = make_estimator("cmedian")
+        tracer.run_op(0, lambda: empirical_fsbv(T, demo10, suite=suite))
+        metrics = tracer.pass_metrics(0, tracer.counts)
+    finally:
+        tracer.uninstall()
+    assert (breakdown._run_shear_sweep, breakdown.translation_cluster_attack) == originals
+    assert [key for key, value in metrics.items() if value is None] == []
+    assert metrics["breakdown.sweep.calls"] > 0
+    assert metrics["breakdown.frames.count"] > 0
