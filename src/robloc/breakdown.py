@@ -740,7 +740,7 @@ def _cluster_attack(
     jitter = np.zeros((R.size, m, X.k))
     jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
     clusters = (theta + R[:, None] * u)[:, None, :] + jitter
-    ests = [T(X.with_replaced(replaced, cluster) if m > 0 else X) for cluster in clusters]
+    ests = [T(X.with_replaced(replaced, cluster)) for cluster in clusters]
     details = {
         "direction": [float(v) for v in u],
         "anchor": [float(v) for v in theta],

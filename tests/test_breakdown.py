@@ -364,6 +364,25 @@ def test_cluster_attack_2d_jitter_avoids_exact_degeneracy(demo10):
             assert abs(np.linalg.det(pts[1:] - pts[0])) > 0.0
 
 
+def test_cluster_attack_matches_per_radius_construction(demo10):
+    # the broadcast clusters equal theta + R*u + jitter built radius by
+    # radius, bit for bit: this estimator returns every row it is given
+    T = LocationEstimator("rows", "translation", lambda X: EstimateSet.of(X.points))
+    radii = (7.3, 1234.567, 9.87e6, 3.3e8, 0.1)
+    u = np.array([0.6, -0.8])
+    m = 6
+    trace = translation_cluster_attack(T, demo10, m, radius_grid=radii, direction=u)
+    baseline = T(demo10)
+    theta = baseline.canonical
+    copies = np.arange(m)
+    for j, R in enumerate(radii):
+        jitter = np.zeros((m, 2))
+        jitter[copies, copies % 2] = 1e-6 * R * (copies + 1)
+        est = T(demo10.with_replaced(trace.replaced[0], theta + R * u + jitter))
+        assert np.array_equal(trace.estimates[0][j].members, est.members)
+        assert trace.distances[j, 0] == estimate_set_distance(est, baseline)
+
+
 # --- empirical fsbv --------------------------------------------------------------
 
 def test_fsbv_median_demo5(demo5):
