@@ -204,6 +204,30 @@ def test_shear_attack_nudges_degenerate_gamma(demo10):
     assert_reductions_match_records(trace)
 
 
+def anisotropic_dataset(seed):
+    """8 points from N(0, 1) x [1, 1e-4], after one throwaway draw: thin
+    enough that a degenerate slope's interval outgrows the single nudge."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 6, (8, 2))
+    return DataSet(rng.standard_normal((8, 2)) * np.array([1.0, 1e-4]))
+
+
+@pytest.mark.parametrize("estimator", ["cmedian", "mcd"])
+@pytest.mark.parametrize(
+    "seed, gamma, witness",
+    [(10, 1e5, (2, 3, 6)), (12, 1e2, (1, 5, 6)), (19, 1e6, (0, 2, 7)), (29, 1e3, (1, 3, 7))],
+)
+def test_fsbv_reports_a_slope_the_nudge_cannot_repair(seed, gamma, witness, estimator):
+    X = anisotropic_dataset(seed)
+    assert check_general_position(X).ok
+    with pytest.raises(GeneralPositionError) as info:
+        empirical_fsbv(make_estimator(estimator), X)
+    assert str(info.value) == (
+        f"contaminated dataset not in general position even after nudging gamma={gamma!r}"
+    )
+    assert info.value.witness == witness
+
+
 def test_trace_reductions_match_record_definitions(demo5, demo10):
     # a repeated grid value, both rules, h = 1 and 2, diverging and bounded
     # traces; the cluster trace's columns come from one broadcast

@@ -58,6 +58,8 @@ CASES = {
     "gp83_attack_h2": (["attack", GP83, "-e", "mcd", "--h", "2", "--seed", "0"], True),
     "gp83_condition_h1": (["condition", GP83, "-e", "mcd", "--h", "1", "--seed", "0"], False),
     "gp83_condition_h2": (["condition", GP83, "-e", "mcd", "--h", "2", "--seed", "0"], False),
+    # even n in 3-D: the witness boxes have 2^3 corners
+    "fsbv_gp83_cmedian": (["fsbv", GP83, "-e", "cmedian", "--seed", "0"], False),
 }
 
 
