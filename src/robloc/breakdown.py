@@ -77,6 +77,8 @@ SURVIVED_MARKER = "no attack in suite succeeded (not a proof of robustness)"
 
 # Dirichlet draws per h-point face when sampling a tie direction for h < k.
 _CONE_SAMPLES = 64
+# Both sides of the hyperplane-distance ordering, in the order suites try them.
+_PARTITION_RULES = ("largest_projection", "smallest_projection")
 # Relative size of the single gamma nudge allowed to restore general position.
 _NUDGE_REL = 1e-6
 # Tolerance for the inline check that family two is the affine preimage of
@@ -166,20 +168,17 @@ def theoretical_bounds(n: int, k: int, h: int) -> BoundTable:
 
 @dataclass(frozen=True)
 class PartitionRule:
-    """How the shear attack splits the non-kept points and picks the kept ones.
+    """How the shear attack splits the non-kept points.
 
     ``b_rule`` chooses which side of the hyperplane-distance ordering gets
     replaced by sheared images ("largest_projection" or
-    "smallest_projection"; ties break by index). ``s_choice`` optionally
-    fixes the kept h-subset of the facet's points (default: the h smallest
-    indices).
+    "smallest_projection"; ties break by index).
     """
 
     b_rule: str = "largest_projection"
-    s_choice: tuple | None = None
 
     def __post_init__(self):
-        if self.b_rule not in ("largest_projection", "smallest_projection"):
+        if self.b_rule not in _PARTITION_RULES:
             raise ParameterError(f"unknown b_rule {self.b_rule!r}")
 
 
@@ -322,15 +321,10 @@ class _ShearFrame:
     origin: np.ndarray = field(repr=False)
 
 
-def _shear_frames(
-    X: DataSet,
-    theta: np.ndarray,
-    h: int,
-    all_s_choices: bool,
-    cone_seed: int,
-    s_choice: tuple | None = None,
-) -> list:
-    """All workable (facet, kept-subset, direction) frames, best facet first.
+def _shear_frames(X: DataSet, theta: np.ndarray, h: int, all_s_choices: bool, cone_seed: int) -> list:
+    """All workable (facet, kept-subset, direction) frames, best facet first;
+    the kept subsets of a facet are all its h-subsets when ``all_s_choices``,
+    else its h smallest indices.
 
     A facet whose halfspace strictly contains the estimate is exactly a
     k-data-point face of the hull of the data plus the estimate that does
@@ -344,11 +338,7 @@ def _shear_frames(
     admissible = [f for f in facets if f.margin_of(theta) > tol]
     admissible.sort(key=lambda f: (-f.margin_of(theta), f.indices))
     for facet in admissible:
-        if s_choice is not None:
-            if not set(s_choice) <= set(facet.indices):
-                continue
-            subsets = [tuple(sorted(s_choice))]
-        elif all_s_choices:
+        if all_s_choices:
             subsets = [tuple(s) for s in combinations(facet.indices, h)]
         else:
             subsets = [tuple(sorted(facet.indices)[:h])]
@@ -435,23 +425,22 @@ class _ShearPositionScreen:
         dc = cs[:, 1:] - cs[:, :1]  # (S, k)
         return (dc * M).sum(axis=1)
 
-    def grid_ok(self, gammas, d1_list) -> np.ndarray:
-        """Per slope of the grid, True when every subset clears the
-        threshold under every D1 in one (G, S) pass; False also where
-        :meth:`gamma_ok` must decide (a NaN determinant)."""
+    def gamma_ok(self, gammas, d1_list) -> tuple:
+        """(ok, witness) for every slope of ``gammas``, one (G, S) pass per
+        D1. A slope fails when, under some D1, its subset of smallest
+        |D0 + gamma * D1| is within the threshold; the witness is that
+        subset for the first failing slope and the first D1 failing there,
+        or None."""
         g = np.asarray(gammas, dtype=float)[:, None]
-        ok = np.ones(g.shape[0], dtype=bool)
+        failed = np.full(g.shape[0], -1)  # per slope, its witness subset
         for d1 in d1_list:
-            ok &= np.abs(self.d0 + g * d1).min(axis=1) > self.tol
-        return ok
-
-    def gamma_ok(self, gamma: float, d1_list) -> tuple:
-        for d1 in d1_list:
-            vals = np.abs(self.d0 + gamma * d1)
-            j = int(np.argmin(vals))
-            if vals[j] <= self.tol:
-                return False, tuple(int(i) for i in self.subsets[j])
-        return True, None
+            vals = np.abs(self.d0 + g * d1)
+            j = np.argmin(vals, axis=1)
+            new = (np.take_along_axis(vals, j[:, None], axis=1)[:, 0] <= self.tol) & (failed < 0)
+            failed[new] = j[new]
+        ok = failed < 0
+        witness = None if ok.all() else tuple(int(i) for i in self.subsets[failed[np.argmin(ok)]])
+        return ok, witness
 
 
 def _prepare_frame(
@@ -470,24 +459,23 @@ def _prepare_frame(
     )
 
 
-def _screened_grid(screen: _ShearPositionScreen, gammas, d1_list) -> list:
+def _screened_grid(screen: _ShearPositionScreen, gammas: list, d1_list) -> list:
     """Each slope of the grid, or that slope nudged once where it breaks
-    general position."""
-    ok = screen.grid_ok(gammas, d1_list)
-    return [g if fine else _screened_gamma(screen, g, d1_list) for g, fine in zip(gammas, ok)]
-
-
-def _screened_gamma(screen: _ShearPositionScreen, gamma: float, d1_list) -> float:
-    """gamma, or gamma nudged once, whichever keeps general position."""
-    witness = None
-    for g in (gamma, gamma * (1.0 + _NUDGE_REL)):
-        ok, witness = screen.gamma_ok(g, d1_list)
-        if ok:
-            return g
-    raise GeneralPositionError(
-        f"contaminated dataset not in general position even after nudging gamma={gamma!r}",
-        witness=witness,
-    )
+    general position. Raises for the first slope whose nudge breaks it
+    too, with the witness subset at the nudged slope."""
+    used = np.array(gammas, dtype=float)
+    ok, _ = screen.gamma_ok(used, d1_list)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        used[bad] *= 1.0 + _NUDGE_REL
+        ok, witness = screen.gamma_ok(used[bad], d1_list)
+        if not ok.all():
+            gamma = gammas[bad[np.argmin(ok)]]
+            raise GeneralPositionError(
+                f"contaminated dataset not in general position even after nudging gamma={gamma!r}",
+                witness=witness,
+            )
+    return used.tolist()
 
 
 def _family_distances(estimates: list, baseline: EstimateSet) -> list:
@@ -501,12 +489,10 @@ def _family_distances(estimates: list, baseline: EstimateSet) -> list:
     return np.maximum.reduceat(_row_sup_distances(rows, baseline.members), starts).tolist()
 
 
-def _divergence_threshold(
-    X: DataSet, given: float | None = None, factor: float = DEFAULT_THRESHOLD_FACTOR
-) -> float:
-    """``given``, or else ``factor`` times the data diameter: the finite
-    proxy for an unbounded estimate."""
-    return factor * max(X.diameter, 1e-300) if given is None else float(given)
+def _divergence_threshold(X: DataSet, factor: float = DEFAULT_THRESHOLD_FACTOR) -> float:
+    """``factor`` times the data diameter: the finite proxy for an
+    unbounded estimate."""
+    return factor * max(X.diameter, 1e-300)
 
 
 def _attack_trace(
@@ -640,7 +626,6 @@ def shear_attack(
     gamma_grid=DEFAULT_GAMMA_GRID,
     partition_rule: PartitionRule = PartitionRule(),
     m: int | None = None,
-    divergence_threshold: float | None = None,
     cone_seed: int = 0,
 ) -> AttackTrace:
     """Run the hyperplane-fixing shear contamination against an estimator.
@@ -655,7 +640,9 @@ def shear_attack(
     break general position are nudged once by +1e-6 relative.
 
     ``m`` defaults to floor((n - h + 1) / 2), the largest budget for which
-    both families stay within m replacements.
+    both families stay within m replacements. The kept points are the h
+    smallest indices of the facet. The estimate diverges beyond
+    ``DEFAULT_THRESHOLD_FACTOR`` times the data diameter.
     """
     require_general_position(X, "shear_attack")
     if X.k < 2:
@@ -669,15 +656,13 @@ def shear_attack(
         raise ParameterError(f"need 1 <= m <= n - h = {n - h}, got m={m_eff}")
     baseline = T(X)
     theta = baseline.canonical
-    frames = _shear_frames(
-        X, theta, h, all_s_choices=False, cone_seed=cone_seed, s_choice=partition_rule.s_choice
-    )
+    frames = _shear_frames(X, theta, h, all_s_choices=False, cone_seed=cone_seed)
     if not frames:
         raise NoFacetAdmitsEstimateError(T.name)
     screen = _ShearPositionScreen(X)
     return _run_shear_sweep(
         T, X, baseline, frames[0], m_eff, gamma_grid, partition_rule.b_rule,
-        _divergence_threshold(X, divergence_threshold), cone_seed, screen,
+        _divergence_threshold(X), cone_seed, screen,
         _prepare_frame(T, X, frames[0], screen),
     )
 
@@ -704,20 +689,21 @@ def translation_cluster_attack(
     m: int,
     radius_grid=DEFAULT_RADIUS_GRID,
     direction=None,
-    divergence_threshold: float | None = None,
 ) -> AttackTrace:
     """Replace the m points farthest along a direction with a distant cluster.
 
     The cluster sits at the original estimate plus radius times the
-    direction, with deterministic per-copy jitter of relative size 1e-6
-    cycling through the coordinate axes so the copies do not create exact
-    degeneracies on their own.
+    direction (a unit vector, default the first axis), with deterministic
+    per-copy jitter of relative size 1e-6 cycling through the coordinate
+    axes so the copies do not create exact degeneracies on their own. The
+    estimate diverges beyond ``DEFAULT_THRESHOLD_FACTOR`` times the data
+    diameter.
     """
     if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
     radius_grid = _require_grid(radius_grid, "radius")
     u = unit_direction(np.eye(X.k)[0] if direction is None else direction)
-    return _cluster_attack(T, X, m, T(X), radius_grid, u, _divergence_threshold(X, divergence_threshold))
+    return _cluster_attack(T, X, m, T(X), radius_grid, u, _divergence_threshold(X))
 
 
 def _cluster_attack(
@@ -758,51 +744,34 @@ def _cluster_attack(
 
 @dataclass(frozen=True)
 class AttackSuite:
-    """Configuration of the certification sweep.
+    """Configuration of the certification sweep: the two grids and the seed
+    of the tie directions sampled for h < k. Both grids must be nonempty
+    and finite (``ParameterError`` otherwise): an empty grid would let every
+    budget "survive" without a single contaminated dataset being evaluated.
 
-    Both grids must be nonempty and finite (``ParameterError`` otherwise):
-    an empty grid would let every budget "survive" without a single
-    contaminated dataset being evaluated. Certification always stops a
-    budget at its first diverging attack; ``to_dict`` records that as
-    ``"stop_m_on_divergence": true``.
+    The rest is fixed, and ``to_dict`` records it under the keys it always
+    had: h = 1..k (``"h_values": null``), every kept h-subset of a facet,
+    both partition rules, clusters along +/- each axis
+    (``"cluster_directions": null``), and a stop at a budget's first
+    diverging attack (``"stop_m_on_divergence": true``).
     """
 
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
     radius_grid: tuple = DEFAULT_RADIUS_GRID
-    h_values: tuple | None = None  # default: 1..k
-    cluster_directions: tuple | None = None  # default: +/- each axis
-    partition_rules: tuple = ("largest_projection", "smallest_projection")
-    all_s_choices: bool = True
     cone_seed: int = 0
 
     def __post_init__(self):
         _require_grid(self.gamma_grid, "gamma")
         _require_grid(self.radius_grid, "radius")
-        for rule in self.partition_rules:
-            PartitionRule(b_rule=rule)
-
-    def resolved_h_values(self, k: int) -> tuple:
-        if self.h_values is not None:
-            return tuple(self.h_values)
-        return tuple(range(1, k + 1))
-
-    def resolved_directions(self, k: int) -> tuple:
-        if self.cluster_directions is not None:
-            return tuple(tuple(float(v) for v in d) for d in self.cluster_directions)
-        eye = np.eye(k)
-        dirs = [tuple(row) for row in eye] + [tuple(-row) for row in eye]
-        return tuple(dirs)
 
     def to_dict(self) -> dict:
         return {
             "gamma_grid": [float(g) for g in self.gamma_grid],
             "radius_grid": [float(r) for r in self.radius_grid],
-            "h_values": None if self.h_values is None else list(self.h_values),
-            "cluster_directions": None
-            if self.cluster_directions is None
-            else [list(d) for d in self.cluster_directions],
-            "partition_rules": list(self.partition_rules),
-            "all_s_choices": self.all_s_choices,
+            "h_values": None,
+            "cluster_directions": None,
+            "partition_rules": list(_PARTITION_RULES),
+            "all_s_choices": True,
             "cone_seed": self.cone_seed,
             "stop_m_on_divergence": True,
         }
@@ -884,12 +853,12 @@ def empirical_fsbv(
 ) -> FsbvResult:
     """Sweep replacement budgets m = 1..ceil(n/2) through the attack suite.
 
-    For each m the suite runs every shear frame (all admissible facets, all
-    kept-subset choices, both partition rules, both dual families when they
-    fit the budget) and the translation cluster attack along each configured
-    direction. Each budget walks one lazy sequence of (label, trace): the
-    shear frames (h ascending, best facet first) times the partition rules,
-    then the cluster directions. It stops at the first trace that diverges,
+    For each m the suite runs every shear frame (h = 1..k, all admissible
+    facets, all kept-subset choices, both partition rules, both dual
+    families when they fit the budget) and the translation cluster attack
+    along +/- each coordinate axis. Each budget walks one lazy sequence of
+    (label, trace): the shear frames (h ascending, best facet first) times
+    the partition rules, then the cluster directions. It stops at the first trace that diverges,
     which becomes the witness; ``attack_families_tried`` lists the attacks
     run up to and including it. The certified fraction is the smallest m
     whose certificate is "broken", as the unreduced pair (m, n); when
@@ -909,9 +878,11 @@ def empirical_fsbv(
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
         screen = _ShearPositionScreen(X)
-        for h in suite.resolved_h_values(k):
-            found = _shear_frames(X, theta, h, all_s_choices=suite.all_s_choices, cone_seed=suite.cone_seed)
+        for h in range(1, k + 1):
+            found = _shear_frames(X, theta, h, all_s_choices=True, cone_seed=suite.cone_seed)
             frames += [(h, frame) for frame in found]
+    eye = np.eye(k)
+    directions = [tuple(row) for row in eye] + [tuple(-row) for row in eye]
     prepared = {}
 
     def attacks(m):
@@ -921,13 +892,13 @@ def empirical_fsbv(
                 continue
             if i not in prepared:
                 prepared[i] = _prepare_frame(T, X, frame, screen)
-            for b_rule in suite.partition_rules:
+            for b_rule in _PARTITION_RULES:
                 trace = _run_shear_sweep(
                     T, X, baseline, frame, m, suite.gamma_grid, b_rule, threshold,
                     suite.cone_seed, screen, prepared[i],
                 )
                 yield f"shear(h={h},facet={frame.facet.indices},rule={b_rule})", trace
-        for direction in suite.resolved_directions(k):
+        for direction in directions:
             trace = _cluster_attack(T, X, m, baseline, suite.radius_grid, unit_direction(direction), threshold)
             yield f"cluster(direction={direction})", trace
 

@@ -155,19 +155,13 @@ def _tie_probes_from_data_normals(X: DataSet, h: int, tol: float) -> list:
     return probes
 
 
-def condition_margin(
-    T,
-    X: DataSet,
-    h: int,
-    seed: int = 0,
-    cone_samples: int = _CONE_SAMPLES_PER_FACE,
-) -> ConditionReport:
+def condition_margin(T, X: DataSet, h: int, seed: int = 0) -> ConditionReport:
     """Measure the estimator's margin above every verified h-tie direction.
 
     For h = k the probes are all inward facet normals (exact k-fold ties by
-    construction). For h < k, seeded directions are sampled from the normal
-    cone of each h-point hull face and admitted only after reproducing the
-    tie pattern within tolerance. The margin of a probe is the minimum over
+    construction). For h < k, 32 directions per h-point hull face are drawn
+    from its normal cone with ``seed`` and admitted only after reproducing
+    the tie pattern within tolerance. The margin of a probe is the minimum over
     estimate members of (u . member - tied minimum).
 
     h > k is the degenerate-data extension: general position is not
@@ -187,7 +181,7 @@ def condition_margin(
         if h == X.k:
             raw = _face_probes_exact(X, facets)
         else:
-            raw = _face_probes_sampled(X, facets, h, seed, cone_samples, tol)
+            raw = _face_probes_sampled(X, facets, h, seed, _CONE_SAMPLES_PER_FACE, tol)
     else:
         raw = _tie_probes_from_data_normals(X, h, tol)
     if not raw:
@@ -235,18 +229,14 @@ class DepthConditionReport:
         }
 
 
-def depth_condition(
-    T,
-    X: DataSet,
-    budget: DirectionBudget | None = None,
-    margin_seed: int = 0,
-) -> DepthConditionReport:
+def depth_condition(T, X: DataSet, budget: DirectionBudget | None = None) -> DepthConditionReport:
     """Check halfspace depth of the estimate against the k+1 floor.
 
     Exact in the plane; in higher dimensions the sampled depth is an upper
     bound and the report says so. Whenever the exact check is satisfied,
     the k-tie margin condition must also hold; a violation of that
-    implication is a genuine bug and raises.
+    implication is a genuine bug and raises. That margin report probes the
+    facet normals (h = k), which draw no random directions.
     """
     k = X.k
     members = _estimate_members(T, X)
@@ -262,7 +252,7 @@ def depth_condition(
     satisfied = depth >= k + 1
     margin_report = None
     if satisfied and mode == "exact2d":
-        margin_report = condition_margin(T, X, k, seed=margin_seed)
+        margin_report = condition_margin(T, X, k)
         if not margin_report.holds_empirically:
             raise RoblocError(
                 "estimate has halfspace depth >= k+1 but sits on the hull "

@@ -144,19 +144,20 @@ def bundled_dataset(name: str) -> DataSet:
     return loads_dataset_csv(text)
 
 
-def random_gp_dataset(n: int, k: int, seed: int, low=0.0, high=10.0, max_tries=200) -> DataSet:
-    """Draw a seeded uniform dataset, redrawing until general position holds.
+def random_gp_dataset(n: int, k: int, seed: int) -> DataSet:
+    """Draw n seeded uniform points in [0, 10)^k, redrawing until general
+    position holds.
 
-    Uniform draws are in general position almost surely; the retry loop only
-    guards against the finite tolerance of the numerical test.
+    Uniform draws are in general position almost surely; the up to 200
+    redraws only guard against the finite tolerance of the numerical test.
     """
     from .geometry import check_general_position
 
     if n <= k:
         raise ParameterError(f"need n > k for a general-position set, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        X = DataSet(rng.uniform(low, high, size=(n, k)))
+    for _ in range(200):
+        X = DataSet(rng.uniform(0.0, 10.0, size=(n, k)))
         if check_general_position(X).ok:
             return X
-    raise GeneralPositionError(f"could not draw a GP dataset with n={n}, k={k} in {max_tries} tries")
+    raise GeneralPositionError(f"could not draw a GP dataset with n={n}, k={k} in 200 tries")

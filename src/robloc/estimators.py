@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 from math import comb
 from typing import Callable
 
@@ -25,7 +24,6 @@ from .errors import (
     EstimatorError,
     ParameterError,
 )
-from .univariate import univariate_median
 
 __all__ = [
     "EstimateSet",
@@ -161,35 +159,33 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     """Per-coordinate median interval, as a corner set plus midpoint.
 
     Members are the corners of the coordinatewise interval box (at most 2^k
-    of them); the canonical representative is the box midpoint, which for
-    even n need not be a member.
+    of them, in ``itertools.product`` order over the coordinates, one value
+    on a coordinate whose interval is a point); the canonical
+    representative is the box midpoint, which for even n need not be a
+    member.
     """
-    intervals = [univariate_median(X.points[:, j]) for j in range(X.k)]
-    return _median_box([iv.low for iv in intervals], [iv.high for iv in intervals])
+    return _median_boxes(X.points[None])[0]
 
 
-def _median_box(low, high) -> EstimateSet:
-    """Corners of the box [low, high] in ``product`` order, a point
-    coordinate giving one value, plus the box midpoint."""
-    axes = [(a,) if a == b else (a, b) for a, b in zip(low, high)]
-    corners = np.array(list(product(*axes)), dtype=float)
-    midpoint = 0.5 * (np.asarray(low, dtype=float) + np.asarray(high, dtype=float))
-    return EstimateSet.of(corners, canonical=midpoint)
+def _median_boxes(stack: np.ndarray) -> list:
+    """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
+    from one sort of the whole stack."""
+    ordered = np.sort(stack, axis=1)
+    n, k = ordered.shape[1:]
+    low, high = ordered[:, (n - 1) // 2], ordered[:, n // 2]  # (G, k)
+    # corner c takes high on coordinate j where bit k-1-j of c is set
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1  # (2^k, k)
+    corners = np.where(bits, high[:, None, :], low[:, None, :])  # (G, 2^k, k)
+    # a coordinate with low == high keeps only the corners that take low
+    keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)
+    midpoint = 0.5 * (low + high)
+    return [EstimateSet.of(c[kept], canonical=mid) for c, kept, mid in zip(corners, keep, midpoint)]
 
 
 def coordinatewise_median_sweep(X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], list]:
-    """The coordinatewise median of every dataset of a shear family: one
-    sort of the whole stack, then each slope's box as
-    :func:`coordinatewise_median` builds it. Needs nothing of the frame."""
-
-    def sweep(family: ShearFamily) -> list:
-        ordered = np.sort(family.points, axis=1)  # (G, n, k)
-        n = ordered.shape[1]
-        low = ordered[:, (n - 1) // 2].tolist()
-        high = ordered[:, n // 2].tolist()
-        return [_median_box(lo, hi) for lo, hi in zip(low, high)]
-
-    return sweep
+    """The coordinatewise median of every dataset of a shear family, from
+    the family's point stack. Needs nothing of the frame."""
+    return lambda family: _median_boxes(family.points)
 
 
 def weighted_mean(X: DataSet, weights) -> np.ndarray:

@@ -194,8 +194,10 @@ def test_shear_attack_nudges_degenerate_gamma(demo10):
     d1 = screen.linear_coeff(row_dets, c)
     roots = -screen.d0[d1 != 0.0] / d1[d1 != 0.0]
     gamma_bad = float(roots[roots > 1.0].min())
-    ok, _ = screen.gamma_ok(gamma_bad, [d1])
-    assert not ok
+    ok, witness = screen.gamma_ok([10.0, gamma_bad], [d1])
+    assert ok.tolist() == [True, False]
+    j = int(np.argmin(np.abs(screen.d0 + gamma_bad * d1)))
+    assert witness == tuple(int(i) for i in screen.subsets[j])
     trace = shear_attack(T, demo10, h=2, gamma_grid=(gamma_bad, 10.0))
     far = [r for r in trace.records if r.family == "shear_replace_far"][0]
     assert far.nudged
@@ -439,17 +441,16 @@ def test_fsbv_result_json_reproducible(demo5):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_attack_suite_rejects_unknown_partition_rule():
+def test_partition_rule_rejects_unknown_b_rule():
     with pytest.raises(ParameterError) as info:
-        AttackSuite(partition_rules=("largest_projection", "median_projection"))
+        PartitionRule(b_rule="median_projection")
     assert str(info.value) == "unknown b_rule 'median_projection'"
 
 
 def test_fsbv_mcd_demo10_smoke(demo10):
     # narrower grids keep this a quick regression check; the full-suite run
     # lives in the acceptance module
-    suite = AttackSuite(gamma_grid=(1e2, 1e7), radius_grid=(1e3, 1e9),
-                        h_values=(2,), all_s_choices=False)
+    suite = AttackSuite(gamma_grid=(1e2, 1e7), radius_grid=(1e3, 1e9))
     res = empirical_fsbv(make_estimator("mcd"), demo10, suite=suite)
     assert res.fraction == (4, 10)
 
