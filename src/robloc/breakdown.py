@@ -863,10 +863,12 @@ def empirical_fsbv(
     run up to and including it. The certified fraction is the smallest m
     whose certificate is "broken", as the unreduced pair (m, n); when
     nothing breaks the result carries the survived marker instead of a
-    fabricated fraction.
+    fabricated fraction. ``threshold_factor`` must be finite and at least
+    1e3: no distance exceeds a NaN or infinite threshold, so every budget
+    would "survive".
     """
-    if threshold_factor < 1e3:
-        raise ParameterError("threshold_factor must be at least 1e3 to mean anything")
+    if not (1e3 <= threshold_factor < np.inf):
+        raise ParameterError(f"threshold_factor must be finite and at least 1e3, got {threshold_factor!r}")
     suite = suite or AttackSuite()
     n, k = X.n, X.k
     threshold = _divergence_threshold(X, factor=threshold_factor)

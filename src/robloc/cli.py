@@ -182,7 +182,8 @@ def attack(dataset, T, seed, params, family, h_value, m_value, gamma_grid, radiu
             norm = np.linalg.norm(raw)
             if norm == 0:
                 raise ParameterError("direction must be nonzero")
-            dir_vec = raw / norm
+            with np.errstate(invalid="ignore"):  # inf / inf: the attack rejects the NaN
+                dir_vec = raw / norm
         trace = translation_cluster_attack(T, X, m_value, radius_grid=grid, direction=dir_vec)
     if emit_curve:
         with open(emit_curve, "w", encoding="utf-8", newline="") as fh:

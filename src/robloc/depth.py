@@ -193,7 +193,7 @@ def outlyingness(x, X: DataSet, scale_shift: int, budget: DirectionBudget) -> fl
 
 def tukey_depth(x, X: DataSet, mode: str = "exact2d", budget: DirectionBudget | None = None) -> int:
     """Halfspace depth of a point: fewest data points in a closed halfspace
-    containing it.
+    containing it. The point must be finite.
 
     ``exact2d`` (k = 2 only) runs the angular sweep over all directions
     orthogonal to point-to-data segments, which is exact. ``sampled``
@@ -203,6 +203,8 @@ def tukey_depth(x, X: DataSet, mode: str = "exact2d", budget: DirectionBudget | 
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != X.k:
         raise ParameterError(f"point dimension {x.size} does not match data dimension {X.k}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"point coordinates must be finite, got {x.tolist()}")
     if mode == "exact2d":
         if X.k != 2:
             raise ParameterError("exact2d mode requires k = 2")

@@ -59,8 +59,10 @@ class GeneralPositionReport(NamedTuple):
 
 
 def unit_direction(u) -> np.ndarray:
-    """Validate and return a unit vector (norm within 1e-12 of 1)."""
+    """Validate and return a finite unit vector (norm within 1e-12 of 1)."""
     u = np.asarray(u, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(u)):
+        raise ParameterError("direction coordinates must be finite")
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > _UNIT_ATOL:
         raise ParameterError(f"direction is not unit-norm (|u| = {norm!r})")

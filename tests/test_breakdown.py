@@ -420,8 +420,11 @@ def test_fsbv_median_demo5(demo5):
 
 
 def test_fsbv_requires_sane_threshold(demo5):
-    with pytest.raises(ParameterError):
-        empirical_fsbv(make_estimator("cmedian"), demo5, threshold_factor=10.0)
+    # no distance exceeds a NaN or infinite threshold: every budget would
+    # "survive"
+    for factor in (10.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="^threshold_factor must be finite and at least 1e3"):
+            empirical_fsbv(make_estimator("cmedian"), demo5, threshold_factor=factor)
 
 
 def test_fsbv_survived_marker_for_unbreakable_estimator(demo10):

@@ -121,6 +121,24 @@ def test_non_finite_grid_exits_4(runner, demo10_csv, args, grid):
     assert lines[0].startswith(f"error: {grid} grid must be nonempty and finite, got [")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["fsbv", "-e", "cmedian", "--seed", "0", "--threshold-factor", "nan"],
+     "threshold_factor must be finite and at least 1e3, got nan"),
+    (["fsbv", "-e", "cmedian", "--seed", "0", "--threshold-factor", "inf"],
+     "threshold_factor must be finite and at least 1e3, got inf"),
+    (["depth", "--point", "nan,1"], "point coordinates must be finite, got [nan, 1.0]"),
+    (["attack", "-e", "cmedian", "--family", "cluster", "--m", "3", "--direction", "nan,1"],
+     "direction coordinates must be finite"),
+], ids=["threshold-nan", "threshold-inf", "point-nan", "direction-nan"])
+def test_non_finite_parameter_exits_4(runner, demo10_csv, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [args[0], demo10_csv, *args[1:]])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_fsbv_median_demo5(runner, demo5_csv):
     # 1-D certification has no sampled directions, so no seed is needed
     result = invoke(runner, ["fsbv", demo5_csv, "--estimator", "cmedian"])

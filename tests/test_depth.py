@@ -236,6 +236,14 @@ def test_tukey_depth_sampled_is_upper_bound(demo10):
         assert sampled >= exact
 
 
+@pytest.mark.parametrize("mode", ["exact2d", "sampled"])
+def test_tukey_depth_rejects_non_finite_point(demo10, mode):
+    budget = DirectionBudget(50, True, 1)
+    for bad in ([float("nan"), 1.0], [1.0, float("-inf")]):
+        with pytest.raises(ParameterError, match="^point coordinates must be finite"):
+            tukey_depth(np.array(bad), demo10, mode=mode, budget=budget)
+
+
 def test_tukey_depth_mode_errors(demo10):
     X3 = DataSet(np.zeros((4, 3)) + np.arange(12).reshape(4, 3))
     with pytest.raises(ParameterError):

@@ -157,6 +157,10 @@ def test_basis_round_trip_r4():
 def test_unit_direction_validates():
     with pytest.raises(ParameterError):
         unit_direction([1.0, 1.0])
+    # |(nan, 1)| - 1 is NaN, which no tolerance comparison catches
+    for bad in ([float("nan"), 1.0], [float("inf"), 0.0], [float("nan"), float("nan")]):
+        with pytest.raises(ParameterError, match="^direction coordinates must be finite$"):
+            unit_direction(bad)
 
 
 def test_hyperplane_normal_r2():
