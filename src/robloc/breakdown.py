@@ -883,8 +883,8 @@ def empirical_fsbv(
         for h in range(1, k + 1):
             found = _shear_frames(X, theta, h, all_s_choices=True, cone_seed=suite.cone_seed)
             frames += [(h, frame) for frame in found]
-    eye = np.eye(k)
-    directions = [tuple(row) for row in eye] + [tuple(-row) for row in eye]
+    # plain floats, so the labels read the same under every numpy version
+    directions = [tuple(row) for row in np.vstack([np.eye(k), -np.eye(k)]).tolist()]
     prepared = {}
 
     def attacks(m):

@@ -16,9 +16,9 @@ import robloc
 from test_tracer_targets import load_bench_module
 
 DIGESTS = {
-    "certify-engine": "a67bce426f2c913662755168fbd4b7550b9e25d0bbc6e8475d8ed67e94ae5eab",
-    "certify-mcd": "769785117c020d7b41ee0f44f2ee271a13eddb394f5ae0ff07e86b5bd092e170",
-    "certify-probe": "c1e1caeee91bfd70cd86390d2fc67b0c865f315fafeea6542de079236176b1d7",
+    "certify-engine": "3f0809adffca4dd5d7403cbc04e34c1885d586f8b204579325cfb72de080f4c8",
+    "certify-mcd": "dfb865e8f0b51044e9b2040eba0271f412490a8cf9fd9ba859ca39120f02dd77",
+    "certify-probe": "8ae6bf8ec281ffee817f988b42a3e02d9c8f2051a7e4056d8742736d0c3f24d4",
 }
 
 
