@@ -640,9 +640,8 @@ def shear_attack(
     break general position are nudged once by +1e-6 relative.
 
     ``m`` defaults to floor((n - h + 1) / 2), the largest budget for which
-    both families stay within m replacements. The kept points are the h
-    smallest indices of the facet. The estimate diverges beyond
-    ``DEFAULT_THRESHOLD_FACTOR`` times the data diameter.
+    both families stay within m replacements. The kept points are the
+    facet's h smallest indices; the threshold is ``DEFAULT_THRESHOLD_FACTOR``.
     """
     require_general_position(X, "shear_attack")
     if X.k < 2:
@@ -693,11 +692,9 @@ def translation_cluster_attack(
     """Replace the m points farthest along a direction with a distant cluster.
 
     The cluster sits at the original estimate plus radius times the
-    direction (a unit vector, default the first axis), with deterministic
-    per-copy jitter of relative size 1e-6 cycling through the coordinate
-    axes so the copies do not create exact degeneracies on their own. The
-    estimate diverges beyond ``DEFAULT_THRESHOLD_FACTOR`` times the data
-    diameter.
+    direction, with deterministic per-copy jitter of relative size 1e-6
+    cycling through the coordinate axes so the copies do not create exact
+    degeneracies on their own. The threshold is ``DEFAULT_THRESHOLD_FACTOR``.
     """
     if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
@@ -744,16 +741,12 @@ def _cluster_attack(
 
 @dataclass(frozen=True)
 class AttackSuite:
-    """Configuration of the certification sweep: the two grids and the seed
-    of the tie directions sampled for h < k. Both grids must be nonempty
-    and finite (``ParameterError`` otherwise): an empty grid would let every
-    budget "survive" without a single contaminated dataset being evaluated.
-
-    The rest is fixed, and ``to_dict`` records it under the keys it always
-    had: h = 1..k (``"h_values": null``), every kept h-subset of a facet,
-    both partition rules, clusters along +/- each axis
-    (``"cluster_directions": null``), and a stop at a budget's first
-    diverging attack (``"stop_m_on_divergence": true``).
+    """Configuration of the certification sweep: the two grids, which must
+    be nonempty and finite (``ParameterError`` otherwise: an empty grid would
+    let every budget "survive" untested), and the seed of the h < k tie
+    directions. The rest is fixed (see :func:`empirical_fsbv`); ``to_dict``
+    still records it under the keys it always had, from ``"h_values": null``
+    to ``"stop_m_on_divergence": true``.
     """
 
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
@@ -857,18 +850,17 @@ def empirical_fsbv(
     facets, all kept-subset choices, both partition rules, both dual
     families when they fit the budget) and the translation cluster attack
     along +/- each coordinate axis. Each budget walks one lazy sequence of
-    (label, trace): the shear frames (h ascending, best facet first) times
-    the partition rules, then the cluster directions. It stops at the first trace that diverges,
-    which becomes the witness; ``attack_families_tried`` lists the attacks
-    run up to and including it. The certified fraction is the smallest m
-    whose certificate is "broken", as the unreduced pair (m, n); when
-    nothing breaks the result carries the survived marker instead of a
-    fabricated fraction. ``threshold_factor`` must be finite and at least
-    1e3: no distance exceeds a NaN or infinite threshold, so every budget
-    would "survive".
+    (label, trace) in that order, h ascending and best facet first, and
+    stops at the first trace that diverges, which becomes the witness;
+    ``attack_families_tried`` lists the attacks run up to and including it.
+    The certified fraction is the smallest m whose certificate is "broken",
+    as the unreduced pair (m, n); when nothing breaks the result carries the
+    survived marker instead of a fabricated fraction. ``threshold_factor``
+    must be finite and >= 1e3.
     """
     if not (1e3 <= threshold_factor < np.inf):
-        raise ParameterError(f"threshold_factor must be finite and at least 1e3, got {threshold_factor!r}")
+        raise ParameterError(f"threshold_factor must be finite and at least 1e3, "
+                             f"got {threshold_factor!r}")
     suite = suite or AttackSuite()
     n, k = X.n, X.k
     threshold = _divergence_threshold(X, factor=threshold_factor)

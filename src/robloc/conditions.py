@@ -235,8 +235,7 @@ def depth_condition(T, X: DataSet, budget: DirectionBudget | None = None) -> Dep
     Exact in the plane; in higher dimensions the sampled depth is an upper
     bound and the report says so. Whenever the exact check is satisfied,
     the k-tie margin condition must also hold; a violation of that
-    implication is a genuine bug and raises. That margin report probes the
-    facet normals (h = k), which draw no random directions.
+    implication is a genuine bug and raises.
     """
     k = X.k
     members = _estimate_members(T, X)

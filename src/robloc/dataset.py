@@ -145,8 +145,7 @@ def bundled_dataset(name: str) -> DataSet:
 
 
 def random_gp_dataset(n: int, k: int, seed: int) -> DataSet:
-    """Draw n seeded uniform points in [0, 10)^k, redrawing until general
-    position holds.
+    """Draw n seeded uniform points in [0, 10)^k until they are in general position.
 
     Uniform draws are in general position almost surely; the up to 200
     redraws only guard against the finite tolerance of the numerical test.

@@ -158,11 +158,10 @@ class LocationEstimator:
 def coordinatewise_median(X: DataSet) -> EstimateSet:
     """Per-coordinate median interval, as a corner set plus midpoint.
 
-    Members are the corners of the coordinatewise interval box (at most 2^k
-    of them, in ``itertools.product`` order over the coordinates, one value
-    on a coordinate whose interval is a point); the canonical
-    representative is the box midpoint, which for even n need not be a
-    member.
+    Members are the corners of the coordinatewise interval box in
+    ``itertools.product`` order, one value per point interval (at most 2^k);
+    the canonical representative is the box midpoint, which for even n need
+    not be a member.
     """
     return _median_boxes(X.points[None])[0]
 
