@@ -62,13 +62,14 @@ _DEFAULT_PROBE_COUNT = 2000
 class EstimateSet:
     """Finite nonempty set of location estimates with a canonical member.
 
-    Members are deduplicated within 1e-12. ``canonical`` is the conventional
-    point representative (for interval-valued estimators it may be an
+    Members are deduplicated within 1e-12, first occurrences kept.
+    ``canonical`` is the conventional point representative, the first kept
+    member when omitted (for interval-valued estimators it may be an
     interval midpoint that is not itself a member).
     """
 
     members: np.ndarray = field(repr=False)
-    canonical: np.ndarray = field(repr=False)
+    canonical: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.members, dtype=float)
@@ -84,7 +85,7 @@ class EstimateSet:
             if not any(np.linalg.norm(row - r) <= _DEDUP_ATOL for r in rows):
                 rows.append(row)
         m = np.array(rows)
-        c = np.asarray(self.canonical, dtype=float).reshape(-1)
+        c = m[0] if self.canonical is None else np.asarray(self.canonical, dtype=float).reshape(-1)
         if c.size != m.shape[1]:
             raise EstimatorError("canonical point dimension mismatch")
         m.setflags(write=False)
@@ -92,17 +93,6 @@ class EstimateSet:
         c.setflags(write=False)
         object.__setattr__(self, "members", m)
         object.__setattr__(self, "canonical", c)
-
-    @classmethod
-    def of(cls, members, canonical=None) -> "EstimateSet":
-        m = np.asarray(members, dtype=float)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        if m.shape[0] == 0:
-            raise EstimatorError("estimate set must be nonempty")
-        if canonical is None:
-            canonical = m[0]
-        return cls(m, np.asarray(canonical, dtype=float))
 
     @property
     def size(self) -> int:
@@ -178,7 +168,7 @@ def _median_boxes(stack: np.ndarray) -> list:
     # a coordinate with low == high keeps only the corners that take low
     keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)
     midpoint = 0.5 * (low + high)
-    return [EstimateSet.of(c[kept], canonical=mid) for c, kept, mid in zip(corners, keep, midpoint)]
+    return [EstimateSet(c[kept], mid) for c, kept, mid in zip(corners, keep, midpoint)]
 
 
 def coordinatewise_median_sweep(X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], list]:
@@ -235,21 +225,21 @@ def _subset_objectives(groups: np.ndarray) -> tuple:
     return means, dets
 
 
-def _mcd_pick(subsets: np.ndarray, means: np.ndarray, dets: np.ndarray) -> MCDResult:
-    """The MCD tie rule: every nonsingular subset within 1e-9 relative of
-    the smallest determinant, in the order given."""
+def _mcd_picks(subsets: np.ndarray, means: np.ndarray, dets: np.ndarray, starts) -> list:
+    """The MCD tie rule on each run of subsets that begins at ``starts``:
+    every nonsingular subset within 1e-9 relative of the run's smallest
+    determinant, in the order given, the first one canonical. Runs must be
+    nonempty."""
     valid = np.isfinite(dets) & (dets > 0.0)
-    if not np.any(valid):
+    best = np.minimum.reduceat(np.where(valid, dets, np.inf), starts)
+    if not np.all(np.isfinite(best)):
         raise DegenerateSampleError("every coverage subset has singular covariance")
-    best = float(dets[valid].min())
-    tie_tol = _MCD_TIE_RTOL * best
-    winners = np.flatnonzero(valid & (dets <= best + tie_tol))
-    members = means[winners]
-    return MCDResult(
-        estimates=EstimateSet.of(members, canonical=members[0]),
-        objective=best,
-        optimal_subsets=tuple(tuple(int(i) for i in subsets[w]) for w in winners),
-    )
+    run_best = np.repeat(best, np.diff(np.append(starts, dets.size)))
+    winners = np.flatnonzero(valid & (dets <= run_best + _MCD_TIE_RTOL * run_best))
+    return [
+        MCDResult(EstimateSet(means[w]), float(b), tuple(map(tuple, subsets[w].tolist())))
+        for w, b in zip(np.split(winners, np.searchsorted(winners, starts[1:])), best)
+    ]
 
 
 def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
@@ -299,8 +289,9 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     lower bound comes within the 1e-9 tie tolerance of the smallest upper
     bound, so every subset that can win or tie is one. The candidates of
     all slopes go through one batched SVD of the real contaminated
-    coordinates, and the tie rule below picks the winners among them in
-    enumeration order.
+    coordinates, and one pass of the tie rule picks the winners of every
+    slope among them in enumeration order: the same rule, on the same
+    determinants, that this function applies to all subsets.
 
     Enumeration order is deterministic (lexicographic index tuples), which
     makes tie reporting and the canonical member reproducible.
@@ -308,7 +299,7 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     h = _mcd_coverage(X.n, X.k, coverage)
     subsets = subset_index(X.n, h)
     means, dets = _subset_objectives(X.points[subsets])
-    return _mcd_pick(subsets, means, dets)
+    return _mcd_picks(subsets, means, dets, [0])[0]
 
 
 class MCDShearSweep:
@@ -317,10 +308,11 @@ class MCDShearSweep:
     Built once per shear frame (base data X and shear basis); called on a
     :class:`ShearFamily`, it returns for every dataset of the family exactly
     the estimate :func:`mcd_exhaustive` returns on it, by the quadratic
-    identity and candidate bound described there. At a slope where the
-    bound is not finite or a candidate is singular the full
-    :func:`mcd_exhaustive` runs instead; ``fallbacks`` counts those slopes
-    and ``candidates`` the subsets that went through the SVD.
+    identity and candidate bound described there. When the bound is not
+    finite at some slope of a family, or a candidate is singular, the full
+    :func:`mcd_exhaustive` runs on every dataset of that family instead;
+    ``fallbacks`` counts the slopes of families that fell back whole and
+    ``candidates`` the subsets that went through the SVD.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -389,22 +381,17 @@ class MCDShearSweep:
     def results(self, family: ShearFamily) -> list:
         """One :class:`MCDResult` per dataset of the family."""
         low, high = self.bounds(family)
-        finite = np.isfinite(high).all(axis=0)
-        cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
-        gi, si = np.nonzero((low <= cutoff).T & finite[:, None])
-        self.candidates += int(gi.size)
-        means, dets = _subset_objectives(family.points[gi[:, None], self.subsets[si]])
-        edges = np.searchsorted(gi, np.arange(len(family.slopes) + 1))
-        out = []
-        for j in range(len(family.slopes)):
-            part = slice(edges[j], edges[j + 1])
-            d = dets[part]
-            if finite[j] and np.all(np.isfinite(d) & (d > 0.0)):
-                out.append(_mcd_pick(self.subsets[si[part]], means[part], d))
-            else:
-                self.fallbacks += 1
-                out.append(mcd_exhaustive(DataSet(family.points[j]), self.h))
-        return out
+        if np.isfinite(high).all():
+            cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
+            gi, si = np.nonzero((low <= cutoff).T)
+            self.candidates += int(gi.size)
+            means, dets = _subset_objectives(family.points[gi[:, None], self.subsets[si]])
+            if np.all(np.isfinite(dets) & (dets > 0.0)):
+                # every run is nonempty: the smallest upper bound is a candidate
+                starts = np.searchsorted(gi, np.arange(len(family.slopes)))
+                return _mcd_picks(self.subsets[si], means, dets, starts)
+        self.fallbacks += len(family.slopes)
+        return [mcd_exhaustive(DataSet(points), self.h) for points in family.points]
 
     def __call__(self, family: ShearFamily) -> list:
         return [r.estimates for r in self.results(family)]
@@ -504,7 +491,7 @@ def projection_median(
     tie_tol = 1e-9 * best_depth
     winners = pts[dep >= best_depth - tie_tol]
     # Deterministic member order: first occurrence in candidate order.
-    return EstimateSet.of(winners, canonical=incumbent)
+    return EstimateSet(winners, incumbent)
 
 
 ESTIMATOR_NAMES = ("cmedian", "mcd", "tmean", "pm", "wmean")
@@ -537,7 +524,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
 
     if name == "wmean":
         def _wmean(X: DataSet) -> EstimateSet:
-            return EstimateSet.of(weighted_mean(X, np.ones(X.n)))
+            return EstimateSet(weighted_mean(X, np.ones(X.n)))
         return LocationEstimator("wmean", "affine", _wmean)
 
     if name == "mcd":
@@ -555,7 +542,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         probe_seed = _DEFAULT_PROBE_SEED if seed is None else int(seed)
         def _tmean(X: DataSet) -> EstimateSet:
             b = DirectionBudget(count, True, probe_seed)
-            return EstimateSet.of(trimmed_mean(X, trim, int(shift), b))
+            return EstimateSet(trimmed_mean(X, trim, int(shift), b))
         return LocationEstimator("tmean", "translation", _tmean)
 
     if name == "pm":

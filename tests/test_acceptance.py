@@ -114,7 +114,7 @@ def test_criterion_4_condition_machinery():
         w = rng.uniform(0, 1, X.n)
         w[rng.choice(X.n, size=k + 1, replace=False)] = 1.0
         T = LocationEstimator("wfixed", "affine",
-                              functools.partial(lambda wts, D: EstimateSet.of(weighted_mean(D, wts)), w))
+                              functools.partial(lambda wts, D: EstimateSet(weighted_mean(D, wts)), w))
         report = condition_margin(T, X, h=k)
         for probe in report.probes:
             y = probe.sorted_projections

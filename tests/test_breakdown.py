@@ -324,9 +324,9 @@ def test_family_distances_match_one_by_one(k):
     from robloc.breakdown import _family_distances
 
     rng = np.random.default_rng(k)
-    baseline = EstimateSet.of(rng.standard_normal((2, k)))
+    baseline = EstimateSet(rng.standard_normal((2, k)))
     for sizes in ((1,) * 9, (4,) * 9, (1, 4, 2, 1, 3, 4, 1)):
-        ests = [EstimateSet.of(rng.standard_normal((s, k)) * 10.0 ** rng.integers(-3, 9)) for s in sizes]
+        ests = [EstimateSet(rng.standard_normal((s, k)) * 10.0 ** rng.integers(-3, 9)) for s in sizes]
         assert [e.size for e in ests] == list(sizes)
         got = _family_distances(ests, baseline)
         assert got == [estimate_set_distance(e, baseline) for e in ests]
@@ -393,7 +393,7 @@ def test_cluster_attack_2d_jitter_avoids_exact_degeneracy(demo10):
 def test_cluster_attack_matches_per_radius_construction(demo10):
     # the broadcast clusters equal theta + R*u + jitter built radius by
     # radius, bit for bit: this estimator returns every row it is given
-    T = LocationEstimator("rows", "translation", lambda X: EstimateSet.of(X.points))
+    T = LocationEstimator("rows", "translation", lambda X: EstimateSet(X.points))
     radii = (7.3, 1234.567, 9.87e6, 3.3e8, 0.1)
     u = np.array([0.6, -0.8])
     m = 6
@@ -429,7 +429,7 @@ def test_fsbv_requires_sane_threshold(demo5):
 
 def test_fsbv_survived_marker_for_unbreakable_estimator(demo10):
     center = demo10.points.mean(axis=0)
-    T = LocationEstimator("pin", "translation", lambda X: EstimateSet.of(center))
+    T = LocationEstimator("pin", "translation", lambda X: EstimateSet(center))
     res = empirical_fsbv(T, demo10)
     assert res.fraction is None
     assert res.survived_all

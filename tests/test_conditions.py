@@ -22,13 +22,13 @@ from robloc.metric import hausdorff_set_distance
 
 def constant_estimator(point):
     p = np.asarray(point, dtype=float)
-    return LocationEstimator("const", "translation", lambda X: EstimateSet.of(p))
+    return LocationEstimator("const", "translation", lambda X: EstimateSet(p))
 
 
 def weights_estimator(weights):
     w = np.asarray(weights, dtype=float)
     return LocationEstimator(
-        "wfixed", "affine", lambda X: EstimateSet.of(weighted_mean(X, w))
+        "wfixed", "affine", lambda X: EstimateSet(weighted_mean(X, w))
     )
 
 

@@ -2,6 +2,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robloc import (
     DataSet,
@@ -15,8 +17,8 @@ from robloc import (
     trimmed_mean,
     weighted_mean,
 )
-from robloc.errors import EstimatorError, ParameterError
-from robloc.estimators import EstimateSet, default_mcd_coverage
+from robloc.errors import DegenerateSampleError, EstimatorError, ParameterError
+from robloc.estimators import EstimateSet, _mcd_picks, default_mcd_coverage
 
 
 def mcd_oracle(X, coverage):
@@ -38,14 +40,14 @@ def mcd_oracle(X, coverage):
 
 
 def test_estimate_set_dedup_and_canonical():
-    s = EstimateSet.of(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]))
+    s = EstimateSet(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]))
     assert s.size == 2
     assert np.array_equal(s.canonical, [1.0, 2.0])
 
 
 def test_estimate_set_rejects_empty():
     with pytest.raises(EstimatorError):
-        EstimateSet.of(np.empty((0, 2)))
+        EstimateSet(np.empty((0, 2)))
 
 
 def test_cmedian_odd_counts():
@@ -122,6 +124,55 @@ def test_mcd_matches_independent_oracle():
         best, winners = mcd_oracle(X, default_mcd_coverage(9, 2))
         assert set(r.optimal_subsets) == winners
         assert r.objective == pytest.approx(best, rel=1e-9)
+
+
+def mcd_pick_oracle(subsets, means, dets):
+    """The MCD tie rule applied to one dataset's subsets on its own:
+    (objective, winning members, winning subsets)."""
+    valid = np.isfinite(dets) & (dets > 0.0)
+    if not np.any(valid):
+        raise DegenerateSampleError("every coverage subset has singular covariance")
+    best = float(dets[valid].min())
+    tie_tol = 1e-9 * best
+    winners = np.flatnonzero(valid & (dets <= best + tie_tol))
+    return best, means[winners], tuple(tuple(int(i) for i in subsets[w]) for w in winners)
+
+
+SCALE = 3.7
+TIE_EDGE = SCALE + 1e-9 * SCALE  # the last determinant that ties a best of SCALE
+# singular, non-finite, spread out, and within, on or just beyond the 1e-9 tie tolerance
+DETS = st.one_of(
+    st.sampled_from([0.0, np.nan, np.inf, -1.0, TIE_EDGE]),
+    st.floats(0.5, 4.0).map(lambda f: SCALE * f),
+    st.sampled_from([1.0, 1.0 - 4e-10, 1.0 + 4e-10, 1.0 + 9e-10, 1.0 + 2e-9]).map(lambda f: SCALE * f),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(DETS, min_size=1, max_size=6), min_size=1, max_size=5), st.integers(0, 2**16))
+@example([[1.0]], 0)
+@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1)
+@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2)
+def test_mcd_picks_matches_the_rule_run_by_run(runs, seed):
+    dets = np.array([d for run in runs for d in run])
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((dets.size, 2))
+    subsets = np.arange(3 * dets.size).reshape(-1, 3)
+    runs_valid = [any(np.isfinite(d) and d > 0 for d in run) for run in runs]
+    if not all(runs_valid):
+        with pytest.raises(DegenerateSampleError, match="singular covariance"):
+            _mcd_picks(subsets, means, dets, starts)
+        return
+    got = _mcd_picks(subsets, means, dets, starts)
+    assert len(got) == len(runs)
+    for result, start, run in zip(got, starts, runs):
+        part = slice(start, start + len(run))
+        best, members, winners = mcd_pick_oracle(subsets[part], means[part], dets[part])
+        assert result.objective == best
+        assert np.array_equal(result.estimates.members, members)
+        assert np.array_equal(result.estimates.canonical, members[0])
+        assert result.optimal_subsets == winners
 
 
 def test_mcd_coverage_validation(demo10):
@@ -208,7 +259,7 @@ def test_projection_median_lattice_matches_product_order(k, monkeypatch):
     assert len(ours) == len(queried) == 4
     assert all(np.array_equal(a, c) for a, c in zip(ours, queried))
     assert np.array_equal(est.canonical, incumbent)
-    assert np.array_equal(est.members, EstimateSet.of(winners).members)
+    assert np.array_equal(est.members, EstimateSet(winners).members)
 
 
 def test_projection_median_rejects_negative_refinements(demo10):

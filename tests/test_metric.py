@@ -83,8 +83,8 @@ def test_hausdorff_distance_vanishes_on_equal_sets():
 
 
 def test_estimate_set_objects_accepted():
-    a = EstimateSet.of(np.array([[0.0, 0.0]]))
-    b = EstimateSet.of(np.array([[3.0, 4.0]]))
+    a = EstimateSet(np.array([[0.0, 0.0]]))
+    b = EstimateSet(np.array([[3.0, 4.0]]))
     assert estimate_set_distance(a, b) == 5.0
 
 

@@ -107,6 +107,25 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
             assert np.array_equal(got.estimates.members, want.estimates.members)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # slope 1e100 overflows on purpose
+def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
+    X = random_gp_dataset(7, 2, seed=42)
+    theta = mcd_exhaustive(X).estimates.canonical
+    frame = _shear_frames(X, theta, 2, all_s_choices=False, cone_seed=0)[0]
+    basis = basis_from_normal(frame.normal, frame.origin)
+    sweep = MCDShearSweep(X, basis)
+    _, replaced = _partition(_rankings(X, frame)["largest_projection"], 2)
+    family = ShearFamily.of(X, basis, replaced, (0.1, 10.0, 1e100))
+    _, high = sweep.bounds(family)
+    assert not np.isfinite(high).all()
+    for got, Xg in zip(sweep.results(family), family.datasets):
+        want = mcd_exhaustive(Xg)
+        assert got.optimal_subsets == want.optimal_subsets
+        assert got.objective == want.objective
+        assert np.array_equal(got.estimates.members, want.estimates.members)
+    assert sweep.fallbacks > 0
+
+
 def test_mcd_sweep_screens_out_most_subsets(demo10):
     made = []
 
@@ -166,7 +185,7 @@ def median_box_oracle(X):
     order, one value on a coordinate whose interval is a point."""
     intervals = [univariate_median(X.points[:, j]) for j in range(X.k)]
     axes = [(iv.low,) if iv.is_point else (iv.low, iv.high) for iv in intervals]
-    return EstimateSet.of(list(product(*axes)), canonical=[iv.midpoint for iv in intervals])
+    return EstimateSet(list(product(*axes)), canonical=[iv.midpoint for iv in intervals])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
