@@ -700,6 +700,8 @@ def translation_cluster_attack(
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
     radius_grid = _require_grid(radius_grid, "radius")
     u = unit_direction(np.eye(X.k)[0] if direction is None else direction)
+    if u.size != X.k:
+        raise ParameterError(f"direction has dimension {u.size}, the data have dimension {X.k}")
     return _cluster_attack(T, X, m, T(X), radius_grid, u, _divergence_threshold(X))
 
 

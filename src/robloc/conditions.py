@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import DataSet
 from .depth import DirectionBudget, tukey_depth
 from .errors import NoAdmissibleDirectionError, ParameterError, RoblocError
-from .estimators import EstimateSet, LocationEstimator
+from .estimators import LocationEstimator
 from .geometry import (
     GP_RTOL,
     AffineMap,
@@ -93,13 +93,6 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _estimate_members(T, X: DataSet) -> np.ndarray:
-    est = T(X) if callable(T) else T.evaluate(X)
-    if isinstance(est, EstimateSet):
-        return est.members
-    return np.atleast_2d(np.asarray(est, dtype=float))
-
-
 def _face_probes_exact(X: DataSet, facets) -> list:
     """Facet normals tie exactly k minimal projections by construction."""
     probes = []
@@ -155,7 +148,7 @@ def _tie_probes_from_data_normals(X: DataSet, h: int, tol: float) -> list:
     return probes
 
 
-def condition_margin(T, X: DataSet, h: int, seed: int = 0) -> ConditionReport:
+def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) -> ConditionReport:
     """Measure the estimator's margin above every verified h-tie direction.
 
     For h = k the probes are all inward facet normals (exact k-fold ties by
@@ -188,7 +181,7 @@ def condition_margin(T, X: DataSet, h: int, seed: int = 0) -> ConditionReport:
         raise NoAdmissibleDirectionError(
             f"no admissible direction with an exact {h}-fold tie was found"
         )
-    members = _estimate_members(T, X)
+    members = T(X).members
     probes = []
     for u, tied, level, proj in raw:
         margin = float(np.min(members @ u) - level)
@@ -229,7 +222,9 @@ class DepthConditionReport:
         }
 
 
-def depth_condition(T, X: DataSet, budget: DirectionBudget | None = None) -> DepthConditionReport:
+def depth_condition(
+    T: LocationEstimator, X: DataSet, budget: DirectionBudget | None = None
+) -> DepthConditionReport:
     """Check halfspace depth of the estimate against the k+1 floor.
 
     Exact in the plane; in higher dimensions the sampled depth is an upper
@@ -238,7 +233,7 @@ def depth_condition(T, X: DataSet, budget: DirectionBudget | None = None) -> Dep
     implication is a genuine bug and raises.
     """
     k = X.k
-    members = _estimate_members(T, X)
+    members = T(X).members
     if k == 2:
         mode = "exact2d"
         depths = [tukey_depth(m, X, mode="exact2d") for m in members]

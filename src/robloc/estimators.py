@@ -494,7 +494,15 @@ def projection_median(
     return EstimateSet(winners, incumbent)
 
 
-ESTIMATOR_NAMES = ("cmedian", "mcd", "tmean", "pm", "wmean")
+# The parameters each estimator takes; make_estimator rejects any other.
+_ESTIMATOR_PARAMETERS = {
+    "cmedian": (),
+    "mcd": ("coverage",),
+    "tmean": ("trim_count", "scale_shift", "random_count"),
+    "pm": ("scale_shift", "random_count", "grid_refinements"),
+    "wmean": (),
+}
+ESTIMATOR_NAMES = tuple(_ESTIMATOR_PARAMETERS)
 
 
 def make_estimator(name: str, seed: int | None = None, **params) -> LocationEstimator:
@@ -511,11 +519,15 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
       nonnegative).
       Requires ``seed``.
     * ``wmean`` -- unweighted mean (all weights 1, affine equivariant).
+
+    A parameter the named estimator does not take is a ParameterError.
     """
     name = str(name)
-    unknown = set(params) - {"coverage", "trim_count", "scale_shift", "random_count", "grid_refinements"}
+    if name not in _ESTIMATOR_PARAMETERS:
+        raise EstimatorError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")
+    unknown = set(params) - set(_ESTIMATOR_PARAMETERS[name])
     if unknown:
-        raise ParameterError(f"unknown estimator parameters: {sorted(unknown)}")
+        raise ParameterError(f"estimator {name!r} does not take parameters {sorted(unknown)}")
 
     if name == "cmedian":
         return LocationEstimator(
@@ -558,5 +570,3 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
             s = (X.k - 1) if shift is None else int(shift)
             return projection_median(X, scale_shift=s, budget=b, grid_refinements=refinements)
         return LocationEstimator("pm", "translation", _pm)
-
-    raise EstimatorError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")

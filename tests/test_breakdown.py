@@ -363,6 +363,13 @@ def test_cluster_attack_median_distance_monotone_in_radius(demo9):
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
 
+@pytest.mark.parametrize("direction", [[1.0], [1.0, 0.0, 0.0]])
+def test_cluster_direction_of_the_wrong_dimension_is_a_parameter_error(demo10, direction):
+    message = f"^direction has dimension {len(direction)}, the data have dimension 2$"
+    with pytest.raises(ParameterError, match=message):
+        translation_cluster_attack(make_estimator("cmedian"), demo10, 3, direction=np.array(direction))
+
+
 def test_cluster_attack_replaces_farthest_along_direction(demo9):
     trace = translation_cluster_attack(
         make_estimator("cmedian"), demo9, 3, radius_grid=(10.0,), direction=np.array([1.0])

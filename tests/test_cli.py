@@ -139,6 +139,23 @@ def test_non_finite_parameter_exits_4(runner, demo10_csv, args, message):
     assert result.stderr.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["attack", "-e", "cmedian", "--family", "cluster", "--m", "3", "--direction", "1"],
+     "direction has dimension 1, the data have dimension 2"),
+    (["attack", "-e", "cmedian", "--family", "cluster", "--m", "3", "--direction", "1,0,0"],
+     "direction has dimension 3, the data have dimension 2"),
+    (["estimate", "-e", "cmedian", "--coverage", "3"],
+     "estimator 'cmedian' does not take parameters ['coverage']"),
+    (["fsbv", "-e", "mcd", "--seed", "0", "--trim-count", "1"],
+     "estimator 'mcd' does not take parameters ['trim_count']"),
+], ids=["direction-1d", "direction-3d", "cmedian-coverage", "mcd-trim-count"])
+def test_parameter_that_does_not_fit_exits_4(runner, demo10_csv, args, message):
+    result = runner.invoke(main, [args[0], demo10_csv, *args[1:]])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_fsbv_median_demo5(runner, demo5_csv):
     # 1-D certification has no sampled directions, so no seed is needed
     result = invoke(runner, ["fsbv", demo5_csv, "--estimator", "cmedian"])

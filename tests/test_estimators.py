@@ -283,6 +283,15 @@ def test_registry_names_and_classes(demo10):
         make_estimator("mcd", bogus=3)
 
 
+@pytest.mark.parametrize("name, param", [
+    ("cmedian", "coverage"), ("wmean", "trim_count"), ("mcd", "random_count"),
+    ("tmean", "grid_refinements"), ("pm", "coverage"), ("pm", "trim_count"),
+])
+def test_make_estimator_rejects_parameters_the_estimator_ignores(name, param):
+    with pytest.raises(ParameterError, match=param):
+        make_estimator(name, seed=1, **{param: 3})
+
+
 def test_registry_estimators_are_deterministic(demo10):
     for name in ("cmedian", "mcd", "wmean"):
         T = make_estimator(name)
