@@ -159,8 +159,7 @@ def test_mcd_picks_matches_the_rule_run_by_run(runs, seed):
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((dets.size, 2))
     subsets = np.arange(3 * dets.size).reshape(-1, 3)
-    runs_valid = [any(np.isfinite(d) and d > 0 for d in run) for run in runs]
-    if not all(runs_valid):
+    if not all(any(np.isfinite(d) and d > 0 for d in run) for run in runs):
         with pytest.raises(DegenerateSampleError, match="singular covariance"):
             _mcd_picks(subsets, means, dets, starts)
         return
