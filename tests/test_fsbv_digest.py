@@ -3,9 +3,9 @@
 Each certify workload of ``bench/workloads.py`` certifies seeded
 general-position datasets with ``empirical_fsbv`` and serialises every
 result as ``robloc fsbv`` prints it (``emit_fsbv``). One pass of each
-workload at seed 1 must reproduce the pinned SHA-256 of those outputs, in
-operation order. A change that keeps every emitted byte leaves the digests
-alone; a deliberate output change records new ones and says why.
+workload at seeds 1, 2 and 1001 must reproduce the pinned SHA-256 of those
+outputs, in operation order. A change that keeps every emitted byte leaves
+the digests alone; a deliberate output change records new ones and says why.
 """
 
 import hashlib
@@ -16,14 +16,20 @@ import robloc
 from test_tracer_targets import load_bench_module
 
 DIGESTS = {
-    "certify-engine": "3f0809adffca4dd5d7403cbc04e34c1885d586f8b204579325cfb72de080f4c8",
-    "certify-mcd": "dfb865e8f0b51044e9b2040eba0271f412490a8cf9fd9ba859ca39120f02dd77",
-    "certify-probe": "8ae6bf8ec281ffee817f988b42a3e02d9c8f2051a7e4056d8742736d0c3f24d4",
+    ("certify-engine", 1): "3f0809adffca4dd5d7403cbc04e34c1885d586f8b204579325cfb72de080f4c8",
+    ("certify-mcd", 1): "dfb865e8f0b51044e9b2040eba0271f412490a8cf9fd9ba859ca39120f02dd77",
+    ("certify-probe", 1): "8ae6bf8ec281ffee817f988b42a3e02d9c8f2051a7e4056d8742736d0c3f24d4",
+    ("certify-engine", 2): "b847851d5edc8b3d148016edd611791076c8a8a121df95bc66162cf95c1aa367",
+    ("certify-mcd", 2): "323c6c1ee3f66f3c8c28c5c198f517dca016275e72b98ea99ff72b92a6188733",
+    ("certify-probe", 2): "fa8e5be02e79b8cdeb75a4366461255db5c4606b52605813020f92ae1dd9ac67",
+    ("certify-engine", 1001): "277b698e96cb680fa66f6c95d005275e23239378c59377eba8e49ff49df2b638",
+    ("certify-mcd", 1001): "f94e877f4ced23b0a95dedb5bea088ed45597e92149e3b8f346836967a53409e",
+    ("certify-probe", 1001): "e263737f5690d9e943e6dcc7f21d2d5844e795024eb5666cd8291dbd33189352",
 }
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_certify_pass_emits_pinned_bytes(workload, monkeypatch):
+@pytest.mark.parametrize("workload,seed", sorted(DIGESTS))
+def test_certify_pass_emits_pinned_bytes(workload, seed, monkeypatch):
     workloads = load_bench_module("workloads", monkeypatch)
     emit = workloads.emit_fsbv
     digest = hashlib.sha256()
@@ -34,7 +40,7 @@ def test_certify_pass_emits_pinned_bytes(workload, monkeypatch):
         return text
 
     monkeypatch.setattr(workloads, "emit_fsbv", recording_emit)
-    ops, _ = workloads.build(robloc, workload, 1)
+    ops, _ = workloads.build(robloc, workload, seed)
     for op in ops:
         assert op.check(op.run()) is None, op.label
-    assert digest.hexdigest() == DIGESTS[workload]
+    assert digest.hexdigest() == DIGESTS[workload, seed]
