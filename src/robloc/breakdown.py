@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     RoblocError,
 )
-from .estimators import EstimateSet, LocationEstimator
+from .estimators import EstimateSet, EstimateStack, LocationEstimator
 from .geometry import (
     GP_RTOL,
     Facet,
@@ -215,9 +215,10 @@ class AttackTrace:
 
     Each contamination family of the attack (the far and near shear
     replacements, or the one cluster) is a column: its label, its replaced
-    indices, and per grid point its estimate and its distance to the clean
-    estimate. ``distances`` is the (G, F) array of those distances, and
-    every verdict is a reduction of it. ``records`` builds one
+    indices, the :class:`EstimateStack` of its estimates, one per grid
+    point, and per grid point the distance of the estimate to the clean
+    one. ``distances`` is the (G, F) array of those distances, and every
+    verdict is a reduction of it. ``records`` builds one
     :class:`AttackRecord` per (grid point, family), grid-major, on demand.
     """
 
@@ -231,7 +232,7 @@ class AttackTrace:
     used_parameters: tuple  # the grid after general-position nudges
     labels: tuple  # per family
     replaced: tuple  # per family
-    estimates: tuple  # per family, one EstimateSet per grid point
+    estimates: tuple  # per family, an EstimateStack of one estimate per grid point
     distances: np.ndarray = field(repr=False)  # (G, F)
     divergence_threshold: float
     details: dict = field(repr=False)
@@ -478,15 +479,12 @@ def _screened_grid(screen: _ShearPositionScreen, gammas: list, d1_list) -> list:
     return used.tolist()
 
 
-def _family_distances(estimates: list, baseline: EstimateSet) -> list:
-    """``estimate_set_distance`` of each estimate of a family to the
+def _family_distances(estimates: EstimateStack, baseline: EstimateSet) -> list:
+    """``estimate_set_distance`` of each estimate of a stack to the
     baseline: the largest distance of every member, then the largest per
     estimate, in one pass over all members."""
-    if not estimates:
-        return []
-    rows = np.concatenate([e.members for e in estimates])
-    starts = np.cumsum([0] + [e.size for e in estimates[:-1]])
-    return np.maximum.reduceat(_row_sup_distances(rows, baseline.members), starts).tolist()
+    rows = _row_sup_distances(estimates.members, baseline.members)
+    return np.maximum.reduceat(rows, estimates.starts).tolist()
 
 
 def _divergence_threshold(X: DataSet, factor: float = DEFAULT_THRESHOLD_FACTOR) -> float:
@@ -593,7 +591,8 @@ def _check_preimage_identity(
     against bookkeeping bugs, but at a conditioning-aware tolerance:
     recovering a preimage's offset from coordinates of magnitude
     gamma * scale carries an unavoidable error of order eps * gamma, which
-    exceeds 1e-9 relative once gamma is beyond about 1e6.
+    exceeds 1e-9 relative once gamma is beyond about 1e6. A slope so large
+    that the check itself overflows is a ParameterError.
     """
     e1, e2 = basis.e(1), basis.e(2)
     orth = abs(float(e1 @ e2))
@@ -604,9 +603,14 @@ def _check_preimage_identity(
         1.0, np.maximum(np.abs(far.points).max(axis=(1, 2)), np.abs(near.points).max(axis=(1, 2)))
     )
     travel = gamma * float(np.abs(offsets[list(kept)]).max())
-    diff = np.abs(apply_shears(near.points, far.slopes, basis) - far.points).max(axis=(1, 2))
     eps = float(np.finfo(float).eps)
-    bound = np.maximum(_IDENTITY_RTOL, 8.0 * eps * gamma) * blown
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        diff = np.abs(apply_shears(near.points, far.slopes, basis) - far.points).max(axis=(1, 2))
+        bound = np.maximum(_IDENTITY_RTOL, 8.0 * eps * gamma) * blown
+    for j in np.flatnonzero(~np.isfinite(diff) | ~np.isfinite(bound))[:1]:
+        raise ParameterError(
+            f"slope {far.slopes[j]!r} is too large: the preimage check of its shear overflows"
+        )
     travels = travel > _IDENTITY_RTOL * blown
     for j in np.flatnonzero(travels | (diff > bound))[:1]:
         if travels[j]:
@@ -715,7 +719,10 @@ def _cluster_attack(
     threshold: float,
 ) -> AttackTrace:
     """:func:`translation_cluster_attack` along the unit direction u, given
-    ``baseline = T(X)``: all G clusters in one (G, m, k) broadcast."""
+    ``baseline = T(X)``: all G clusters in one (G, m, k) broadcast. An
+    estimator with a ``stack`` hook gets all G datasets as one (G, n, k)
+    stack, checked as ``X.with_replaced`` checks each; any other is
+    evaluated radius by radius."""
     theta = baseline.canonical
     order = np.lexsort((np.arange(X.n), -(X.points @ u)))
     replaced = tuple(int(i) for i in np.sort(order[:m]))
@@ -725,7 +732,10 @@ def _cluster_attack(
     jitter = np.zeros((R.size, m, X.k))
     jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
     clusters = (theta + R[:, None] * u)[:, None, :] + jitter
-    ests = [T(X.with_replaced(replaced, cluster)) for cluster in clusters]
+    if T.stack is None:
+        ests = EstimateStack.pack([T(X.with_replaced(replaced, cluster)) for cluster in clusters])
+    else:
+        ests = T.stack(X.replaced_stack(replaced, clusters))
     details = {
         "direction": [float(v) for v in u],
         "anchor": [float(v) for v in theta],

@@ -77,6 +77,17 @@ class DataSet:
         pts[idx] = repl
         return DataSet(pts)
 
+    def replaced_stack(self, indices, blocks) -> np.ndarray:
+        """``with_replaced(indices, blocks[j])`` for every block j, as one
+        read-only (G, n, k) point stack, with the same checks."""
+        idx = np.asarray(indices, dtype=int)
+        _check_replacement_index(idx, self.n)
+        points = np.repeat(self.points[None], len(blocks), axis=0)
+        points[:, idx] = blocks
+        _require_finite(points)
+        points.setflags(write=False)
+        return points
+
     def __iter__(self):
         return iter(self.points)
 
@@ -88,9 +99,10 @@ def _require_finite(points: np.ndarray) -> None:
 
 def _check_replacement_index(idx: np.ndarray, n: int) -> None:
     """Replacement rows must be distinct indices into an n-point set."""
-    if len(set(idx.tolist())) != len(idx):
+    rows = idx.tolist()
+    if len(set(rows)) != len(rows):
         raise ParameterError("replacement indices must be distinct")
-    if np.any(idx < 0) or np.any(idx >= n):
+    if rows and (min(rows) < 0 or max(rows) >= n):
         raise ParameterError("replacement index out of range")
 
 

@@ -4,6 +4,8 @@ Estimators return an :class:`EstimateSet`: a finite nonempty set of
 candidate locations plus a canonical representative. Set-valuedness is not
 decoration; exhaustive subset estimators produce genuine ties on symmetric
 data, and the breakdown machinery measures divergence over all members.
+The estimates of a whole family of datasets travel as one
+:class:`EstimateStack` of arrays.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .errors import (
 
 __all__ = [
     "EstimateSet",
+    "EstimateStack",
     "LocationEstimator",
     "coordinatewise_median",
-    "coordinatewise_median_sweep",
     "weighted_mean",
     "MCDResult",
     "mcd_exhaustive",
@@ -79,12 +81,8 @@ class EstimateSet:
             raise EstimatorError("estimate set must be nonempty")
         if not np.all(np.isfinite(m)):
             raise EstimatorError("estimate members must be finite")
-        # O(m^2) dedup preserving first occurrences; member counts stay tiny
-        rows = []
-        for row in m:
-            if not any(np.linalg.norm(row - r) <= _DEDUP_ATOL for r in rows):
-                rows.append(row)
-        m = np.array(rows)
+        keep = _kept_rows(m, np.zeros(1, dtype=np.intp), np.array([m.shape[0]]))
+        m = m.copy() if keep is None else m[keep]
         c = m[0] if self.canonical is None else np.asarray(self.canonical, dtype=float).reshape(-1)
         if c.size != m.shape[1]:
             raise EstimatorError("canonical point dimension mismatch")
@@ -103,6 +101,97 @@ class EstimateSet:
         return self.members.shape[1]
 
 
+def _kept_rows(members: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
+    """Keep mask of the dedup rule on each run of ``counts`` rows beginning
+    at ``starts``, or None when every row is kept: a row is dropped exactly
+    when it lies within 1e-12 of a row already kept in its run, so first
+    occurrences survive.
+
+    All runs are compared at once, padded to one (G, P, P) distance array.
+    A run with no close pair keeps every row; only runs with one go through
+    the sequential pass, one row position at a time across those runs.
+    """
+    G, P, k = counts.size, int(counts.max(initial=0)), members.shape[1]
+    if P < 2:
+        return None
+    uniform = counts.min() == P
+    if uniform:
+        padded = members.reshape(G, P, k)
+    else:
+        run = np.repeat(np.arange(G), counts)
+        pos = np.arange(members.shape[0]) - starts[run]
+        padded = np.full((G, P, k), np.nan)  # NaN padding is never close
+        padded[run, pos] = members
+    d = padded[:, :, None, :] - padded[:, None, :, :]
+    with np.errstate(over="ignore"):  # a distance that overflows is not close
+        close = np.sqrt((d * d).sum(axis=3)) <= _DEDUP_ATOL
+    close &= np.tri(P, k=-1, dtype=bool)  # close[g, i, j]: row i near an earlier row j
+    busy = np.flatnonzero(close.any(axis=(1, 2)))
+    if not busy.size:
+        return None
+    keep = np.ones((G, P), dtype=bool)
+    near, kept = close[busy], keep[busy]
+    for i in range(1, P):
+        kept[:, i] = ~(near[:, i, :i] & kept[:, :i]).any(axis=1)
+    keep[busy] = kept
+    return keep.reshape(-1) if uniform else keep[run, pos]
+
+
+class EstimateStack:
+    """The estimates of a family of datasets, one per dataset, as arrays.
+
+    ``members`` (M, k) holds the members of every estimate in order, each
+    estimate deduplicated as :class:`EstimateSet` does; estimate j owns the
+    rows from ``starts[j]`` up to the next start, and ``canonical[j]`` is its
+    canonical point, the first kept member when omitted. ``stack[j]`` builds
+    estimate j as an EstimateSet on demand, so only the estimates that are
+    reported pay for objects. Raises what EstimateSet raises: an empty or
+    non-finite estimate is an EstimatorError.
+    """
+
+    __slots__ = ("members", "starts", "canonical")
+
+    def __init__(self, members, starts, canonical=None):
+        m = np.asarray(members, dtype=float)
+        starts = np.asarray(starts, dtype=np.intp)
+        ends = np.empty_like(starts)
+        ends[:-1], ends[-1:] = starts[1:], m.shape[0]
+        counts = ends - starts
+        if starts.size and (starts[0] != 0 or counts.min() <= 0):
+            raise EstimatorError("estimate set must be nonempty")
+        if not np.isfinite(m).all():
+            raise EstimatorError("estimate members must be finite")
+        keep = _kept_rows(m, starts, counts)
+        if keep is not None:
+            m = m[keep]
+            counts = np.add.reduceat(keep, starts)
+            starts = np.cumsum(counts) - counts
+        c = m[starts] if canonical is None else np.asarray(canonical, dtype=float)
+        if c.shape != (starts.size, m.shape[1]):
+            raise EstimatorError("canonical point dimension mismatch")
+        self.members, self.starts, self.canonical = m, starts, c
+
+    @classmethod
+    def pack(cls, estimates) -> "EstimateStack":
+        """The stack of a sequence of EstimateSets, one per dataset."""
+        sizes = [e.size for e in estimates]
+        return cls(
+            np.concatenate([e.members for e in estimates]),
+            np.cumsum(sizes) - sizes,
+            np.array([e.canonical for e in estimates]),
+        )
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, j: int) -> EstimateSet:
+        end = self.starts[j + 1] if j + 1 < len(self) else self.members.shape[0]
+        return EstimateSet(self.members[self.starts[j]:end], self.canonical[j])
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+
 @dataclass(frozen=True)
 class LocationEstimator:
     """Named estimator with a declared equivariance class.
@@ -110,26 +199,32 @@ class LocationEstimator:
     ``evaluate`` must be deterministic given the input dataset and whatever
     seed was frozen into it at construction time.
 
-    ``sweep`` is an optional fast path for the shear attack, which evaluates
-    the estimator on many datasets that differ from a base dataset only in
-    where a shear moved a few rows. ``sweep(X, basis)`` is called once per
-    shear frame of the base data X and returns a function that takes a
-    :class:`~robloc.geometry.ShearFamily` of that frame and returns one
-    EstimateSet per dataset of the family. A hook reads the family's
-    (G, n, k) ``points`` stack directly; building ``family.datasets``
-    costs one DataSet per slope. Each estimate must be exactly what
-    ``evaluate`` returns on that dataset: the same members, in the same
-    order, to the last bit, because certificates built through either path
-    are compared byte for byte. Errors must be the ones ``evaluate`` raises.
-    Without a hook, :meth:`shear_sweep` evaluates each dataset in turn.
+    The attacks evaluate the estimator on many datasets that differ from a
+    base dataset only in a few rows, and take their estimates as one
+    :class:`EstimateStack`. Two optional hooks answer for a whole family:
+
+    * ``stack(points)`` takes a (G, n, k) point stack and returns the
+      stack of the G estimates. It needs nothing of how the rows moved, so
+      both the shear and the cluster attack use it (cmedian).
+    * ``sweep(X, basis)`` is called once per shear frame of the base data X
+      and returns a function that takes a
+      :class:`~robloc.geometry.ShearFamily` of that frame and returns the
+      stack of its estimates, reading the family's ``points`` (mcd).
+
+    Each estimate must be exactly what ``evaluate`` returns on that
+    dataset: the same members, in the same order, to the last bit, because
+    certificates built through either path are compared byte for byte.
+    Errors must be the ones ``evaluate`` raises. Without a hook, the
+    datasets are evaluated one at a time and their estimates packed.
     """
 
     name: str
     equivariance_class: str  # "translation" | "affine"
     evaluate: Callable[[DataSet], EstimateSet] = field(repr=False)
-    sweep: Callable[[DataSet, OrthonormalBasis], Callable[[ShearFamily], list]] | None = field(
-        default=None, repr=False
+    sweep: Callable[[DataSet, OrthonormalBasis], Callable[[ShearFamily], EstimateStack]] | None = (
+        field(default=None, repr=False)
     )
+    stack: Callable[[np.ndarray], EstimateStack] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.equivariance_class not in ("translation", "affine"):
@@ -138,11 +233,13 @@ class LocationEstimator:
     def __call__(self, X: DataSet) -> EstimateSet:
         return self.evaluate(X)
 
-    def shear_sweep(self, X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], list]:
-        """Per-frame evaluator: a shear family to one estimate per dataset."""
-        if self.sweep is None:
-            return lambda family: [self(Xg) for Xg in family.datasets]
-        return self.sweep(X, basis)
+    def shear_sweep(self, X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], EstimateStack]:
+        """Per-frame evaluator: a shear family to the stack of its estimates."""
+        if self.sweep is not None:
+            return self.sweep(X, basis)
+        if self.stack is not None:
+            return lambda family: self.stack(family.points)
+        return lambda family: EstimateStack.pack([self(Xg) for Xg in family.datasets])
 
 
 def coordinatewise_median(X: DataSet) -> EstimateSet:
@@ -156,9 +253,9 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     return _median_boxes(X.points[None])[0]
 
 
-def _median_boxes(stack: np.ndarray) -> list:
+def _median_boxes(stack: np.ndarray) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
-    from one sort of the whole stack."""
+    from one sort of the whole stack: cmedian's ``stack`` hook."""
     ordered = np.sort(stack, axis=1)
     n, k = ordered.shape[1:]
     low, high = ordered[:, (n - 1) // 2], ordered[:, n // 2]  # (G, k)
@@ -167,14 +264,8 @@ def _median_boxes(stack: np.ndarray) -> list:
     corners = np.where(bits, high[:, None, :], low[:, None, :])  # (G, 2^k, k)
     # a coordinate with low == high keeps only the corners that take low
     keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)
-    midpoint = 0.5 * (low + high)
-    return [EstimateSet(c[kept], mid) for c, kept, mid in zip(corners, keep, midpoint)]
-
-
-def coordinatewise_median_sweep(X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], list]:
-    """The coordinatewise median of every dataset of a shear family, from
-    the family's point stack. Needs nothing of the frame."""
-    return lambda family: _median_boxes(family.points)
+    counts = keep.sum(axis=1)
+    return EstimateStack(corners[keep], np.cumsum(counts) - counts, 0.5 * (low + high))
 
 
 def weighted_mean(X: DataSet, weights) -> np.ndarray:
@@ -221,24 +312,33 @@ def _subset_objectives(groups: np.ndarray) -> tuple:
     means = groups.mean(axis=1)  # (S, k)
     centered = groups - means[:, None, :]
     svals = np.linalg.svd(centered, compute_uv=False)  # (S, k), h >= k+1 > k
-    dets = np.prod(svals, axis=1) ** 2 / float(h - 1) ** k
+    # a determinant that overflows is not finite, and the tie rule skips it
+    with np.errstate(over="ignore"):
+        dets = np.prod(svals, axis=1) ** 2 / float(h - 1) ** k
     return means, dets
 
 
-def _mcd_picks(subsets: np.ndarray, means: np.ndarray, dets: np.ndarray, starts) -> list:
+def _mcd_winners(dets: np.ndarray, starts) -> tuple:
     """The MCD tie rule on each run of subsets that begins at ``starts``:
     every nonsingular subset within 1e-9 relative of the run's smallest
-    determinant, in the order given, the first one canonical. Runs must be
-    nonempty."""
+    determinant, in the order given, the first one canonical. Returns the
+    winners' indices, each run's smallest determinant and where each run's
+    winners begin among the winners. Runs must be nonempty."""
     valid = np.isfinite(dets) & (dets > 0.0)
     best = np.minimum.reduceat(np.where(valid, dets, np.inf), starts)
     if not np.all(np.isfinite(best)):
         raise DegenerateSampleError("every coverage subset has singular covariance")
     run_best = np.repeat(best, np.diff(np.append(starts, dets.size)))
     winners = np.flatnonzero(valid & (dets <= run_best + _MCD_TIE_RTOL * run_best))
+    return winners, best, np.searchsorted(winners, starts)
+
+
+def _mcd_picks(subsets: np.ndarray, means: np.ndarray, dets: np.ndarray, starts) -> list:
+    """One :class:`MCDResult` per run of subsets, by :func:`_mcd_winners`."""
+    winners, best, first = _mcd_winners(dets, starts)
     return [
         MCDResult(EstimateSet(means[w]), float(b), tuple(map(tuple, subsets[w].tolist())))
-        for w, b in zip(np.split(winners, np.searchsorted(winners, starts[1:])), best)
+        for w, b in zip(np.split(winners, first[1:]), best)
     ]
 
 
@@ -306,13 +406,14 @@ class MCDShearSweep:
     """Exhaustive MCD over the datasets of shear families of one frame.
 
     Built once per shear frame (base data X and shear basis); called on a
-    :class:`ShearFamily`, it returns for every dataset of the family exactly
-    the estimate :func:`mcd_exhaustive` returns on it, by the quadratic
-    identity and candidate bound described there. When the bound is not
-    finite at some slope of a family, or a candidate is singular, the full
-    :func:`mcd_exhaustive` runs on every dataset of that family instead;
-    ``fallbacks`` counts the slopes of families that fell back whole and
-    ``candidates`` the subsets that went through the SVD.
+    :class:`ShearFamily`, it returns the :class:`EstimateStack` of exactly
+    the estimates :func:`mcd_exhaustive` returns on the datasets of the
+    family, by the quadratic identity and candidate bound described there;
+    :meth:`results` returns the full :class:`MCDResult` of each. When the
+    bound is not finite at some slope of a family, or a candidate is
+    singular, the full :func:`mcd_exhaustive` runs on every dataset of that
+    family instead; ``fallbacks`` counts the slopes of families that fell
+    back whole and ``candidates`` the subsets that went through the SVD.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -378,23 +479,39 @@ class MCDShearSweep:
         high = (vol * (1.0 + tau) + delta) ** 2 * (1.0 + 8 * _EPS)
         return low, high
 
-    def results(self, family: ShearFamily) -> list:
-        """One :class:`MCDResult` per dataset of the family."""
-        low, high = self.bounds(family)
-        if np.isfinite(high).all():
-            cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
-            gi, si = np.nonzero((low <= cutoff).T)
-            self.candidates += int(gi.size)
-            means, dets = _subset_objectives(family.points[gi[:, None], self.subsets[si]])
-            if np.all(np.isfinite(dets) & (dets > 0.0)):
-                # every run is nonempty: the smallest upper bound is a candidate
-                starts = np.searchsorted(gi, np.arange(len(family.slopes)))
-                return _mcd_picks(self.subsets[si], means, dets, starts)
+    def _candidates(self, family: ShearFamily) -> tuple | None:
+        """(subsets, means, determinants, run starts) of the candidates of
+        every slope, one run per slope, or None when the family falls back."""
+        # a bound that overflows is not finite, and the family falls back whole
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, high = self.bounds(family)
+        if not np.isfinite(high).all():
+            return None
+        cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
+        gi, si = np.nonzero((low <= cutoff).T)
+        self.candidates += int(gi.size)
+        means, dets = _subset_objectives(family.points[gi[:, None], self.subsets[si]])
+        if not np.all(np.isfinite(dets) & (dets > 0.0)):
+            return None
+        # every run is nonempty: the smallest upper bound is a candidate
+        return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.slopes)))
+
+    def _fallback(self, family: ShearFamily) -> list:
         self.fallbacks += len(family.slopes)
         return [mcd_exhaustive(DataSet(points), self.h) for points in family.points]
 
-    def __call__(self, family: ShearFamily) -> list:
-        return [r.estimates for r in self.results(family)]
+    def results(self, family: ShearFamily) -> list:
+        """One :class:`MCDResult` per dataset of the family."""
+        found = self._candidates(family)
+        return self._fallback(family) if found is None else _mcd_picks(*found)
+
+    def __call__(self, family: ShearFamily) -> EstimateStack:
+        found = self._candidates(family)
+        if found is None:
+            return EstimateStack.pack([r.estimates for r in self._fallback(family)])
+        _, means, dets, starts = found
+        winners, _, first = _mcd_winners(dets, starts)
+        return EstimateStack(means[winners], first)
 
 
 def _probe_budget(budget: DirectionBudget | None) -> DirectionBudget:
@@ -530,9 +647,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         raise ParameterError(f"estimator {name!r} does not take parameters {sorted(unknown)}")
 
     if name == "cmedian":
-        return LocationEstimator(
-            "cmedian", "translation", coordinatewise_median, sweep=coordinatewise_median_sweep
-        )
+        return LocationEstimator("cmedian", "translation", coordinatewise_median, stack=_median_boxes)
 
     if name == "wmean":
         def _wmean(X: DataSet) -> EstimateSet:

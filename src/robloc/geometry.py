@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataSet, _check_replacement_index, _require_finite
+from .dataset import DataSet, _check_replacement_index
 from .errors import GeneralPositionError, ParameterError
 
 __all__ = [
@@ -466,11 +466,10 @@ class ShearFamily(NamedTuple):
         idx = np.asarray(replaced, dtype=int)
         _check_replacement_index(idx, X.n)
         slopes = tuple(float(g) for g in slopes)
-        points = np.repeat(X.points[None], len(slopes), axis=0)
-        points[:, idx] = apply_shears(X.points[idx], slopes, basis)
-        _require_finite(points)
-        points.setflags(write=False)
-        return cls(tuple(int(i) for i in idx), slopes, points)
+        # an image that overflows is not finite, and replaced_stack rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = apply_shears(X.points[idx], slopes, basis)
+        return cls(tuple(int(i) for i in idx), slopes, X.replaced_stack(idx, images))
 
     @property
     def datasets(self) -> tuple:

@@ -16,7 +16,7 @@ from robloc import (
 )
 from robloc.breakdown import AttackSuite, PartitionRule, SURVIVED_MARKER
 from robloc.errors import GeneralPositionError, ParameterError, RoblocError
-from robloc.estimators import EstimateSet, LocationEstimator
+from robloc.estimators import EstimateSet, EstimateStack, LocationEstimator
 from robloc.geometry import basis_from_normal, check_general_position, shear_transform
 from robloc.metric import estimate_set_distance
 
@@ -37,14 +37,15 @@ def assert_reductions_match_records(trace):
         j, f = divmod(i, F)
         assert (r.requested_parameter, r.parameter) == (trace.parameters[j], trace.used_parameters[j])
         assert (r.family, r.replaced_indices) == (trace.labels[f], trace.replaced[f])
-        assert r.estimate is trace.estimates[f][j]
+        assert np.array_equal(r.estimate.members, trace.estimates[f][j].members)
+        assert np.array_equal(r.estimate.canonical, trace.estimates[f][j].canonical)
     assert trace.diverged == any(r.distance > thr for r in records)
     assert trace.max_distance == max(r.distance for r in records)
     over = [r for r in records if r.distance > thr]
     witness = trace.witness_record
     if over:
         assert witness.to_dict() == over[0].to_dict()
-        assert witness.estimate is over[0].estimate
+        assert np.array_equal(witness.estimate.canonical, over[0].estimate.canonical)
     else:
         assert witness is None
     assert trace.distances_per_parameter() == [
@@ -328,9 +329,9 @@ def test_family_distances_match_one_by_one(k):
     for sizes in ((1,) * 9, (4,) * 9, (1, 4, 2, 1, 3, 4, 1)):
         ests = [EstimateSet(rng.standard_normal((s, k)) * 10.0 ** rng.integers(-3, 9)) for s in sizes]
         assert [e.size for e in ests] == list(sizes)
-        got = _family_distances(ests, baseline)
+        got = _family_distances(EstimateStack.pack(ests), baseline)
         assert got == [estimate_set_distance(e, baseline) for e in ests]
-    assert _family_distances([], baseline) == []
+    assert _family_distances(EstimateStack(np.empty((0, k)), []), baseline) == []
 
 
 # --- cluster attack ------------------------------------------------------------

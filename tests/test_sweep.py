@@ -135,9 +135,9 @@ def test_mcd_sweep_screens_out_most_subsets(demo10):
             self.pairs = 0
             made.append(self)
 
-        def results(self, family):
+        def bounds(self, family):
             self.pairs += len(self.subsets) * len(family.slopes)
-            return super().results(family)
+            return super().bounds(family)
 
     empirical_fsbv(dataclasses.replace(make_estimator("mcd"), sweep=CountingSweep), demo10)
     assert made and sum(s.fallbacks for s in made) == 0
