@@ -95,6 +95,15 @@ def _require_grid(grid, what: str) -> tuple:
     return values
 
 
+def _require_finite_at(slopes, values: np.ndarray, what: str) -> None:
+    """``values`` has one row per slope, computed with overflow warnings
+    off; a slope whose row is not finite is too large to evaluate."""
+    bad = ~np.isfinite(values).reshape(len(slopes), -1).all(axis=1)
+    if bad.any():
+        slope = float(slopes[int(np.argmax(bad))])
+        raise ParameterError(f"slope {slope!r} is too large: {what} overflows")
+
+
 def config_digest(mapping: dict) -> str:
     """Stable short hash over every parameter that affects a result."""
     blob = json.dumps(mapping, sort_keys=True, default=str).encode("utf-8")
@@ -435,7 +444,9 @@ class _ShearPositionScreen:
         g = np.asarray(gammas, dtype=float)[:, None]
         failed = np.full(g.shape[0], -1)  # per slope, its witness subset
         for d1 in d1_list:
-            vals = np.abs(self.d0 + g * d1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.abs(self.d0 + g * d1)
+            _require_finite_at(gammas, vals, "the general-position screen")
             j = np.argmin(vals, axis=1)
             new = (np.take_along_axis(vals, j[:, None], axis=1)[:, 0] <= self.tol) & (failed < 0)
             failed[new] = j[new]
@@ -604,13 +615,10 @@ def _check_preimage_identity(
     )
     travel = gamma * float(np.abs(offsets[list(kept)]).max())
     eps = float(np.finfo(float).eps)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = np.abs(apply_shears(near.points, far.slopes, basis) - far.points).max(axis=(1, 2))
         bound = np.maximum(_IDENTITY_RTOL, 8.0 * eps * gamma) * blown
-    for j in np.flatnonzero(~np.isfinite(diff) | ~np.isfinite(bound))[:1]:
-        raise ParameterError(
-            f"slope {far.slopes[j]!r} is too large: the preimage check of its shear overflows"
-        )
+    _require_finite_at(far.slopes, np.column_stack([diff, bound]), "the preimage check")
     travels = travel > _IDENTITY_RTOL * blown
     for j in np.flatnonzero(travels | (diff > bound))[:1]:
         if travels[j]:

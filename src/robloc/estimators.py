@@ -173,13 +173,14 @@ class EstimateStack:
 
     @classmethod
     def pack(cls, estimates) -> "EstimateStack":
-        """The stack of a sequence of EstimateSets, one per dataset."""
+        """The stack of a nonempty sequence of EstimateSets, one per
+        dataset; they are validated and deduplicated already."""
+        stack = cls.__new__(cls)
         sizes = [e.size for e in estimates]
-        return cls(
-            np.concatenate([e.members for e in estimates]),
-            np.cumsum(sizes) - sizes,
-            np.array([e.canonical for e in estimates]),
-        )
+        stack.members = np.concatenate([e.members for e in estimates])
+        stack.starts = np.cumsum(sizes) - sizes
+        stack.canonical = np.array([e.canonical for e in estimates])
+        return stack
 
     def __len__(self) -> int:
         return self.starts.size

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 
 from robloc import (
     DataSet,
+    bundled_dataset,
     empirical_fsbv,
     make_estimator,
     mcd_exhaustive,
     pm_counterexample,
+    random_gp_dataset,
     shear_attack,
     theoretical_bounds,
     translation_cluster_attack,
@@ -415,6 +418,32 @@ def test_cluster_attack_matches_per_radius_construction(demo10):
         est = T(demo10.with_replaced(trace.replaced[0], theta + R * u + jitter))
         assert np.array_equal(trace.estimates[0][j].members, est.members)
         assert trace.distances[j, 0] == estimate_set_distance(est, baseline)
+
+
+@pytest.mark.parametrize("make", [lambda: bundled_dataset("demo10_2d"), lambda: random_gp_dataset(9, 3, 7)])
+def test_cmedian_cluster_stack_matches_per_radius_evaluation(make):
+    # the stack hook sees all radii at once; each estimate must be the one
+    # evaluate gives on that radius's dataset, to the bit
+    X = make()
+    T = make_estimator("cmedian")
+    assert T.stack is not None
+    radii = (7.3, 1234.567, 9.87e6, 3.3e8, 0.1)
+    theta = T(X).canonical
+    for m in (0, 1, X.n // 2, X.n // 2 + 1, X.n):
+        for u in np.vstack([np.eye(X.k), -np.eye(X.k)]):
+            trace = translation_cluster_attack(T, X, m, radius_grid=radii, direction=u)
+            copies = np.arange(m)
+            for j, R in enumerate(radii):
+                jitter = np.zeros((m, X.k))
+                jitter[copies, copies % X.k] = 1e-6 * R * (copies + 1)
+                want = T.evaluate(X.with_replaced(trace.replaced[0], theta + R * u + jitter))
+                got = trace.estimates[0][j]
+                assert np.array_equal(got.members, want.members)
+                assert np.array_equal(got.canonical, want.canonical)
+            per_radius = translation_cluster_attack(
+                dataclasses.replace(T, stack=None), X, m, radius_grid=radii, direction=u
+            )
+            assert json.dumps(trace.to_dict()) == json.dumps(per_radius.to_dict())
 
 
 # --- empirical fsbv --------------------------------------------------------------

@@ -18,7 +18,7 @@ from robloc import (
     weighted_mean,
 )
 from robloc.errors import DegenerateSampleError, EstimatorError, ParameterError
-from robloc.estimators import EstimateSet, _mcd_picks, default_mcd_coverage
+from robloc.estimators import EstimateSet, EstimateStack, _mcd_picks, default_mcd_coverage
 
 
 def mcd_oracle(X, coverage):
@@ -43,6 +43,61 @@ def test_estimate_set_dedup_and_canonical():
     s = EstimateSet(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]))
     assert s.size == 2
     assert np.array_equal(s.canonical, [1.0, 2.0])
+
+
+def dedup_oracle(rows):
+    """The dedup rule one row at a time: keep a row unless it lies within
+    1e-12 of a row already kept."""
+    kept = []
+    for row in rows:
+        if not any(np.sqrt(((row - r) ** 2).sum()) <= 1e-12 for r in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+# steps of 0.6e-12 along one axis: neighbours are within 1e-12 of each
+# other, rows two steps apart are not, so the rule is not transitive
+STEP = 0.6e-12
+
+
+@st.composite
+def dedup_runs(draw):
+    k = draw(st.integers(1, 3))
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        base = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+        run = []
+        for _ in range(draw(st.integers(1, 7))):
+            row = base.copy()
+            if draw(st.booleans()):
+                row[draw(st.integers(0, k - 1))] += STEP * draw(st.integers(0, 4))
+            else:
+                row += draw(st.sampled_from([1.0, -2.5]))
+            run.append(row)
+        runs.append(run)
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(dedup_runs())
+@example([[np.array([1.0, 1.0])] * 3, [np.array([0.0, 2 * STEP]), np.array([0.0, STEP]), np.array([0.0, 0.0])]])
+def test_stack_dedup_matches_the_rule_row_by_row(runs):
+    counts = [len(run) for run in runs]
+    stack = EstimateStack(np.vstack([np.vstack(run) for run in runs]), np.cumsum(counts) - counts)
+    assert len(stack) == len(runs)
+    for j, run in enumerate(runs):
+        want = dedup_oracle(run)
+        for got in (stack[j], EstimateSet(np.vstack(run))):
+            assert np.array_equal(got.members, want)
+            assert np.array_equal(got.canonical, want[0])
+
+
+def test_stack_dedup_keeps_both_ends_of_a_chain():
+    # a ~ b and b ~ c but not a ~ c: b goes, c stays, in either order
+    a, b, c = np.array([[0.0], [STEP], [2 * STEP]])
+    stack = EstimateStack(np.array([a, b, c, c, b, a]), [0, 3])
+    assert np.array_equal(stack[0].members, [a, c])
+    assert np.array_equal(stack[1].members, [c, a])
 
 
 def test_estimate_set_rejects_empty():

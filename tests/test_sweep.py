@@ -32,8 +32,8 @@ from robloc.univariate import univariate_median
 
 
 def generic(T):
-    """The same estimator without its sweep hook: one evaluate per dataset."""
-    return dataclasses.replace(T, sweep=None)
+    """The same estimator without its hooks: one evaluate per dataset."""
+    return dataclasses.replace(T, sweep=None, stack=None)
 
 
 def outcome(run, *args, **kwargs):
