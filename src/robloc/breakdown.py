@@ -98,8 +98,8 @@ def _require_grid(grid, what: str) -> tuple:
 def _require_finite_at(slopes, values: np.ndarray, what: str) -> None:
     """``values`` has one row per slope, computed with overflow warnings
     off; a slope whose row is not finite is too large to evaluate."""
-    bad = ~np.isfinite(values).reshape(len(slopes), -1).all(axis=1)
-    if bad.any():
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values).reshape(len(slopes), -1).all(axis=1)
         slope = float(slopes[int(np.argmax(bad))])
         raise ParameterError(f"slope {slope!r} is too large: {what} overflows")
 

@@ -143,15 +143,14 @@ class OutlyingnessEvaluator:
             self.directions = dirs
         proj = X.points @ self.directions.T  # (n, D)
         n = X.n
-        # partitioning puts each requested order statistic exactly where a
-        # full sort would, at a fraction of its cost
+        s = np.sort(proj, axis=0)
         if n % 2 == 1:
-            self._med = np.partition(proj, n // 2, axis=0)[n // 2].copy()
+            self._med = s[n // 2].copy()
         else:
-            s = np.partition(proj, (n // 2 - 1, n // 2), axis=0)
             self._med = 0.5 * (s[n // 2 - 1] + s[n // 2])
+        devs = np.sort(np.abs(proj - self._med), axis=0)
         rank = min(-(-(n + self.scale_shift + 1) // 2), n)
-        self._mad = np.partition(np.abs(proj - self._med), rank - 1, axis=0)[rank - 1].copy()
+        self._mad = devs[rank - 1].copy()
 
     def __call__(self, x) -> float:
         return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])

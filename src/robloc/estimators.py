@@ -11,7 +11,7 @@ The estimates of a whole family of datasets travel as one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable
 
@@ -45,6 +45,8 @@ __all__ = [
 
 # Members closer than this (Euclidean) are collapsed into one.
 _DEDUP_ATOL = 1e-12
+# The run starts of a single estimate's members.
+_ONE_RUN = np.zeros(1, dtype=np.intp)
 
 # Exhaustive MCD refuses to enumerate more subsets than this.
 _MCD_SUBSET_BUDGET = 10_000_000
@@ -81,7 +83,7 @@ class EstimateSet:
             raise EstimatorError("estimate set must be nonempty")
         if not np.all(np.isfinite(m)):
             raise EstimatorError("estimate members must be finite")
-        keep = _kept_rows(m, np.zeros(1, dtype=np.intp), np.array([m.shape[0]]))
+        keep = _kept_rows(m, _ONE_RUN, np.array([m.shape[0]])) if m.shape[0] > 1 else None
         m = m.copy() if keep is None else m[keep]
         c = m[0] if self.canonical is None else np.asarray(self.canonical, dtype=float).reshape(-1)
         if c.size != m.shape[1]:
@@ -124,14 +126,13 @@ def _kept_rows(members: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
         padded[run, pos] = members
     d = padded[:, :, None, :] - padded[:, None, :, :]
     with np.errstate(over="ignore"):  # a distance that overflows is not close
-        close = np.sqrt((d * d).sum(axis=3)) <= _DEDUP_ATOL
-    close &= np.tri(P, k=-1, dtype=bool)  # close[g, i, j]: row i near an earlier row j
-    busy = np.flatnonzero(close.any(axis=(1, 2)))
+        close = np.sqrt((d * d).sum(axis=3)) <= _DEDUP_ATOL  # symmetric, diagonal set
+    busy = np.flatnonzero(close.sum(axis=(1, 2)) > counts)  # a close pair off the diagonal
     if not busy.size:
         return None
     keep = np.ones((G, P), dtype=bool)
     near, kept = close[busy], keep[busy]
-    for i in range(1, P):
+    for i in range(1, P):  # row i against the rows kept before it
         kept[:, i] = ~(near[:, i, :i] & kept[:, :i]).any(axis=1)
     keep[busy] = kept
     return keep.reshape(-1) if uniform else keep[run, pos]
@@ -254,14 +255,22 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     return _median_boxes(X.points[None])[0]
 
 
+@lru_cache(maxsize=None)
+def _corner_bits(k: int) -> np.ndarray:
+    """(2^k, k) read-only: corner c takes high on coordinate j where bit
+    k-1-j of c is set, so corners come in ``itertools.product`` order."""
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+    bits.flags.writeable = False
+    return bits
+
+
 def _median_boxes(stack: np.ndarray) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
     from one sort of the whole stack: cmedian's ``stack`` hook."""
     ordered = np.sort(stack, axis=1)
     n, k = ordered.shape[1:]
     low, high = ordered[:, (n - 1) // 2], ordered[:, n // 2]  # (G, k)
-    # corner c takes high on coordinate j where bit k-1-j of c is set
-    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1  # (2^k, k)
+    bits = _corner_bits(k)
     corners = np.where(bits, high[:, None, :], low[:, None, :])  # (G, 2^k, k)
     # a coordinate with low == high keeps only the corners that take low
     keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)

@@ -141,23 +141,6 @@ def test_batch_matches_reference_formula(case):
     assert np.array_equal(ev.batch(xs), expected)
 
 
-@settings(max_examples=100, deadline=None)
-@given(kernel_cases())
-def test_order_statistics_equal_the_sorted_ones(case):
-    # the evaluator's median and MAD rows are the full-sort order
-    # statistics to the bit, for odd and even n and every valid shift
-    X, _, dirs, _ = case
-    n = X.n
-    proj = X.points @ dirs.T
-    s = np.sort(proj, axis=0)
-    med = s[n // 2] if n % 2 == 1 else 0.5 * (s[n // 2 - 1] + s[n // 2])
-    devs = np.sort(np.abs(proj - med), axis=0)
-    for shift in range(n):
-        ev = OutlyingnessEvaluator(X, shift, directions=dirs)
-        assert np.array_equal(ev._med, med)
-        assert np.array_equal(ev._mad, devs[min(-(-(n + shift + 1) // 2), n) - 1])
-
-
 def test_direction_set_random_block_is_fresh_each_call(demo10):
     # random block only: the returned array must still not be the cached one
     b = DirectionBudget(300, False, seed=21)
