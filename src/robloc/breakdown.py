@@ -95,13 +95,14 @@ def _require_grid(grid, what: str) -> tuple:
     return values
 
 
-def _require_finite_at(slopes, values: np.ndarray, what: str) -> None:
-    """``values`` has one row per slope, computed with overflow warnings
-    off; a slope whose row is not finite is too large to evaluate."""
+def _require_finite_at(grid, values: np.ndarray, what: str, kind: str = "slope") -> None:
+    """``values`` has one row per grid value, computed with overflow
+    warnings off; a grid value whose row is not finite is too large to
+    evaluate."""
     if not np.isfinite(values).all():
-        bad = ~np.isfinite(values).reshape(len(slopes), -1).all(axis=1)
-        slope = float(slopes[int(np.argmax(bad))])
-        raise ParameterError(f"slope {slope!r} is too large: {what} overflows")
+        bad = ~np.isfinite(values).reshape(len(grid), -1).all(axis=1)
+        value = float(grid[int(np.argmax(bad))])
+        raise ParameterError(f"{kind} {value!r} is too large: {what} overflows")
 
 
 def config_digest(mapping: dict) -> str:
@@ -509,8 +510,12 @@ def _attack_trace(
     columns: list, baseline: EstimateSet, threshold: float, details: dict,
 ) -> AttackTrace:
     """The trace of one attack from its (label, replaced, estimates)
-    columns, with the distances of every column to the baseline."""
+    columns, with the distances of every column to the baseline. A grid
+    value whose distance overflows is a ParameterError."""
     labels, replaced, estimates = zip(*columns)
+    with np.errstate(over="ignore"):
+        distances = np.column_stack([_family_distances(e, baseline) for e in estimates])
+    _require_finite_at(used, distances, "its distance", "slope" if family == "shear" else "radius")
     return AttackTrace(
         family=family,
         estimator=T.name,
@@ -523,7 +528,7 @@ def _attack_trace(
         labels=labels,
         replaced=replaced,
         estimates=estimates,
-        distances=np.column_stack([_family_distances(e, baseline) for e in estimates]),
+        distances=distances,
         divergence_threshold=threshold,
         details=details,
     )

@@ -139,19 +139,24 @@ def test_non_finite_parameter_exits_4(runner, demo10_csv, args, message):
     assert result.stderr.splitlines() == [f"error: {message}"]
 
 
-def test_slopes_beyond_the_numerics_warn_nothing(runner, demo10_csv):
+def test_grid_values_beyond_the_numerics_warn_nothing(runner, demo10_csv):
     # mcd's bound and determinants overflow at 1e100, where the family falls
-    # back whole; at 1e300 the preimage check cannot be evaluated at all
+    # back whole; at 1e300 the preimage check and the cluster's distance
+    # cannot be evaluated at all
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mcd = runner.invoke(main, ["attack", demo10_csv, "-e", "mcd", "--gamma-grid", "1e100"])
-        cmedian = runner.invoke(main, ["attack", demo10_csv, "-e", "cmedian", "--gamma-grid", "1e300"])
+        shear = runner.invoke(main, ["attack", demo10_csv, "-e", "cmedian", "--gamma-grid", "1e300"])
+        cluster = runner.invoke(main, ["attack", demo10_csv, "-e", "cmedian", "--family", "cluster",
+                                       "--m", "6", "--radius-grid", "1e300"])
     assert mcd.exit_code == 0
     assert mcd.stderr == ""
     assert json.loads(mcd.stdout)["grid"] == [1e100]
-    assert cmedian.exit_code == 4
-    assert cmedian.stdout == ""
-    assert cmedian.stderr.splitlines() == ["error: slope 1e+300 is too large: the preimage check overflows"]
+    for result, message in ((shear, "slope 1e+300 is too large: the preimage check overflows"),
+                            (cluster, "radius 1e+300 is too large: its distance overflows")):
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("args, message", [
