@@ -28,7 +28,10 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload,seed", sorted(DIGESTS))
+# seed 1 keeps the ids it was first pinned under
+@pytest.mark.parametrize(
+    "workload, seed", [pytest.param(w, s, id=w if s == 1 else f"{w}-{s}") for w, s in sorted(DIGESTS)]
+)
 def test_certify_pass_emits_pinned_bytes(workload, seed, monkeypatch):
     workloads = load_bench_module("workloads", monkeypatch)
     emit = workloads.emit_fsbv
