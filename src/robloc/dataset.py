@@ -99,10 +99,9 @@ def _require_finite(points: np.ndarray) -> None:
 
 def _check_replacement_index(idx: np.ndarray, n: int) -> None:
     """Replacement rows must be distinct indices into an n-point set."""
-    rows = idx.tolist()
-    if len(set(rows)) != len(rows):
+    if len(set(idx.tolist())) != len(idx):
         raise ParameterError("replacement indices must be distinct")
-    if rows and (min(rows) < 0 or max(rows) >= n):
+    if np.any(idx < 0) or np.any(idx >= n):
         raise ParameterError("replacement index out of range")
 
 

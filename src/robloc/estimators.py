@@ -11,7 +11,7 @@ The estimates of a whole family of datasets travel as one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from typing import Callable
 
@@ -45,8 +45,9 @@ __all__ = [
 
 # Members closer than this (Euclidean) are collapsed into one.
 _DEDUP_ATOL = 1e-12
-# The run starts of a single estimate's members.
-_ONE_RUN = np.zeros(1, dtype=np.intp)
+# The dedup screens all pairs of all runs at once while that (G, P, P, k)
+# difference array has at most this many entries.
+_DEDUP_PAIR_BUDGET = 1 << 18
 
 # Exhaustive MCD refuses to enumerate more subsets than this.
 _MCD_SUBSET_BUDGET = 10_000_000
@@ -83,7 +84,7 @@ class EstimateSet:
             raise EstimatorError("estimate set must be nonempty")
         if not np.all(np.isfinite(m)):
             raise EstimatorError("estimate members must be finite")
-        keep = _kept_rows(m, _ONE_RUN, np.array([m.shape[0]])) if m.shape[0] > 1 else None
+        keep = _kept_rows(m, np.zeros(1, dtype=np.intp), np.array([m.shape[0]]))
         m = m.copy() if keep is None else m[keep]
         c = m[0] if self.canonical is None else np.asarray(self.canonical, dtype=float).reshape(-1)
         if c.size != m.shape[1]:
@@ -109,33 +110,44 @@ def _kept_rows(members: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
     when it lies within 1e-12 of a row already kept in its run, so first
     occurrences survive.
 
-    All runs are compared at once, padded to one (G, P, P) distance array.
-    A run with no close pair keeps every row; only runs with one go through
-    the sequential pass, one row position at a time across those runs.
+    A run is walked kept row by kept row, each dropping every later row of
+    its run within 1e-12 of it, so a long run of equal rows (tied MCD
+    subsets sharing a mean) takes one step. While all pairs of all runs fit
+    in one padded (G, P, P) closeness array, that array screens the runs,
+    only runs with a close pair are walked, and the walk reads it; beyond
+    that, each step computes its distances, in memory linear in the run.
     """
     G, P, k = counts.size, int(counts.max(initial=0)), members.shape[1]
     if P < 2:
         return None
-    uniform = counts.min() == P
-    if uniform:
-        padded = members.reshape(G, P, k)
-    else:
-        run = np.repeat(np.arange(G), counts)
-        pos = np.arange(members.shape[0]) - starts[run]
-        padded = np.full((G, P, k), np.nan)  # NaN padding is never close
-        padded[run, pos] = members
-    d = padded[:, :, None, :] - padded[:, None, :, :]
+    close, runs = None, range(G)
     with np.errstate(over="ignore"):  # a distance that overflows is not close
-        close = np.sqrt((d * d).sum(axis=3)) <= _DEDUP_ATOL  # symmetric, diagonal set
-    busy = np.flatnonzero(close.sum(axis=(1, 2)) > counts)  # a close pair off the diagonal
-    if not busy.size:
-        return None
-    keep = np.ones((G, P), dtype=bool)
-    near, kept = close[busy], keep[busy]
-    for i in range(1, P):  # row i against the rows kept before it
-        kept[:, i] = ~(near[:, i, :i] & kept[:, :i]).any(axis=1)
-    keep[busy] = kept
-    return keep.reshape(-1) if uniform else keep[run, pos]
+        if G * P * P * k <= _DEDUP_PAIR_BUDGET:
+            if counts.min() == P:
+                padded = members.reshape(G, P, k)
+            else:
+                run = np.repeat(np.arange(G), counts)
+                padded = np.full((G, P, k), np.nan)  # NaN padding is never close
+                padded[run, np.arange(members.shape[0]) - starts[run]] = members
+            d = padded[:, :, None, :] - padded[:, None, :, :]
+            close = np.sqrt((d * d).sum(axis=3)) <= _DEDUP_ATOL  # diagonal set
+            runs = np.flatnonzero(close.sum(axis=(1, 2)) > counts).tolist()  # a close pair
+            if not runs:
+                return None
+        keep = np.ones(members.shape[0], dtype=bool)
+        for g in runs:
+            start, count = int(starts[g]), int(counts[g])
+            kept = keep[start:start + count]
+            i = 0
+            while i < count - 1:
+                if close is None:
+                    d = members[start + i + 1:start + count] - members[start + i]
+                    kept[i + 1:] &= np.sqrt((d * d).sum(axis=1)) > _DEDUP_ATOL
+                else:
+                    kept[i + 1:] &= ~close[g, i, i + 1:count]
+                later = np.flatnonzero(kept[i + 1:])
+                i = i + 1 + int(later[0]) if later.size else count
+    return None if keep.all() else keep
 
 
 class EstimateStack:
@@ -187,8 +199,17 @@ class EstimateStack:
         return self.starts.size
 
     def __getitem__(self, j: int) -> EstimateSet:
+        j = range(len(self))[j]
         end = self.starts[j + 1] if j + 1 < len(self) else self.members.shape[0]
-        return EstimateSet(self.members[self.starts[j]:end], self.canonical[j])
+        # the stack's rows are validated and deduplicated already; building
+        # the set through its constructor would repeat both
+        rows = self.members[self.starts[j]:end]
+        est = object.__new__(EstimateSet)
+        for name, value in (("members", rows), ("canonical", self.canonical[j])):
+            value = value.copy()
+            value.setflags(write=False)
+            object.__setattr__(est, name, value)
+        return est
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
@@ -255,22 +276,13 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     return _median_boxes(X.points[None])[0]
 
 
-@lru_cache(maxsize=None)
-def _corner_bits(k: int) -> np.ndarray:
-    """(2^k, k) read-only: corner c takes high on coordinate j where bit
-    k-1-j of c is set, so corners come in ``itertools.product`` order."""
-    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
-    bits.flags.writeable = False
-    return bits
-
-
 def _median_boxes(stack: np.ndarray) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
     from one sort of the whole stack: cmedian's ``stack`` hook."""
     ordered = np.sort(stack, axis=1)
     n, k = ordered.shape[1:]
     low, high = ordered[:, (n - 1) // 2], ordered[:, n // 2]  # (G, k)
-    bits = _corner_bits(k)
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1  # (2^k, k)
     corners = np.where(bits, high[:, None, :], low[:, None, :])  # (G, 2^k, k)
     # a coordinate with low == high keeps only the corners that take low
     keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)
@@ -418,12 +430,12 @@ class MCDShearSweep:
     Built once per shear frame (base data X and shear basis); called on a
     :class:`ShearFamily`, it returns the :class:`EstimateStack` of exactly
     the estimates :func:`mcd_exhaustive` returns on the datasets of the
-    family, by the quadratic identity and candidate bound described there;
-    :meth:`results` returns the full :class:`MCDResult` of each. When the
-    bound is not finite at some slope of a family, or a candidate is
-    singular, the full :func:`mcd_exhaustive` runs on every dataset of that
-    family instead; ``fallbacks`` counts the slopes of families that fell
-    back whole and ``candidates`` the subsets that went through the SVD.
+    family, by the quadratic identity and candidate bound described there.
+    When the bound is not finite at some slope of a family, or a candidate
+    is singular, the full :func:`mcd_exhaustive` runs on every dataset of
+    that family instead; ``fallbacks`` counts the slopes of families that
+    fell back whole and ``candidates`` the subsets that went through the
+    SVD.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -506,19 +518,13 @@ class MCDShearSweep:
         # every run is nonempty: the smallest upper bound is a candidate
         return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.slopes)))
 
-    def _fallback(self, family: ShearFamily) -> list:
-        self.fallbacks += len(family.slopes)
-        return [mcd_exhaustive(DataSet(points), self.h) for points in family.points]
-
-    def results(self, family: ShearFamily) -> list:
-        """One :class:`MCDResult` per dataset of the family."""
-        found = self._candidates(family)
-        return self._fallback(family) if found is None else _mcd_picks(*found)
-
     def __call__(self, family: ShearFamily) -> EstimateStack:
         found = self._candidates(family)
         if found is None:
-            return EstimateStack.pack([r.estimates for r in self._fallback(family)])
+            self.fallbacks += len(family.slopes)
+            return EstimateStack.pack(
+                [mcd_exhaustive(DataSet(points), self.h).estimates for points in family.points]
+            )
         _, means, dets, starts = found
         winners, _, first = _mcd_winners(dets, starts)
         return EstimateStack(means[winners], first)

@@ -1,4 +1,6 @@
+import tracemalloc
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,12 @@ from robloc import (
     weighted_mean,
 )
 from robloc.errors import DegenerateSampleError, EstimatorError, ParameterError
-from robloc.estimators import EstimateSet, EstimateStack, _mcd_picks, default_mcd_coverage
+from robloc.estimators import (
+    EstimateSet,
+    EstimateStack,
+    _mcd_picks,
+    default_mcd_coverage,
+)
 
 
 def mcd_oracle(X, coverage):
@@ -82,14 +89,20 @@ def dedup_runs(draw):
 @given(dedup_runs())
 @example([[np.array([1.0, 1.0])] * 3, [np.array([0.0, 2 * STEP]), np.array([0.0, STEP]), np.array([0.0, 0.0])]])
 def test_stack_dedup_matches_the_rule_row_by_row(runs):
-    counts = [len(run) for run in runs]
-    stack = EstimateStack(np.vstack([np.vstack(run) for run in runs]), np.cumsum(counts) - counts)
+    counts = np.array([len(run) for run in runs])
+    members = np.vstack([np.vstack(run) for run in runs])
+    stack = EstimateStack(members, np.cumsum(counts) - counts)
     assert len(stack) == len(runs)
     for j, run in enumerate(runs):
         want = dedup_oracle(run)
         for got in (stack[j], EstimateSet(np.vstack(run))):
             assert np.array_equal(got.members, want)
             assert np.array_equal(got.canonical, want[0])
+    # the walk alone, as runs too long for the pairwise screen take it
+    with mock.patch("robloc.estimators._DEDUP_PAIR_BUDGET", 0):
+        walked = EstimateStack(members, np.cumsum(counts) - counts)
+    assert np.array_equal(walked.members, stack.members)
+    assert np.array_equal(walked.starts, stack.starts)
 
 
 def test_stack_dedup_keeps_both_ends_of_a_chain():
@@ -98,6 +111,31 @@ def test_stack_dedup_keeps_both_ends_of_a_chain():
     stack = EstimateStack(np.array([a, b, c, c, b, a]), [0, 3])
     assert np.array_equal(stack[0].members, [a, c])
     assert np.array_equal(stack[1].members, [c, a])
+
+
+def test_stack_indexes_from_the_end():
+    stack = EstimateStack(np.array([[0.0], [1.0], [2.0]]), [0, 1])
+    assert np.array_equal(stack[-1].members, [[1.0], [2.0]])
+    assert np.array_equal(stack[-2].members, [[0.0]])
+    for j in (2, -3):
+        with pytest.raises(IndexError):
+            stack[j]
+
+
+def test_mcd_dedups_many_tied_winners_in_linear_memory():
+    # 12 zeros and 4 fives, h = 9: every subset of 8 zeros and one five
+    # ties, C(12, 8) * 4 = 1,980 winners that all share the mean 5/9
+    X = DataSet(np.repeat([0.0, 5.0], [12, 4]))
+    tracemalloc.start()
+    try:
+        result = mcd_exhaustive(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.optimal_subsets) == 1980
+    assert np.array_equal(result.estimates.members, [[5.0 / 9.0]])
+    # comparing every pair of winners at once takes 31 MB per temporary
+    assert peak < 8e6
 
 
 def test_estimate_set_rejects_empty():

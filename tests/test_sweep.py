@@ -23,6 +23,7 @@ from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
     MCDShearSweep,
+    _mcd_picks,
     coordinatewise_median,
     default_mcd_coverage,
     mcd_exhaustive,
@@ -34,6 +35,11 @@ from robloc.univariate import univariate_median
 def generic(T):
     """The same estimator without its hooks: one evaluate per dataset."""
     return dataclasses.replace(T, sweep=None, stack=None)
+
+
+def assert_same_estimate(got, want):
+    assert np.array_equal(got.members, want.members)
+    assert np.array_equal(got.canonical, want.canonical)
 
 
 def outcome(run, *args, **kwargs):
@@ -100,11 +106,13 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
             if abs(slopes[j]) <= 1e3:
                 # tight at moderate slopes: the quadratic identity is exact
                 assert np.all(high[:, j] - low[:, j] <= 1e-6 * high[:, j])
-        for got, Xg in zip(sweep.results(family), family.datasets):
+        picks = _mcd_picks(*sweep._candidates(family))
+        stack = sweep(family)
+        for j, Xg in enumerate(family.datasets):
             want = mcd_exhaustive(Xg)
-            assert got.optimal_subsets == want.optimal_subsets
-            assert got.objective == want.objective
-            assert np.array_equal(got.estimates.members, want.estimates.members)
+            assert picks[j].optimal_subsets == want.optimal_subsets
+            assert picks[j].objective == want.objective
+            assert_same_estimate(stack[j], want.estimates)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # slope 1e100 overflows on purpose
@@ -118,12 +126,10 @@ def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
     family = ShearFamily.of(X, basis, replaced, (0.1, 10.0, 1e100))
     _, high = sweep.bounds(family)
     assert not np.isfinite(high).all()
-    for got, Xg in zip(sweep.results(family), family.datasets):
-        want = mcd_exhaustive(Xg)
-        assert got.optimal_subsets == want.optimal_subsets
-        assert got.objective == want.objective
-        assert np.array_equal(got.estimates.members, want.estimates.members)
-    assert sweep.fallbacks > 0
+    stack = sweep(family)
+    assert sweep.fallbacks == len(family.slopes)
+    for j, Xg in enumerate(family.datasets):
+        assert_same_estimate(stack[j], mcd_exhaustive(Xg).estimates)
 
 
 def test_mcd_sweep_screens_out_most_subsets(demo10):
