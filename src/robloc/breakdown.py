@@ -37,7 +37,7 @@ from .estimators import EstimateSet, EstimateStack, LocationEstimator
 from .geometry import (
     GP_RTOL,
     Facet,
-    ShearFamily,
+    ReplacementFamily,
     apply_shears,
     basis_from_normal,
     check_general_position,
@@ -461,14 +461,14 @@ def _prepare_frame(
 ) -> tuple:
     """Invariants of one shear frame, shared by every (m, rule) sweep of it:
     (basis, screen row determinants, normal offsets, rankings, estimator
-    sweep)."""
+    evaluator)."""
     basis = basis_from_normal(frame.normal, frame.origin)
     return (
         basis,
         screen.row_replacements(basis.e(2)),
         X.points @ frame.normal - frame.level,
         _rankings(X, frame),
-        T.shear_sweep(X, basis),
+        T.evaluator(X, basis),
     )
 
 
@@ -562,10 +562,10 @@ def _run_shear_sweep(
 
     requested = [float(gamma) for gamma in gamma_grid]
     used = _screened_grid(screen, requested, d1_list)
-    families = [("shear_replace_far", ShearFamily.of(X, basis, b_idx, used))]
+    families = [("shear_replace_far", _shear_family(X, basis, b_idx, used))]
     if include_preimage_family:
-        near = ShearFamily.of(X, basis, a_idx, [-g for g in used])
-        _check_preimage_identity(families[0][1], near, basis, offsets, frame.kept)
+        near = _shear_family(X, basis, a_idx, [-g for g in used])
+        _check_preimage_identity(families[0][1], near, offsets, frame.kept)
         families.append(("shear_replace_near", near))
     columns = [(label, family.replaced, estimate(family)) for label, family in families]
     details = {
@@ -585,12 +585,16 @@ def _run_shear_sweep(
     )
 
 
+def _shear_family(X: DataSet, basis, replaced, slopes) -> ReplacementFamily:
+    """X with rows ``replaced`` moved by the shear of each slope, as one family."""
+    # an image that overflows is not finite, and the family rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = apply_shears(X.points[list(replaced)], slopes, basis)
+    return ReplacementFamily.of(X, replaced, slopes, images, basis)
+
+
 def _check_preimage_identity(
-    far: ShearFamily,
-    near: ShearFamily,
-    basis,
-    offsets: np.ndarray,
-    kept,
+    far: ReplacementFamily, near: ReplacementFamily, offsets: np.ndarray, kept
 ) -> None:
     """Every far-replacement dataset must be the shear image of the
     near-replacement dataset of the same slope, row for row. Checked on the
@@ -610,20 +614,20 @@ def _check_preimage_identity(
     exceeds 1e-9 relative once gamma is beyond about 1e6. A slope so large
     that the check itself overflows is a ParameterError.
     """
-    e1, e2 = basis.e(1), basis.e(2)
+    e1, e2 = far.basis.e(1), far.basis.e(2)
     orth = abs(float(e1 @ e2))
     if orth > 1e-12:
         raise RoblocError(f"shear basis lost orthogonality: |e1.e2| = {orth:.3e}")
-    gamma = np.abs(np.asarray(far.slopes, dtype=float))
+    gamma = np.abs(np.asarray(far.parameters, dtype=float))
     blown = np.maximum(
         1.0, np.maximum(np.abs(far.points).max(axis=(1, 2)), np.abs(near.points).max(axis=(1, 2)))
     )
     travel = gamma * float(np.abs(offsets[list(kept)]).max())
     eps = float(np.finfo(float).eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(apply_shears(near.points, far.slopes, basis) - far.points).max(axis=(1, 2))
+        diff = np.abs(apply_shears(near.points, far.parameters, far.basis) - far.points).max(axis=(1, 2))
         bound = np.maximum(_IDENTITY_RTOL, 8.0 * eps * gamma) * blown
-    _require_finite_at(far.slopes, np.column_stack([diff, bound]), "the preimage check")
+    _require_finite_at(far.parameters, np.column_stack([diff, bound]), "the preimage check")
     travels = travel > _IDENTITY_RTOL * blown
     for j in np.flatnonzero(travels | (diff > bound))[:1]:
         if travels[j]:
@@ -732,31 +736,24 @@ def _cluster_attack(
     threshold: float,
 ) -> AttackTrace:
     """:func:`translation_cluster_attack` along the unit direction u, given
-    ``baseline = T(X)``: all G clusters in one (G, m, k) broadcast. An
-    estimator with a ``stack`` hook gets all G datasets as one (G, n, k)
-    stack, checked as ``X.with_replaced`` checks each; any other is
-    evaluated radius by radius."""
+    ``baseline = T(X)``: all G clusters in one (G, m, k) broadcast, and
+    their datasets as one family for the estimator's evaluator."""
     theta = baseline.canonical
     order = np.lexsort((np.arange(X.n), -(X.points @ u)))
-    replaced = tuple(int(i) for i in np.sort(order[:m]))
-    radii = [float(r) for r in radius_grid]
-    R = np.array(radii)
+    R = np.array(radius_grid, dtype=float)
     copies = np.arange(m)
     jitter = np.zeros((R.size, m, X.k))
     jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
     clusters = (theta + R[:, None] * u)[:, None, :] + jitter
-    if T.stack is None:
-        ests = EstimateStack.pack([T(X.with_replaced(replaced, cluster)) for cluster in clusters])
-    else:
-        ests = T.stack(X.replaced_stack(replaced, clusters))
+    family = ReplacementFamily.of(X, np.sort(order[:m]), R, clusters)
+    radii = list(family.parameters)
     details = {
         "direction": [float(v) for v in u],
         "anchor": [float(v) for v in theta],
         "seed": None,
     }
-    return _attack_trace(
-        "cluster", T, X, m, None, radii, radii, [("cluster", replaced, ests)], baseline, threshold, details
-    )
+    columns = [("cluster", family.replaced, T.evaluator(X)(family))]
+    return _attack_trace("cluster", T, X, m, None, radii, radii, columns, baseline, threshold, details)
 
 
 # ---------------------------------------------------------------------------

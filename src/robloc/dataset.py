@@ -69,19 +69,20 @@ class DataSet:
         return float(np.sqrt((d * d).sum(axis=2)).max())
 
     def with_replaced(self, indices, new_points) -> "DataSet":
-        """Return a copy in which ``points[indices]`` are replaced row-wise."""
-        idx = np.asarray(indices, dtype=int)
-        repl = np.asarray(new_points, dtype=float).reshape(len(idx), self.k)
-        _check_replacement_index(idx, self.n)
-        pts = self.points.copy()
-        pts[idx] = repl
-        return DataSet(pts)
+        """Return a copy in which ``points[indices]`` are replaced row-wise:
+        :meth:`replaced_stack` of one block."""
+        block = np.asarray(new_points, dtype=float).reshape(1, len(indices), self.k)
+        return DataSet(self.replaced_stack(indices, block)[0])
 
     def replaced_stack(self, indices, blocks) -> np.ndarray:
-        """``with_replaced(indices, blocks[j])`` for every block j, as one
-        read-only (G, n, k) point stack, with the same checks."""
+        """Copies with rows ``indices`` replaced by ``blocks[j]``, one per block
+        j, as one read-only (G, n, k) stack. Indices must be distinct and in
+        range (else ParameterError), rows finite (else DatasetFormatError)."""
         idx = np.asarray(indices, dtype=int)
-        _check_replacement_index(idx, self.n)
+        if len(set(idx.tolist())) != len(idx):
+            raise ParameterError("replacement indices must be distinct")
+        if np.any(idx < 0) or np.any(idx >= self.n):
+            raise ParameterError("replacement index out of range")
         points = np.repeat(self.points[None], len(blocks), axis=0)
         points[:, idx] = blocks
         _require_finite(points)
@@ -95,14 +96,6 @@ class DataSet:
 def _require_finite(points: np.ndarray) -> None:
     if not np.all(np.isfinite(points)):
         raise DatasetFormatError("all coordinates must be finite")
-
-
-def _check_replacement_index(idx: np.ndarray, n: int) -> None:
-    """Replacement rows must be distinct indices into an n-point set."""
-    if len(set(idx.tolist())) != len(idx):
-        raise ParameterError("replacement indices must be distinct")
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise ParameterError("replacement index out of range")
 
 
 def loads_dataset_csv(text: str) -> DataSet:

@@ -13,6 +13,10 @@ class ParameterError(RoblocError, ValueError):
     """Raised when an argument is outside its documented range."""
 
 
+class OverflowParameterError(ParameterError):
+    """Raised when finite inputs are too large for a result to be finite."""
+
+
 class GeneralPositionError(RoblocError):
     """Raised when an operation requires general position and the data violate it."""
 

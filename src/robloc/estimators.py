@@ -11,7 +11,6 @@ The estimates of a whole family of datasets travel as one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb
 from typing import Callable
 
@@ -19,11 +18,12 @@ import numpy as np
 
 from .dataset import DataSet
 from .depth import DirectionBudget, OutlyingnessEvaluator
-from .geometry import OrthonormalBasis, ShearFamily, subset_index
+from .geometry import OrthonormalBasis, ReplacementFamily, subset_index
 from .errors import (
     CombinatorialBudgetError,
     DegenerateSampleError,
     EstimatorError,
+    OverflowParameterError,
     ParameterError,
 )
 
@@ -222,32 +222,24 @@ class LocationEstimator:
     ``evaluate`` must be deterministic given the input dataset and whatever
     seed was frozen into it at construction time.
 
-    The attacks evaluate the estimator on many datasets that differ from a
-    base dataset only in a few rows, and take their estimates as one
-    :class:`EstimateStack`. Two optional hooks answer for a whole family:
-
-    * ``stack(points)`` takes a (G, n, k) point stack and returns the
-      stack of the G estimates. It needs nothing of how the rows moved, so
-      both the shear and the cluster attack use it (cmedian).
-    * ``sweep(X, basis)`` is called once per shear frame of the base data X
-      and returns a function that takes a
-      :class:`~robloc.geometry.ShearFamily` of that frame and returns the
-      stack of its estimates, reading the family's ``points`` (mcd).
-
-    Each estimate must be exactly what ``evaluate`` returns on that
-    dataset: the same members, in the same order, to the last bit, because
-    certificates built through either path are compared byte for byte.
-    Errors must be the ones ``evaluate`` raises. Without a hook, the
-    datasets are evaluated one at a time and their estimates packed.
+    The attacks evaluate the estimator on families of datasets that differ
+    from a base dataset only in a few rows (a
+    :class:`~robloc.geometry.ReplacementFamily`), and take each family's
+    estimates as one :class:`EstimateStack` from :meth:`evaluator`. The
+    optional hook ``families(X, basis)`` is called once per frame of the
+    base data X, with the shear basis or, for the cluster attack, None. It
+    returns None or a function from a family to its estimate stack, which
+    may itself return None for a family it does not settle. What it returns
+    must be exactly what ``evaluate`` returns on each dataset, the same
+    members in the same order to the last bit, and its errors the ones
+    ``evaluate`` raises: certificates built through either path are
+    compared byte for byte.
     """
 
     name: str
     equivariance_class: str  # "translation" | "affine"
     evaluate: Callable[[DataSet], EstimateSet] = field(repr=False)
-    sweep: Callable[[DataSet, OrthonormalBasis], Callable[[ShearFamily], EstimateStack]] | None = (
-        field(default=None, repr=False)
-    )
-    stack: Callable[[np.ndarray], EstimateStack] | None = field(default=None, repr=False)
+    families: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.equivariance_class not in ("translation", "affine"):
@@ -256,13 +248,26 @@ class LocationEstimator:
     def __call__(self, X: DataSet) -> EstimateSet:
         return self.evaluate(X)
 
-    def shear_sweep(self, X: DataSet, basis: OrthonormalBasis) -> Callable[[ShearFamily], EstimateStack]:
-        """Per-frame evaluator: a shear family to the stack of its estimates."""
-        if self.sweep is not None:
-            return self.sweep(X, basis)
-        if self.stack is not None:
-            return lambda family: self.stack(family.points)
-        return lambda family: EstimateStack.pack([self(Xg) for Xg in family.datasets])
+    def evaluator(self, X: DataSet, basis: OrthonormalBasis | None = None) -> Callable:
+        """Per-frame evaluator: a family of X to its estimate stack, from the
+        hook where it settles the family, else dataset by dataset, where an
+        estimate that overflows is a ParameterError naming its parameter."""
+        hook = None if self.families is None else self.families(X, basis)
+
+        def evaluate(family: ReplacementFamily) -> EstimateStack:
+            stack = None if hook is None else hook(family)
+            if stack is not None:
+                return stack
+            estimates = []
+            for value, points in zip(family.parameters, family.points):
+                try:
+                    estimates.append(self(DataSet(points)))
+                except OverflowParameterError as exc:
+                    kind = "radius" if family.basis is None else "slope"
+                    raise ParameterError(f"{kind} {value!r} is too large: {exc}") from None
+            return EstimateStack.pack(estimates)
+
+        return evaluate
 
 
 def coordinatewise_median(X: DataSet) -> EstimateSet:
@@ -278,7 +283,7 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
 
 def _median_boxes(stack: np.ndarray) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
-    from one sort of the whole stack: cmedian's ``stack`` hook."""
+    from one sort of the whole stack: what cmedian's hook returns."""
     ordered = np.sort(stack, axis=1)
     n, k = ordered.shape[1:]
     low, high = ordered[:, (n - 1) // 2], ordered[:, n // 2]  # (G, k)
@@ -345,10 +350,14 @@ def _mcd_winners(dets: np.ndarray, starts) -> tuple:
     every nonsingular subset within 1e-9 relative of the run's smallest
     determinant, in the order given, the first one canonical. Returns the
     winners' indices, each run's smallest determinant and where each run's
-    winners begin among the winners. Runs must be nonempty."""
+    winners begin among the winners. Runs must be nonempty. A run without a
+    finite positive determinant is an OverflowParameterError when one of
+    its determinants overflowed, else a DegenerateSampleError."""
     valid = np.isfinite(dets) & (dets > 0.0)
     best = np.minimum.reduceat(np.where(valid, dets, np.inf), starts)
     if not np.all(np.isfinite(best)):
+        if np.logical_or.reduceat(np.isposinf(dets), starts)[~np.isfinite(best)].any():
+            raise OverflowParameterError("every coverage subset's covariance determinant overflows")
         raise DegenerateSampleError("every coverage subset has singular covariance")
     run_best = np.repeat(best, np.diff(np.append(starts, dets.size)))
     winners = np.flatnonzero(valid & (dets <= run_best + _MCD_TIE_RTOL * run_best))
@@ -370,7 +379,8 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     Every coverage-subset is scored by the determinant of its sample
     covariance; the estimate set holds the means of all subsets tying for
     the minimum within a relative tolerance of 1e-9. Subsets with singular
-    covariance score 0 and are excluded unless every subset is singular.
+    covariance score 0 and are excluded; if none is left, that is an error
+    (see :func:`_mcd_winners`).
 
     The determinant is evaluated through the singular values of the
     centered subset (det = prod(s_i^2) / (h-1)^k) rather than by
@@ -425,17 +435,17 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
 
 
 class MCDShearSweep:
-    """Exhaustive MCD over the datasets of shear families of one frame.
+    """mcd's hook: exhaustive MCD over the shear families of one frame.
 
     Built once per shear frame (base data X and shear basis); called on a
-    :class:`ShearFamily`, it returns the :class:`EstimateStack` of exactly
-    the estimates :func:`mcd_exhaustive` returns on the datasets of the
-    family, by the quadratic identity and candidate bound described there.
-    When the bound is not finite at some slope of a family, or a candidate
-    is singular, the full :func:`mcd_exhaustive` runs on every dataset of
-    that family instead; ``fallbacks`` counts the slopes of families that
-    fell back whole and ``candidates`` the subsets that went through the
-    SVD.
+    shear :class:`ReplacementFamily`, it returns the :class:`EstimateStack`
+    of exactly the estimates :func:`mcd_exhaustive` returns on the datasets
+    of the family, by the quadratic identity and candidate bound described
+    there. When the bound is not finite at some slope, or a candidate is
+    singular, it returns None and the family goes whole through the
+    per-dataset loop of :meth:`LocationEstimator.evaluator`; ``fallbacks``
+    counts the slopes of such families and ``candidates`` the subsets that
+    went through the SVD.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -467,7 +477,7 @@ class MCDShearSweep:
         q = self._q
         return v - (q @ (q.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
 
-    def bounds(self, family: ShearFamily) -> tuple:
+    def bounds(self, family: ReplacementFamily) -> tuple:
         """(S, G) lower and upper bounds on prod(sigma_i)^2, the SVD
         objective of every subset at every slope of the family before its
         division by (h - 1)^k."""
@@ -478,7 +488,7 @@ class MCDShearSweep:
         cs = c[self.subsets]
         w = cs - cs.mean(axis=1, keepdims=True)
         s = self._orthogonal_part(w)
-        slopes = np.asarray(family.slopes, dtype=float)
+        slopes = np.asarray(family.parameters, dtype=float)
         g = np.abs(slopes)[None, :]
         v = self._r[:, None, :] + slopes[None, :, None] * s[:, None, :]  # (S, G, h)
         vol = self._vol_o[:, None] * np.sqrt((v * v).sum(axis=2))
@@ -501,7 +511,7 @@ class MCDShearSweep:
         high = (vol * (1.0 + tau) + delta) ** 2 * (1.0 + 8 * _EPS)
         return low, high
 
-    def _candidates(self, family: ShearFamily) -> tuple | None:
+    def _candidates(self, family: ReplacementFamily) -> tuple | None:
         """(subsets, means, determinants, run starts) of the candidates of
         every slope, one run per slope, or None when the family falls back."""
         # a bound that overflows is not finite, and the family falls back whole
@@ -516,15 +526,13 @@ class MCDShearSweep:
         if not np.all(np.isfinite(dets) & (dets > 0.0)):
             return None
         # every run is nonempty: the smallest upper bound is a candidate
-        return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.slopes)))
+        return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.parameters)))
 
-    def __call__(self, family: ShearFamily) -> EstimateStack:
+    def __call__(self, family: ReplacementFamily) -> EstimateStack | None:
         found = self._candidates(family)
         if found is None:
-            self.fallbacks += len(family.slopes)
-            return EstimateStack.pack(
-                [mcd_exhaustive(DataSet(points), self.h).estimates for points in family.points]
-            )
+            self.fallbacks += len(family.parameters)
+            return None
         _, means, dets, starts = found
         winners, _, first = _mcd_winners(dets, starts)
         return EstimateStack(means[winners], first)
@@ -663,7 +671,10 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         raise ParameterError(f"estimator {name!r} does not take parameters {sorted(unknown)}")
 
     if name == "cmedian":
-        return LocationEstimator("cmedian", "translation", coordinatewise_median, stack=_median_boxes)
+        return LocationEstimator(
+            "cmedian", "translation", coordinatewise_median,
+            families=lambda X, basis: lambda family: _median_boxes(family.points),
+        )
 
     if name == "wmean":
         def _wmean(X: DataSet) -> EstimateSet:
@@ -674,9 +685,9 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         coverage = params.get("coverage")
         def _mcd(X: DataSet) -> EstimateSet:
             return mcd_exhaustive(X, coverage=coverage).estimates
-        return LocationEstimator(
-            "mcd", "affine", _mcd, sweep=partial(MCDShearSweep, coverage=coverage)
-        )
+        def _mcd_families(X: DataSet, basis: OrthonormalBasis | None):
+            return None if basis is None else MCDShearSweep(X, basis, coverage)
+        return LocationEstimator("mcd", "affine", _mcd, families=_mcd_families)
 
     if name == "tmean":
         trim = int(params.get("trim_count", 1))

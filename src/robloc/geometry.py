@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataSet, _check_replacement_index
+from .dataset import DataSet
 from .errors import GeneralPositionError, ParameterError
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "AffineMap",
     "shear_transform",
     "apply_shears",
-    "ShearFamily",
+    "ReplacementFamily",
     "apply_map",
 ]
 
@@ -443,38 +443,29 @@ def apply_shears(points: np.ndarray, slopes, basis: OrthonormalBasis) -> np.ndar
     return np.matmul(points, matrices.transpose(0, 2, 1)) + offsets[:, None, :]
 
 
-class ShearFamily(NamedTuple):
-    """Contaminated datasets along one shear, one per slope, as one stack.
+class ReplacementFamily(NamedTuple):
+    """Contaminated datasets of one attack, one per parameter, as one stack.
 
     ``points`` is a read-only (G, n, k) array: ``points[j]`` is the base
-    data with rows ``replaced`` moved to their images under
-    ``shear_transform(slopes[j], basis)``. Slopes are signed: the near
-    family of the shear attack uses the inverse shear, slope -gamma.
-    ``datasets`` wraps each block in a :class:`DataSet`, for estimators
-    that are evaluated one dataset at a time.
+    data with rows ``replaced`` moved to their images at ``parameters[j]``.
+    ``basis`` is the shear frame of a shear family, whose parameters are
+    signed slopes (the near family of the shear attack uses the inverse
+    shear, slope -gamma), and None for a cluster family, whose parameters
+    are radii.
     """
 
     replaced: tuple
-    slopes: tuple
+    parameters: tuple
     points: np.ndarray
+    basis: OrthonormalBasis | None = None
 
     @classmethod
-    def of(cls, X: DataSet, basis: OrthonormalBasis, replaced, slopes) -> "ShearFamily":
-        """Build the whole stack at once. Raises what ``X.with_replaced``
-        and ``DataSet`` raise: ParameterError for repeated or out-of-range
-        indices, DatasetFormatError when a sheared coordinate is not finite."""
-        idx = np.asarray(replaced, dtype=int)
-        _check_replacement_index(idx, X.n)
-        slopes = tuple(float(g) for g in slopes)
-        # an image that overflows is not finite, and replaced_stack rejects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = apply_shears(X.points[idx], slopes, basis)
-        return cls(tuple(int(i) for i in idx), slopes, X.replaced_stack(idx, images))
-
-    @property
-    def datasets(self) -> tuple:
-        """One DataSet per slope, built from ``points`` on each access."""
-        return tuple(DataSet(p) for p in self.points)
+    def of(cls, X: DataSet, replaced, parameters, images, basis=None) -> "ReplacementFamily":
+        """The family whose j-th dataset is X with rows ``replaced`` set to
+        ``images[j]``, checked by ``X.replaced_stack``: repeated or
+        out-of-range indices and non-finite images raise."""
+        points = X.replaced_stack(replaced, images)
+        return cls(tuple(int(i) for i in replaced), tuple(float(p) for p in parameters), points, basis)
 
 
 def apply_map(g: AffineMap, X: DataSet) -> DataSet:

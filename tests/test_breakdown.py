@@ -273,39 +273,38 @@ def test_attack_grids_must_be_nonempty_and_finite(bad, demo5, demo10):
 def preimage_families(X, slopes):
     """Far and near shear families of the first h = 2 frame of X, with
     what the preimage check reads."""
-    from robloc.breakdown import _partition, _rankings, _shear_frames
-    from robloc.geometry import ShearFamily
+    from robloc.breakdown import _partition, _rankings, _shear_family, _shear_frames
 
     theta = make_estimator("cmedian")(X).canonical
     frame = _shear_frames(X, theta, 2, all_s_choices=False, cone_seed=0)[0]
     basis = basis_from_normal(frame.normal, frame.origin)
     offsets = X.points @ frame.normal - frame.level
     a_idx, b_idx = _partition(_rankings(X, frame)["largest_projection"], 4)
-    far = ShearFamily.of(X, basis, b_idx, slopes)
-    near = ShearFamily.of(X, basis, a_idx, [-g for g in slopes])
-    return far, near, basis, offsets, frame.kept
+    far = _shear_family(X, basis, b_idx, slopes)
+    near = _shear_family(X, basis, a_idx, [-g for g in slopes])
+    return far, near, offsets, frame.kept
 
 
 def test_preimage_check_catches_a_perturbed_row(demo10):
     from robloc.breakdown import _check_preimage_identity
 
     slopes = (10.0, 100.0, 1000.0)
-    far, near, basis, offsets, kept = preimage_families(demo10, slopes)
-    _check_preimage_identity(far, near, basis, offsets, kept)
+    far, near, offsets, kept = preimage_families(demo10, slopes)
+    _check_preimage_identity(far, near, offsets, kept)
     scale = float(np.abs(demo10.points).max())
     for j in (1, 2):
         points = near.points.copy()
         points[j, 0] += 1e-6 * scale  # first failing slope is j
         points[2, 1] += 1e-6 * scale
         # the message of the per-slope check at slope j
-        image = shear_transform(slopes[j], basis).apply(points[j])
+        image = shear_transform(slopes[j], far.basis).apply(points[j])
         diff = float(np.abs(image - far.points[j]).max())
         blown = max(1.0, float(np.abs(far.points[j]).max()), float(np.abs(points[j]).max()))
         bound = max(1e-9, 8.0 * float(np.finfo(float).eps) * slopes[j]) * blown
         assert diff > bound
         message = f"shear families lost their preimage identity: max deviation {diff:.3e} > {bound:.3e}"
         with pytest.raises(RoblocError) as info:
-            _check_preimage_identity(far, near._replace(points=points), basis, offsets, kept)
+            _check_preimage_identity(far, near._replace(points=points), offsets, kept)
         assert str(info.value) == message
 
 
@@ -313,13 +312,13 @@ def test_preimage_check_catches_a_travelling_pinned_point(demo10):
     from robloc.breakdown import _check_preimage_identity
 
     slopes = (10.0, 100.0)
-    far, near, basis, offsets, kept = preimage_families(demo10, slopes)
+    far, near, offsets, kept = preimage_families(demo10, slopes)
     moved = offsets.copy()
     moved[kept[0]] = 1e-3
     blown = max(1.0, float(np.abs(far.points[0]).max()), float(np.abs(near.points[0]).max()))
     message = f"pinned points travel {10.0 * 1e-3:.3e} under the shear, beyond {1e-9 * blown:.3e}"
     with pytest.raises(RoblocError) as info:
-        _check_preimage_identity(far, near, basis, moved, kept)
+        _check_preimage_identity(far, near, moved, kept)
     assert str(info.value) == message
 
 
@@ -422,11 +421,11 @@ def test_cluster_attack_matches_per_radius_construction(demo10):
 
 @pytest.mark.parametrize("make", [lambda: bundled_dataset("demo10_2d"), lambda: random_gp_dataset(9, 3, 7)])
 def test_cmedian_cluster_stack_matches_per_radius_evaluation(make):
-    # the stack hook sees all radii at once; each estimate must be the one
+    # the hook sees all radii at once; each estimate must be the one
     # evaluate gives on that radius's dataset, to the bit
     X = make()
     T = make_estimator("cmedian")
-    assert T.stack is not None
+    assert T.families is not None
     radii = (7.3, 1234.567, 9.87e6, 3.3e8, 0.1)
     theta = T(X).canonical
     for m in (0, 1, X.n // 2, X.n // 2 + 1, X.n):
@@ -441,7 +440,7 @@ def test_cmedian_cluster_stack_matches_per_radius_evaluation(make):
                 assert np.array_equal(got.members, want.members)
                 assert np.array_equal(got.canonical, want.canonical)
             per_radius = translation_cluster_attack(
-                dataclasses.replace(T, stack=None), X, m, radius_grid=radii, direction=u
+                dataclasses.replace(T, families=None), X, m, radius_grid=radii, direction=u
             )
             assert json.dumps(trace.to_dict()) == json.dumps(per_radius.to_dict())
 
@@ -535,6 +534,33 @@ def test_certified_fractions_match_theory_on_random_data():
     res = empirical_fsbv(make_estimator("tmean", seed=5, trim_count=1), X)
     assert res.fraction == (2, 9)
     assert res.certificates[1].status == "survived"
+
+
+def metamorphic_sets():
+    shapes = ((7, 2, 0), (9, 2, 2), (6, 3, 1), (8, 3, 3))
+    return [bundled_dataset("demo10_2d")] + [random_gp_dataset(n, k, seed) for n, k, seed in shapes]
+
+
+@pytest.mark.parametrize("name", ["cmedian", "mcd"])
+def test_fsbv_fraction_is_invariant_under_row_permutation(name):
+    # row order only relabels facets and kept subsets; the estimators and
+    # the attacks are permutation invariant in value
+    rng = np.random.default_rng(3)
+    T = make_estimator(name)
+    for X in metamorphic_sets():
+        fraction = empirical_fsbv(T, X).fraction
+        assert fraction is not None
+        for _ in range(2):
+            shuffled = DataSet(X.points[rng.permutation(X.n)])
+            assert empirical_fsbv(T, shuffled).fraction == fraction
+
+
+def test_cmedian_fsbv_fraction_is_invariant_under_translation():
+    T = make_estimator("cmedian")
+    for X in metamorphic_sets():
+        fraction = empirical_fsbv(T, X).fraction
+        for shift in (np.full(X.k, 12.5), -3.75 * np.arange(1, X.k + 1)):
+            assert empirical_fsbv(T, DataSet(X.points + shift)).fraction == fraction
 
 
 # --- counterexample generator -----------------------------------------------------

@@ -160,6 +160,25 @@ def test_grid_values_beyond_the_numerics_warn_nothing(runner, demo10_csv):
 
 
 @pytest.mark.parametrize("args, message", [
+    (["fsbv", "-e", "mcd", "--seed", "0", "--gamma-grid", "1e100"], "slope 1e+100"),
+    (["attack", "-e", "mcd", "--family", "cluster", "--m", "6", "--radius-grid", "1e200"],
+     "radius 1e+200"),
+], ids=["fsbv-slope", "cluster-radius"])
+def test_mcd_determinants_that_all_overflow_exit_4(runner, demo10_csv, args, message):
+    # every coverage subset of some dataset holds a huge row and no
+    # determinant is finite: the grid value is out of range, the data are
+    # not degenerate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [args[0], demo10_csv, *args[1:]])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {message} is too large: every coverage subset's covariance determinant overflows"
+    ]
+
+
+@pytest.mark.parametrize("args, message", [
     (["attack", "-e", "cmedian", "--family", "cluster", "--m", "3", "--direction", "1"],
      "direction has dimension 1, the data have dimension 2"),
     (["attack", "-e", "cmedian", "--family", "cluster", "--m", "3", "--direction", "1,0,0"],

@@ -19,7 +19,12 @@ from robloc import (
     trimmed_mean,
     weighted_mean,
 )
-from robloc.errors import DegenerateSampleError, EstimatorError, ParameterError
+from robloc.errors import (
+    DegenerateSampleError,
+    EstimatorError,
+    OverflowParameterError,
+    ParameterError,
+)
 from robloc.estimators import (
     EstimateSet,
     EstimateStack,
@@ -252,8 +257,14 @@ def test_mcd_picks_matches_the_rule_run_by_run(runs, seed):
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((dets.size, 2))
     subsets = np.arange(3 * dets.size).reshape(-1, 3)
-    if not all(any(np.isfinite(d) and d > 0 for d in run) for run in runs):
-        with pytest.raises(DegenerateSampleError, match="singular covariance"):
+    failed = [run for run in runs if not any(np.isfinite(d) and d > 0 for d in run)]
+    if failed:
+        # a run whose determinants overflowed is out of range, not singular
+        if any(np.inf in run for run in failed):
+            error, message = OverflowParameterError, "determinant overflows"
+        else:
+            error, message = DegenerateSampleError, "singular covariance"
+        with pytest.raises(error, match=message):
             _mcd_picks(subsets, means, dets, starts)
         return
     got = _mcd_picks(subsets, means, dets, starts)

@@ -16,7 +16,9 @@ from robloc import (
     shear_transform,
 )
 from robloc.errors import DatasetFormatError, GeneralPositionError, ParameterError
-from robloc.geometry import ShearFamily, apply_shears, hyperplane_normal, unit_direction
+from robloc.breakdown import _shear_family
+from robloc.estimators import EstimateSet, LocationEstimator
+from robloc.geometry import ReplacementFamily, apply_shears, hyperplane_normal, unit_direction
 
 
 # --- independent oracles -------------------------------------------------
@@ -336,7 +338,7 @@ def shear_family_cases(draw):
 @given(shear_family_cases())
 def test_shear_family_stack_matches_per_slope_construction(case):
     X, basis, replaced, slopes = case
-    family = ShearFamily.of(X, basis, replaced, slopes)
+    family = _shear_family(X, basis, replaced, slopes)
     assert family.points.shape == (len(slopes), X.n, X.k)
     assert not family.points.flags.writeable
     rows = X.points[list(replaced)]
@@ -349,11 +351,16 @@ def test_shear_family_stack_matches_per_slope_construction(case):
 
 
 def test_shear_family_datasets_view_the_stack(demo10):
+    # the evaluator's per-dataset loop sees exactly the blocks of the stack:
+    # this estimator returns every row it is given
     basis = basis_from_normal(np.array([0.6, 0.8]), demo10.points[0])
-    family = ShearFamily.of(demo10, basis, (3, 1, 7), (10.0, -1e8, 0.0))
-    assert len(family.datasets) == 3
-    for j, Xg in enumerate(family.datasets):
-        assert np.array_equal(Xg.points, family.points[j])
+    family = _shear_family(demo10, basis, (3, 1, 7), (10.0, -1e8, 0.0))
+    assert family.basis is basis and family.parameters == (10.0, -1e8, 0.0)
+    rows = LocationEstimator("rows", "translation", lambda X: EstimateSet(X.points))
+    stack = rows.evaluator(demo10, basis)(family)
+    assert len(stack) == 3
+    for j, est in enumerate(stack):
+        assert np.array_equal(est.members, family.points[j])
     assert np.array_equal(family.points[2], demo10.points)
 
 
@@ -361,13 +368,13 @@ def test_shear_family_datasets_view_the_stack(demo10):
 def test_shear_family_rejects_bad_indices(demo10, replaced):
     basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
     with pytest.raises(ParameterError):
-        ShearFamily.of(demo10, basis, replaced, (1.0, 2.0))
+        ReplacementFamily.of(demo10, replaced, (1.0, 2.0), np.zeros((2, len(replaced), 2)), basis)
 
 
 def test_shear_family_rejects_non_finite_images(demo10):
     basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
     with pytest.raises(DatasetFormatError), np.errstate(over="ignore"):
-        ShearFamily.of(demo10, basis, (0,), (1.0, 1e308))
+        _shear_family(demo10, basis, (0,), (1.0, 1e308))
 
 
 def test_apply_map_identity_and_inverse(demo10):

@@ -1,4 +1,5 @@
-"""The estimators' shear sweeps against the generic per-gamma loop they replace."""
+"""The estimators' hooks against the generic per-dataset loop they replace,
+on the families of both attacks."""
 
 import dataclasses
 import json
@@ -17,8 +18,9 @@ from robloc import (
     make_estimator,
     random_gp_dataset,
     shear_attack,
+    translation_cluster_attack,
 )
-from robloc.breakdown import _partition, _rankings, _shear_frames
+from robloc.breakdown import DEFAULT_GAMMA_GRID, _partition, _rankings, _shear_family, _shear_frames
 from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
@@ -28,13 +30,13 @@ from robloc.estimators import (
     default_mcd_coverage,
     mcd_exhaustive,
 )
-from robloc.geometry import ShearFamily, basis_from_normal
+from robloc.geometry import basis_from_normal
 from robloc.univariate import univariate_median
 
 
 def generic(T):
-    """The same estimator without its hooks: one evaluate per dataset."""
-    return dataclasses.replace(T, sweep=None, stack=None)
+    """The same estimator without its hook: one evaluate per dataset."""
+    return dataclasses.replace(T, families=None)
 
 
 def assert_same_estimate(got, want):
@@ -50,16 +52,34 @@ def outcome(run, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
+def attack_calls(X, grid, seed, budgets=None):
+    """(attack, args, kwargs) of both attacks on X: the shear attack at
+    every h (and every budget of ``budgets``), the cluster attack at a few
+    budgets along both directions of the first axis, over ``grid``."""
+    budgets = (None,) if budgets is None else budgets
+    calls = [
+        (shear_attack, (h,), dict(gamma_grid=grid, cone_seed=seed, m=m))
+        for h in range(1, X.k + 1)
+        for m in budgets
+    ]
+    for m in (1, X.n // 2, X.n // 2 + 1):
+        for direction in np.vstack([np.eye(X.k)[:1], -np.eye(X.k)[:1]]):
+            calls.append((translation_cluster_attack, (m,), dict(radius_grid=grid, direction=direction)))
+    return calls
+
+
+def assert_hook_matches_generic(T, X, suite, calls):
+    assert outcome(empirical_fsbv, T, X, suite) == outcome(empirical_fsbv, generic(T), X, suite)
+    for attack, args, kwargs in calls:
+        assert outcome(attack, T, X, *args, **kwargs) == outcome(attack, generic(T), X, *args, **kwargs)
+
+
 def test_mcd_sweep_matches_generic_loop_on_demo10(demo10):
     # gamma = 1e8 is where the float SVD objective departs from the exact
     # one, so the sweep must reproduce the float winner, not the exact one
     T = make_estimator("mcd")
-    assert outcome(empirical_fsbv, T, demo10) == outcome(empirical_fsbv, generic(T), demo10)
-    for h in (1, 2):
-        for m in (1, 4):
-            assert outcome(shear_attack, T, demo10, h, m=m) == outcome(
-                shear_attack, generic(T), demo10, h, m=m
-            )
+    calls = attack_calls(demo10, DEFAULT_GAMMA_GRID, 0, budgets=(1, 4))
+    assert_hook_matches_generic(T, demo10, AttackSuite(), calls)
 
 
 @st.composite
@@ -79,12 +99,7 @@ def test_mcd_sweep_matches_generic_loop(case):
     X, coverage, grid, seed = case
     T = make_estimator("mcd", coverage=coverage)
     suite = AttackSuite(gamma_grid=grid, radius_grid=(1e9,), cone_seed=seed)
-    assert outcome(empirical_fsbv, T, X, suite) == outcome(empirical_fsbv, generic(T), X, suite)
-    for h in range(1, X.k + 1):
-        kwargs = dict(gamma_grid=grid, cone_seed=seed)
-        assert outcome(shear_attack, T, X, h, **kwargs) == outcome(
-            shear_attack, generic(T), X, h, **kwargs
-        )
+    assert_hook_matches_generic(T, X, suite, attack_calls(X, grid, seed))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -96,10 +111,10 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
         basis = basis_from_normal(frame.normal, frame.origin)
         sweep = MCDShearSweep(X, basis)
         _, replaced = _partition(_rankings(X, frame)["largest_projection"], 2)
-        family = ShearFamily.of(X, basis, replaced, slopes)
+        family = _shear_family(X, basis, replaced, slopes)
         low, high = sweep.bounds(family)
-        for j, Xg in enumerate(family.datasets):
-            groups = Xg.points[sweep.subsets]
+        for j, points in enumerate(family.points):
+            groups = points[sweep.subsets]
             centered = groups - groups.mean(axis=1, keepdims=True)
             objective = np.prod(np.linalg.svd(centered, compute_uv=False), axis=1) ** 2
             assert np.all(low[:, j] <= objective) and np.all(objective <= high[:, j])
@@ -108,8 +123,8 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
                 assert np.all(high[:, j] - low[:, j] <= 1e-6 * high[:, j])
         picks = _mcd_picks(*sweep._candidates(family))
         stack = sweep(family)
-        for j, Xg in enumerate(family.datasets):
-            want = mcd_exhaustive(Xg)
+        for j, points in enumerate(family.points):
+            want = mcd_exhaustive(DataSet(points))
             assert picks[j].optimal_subsets == want.optimal_subsets
             assert picks[j].objective == want.objective
             assert_same_estimate(stack[j], want.estimates)
@@ -117,19 +132,28 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # slope 1e100 overflows on purpose
 def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
+    # the sweep declines the family and the evaluator's shared loop runs
+    # the full estimator on every dataset of it
     X = random_gp_dataset(7, 2, seed=42)
-    theta = mcd_exhaustive(X).estimates.canonical
-    frame = _shear_frames(X, theta, 2, all_s_choices=False, cone_seed=0)[0]
+    T = make_estimator("mcd")
+    frame = _shear_frames(X, T(X).canonical, 2, all_s_choices=False, cone_seed=0)[0]
     basis = basis_from_normal(frame.normal, frame.origin)
-    sweep = MCDShearSweep(X, basis)
+    sweeps = []
+
+    def families(X, basis):
+        sweeps.append(MCDShearSweep(X, basis))
+        return sweeps[-1]
+
+    evaluate = dataclasses.replace(T, families=families).evaluator(X, basis)
     _, replaced = _partition(_rankings(X, frame)["largest_projection"], 2)
-    family = ShearFamily.of(X, basis, replaced, (0.1, 10.0, 1e100))
+    family = _shear_family(X, basis, replaced, (0.1, 10.0, 1e100))
+    (sweep,) = sweeps
     _, high = sweep.bounds(family)
     assert not np.isfinite(high).all()
-    stack = sweep(family)
-    assert sweep.fallbacks == len(family.slopes)
-    for j, Xg in enumerate(family.datasets):
-        assert_same_estimate(stack[j], mcd_exhaustive(Xg).estimates)
+    stack = evaluate(family)
+    assert sweep.fallbacks == len(family.parameters)
+    for j, points in enumerate(family.points):
+        assert_same_estimate(stack[j], mcd_exhaustive(DataSet(points)).estimates)
 
 
 def test_mcd_sweep_screens_out_most_subsets(demo10):
@@ -142,10 +166,13 @@ def test_mcd_sweep_screens_out_most_subsets(demo10):
             made.append(self)
 
         def bounds(self, family):
-            self.pairs += len(self.subsets) * len(family.slopes)
+            self.pairs += len(self.subsets) * len(family.parameters)
             return super().bounds(family)
 
-    empirical_fsbv(dataclasses.replace(make_estimator("mcd"), sweep=CountingSweep), demo10)
+    def families(X, basis):
+        return None if basis is None else CountingSweep(X, basis)
+
+    empirical_fsbv(dataclasses.replace(make_estimator("mcd"), families=families), demo10)
     assert made and sum(s.fallbacks for s in made) == 0
     assert sum(s.candidates for s in made) < sum(s.pairs for s in made) / 4
 
@@ -177,12 +204,7 @@ def test_cmedian_sweep_matches_generic_loop(case):
     X, grid, seed = case
     T = make_estimator("cmedian")
     suite = AttackSuite(gamma_grid=grid, radius_grid=(1e9,), cone_seed=seed)
-    assert outcome(empirical_fsbv, T, X, suite) == outcome(empirical_fsbv, generic(T), X, suite)
-    for h in range(1, X.k + 1):
-        kwargs = dict(gamma_grid=grid, cone_seed=seed)
-        assert outcome(shear_attack, T, X, h, **kwargs) == outcome(
-            shear_attack, generic(T), X, h, **kwargs
-        )
+    assert_hook_matches_generic(T, X, suite, attack_calls(X, grid, seed))
 
 
 def median_box_oracle(X):
@@ -209,9 +231,9 @@ def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
         for m in (1, X.n - k):
             a_idx, b_idx = _partition(ranked, m)
             for replaced in (a_idx, b_idx):
-                family = ShearFamily.of(X, basis, replaced, slopes)
-                got = T.shear_sweep(X, basis)(family)
-                for est, Xg in zip(got, family.datasets):
+                family = _shear_family(X, basis, replaced, slopes)
+                got = T.evaluator(X, basis)(family)
+                for est, Xg in zip(got, map(DataSet, family.points)):
                     want = median_box_oracle(Xg)
                     for found in (est, coordinatewise_median(Xg)):
                         assert np.array_equal(found.members, want.members)
