@@ -32,11 +32,13 @@ from .errors import (
     GeneralPositionError,
     ParameterError,
     RoblocError,
+    require_seed,
 )
 from .estimators import EstimateSet, EstimateStack, LocationEstimator
 from .geometry import (
     GP_RTOL,
     Facet,
+    OrthonormalBasis,
     ReplacementFamily,
     apply_shears,
     basis_from_normal,
@@ -323,19 +325,34 @@ class AttackTrace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: it keys per-frame sweep state
 class _ShearFrame:
+    """A hull facet, the h points of it pinned on the hyperplane and the
+    verified tie direction ``normal`` at ``level`` through them, with what
+    every sweep reads: the shear ``basis``, every point's ``offsets`` from
+    the pinned hyperplane, and the non-kept indices in replacement order
+    per b_rule (largest or smallest offset first, ties by index)."""
+
     facet: Facet
     kept: tuple  # h indices pinned on the hyperplane
     normal: np.ndarray = field(repr=False)
     level: float
-    origin: np.ndarray = field(repr=False)
+    basis: OrthonormalBasis = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    rankings: dict = field(repr=False)
+
+    def partition(self, m: int, b_rule: str) -> tuple:
+        """(kept-out A, replaced B) with |B| = m, each in increasing index order."""
+        ranked = self.rankings[b_rule]
+        a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
+        return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
 
 
-def _shear_frames(X: DataSet, theta: np.ndarray, h: int, all_s_choices: bool, cone_seed: int) -> list:
-    """All workable (facet, kept-subset, direction) frames, best facet first;
-    the kept subsets of a facet are all its h-subsets when ``all_s_choices``,
-    else its h smallest indices.
+def _shear_frames(X: DataSet, theta: np.ndarray, h: int, cone_seed: int) -> list:
+    """All workable (facet, kept subset, direction) frames of tie order h,
+    best facet first, each facet's kept subsets in ``combinations`` order
+    (the first keeps its h smallest indices); for h < k every kept subset
+    draws its tie directions from a fresh generator seeded by ``cone_seed``.
 
     A facet whose halfspace strictly contains the estimate is exactly a
     k-data-point face of the hull of the data plus the estimate that does
@@ -349,11 +366,7 @@ def _shear_frames(X: DataSet, theta: np.ndarray, h: int, all_s_choices: bool, co
     admissible = [f for f in facets if f.margin_of(theta) > tol]
     admissible.sort(key=lambda f: (-f.margin_of(theta), f.indices))
     for facet in admissible:
-        if all_s_choices:
-            subsets = [tuple(s) for s in combinations(facet.indices, h)]
-        else:
-            subsets = [tuple(sorted(facet.indices)[:h])]
-        for kept in subsets:
+        for kept in combinations(facet.indices, h):
             if h == X.k:
                 u = facet.inward_normal
                 level = tie_level(X.points @ u, kept, tol)
@@ -366,28 +379,13 @@ def _shear_frames(X: DataSet, theta: np.ndarray, h: int, all_s_choices: bool, co
             if found is None:
                 continue
             u, level = found
-            origin = X.points[list(kept)].mean(axis=0)
-            frames.append(_ShearFrame(facet, kept, u, level, origin))
+            rest = np.setdiff1d(np.arange(X.n), kept, assume_unique=True)
+            proj = X.points[rest] @ u - level
+            rankings = {"largest_projection": rest[np.lexsort((rest, -proj))],
+                        "smallest_projection": rest[np.lexsort((rest, proj))]}
+            basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
+            frames.append(_ShearFrame(facet, kept, u, level, basis, X.points @ u - level, rankings))
     return frames
-
-
-def _rankings(X: DataSet, frame: _ShearFrame) -> dict:
-    """The non-kept indices of a frame in replacement order, per b_rule:
-    largest or smallest offset from the pinned hyperplane first, ties by
-    index."""
-    rest = np.setdiff1d(np.arange(X.n), list(frame.kept), assume_unique=True)
-    proj = X.points[rest] @ frame.normal - frame.level
-    return {
-        "largest_projection": rest[np.lexsort((rest, -proj))],
-        "smallest_projection": rest[np.lexsort((rest, proj))],
-    }
-
-
-def _partition(ranked: np.ndarray, m: int) -> tuple:
-    """Split ranked indices into (kept-out A, replaced B), |B| = m, each
-    in increasing index order."""
-    a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
-    return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
 
 
 class _ShearPositionScreen:
@@ -456,22 +454,6 @@ class _ShearPositionScreen:
         return ok, witness
 
 
-def _prepare_frame(
-    T: LocationEstimator, X: DataSet, frame: _ShearFrame, screen: _ShearPositionScreen
-) -> tuple:
-    """Invariants of one shear frame, shared by every (m, rule) sweep of it:
-    (basis, screen row determinants, normal offsets, rankings, estimator
-    evaluator)."""
-    basis = basis_from_normal(frame.normal, frame.origin)
-    return (
-        basis,
-        screen.row_replacements(basis.e(2)),
-        X.points @ frame.normal - frame.level,
-        _rankings(X, frame),
-        T.evaluator(X, basis),
-    )
-
-
 def _screened_grid(screen: _ShearPositionScreen, gammas: list, d1_list) -> list:
     """Each slope of the grid, or that slope nudged once where it breaks
     general position. Raises for the first slope whose nudge breaks it
@@ -534,37 +516,45 @@ def _attack_trace(
     )
 
 
-def _run_shear_sweep(
-    T: LocationEstimator,
-    X: DataSet,
-    baseline: EstimateSet,
-    frame: _ShearFrame,
-    m: int,
-    gamma_grid,
-    b_rule: str,
-    threshold: float,
-    seed: int | None,
-    screen: _ShearPositionScreen,
-    prepared: tuple,
-) -> AttackTrace:
-    n = X.n
-    basis, row_dets, offsets, rankings, estimate = prepared
-    a_idx, b_idx = _partition(rankings[b_rule], m)
+class _ShearSweeps:
+    """What every shear sweep of T on X shares: the position screen, grid,
+    threshold, tie-direction seed and baseline, and per frame the screen row
+    determinants and T's evaluator, built on the frame's first sweep."""
+
+    def __init__(self, T: LocationEstimator, X: DataSet, baseline: EstimateSet, gamma_grid,
+                 threshold: float, cone_seed: int):
+        self.T, self.X, self.baseline = T, X, baseline
+        self.threshold, self.cone_seed = threshold, cone_seed
+        self.requested = [float(gamma) for gamma in gamma_grid]
+        self.screen = _ShearPositionScreen(X)
+        self._frames = {}
+
+    def per_frame(self, frame: _ShearFrame) -> tuple:
+        """(screen row determinants, estimator evaluator) of a frame."""
+        if frame not in self._frames:
+            basis = frame.basis
+            self._frames[frame] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
+        return self._frames[frame]
+
+
+def _run_shear_sweep(sweeps: _ShearSweeps, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
+    X, screen, offsets = sweeps.X, sweeps.screen, frame.offsets
+    row_dets, estimate = sweeps.per_frame(frame)
+    a_idx, b_idx = frame.partition(m, b_rule)
     include_preimage_family = 0 < len(a_idx) <= m
 
-    c_far = np.zeros(n)
+    c_far = np.zeros(X.n)
     c_far[list(b_idx)] = offsets[list(b_idx)]
     d1_list = [screen.linear_coeff(row_dets, c_far)]
     if include_preimage_family:
-        c_near = np.zeros(n)
+        c_near = np.zeros(X.n)
         c_near[list(a_idx)] = -offsets[list(a_idx)]
         d1_list.append(screen.linear_coeff(row_dets, c_near))
 
-    requested = [float(gamma) for gamma in gamma_grid]
-    used = _screened_grid(screen, requested, d1_list)
-    families = [("shear_replace_far", _shear_family(X, basis, b_idx, used))]
+    used = _screened_grid(screen, sweeps.requested, d1_list)
+    families = [("shear_replace_far", _shear_family(X, frame.basis, b_idx, used))]
     if include_preimage_family:
-        near = _shear_family(X, basis, a_idx, [-g for g in used])
+        near = _shear_family(X, frame.basis, a_idx, [-g for g in used])
         _check_preimage_identity(families[0][1], near, offsets, frame.kept)
         families.append(("shear_replace_near", near))
     columns = [(label, family.replaced, estimate(family)) for label, family in families]
@@ -575,13 +565,14 @@ def _run_shear_sweep(
         "replaced_far": list(b_idx),
         "normal": [float(v) for v in frame.normal],
         "level": float(frame.level),
-        "origin": [float(v) for v in frame.origin],
+        "origin": [float(v) for v in frame.basis.origin_shift],
         "b_rule": b_rule,
-        "seed": seed,
+        "seed": sweeps.cone_seed,
         "preimage_family_included": include_preimage_family,
     }
     return _attack_trace(
-        "shear", T, X, m, len(frame.kept), requested, used, columns, baseline, threshold, details
+        "shear", sweeps.T, X, m, len(frame.kept), sweeps.requested, used, columns, sweeps.baseline,
+        sweeps.threshold, details,
     )
 
 
@@ -661,30 +652,31 @@ def shear_attack(
     break general position are nudged once by +1e-6 relative.
 
     ``m`` defaults to floor((n - h + 1) / 2), the largest budget for which
-    both families stay within m replacements. The kept points are the
-    facet's h smallest indices; the threshold is ``DEFAULT_THRESHOLD_FACTOR``.
+    both families stay within m replacements; the threshold is
+    ``DEFAULT_THRESHOLD_FACTOR``. The frame is the first of
+    :func:`_shear_frames` that keeps its facet's h smallest indices: the
+    best facet whose h smallest indices admit a verified tie direction, with
+    the direction :func:`empirical_fsbv` finds for that subset at the same
+    ``cone_seed``. It is swept by the same code as every frame there.
     """
     require_general_position(X, "shear_attack")
     if X.k < 2:
         raise ParameterError("shear attack requires k >= 2")
     if not (1 <= h <= X.k):
         raise ParameterError(f"need 1 <= h <= k, got h={h}")
+    cone_seed = require_seed(cone_seed)
     gamma_grid = _require_grid(gamma_grid, "gamma")
     n = X.n
     m_eff = (n - h + 1) // 2 if m is None else int(m)
     if not (1 <= m_eff <= n - h):
         raise ParameterError(f"need 1 <= m <= n - h = {n - h}, got m={m_eff}")
     baseline = T(X)
-    theta = baseline.canonical
-    frames = _shear_frames(X, theta, h, all_s_choices=False, cone_seed=cone_seed)
-    if not frames:
+    frames = _shear_frames(X, baseline.canonical, h, cone_seed)
+    frame = next((f for f in frames if f.kept == f.facet.indices[:h]), None)
+    if frame is None:
         raise NoFacetAdmitsEstimateError(T.name)
-    screen = _ShearPositionScreen(X)
-    return _run_shear_sweep(
-        T, X, baseline, frames[0], m_eff, gamma_grid, partition_rule.b_rule,
-        _divergence_threshold(X), cone_seed, screen,
-        _prepare_frame(T, X, frames[0], screen),
-    )
+    sweeps = _ShearSweeps(T, X, baseline, gamma_grid, _divergence_threshold(X), cone_seed)
+    return _run_shear_sweep(sweeps, frame, m_eff, partition_rule.b_rule)
 
 
 class NoFacetAdmitsEstimateError(RoblocError):
@@ -766,9 +758,10 @@ class AttackSuite:
     """Configuration of the certification sweep: the two grids, which must
     be nonempty and finite (``ParameterError`` otherwise: an empty grid would
     let every budget "survive" untested), and the seed of the h < k tie
-    directions. The rest is fixed (see :func:`empirical_fsbv`); ``to_dict``
-    still records it under the keys it always had, from ``"h_values": null``
-    to ``"stop_m_on_divergence": true``.
+    directions, a nonnegative integer (stored as an int). The rest is fixed
+    (see :func:`empirical_fsbv`); ``to_dict`` still records it under the
+    keys it always had, from ``"h_values": null`` to
+    ``"stop_m_on_divergence": true``.
     """
 
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
@@ -778,6 +771,7 @@ class AttackSuite:
     def __post_init__(self):
         _require_grid(self.gamma_grid, "gamma")
         _require_grid(self.radius_grid, "radius")
+        object.__setattr__(self, "cone_seed", require_seed(self.cone_seed))
 
     def to_dict(self) -> dict:
         return {
@@ -887,32 +881,24 @@ def empirical_fsbv(
     n, k = X.n, X.k
     threshold = _divergence_threshold(X, factor=threshold_factor)
     baseline = T(X)
-    theta = baseline.canonical
 
-    frames = []  # (h, frame), h ascending
-    screen = None
+    frames = []  # h ascending
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
-        screen = _ShearPositionScreen(X)
+        sweeps = _ShearSweeps(T, X, baseline, suite.gamma_grid, threshold, suite.cone_seed)
         for h in range(1, k + 1):
-            found = _shear_frames(X, theta, h, all_s_choices=True, cone_seed=suite.cone_seed)
-            frames += [(h, frame) for frame in found]
+            frames += _shear_frames(X, baseline.canonical, h, suite.cone_seed)
     # plain floats, so the labels read the same under every numpy version
     directions = [tuple(row) for row in np.vstack([np.eye(k), -np.eye(k)]).tolist()]
-    prepared = {}
 
     def attacks(m):
         """(label, trace) of every attack of the suite at budget m, lazily."""
-        for i, (h, frame) in enumerate(frames):
+        for frame in frames:
+            h = len(frame.kept)
             if m > n - h:
                 continue
-            if i not in prepared:
-                prepared[i] = _prepare_frame(T, X, frame, screen)
             for b_rule in _PARTITION_RULES:
-                trace = _run_shear_sweep(
-                    T, X, baseline, frame, m, suite.gamma_grid, b_rule, threshold,
-                    suite.cone_seed, screen, prepared[i],
-                )
+                trace = _run_shear_sweep(sweeps, frame, m, b_rule)
                 yield f"shear(h={h},facet={frame.facet.indices},rule={b_rule})", trace
         for direction in directions:
             trace = _cluster_attack(T, X, m, baseline, suite.radius_grid, unit_direction(direction), threshold)
@@ -972,7 +958,7 @@ def pm_counterexample(m: int, delta: float, noise_scale: float = 0.1, seed: int 
         raise ParameterError(f"need 0 < delta < 1, got {delta}")
     if noise_scale <= 0.0:
         raise ParameterError(f"need noise_scale > 0, got {noise_scale}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     xs = np.linspace(10.0, 20.0, m)
     for _ in range(200):
         noise = rng.uniform(-noise_scale, noise_scale, size=m)

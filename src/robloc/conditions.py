@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .depth import DirectionBudget, tukey_depth
-from .errors import NoAdmissibleDirectionError, ParameterError, RoblocError
+from .errors import NoAdmissibleDirectionError, ParameterError, RoblocError, require_seed
 from .estimators import LocationEstimator
 from .geometry import (
     GP_RTOL,
@@ -167,6 +167,7 @@ def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) ->
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
+    require_seed(seed)
     tol = GP_RTOL * max(X.diameter, 1e-300)
     if h <= X.k:
         require_general_position(X, "condition_margin")
@@ -307,7 +308,7 @@ def check_equivariance(
     """
     if eq_class not in ("translation", "affine"):
         raise ParameterError(f"unknown equivariance class {eq_class!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     scale = max(X.diameter, 1.0)
     worst = 0.0
     for _ in range(int(trials)):

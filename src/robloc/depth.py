@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .dataset import DataSet
-from .errors import CombinatorialBudgetError, DegenerateSampleError, ParameterError
+from .errors import CombinatorialBudgetError, DegenerateSampleError, ParameterError, require_seed
 from .geometry import hyperplane_normal, subset_index
 
 __all__ = [
@@ -48,8 +48,7 @@ class DirectionBudget:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+        require_seed(self.seed)
         if self.random_count < 0:
             raise ParameterError("random_count must be nonnegative")
         if self.random_count == 0 and not self.include_data_directions:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one seed check."""
+
+from numbers import Integral
 
 
 class RoblocError(Exception):
@@ -39,3 +41,11 @@ class CombinatorialBudgetError(RoblocError):
 
 class EstimatorError(RoblocError):
     """Raised when an estimator cannot be resolved or fails to evaluate."""
+
+
+def require_seed(seed):
+    """``seed`` as a Python int if it is a nonnegative integer, the only
+    seeds that numpy's generators take and that make a result reproducible."""
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)

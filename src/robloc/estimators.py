@@ -25,6 +25,7 @@ from .errors import (
     EstimatorError,
     OverflowParameterError,
     ParameterError,
+    require_seed,
 )
 
 __all__ = [
@@ -669,6 +670,8 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
     unknown = set(params) - set(_ESTIMATOR_PARAMETERS[name])
     if unknown:
         raise ParameterError(f"estimator {name!r} does not take parameters {sorted(unknown)}")
+    if seed is not None:
+        require_seed(seed)
 
     if name == "cmedian":
         return LocationEstimator(

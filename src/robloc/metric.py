@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_seed
 
 __all__ = [
     "sample_distance",
@@ -85,7 +85,7 @@ def lipschitz_probe(estimator_1d, x, delta: float, trials: int, seed: int) -> fl
     if delta < 0:
         raise ParameterError("delta must be nonnegative")
     x = np.asarray(x, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     base = estimator_1d(x)
     worst = 0.0
     for _ in range(int(trials)):

@@ -183,18 +183,16 @@ def test_shear_attack_requires_gp():
 def test_shear_attack_nudges_degenerate_gamma(demo10):
     # hit a slope at which some subset determinant D0 + gamma*D1 vanishes
     # exactly: the sweep must recover by the one allowed relative nudge
-    from robloc.breakdown import _ShearPositionScreen, _partition, _rankings, _shear_frames
-    from robloc.geometry import basis_from_normal
+    from robloc.breakdown import _ShearPositionScreen, _shear_frames
 
     T = make_estimator("mcd")
     theta = T(demo10).canonical
-    frame = _shear_frames(demo10, theta, 2, all_s_choices=False, cone_seed=0)[0]
+    frame = _shear_frames(demo10, theta, 2, cone_seed=0)[0]
     screen = _ShearPositionScreen(demo10)
-    row_dets = screen.row_replacements(basis_from_normal(frame.normal, frame.origin).e(2))
-    offsets = demo10.points @ frame.normal - frame.level
-    a_idx, b_idx = _partition(_rankings(demo10, frame)["largest_projection"], 4)
+    row_dets = screen.row_replacements(frame.basis.e(2))
+    _, b_idx = frame.partition(4, "largest_projection")
     c = np.zeros(demo10.n)
-    c[list(b_idx)] = offsets[list(b_idx)]
+    c[list(b_idx)] = frame.offsets[list(b_idx)]
     d1 = screen.linear_coeff(row_dets, c)
     roots = -screen.d0[d1 != 0.0] / d1[d1 != 0.0]
     gamma_bad = float(roots[roots > 1.0].min())
@@ -273,16 +271,14 @@ def test_attack_grids_must_be_nonempty_and_finite(bad, demo5, demo10):
 def preimage_families(X, slopes):
     """Far and near shear families of the first h = 2 frame of X, with
     what the preimage check reads."""
-    from robloc.breakdown import _partition, _rankings, _shear_family, _shear_frames
+    from robloc.breakdown import _shear_family, _shear_frames
 
     theta = make_estimator("cmedian")(X).canonical
-    frame = _shear_frames(X, theta, 2, all_s_choices=False, cone_seed=0)[0]
-    basis = basis_from_normal(frame.normal, frame.origin)
-    offsets = X.points @ frame.normal - frame.level
-    a_idx, b_idx = _partition(_rankings(X, frame)["largest_projection"], 4)
-    far = _shear_family(X, basis, b_idx, slopes)
-    near = _shear_family(X, basis, a_idx, [-g for g in slopes])
-    return far, near, offsets, frame.kept
+    frame = _shear_frames(X, theta, 2, cone_seed=0)[0]
+    a_idx, b_idx = frame.partition(4, "largest_projection")
+    far = _shear_family(X, frame.basis, b_idx, slopes)
+    near = _shear_family(X, frame.basis, a_idx, [-g for g in slopes])
+    return far, near, frame.offsets, frame.kept
 
 
 def test_preimage_check_catches_a_perturbed_row(demo10):

@@ -348,3 +348,20 @@ def test_estimate_pm_negative_grid_refinements_exits_4(runner, demo10_csv):
 
 def test_scenario_pm_negative_grid_refinements_exits_4(runner):
     assert_fails(runner, ["scenario-pm", "--seed", "1", "--grid-refinements", "-1"], 4)
+
+
+@pytest.mark.parametrize("args", [
+    ["fsbv", "-e", "cmedian"],
+    ["attack", "-e", "mcd", "--h", "1"],
+    ["estimate", "-e", "pm"],
+    ["estimate", "-e", "tmean"],
+    ["depth", "--point", "3.5,5.0", "--mode", "sampled"],
+    ["condition", "-e", "mcd", "--h", "1"],
+    ["scenario-pm", "--m", "3", "--deltas", "1e-1"],
+], ids=["fsbv", "attack", "estimate-pm", "estimate-tmean", "depth", "condition", "scenario-pm"])
+def test_negative_seed_exits_4(runner, demo10_csv, args):
+    data = [] if args[0] == "scenario-pm" else [demo10_csv]
+    result = runner.invoke(main, [args[0], *data, *args[1:], "--seed", "-1"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: seed must be a nonnegative integer, got -1"]

@@ -20,7 +20,7 @@ from robloc import (
     shear_attack,
     translation_cluster_attack,
 )
-from robloc.breakdown import DEFAULT_GAMMA_GRID, _partition, _rankings, _shear_family, _shear_frames
+from robloc.breakdown import DEFAULT_GAMMA_GRID, _shear_family, _shear_frames
 from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
@@ -30,7 +30,6 @@ from robloc.estimators import (
     default_mcd_coverage,
     mcd_exhaustive,
 )
-from robloc.geometry import basis_from_normal
 from robloc.univariate import univariate_median
 
 
@@ -107,11 +106,10 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
     X = random_gp_dataset(k + 5, k, seed=40 + k)
     theta = mcd_exhaustive(X).estimates.canonical
     slopes = [sign * 10.0**p for p in range(9) for sign in (1.0, -1.0)]
-    for frame in _shear_frames(X, theta, k, all_s_choices=False, cone_seed=0)[:3]:
-        basis = basis_from_normal(frame.normal, frame.origin)
-        sweep = MCDShearSweep(X, basis)
-        _, replaced = _partition(_rankings(X, frame)["largest_projection"], 2)
-        family = _shear_family(X, basis, replaced, slopes)
+    for frame in _shear_frames(X, theta, k, cone_seed=0)[:3]:
+        sweep = MCDShearSweep(X, frame.basis)
+        _, replaced = frame.partition(2, "largest_projection")
+        family = _shear_family(X, frame.basis, replaced, slopes)
         low, high = sweep.bounds(family)
         for j, points in enumerate(family.points):
             groups = points[sweep.subsets]
@@ -136,17 +134,16 @@ def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
     # the full estimator on every dataset of it
     X = random_gp_dataset(7, 2, seed=42)
     T = make_estimator("mcd")
-    frame = _shear_frames(X, T(X).canonical, 2, all_s_choices=False, cone_seed=0)[0]
-    basis = basis_from_normal(frame.normal, frame.origin)
+    frame = _shear_frames(X, T(X).canonical, 2, cone_seed=0)[0]
     sweeps = []
 
     def families(X, basis):
         sweeps.append(MCDShearSweep(X, basis))
         return sweeps[-1]
 
-    evaluate = dataclasses.replace(T, families=families).evaluator(X, basis)
-    _, replaced = _partition(_rankings(X, frame)["largest_projection"], 2)
-    family = _shear_family(X, basis, replaced, (0.1, 10.0, 1e100))
+    evaluate = dataclasses.replace(T, families=families).evaluator(X, frame.basis)
+    _, replaced = frame.partition(2, "largest_projection")
+    family = _shear_family(X, frame.basis, replaced, (0.1, 10.0, 1e100))
     (sweep,) = sweeps
     _, high = sweep.bounds(family)
     assert not np.isfinite(high).all()
@@ -225,14 +222,12 @@ def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
     theta = T(X).canonical
     slopes = [sign * 10.0**p for p in range(9) for sign in (1.0, -1.0)]
     collapsed = 0
-    for frame in _shear_frames(X, theta, k, all_s_choices=False, cone_seed=0)[:3]:
-        basis = basis_from_normal(frame.normal, frame.origin)
-        ranked = _rankings(X, frame)["smallest_projection"]
+    for frame in _shear_frames(X, theta, k, cone_seed=0)[:3]:
         for m in (1, X.n - k):
-            a_idx, b_idx = _partition(ranked, m)
+            a_idx, b_idx = frame.partition(m, "smallest_projection")
             for replaced in (a_idx, b_idx):
-                family = _shear_family(X, basis, replaced, slopes)
-                got = T.evaluator(X, basis)(family)
+                family = _shear_family(X, frame.basis, replaced, slopes)
+                got = T.evaluator(X, frame.basis)(family)
                 for est, Xg in zip(got, map(DataSet, family.points)):
                     want = median_box_oracle(Xg)
                     for found in (est, coordinatewise_median(Xg)):
