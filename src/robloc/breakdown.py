@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -348,44 +349,15 @@ class _ShearFrame:
         return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
 
 
-def _shear_frames(X: DataSet, theta: np.ndarray, h: int, cone_seed: int) -> list:
-    """All workable (facet, kept subset, direction) frames of tie order h,
-    best facet first, each facet's kept subsets in ``combinations`` order
-    (the first keeps its h smallest indices); for h < k every kept subset
-    draws its tie directions from a fresh generator seeded by ``cone_seed``.
-
-    A facet whose halfspace strictly contains the estimate is exactly a
-    k-data-point face of the hull of the data plus the estimate that does
-    not contain the estimate; at least one always exists because the facet
-    normals positively span the space. Working with the facets of X alone
-    avoids degeneracies when the estimate lands on a data hyperplane.
-    """
-    tol = GP_RTOL * max(X.diameter, 1e-300)
-    frames = []
-    facets = enumerate_facets(X)
-    admissible = [f for f in facets if f.margin_of(theta) > tol]
-    admissible.sort(key=lambda f: (-f.margin_of(theta), f.indices))
-    for facet in admissible:
-        for kept in combinations(facet.indices, h):
-            if h == X.k:
-                u = facet.inward_normal
-                level = tie_level(X.points @ u, kept, tol)
-                ties = [] if level is None else [(u, level, None)]
-            else:
-                rng = np.random.default_rng(cone_seed)
-                ties = normal_cone_ties(X, facets, kept, rng, _CONE_SAMPLES, tol)
-            # the first verified tie direction with the estimate strictly above
-            found = next(((u, level) for u, level, _ in ties if float(u @ theta) - level > tol), None)
-            if found is None:
-                continue
-            u, level = found
-            rest = np.setdiff1d(np.arange(X.n), kept, assume_unique=True)
-            proj = X.points[rest] @ u - level
-            rankings = {"largest_projection": rest[np.lexsort((rest, -proj))],
-                        "smallest_projection": rest[np.lexsort((rest, proj))]}
-            basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
-            frames.append(_ShearFrame(facet, kept, u, level, basis, X.points @ u - level, rankings))
-    return frames
+def _shear_frames(attacks: _Attacks) -> list:
+    """Every workable (facet, kept subset, direction) frame of the attacks,
+    h = 1..k ascending, then best facet first, then each facet's kept
+    subsets in ``combinations`` order (the first keeps its h smallest
+    indices)."""
+    X = attacks.X
+    frames = (attacks.frame(facet, kept) for h in range(1, X.k + 1) for facet in attacks.admissible
+              for kept in combinations(facet.indices, h))
+    return [frame for frame in frames if frame is not None]
 
 
 class _ShearPositionScreen:
@@ -454,7 +426,7 @@ class _ShearPositionScreen:
         return ok, witness
 
 
-def _screened_grid(screen: _ShearPositionScreen, gammas: list, d1_list) -> list:
+def _screened_grid(screen: _ShearPositionScreen, gammas, d1_list) -> list:
     """Each slope of the grid, or that slope nudged once where it breaks
     general position. Raises for the first slope whose nudge breaks it
     too, with the witness subset at the nudged slope."""
@@ -481,28 +453,22 @@ def _family_distances(estimates: EstimateStack, baseline: EstimateSet) -> list:
     return np.maximum.reduceat(rows, estimates.starts).tolist()
 
 
-def _divergence_threshold(X: DataSet, factor: float = DEFAULT_THRESHOLD_FACTOR) -> float:
-    """``factor`` times the data diameter: the finite proxy for an
-    unbounded estimate."""
-    return factor * max(X.diameter, 1e-300)
-
-
 def _attack_trace(
-    family: str, T: LocationEstimator, X: DataSet, m: int, h: int | None, requested: list, used: list,
-    columns: list, baseline: EstimateSet, threshold: float, details: dict,
+    attacks: _Attacks, family: str, m: int, h: int | None, requested: list, used: list, columns: list,
+    details: dict,
 ) -> AttackTrace:
     """The trace of one attack from its (label, replaced, estimates)
     columns, with the distances of every column to the baseline. A grid
     value whose distance overflows is a ParameterError."""
     labels, replaced, estimates = zip(*columns)
     with np.errstate(over="ignore"):
-        distances = np.column_stack([_family_distances(e, baseline) for e in estimates])
+        distances = np.column_stack([_family_distances(e, attacks.baseline) for e in estimates])
     _require_finite_at(used, distances, "its distance", "slope" if family == "shear" else "radius")
     return AttackTrace(
         family=family,
-        estimator=T.name,
-        n=X.n,
-        k=X.k,
+        estimator=attacks.T.name,
+        n=attacks.X.n,
+        k=attacks.X.k,
         m=m,
         h=h,
         parameters=tuple(requested),
@@ -511,35 +477,85 @@ def _attack_trace(
         replaced=replaced,
         estimates=estimates,
         distances=distances,
-        divergence_threshold=threshold,
+        divergence_threshold=attacks.threshold,
         details=details,
     )
 
 
-class _ShearSweeps:
-    """What every shear sweep of T on X shares: the position screen, grid,
-    threshold, tie-direction seed and baseline, and per frame the screen row
-    determinants and T's evaluator, built on the frame's first sweep."""
+class _Attacks:
+    """What every attack of T on X shares: the suite, the baseline T(X)
+    and the divergence threshold, ``threshold_factor`` times the data
+    diameter (the finite proxy for an unbounded estimate); built on first
+    use, the hull facets (enumerated once), the admissible facets best
+    first, the position screen, and per frame the screen row determinants
+    and T's evaluator.
 
-    def __init__(self, T: LocationEstimator, X: DataSet, baseline: EstimateSet, gamma_grid,
-                 threshold: float, cone_seed: int):
-        self.T, self.X, self.baseline = T, X, baseline
-        self.threshold, self.cone_seed = threshold, cone_seed
-        self.requested = [float(gamma) for gamma in gamma_grid]
-        self.screen = _ShearPositionScreen(X)
-        self._frames = {}
+    A facet is admissible when its halfspace strictly contains the
+    estimate: exactly a k-data-point face of the hull of the data plus the
+    estimate that does not contain the estimate. At least one exists
+    because the facet normals positively span the space; working with the
+    facets of X alone avoids degeneracies when the estimate lands on a data
+    hyperplane.
+    """
+
+    def __init__(self, T: LocationEstimator, X: DataSet, suite: AttackSuite,
+                 threshold_factor: float = DEFAULT_THRESHOLD_FACTOR):
+        self.T, self.X, self.suite = T, X, suite
+        self.tol = GP_RTOL * max(X.diameter, 1e-300)
+        self.threshold = threshold_factor * max(X.diameter, 1e-300)
+        self.baseline = T(X)
+        self._per_frame = {}
+
+    @cached_property
+    def facets(self) -> list:
+        return enumerate_facets(self.X)
+
+    @cached_property
+    def admissible(self) -> list:
+        theta, tol = self.baseline.canonical, self.tol
+        admissible = [f for f in self.facets if f.margin_of(theta) > tol]
+        admissible.sort(key=lambda f: (-f.margin_of(theta), f.indices))
+        return admissible
+
+    @cached_property
+    def screen(self) -> _ShearPositionScreen:
+        return _ShearPositionScreen(self.X)
+
+    def frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
+        """The frame pinning ``kept`` on ``facet`` along its first verified
+        tie direction with the estimate strictly above, or None. For h < k
+        the directions come from a fresh generator seeded by ``cone_seed``."""
+        X, theta, tol = self.X, self.baseline.canonical, self.tol
+        if len(kept) == X.k:
+            u = facet.inward_normal
+            level = tie_level(X.points @ u, kept, tol)
+            ties = [] if level is None else [(u, level, None)]
+        else:
+            rng = np.random.default_rng(self.suite.cone_seed)
+            ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol)
+        found = next(((u, level) for u, level, _ in ties if float(u @ theta) - level > tol), None)
+        if found is None:
+            return None
+        u, level = found
+        rest = np.setdiff1d(np.arange(X.n), kept, assume_unique=True)
+        proj = X.points[rest] @ u - level
+        rankings = {"largest_projection": rest[np.lexsort((rest, -proj))],
+                    "smallest_projection": rest[np.lexsort((rest, proj))]}
+        basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
+        return _ShearFrame(facet, kept, u, level, basis, X.points @ u - level, rankings)
 
     def per_frame(self, frame: _ShearFrame) -> tuple:
         """(screen row determinants, estimator evaluator) of a frame."""
-        if frame not in self._frames:
+        if frame not in self._per_frame:
             basis = frame.basis
-            self._frames[frame] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
-        return self._frames[frame]
+            self._per_frame[frame] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
+        return self._per_frame[frame]
 
 
-def _run_shear_sweep(sweeps: _ShearSweeps, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
-    X, screen, offsets = sweeps.X, sweeps.screen, frame.offsets
-    row_dets, estimate = sweeps.per_frame(frame)
+def _run_shear_sweep(attacks: _Attacks, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
+    X, screen, offsets = attacks.X, attacks.screen, frame.offsets
+    row_dets, estimate = attacks.per_frame(frame)
+    requested = attacks.suite.gamma_grid
     a_idx, b_idx = frame.partition(m, b_rule)
     include_preimage_family = 0 < len(a_idx) <= m
 
@@ -551,7 +567,7 @@ def _run_shear_sweep(sweeps: _ShearSweeps, frame: _ShearFrame, m: int, b_rule: s
         c_near[list(a_idx)] = -offsets[list(a_idx)]
         d1_list.append(screen.linear_coeff(row_dets, c_near))
 
-    used = _screened_grid(screen, sweeps.requested, d1_list)
+    used = _screened_grid(screen, requested, d1_list)
     families = [("shear_replace_far", _shear_family(X, frame.basis, b_idx, used))]
     if include_preimage_family:
         near = _shear_family(X, frame.basis, a_idx, [-g for g in used])
@@ -567,13 +583,10 @@ def _run_shear_sweep(sweeps: _ShearSweeps, frame: _ShearFrame, m: int, b_rule: s
         "level": float(frame.level),
         "origin": [float(v) for v in frame.basis.origin_shift],
         "b_rule": b_rule,
-        "seed": sweeps.cone_seed,
+        "seed": attacks.suite.cone_seed,
         "preimage_family_included": include_preimage_family,
     }
-    return _attack_trace(
-        "shear", sweeps.T, X, m, len(frame.kept), sweeps.requested, used, columns, sweeps.baseline,
-        sweeps.threshold, details,
-    )
+    return _attack_trace(attacks, "shear", m, len(frame.kept), requested, used, columns, details)
 
 
 def _shear_family(X: DataSet, basis, replaced, slopes) -> ReplacementFamily:
@@ -653,30 +666,28 @@ def shear_attack(
 
     ``m`` defaults to floor((n - h + 1) / 2), the largest budget for which
     both families stay within m replacements; the threshold is
-    ``DEFAULT_THRESHOLD_FACTOR``. The frame is the first of
-    :func:`_shear_frames` that keeps its facet's h smallest indices: the
-    best facet whose h smallest indices admit a verified tie direction, with
-    the direction :func:`empirical_fsbv` finds for that subset at the same
-    ``cone_seed``. It is swept by the same code as every frame there.
+    ``DEFAULT_THRESHOLD_FACTOR``. The grid and ``cone_seed`` are checked as
+    an :class:`AttackSuite` checks them. The frame is the best admissible
+    facet whose h smallest indices admit a verified tie direction, with the
+    direction :func:`empirical_fsbv` finds for that subset at the same
+    ``cone_seed``; only the subsets tried draw directions. It is swept by
+    the same code as every frame there.
     """
-    require_general_position(X, "shear_attack")
     if X.k < 2:
         raise ParameterError("shear attack requires k >= 2")
     if not (1 <= h <= X.k):
         raise ParameterError(f"need 1 <= h <= k, got h={h}")
-    cone_seed = require_seed(cone_seed)
-    gamma_grid = _require_grid(gamma_grid, "gamma")
+    suite = AttackSuite(gamma_grid=gamma_grid, cone_seed=cone_seed)
     n = X.n
     m_eff = (n - h + 1) // 2 if m is None else int(m)
     if not (1 <= m_eff <= n - h):
         raise ParameterError(f"need 1 <= m <= n - h = {n - h}, got m={m_eff}")
-    baseline = T(X)
-    frames = _shear_frames(X, baseline.canonical, h, cone_seed)
-    frame = next((f for f in frames if f.kept == f.facet.indices[:h]), None)
+    require_general_position(X, "shear_attack")
+    attacks = _Attacks(T, X, suite)
+    frame = next(filter(None, (attacks.frame(f, f.indices[:h]) for f in attacks.admissible)), None)
     if frame is None:
         raise NoFacetAdmitsEstimateError(T.name)
-    sweeps = _ShearSweeps(T, X, baseline, gamma_grid, _divergence_threshold(X), cone_seed)
-    return _run_shear_sweep(sweeps, frame, m_eff, partition_rule.b_rule)
+    return _run_shear_sweep(attacks, frame, m_eff, partition_rule.b_rule)
 
 
 class NoFacetAdmitsEstimateError(RoblocError):
@@ -707,32 +718,25 @@ def translation_cluster_attack(
     The cluster sits at the original estimate plus radius times the
     direction, with deterministic per-copy jitter of relative size 1e-6
     cycling through the coordinate axes so the copies do not create exact
-    degeneracies on their own. The threshold is ``DEFAULT_THRESHOLD_FACTOR``.
+    degeneracies on their own. The threshold is ``DEFAULT_THRESHOLD_FACTOR``,
+    and the grid is checked as an :class:`AttackSuite` checks it.
     """
     if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
-    radius_grid = _require_grid(radius_grid, "radius")
+    suite = AttackSuite(radius_grid=radius_grid)
     u = unit_direction(np.eye(X.k)[0] if direction is None else direction)
     if u.size != X.k:
         raise ParameterError(f"direction has dimension {u.size}, the data have dimension {X.k}")
-    return _cluster_attack(T, X, m, T(X), radius_grid, u, _divergence_threshold(X))
+    return _cluster_attack(_Attacks(T, X, suite), m, u)
 
 
-def _cluster_attack(
-    T: LocationEstimator,
-    X: DataSet,
-    m: int,
-    baseline: EstimateSet,
-    radius_grid,
-    u: np.ndarray,
-    threshold: float,
-) -> AttackTrace:
-    """:func:`translation_cluster_attack` along the unit direction u, given
-    ``baseline = T(X)``: all G clusters in one (G, m, k) broadcast, and
+def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray) -> AttackTrace:
+    """:func:`translation_cluster_attack` along the unit direction u over
+    the suite's radius grid: all G clusters in one (G, m, k) broadcast, and
     their datasets as one family for the estimator's evaluator."""
-    theta = baseline.canonical
+    T, X, theta = attacks.T, attacks.X, attacks.baseline.canonical
     order = np.lexsort((np.arange(X.n), -(X.points @ u)))
-    R = np.array(radius_grid, dtype=float)
+    R = np.array(attacks.suite.radius_grid, dtype=float)
     copies = np.arange(m)
     jitter = np.zeros((R.size, m, X.k))
     jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
@@ -745,7 +749,7 @@ def _cluster_attack(
         "seed": None,
     }
     columns = [("cluster", family.replaced, T.evaluator(X)(family))]
-    return _attack_trace("cluster", T, X, m, None, radii, radii, columns, baseline, threshold, details)
+    return _attack_trace(attacks, "cluster", m, None, radii, radii, columns, details)
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +761,10 @@ def _cluster_attack(
 class AttackSuite:
     """Configuration of the certification sweep: the two grids, which must
     be nonempty and finite (``ParameterError`` otherwise: an empty grid would
-    let every budget "survive" untested), and the seed of the h < k tie
-    directions, a nonnegative integer (stored as an int). The rest is fixed
+    let every budget "survive" untested) and are stored as tuples of
+    floats, so suites hash and compare by value, and the seed of the h < k
+    tie directions, a nonnegative integer (stored as an int). Both attacks
+    check their own grid and seed by building one. The rest is fixed
     (see :func:`empirical_fsbv`); ``to_dict`` still records it under the
     keys it always had, from ``"h_values": null`` to
     ``"stop_m_on_divergence": true``.
@@ -769,14 +775,14 @@ class AttackSuite:
     cone_seed: int = 0
 
     def __post_init__(self):
-        _require_grid(self.gamma_grid, "gamma")
-        _require_grid(self.radius_grid, "radius")
+        object.__setattr__(self, "gamma_grid", _require_grid(self.gamma_grid, "gamma"))
+        object.__setattr__(self, "radius_grid", _require_grid(self.radius_grid, "radius"))
         object.__setattr__(self, "cone_seed", require_seed(self.cone_seed))
 
     def to_dict(self) -> dict:
         return {
-            "gamma_grid": [float(g) for g in self.gamma_grid],
-            "radius_grid": [float(r) for r in self.radius_grid],
+            "gamma_grid": list(self.gamma_grid),
+            "radius_grid": list(self.radius_grid),
             "h_values": None,
             "cluster_directions": None,
             "partition_rules": list(_PARTITION_RULES),
@@ -879,30 +885,25 @@ def empirical_fsbv(
                              f"got {threshold_factor!r}")
     suite = suite or AttackSuite()
     n, k = X.n, X.k
-    threshold = _divergence_threshold(X, factor=threshold_factor)
-    baseline = T(X)
-
+    attacks = _Attacks(T, X, suite, threshold_factor)
     frames = []  # h ascending
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
-        sweeps = _ShearSweeps(T, X, baseline, suite.gamma_grid, threshold, suite.cone_seed)
-        for h in range(1, k + 1):
-            frames += _shear_frames(X, baseline.canonical, h, suite.cone_seed)
+        frames = _shear_frames(attacks)
     # plain floats, so the labels read the same under every numpy version
     directions = [tuple(row) for row in np.vstack([np.eye(k), -np.eye(k)]).tolist()]
 
-    def attacks(m):
+    def traces(m):
         """(label, trace) of every attack of the suite at budget m, lazily."""
         for frame in frames:
             h = len(frame.kept)
             if m > n - h:
                 continue
             for b_rule in _PARTITION_RULES:
-                trace = _run_shear_sweep(sweeps, frame, m, b_rule)
+                trace = _run_shear_sweep(attacks, frame, m, b_rule)
                 yield f"shear(h={h},facet={frame.facet.indices},rule={b_rule})", trace
         for direction in directions:
-            trace = _cluster_attack(T, X, m, baseline, suite.radius_grid, unit_direction(direction), threshold)
-            yield f"cluster(direction={direction})", trace
+            yield f"cluster(direction={direction})", _cluster_attack(attacks, m, unit_direction(direction))
 
     certificates = {}
     first_broken = None
@@ -910,7 +911,7 @@ def empirical_fsbv(
         tried = []
         max_distance = 0.0
         witness = None
-        for label, trace in attacks(m):
+        for label, trace in traces(m):
             tried.append(label)
             max_distance = max(max_distance, trace.max_distance)
             if trace.diverged:

@@ -161,8 +161,6 @@ def attack(dataset, T, seed, params, family, h_value, m_value, gamma_grid, radiu
            direction, b_rule, emit_curve):
     """Run one contamination family against an estimator."""
     X = _load(dataset)
-    if m_value is not None and m_value > X.n:
-        raise ParameterError(f"m = {m_value} exceeds n = {X.n}")
     if family == "shear":
         h = X.k if h_value is None else h_value
         if h < X.k and seed is None:
@@ -319,21 +317,12 @@ def scenario_pm(m_value, deltas, noise_scale, seed, random_count, grid_refinemen
     """Sweep the collapse scenario: projection-median norm and origin
     outlyingness as the anchor separation shrinks."""
     delta_values = _parse_grid(deltas, "delta")
-    for d in delta_values:
-        if not (0.0 < d < 1.0):
-            raise ParameterError(f"delta must be in (0, 1), got {d}")
-    if m_value < 2:
-        raise ParameterError(f"m must be >= 2, got {m_value}")
-    if noise_scale <= 0:
-        raise ParameterError(f"noise_scale must be positive, got {noise_scale}")
-    if grid_refinements < 0:
-        raise ParameterError(f"grid_refinements must be nonnegative, got {grid_refinements}")
+    T = make_estimator("pm", seed=seed, random_count=random_count, grid_refinements=grid_refinements)
+    budget = DirectionBudget(random_count, True, seed)
+    datasets = [pm_counterexample(m_value, d, noise_scale=noise_scale, seed=seed) for d in delta_values]
     rows = []
-    for d in delta_values:
-        X = pm_counterexample(m_value, d, noise_scale=noise_scale, seed=seed)
-        budget = DirectionBudget(random_count, True, seed)
-        est = make_estimator("pm", seed=seed, random_count=random_count,
-                             grid_refinements=grid_refinements)(X)
+    for d, X in zip(delta_values, datasets):
+        est = T(X)
         evaluator = OutlyingnessEvaluator(X, X.k - 1, budget)
         rows.append(
             {

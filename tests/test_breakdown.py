@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from robloc import (
     DataSet,
     bundled_dataset,
     empirical_fsbv,
+    load_dataset_csv,
     make_estimator,
     mcd_exhaustive,
     pm_counterexample,
@@ -17,15 +19,22 @@ from robloc import (
     theoretical_bounds,
     translation_cluster_attack,
 )
-from robloc.breakdown import AttackSuite, PartitionRule, SURVIVED_MARKER
+from robloc.breakdown import AttackSuite, PartitionRule, SURVIVED_MARKER, _Attacks, _shear_frames
 from robloc.errors import GeneralPositionError, ParameterError, RoblocError
 from robloc.estimators import EstimateSet, EstimateStack, LocationEstimator
 from robloc.geometry import basis_from_normal, check_general_position, shear_transform
 from robloc.metric import estimate_set_distance
 
+GP83 = Path(__file__).parent / "golden" / "gp8_3d.csv"
+
 
 def as_fraction(pair):
     return Fraction(pair[0], pair[1])
+
+
+def frames_of(T, X, h):
+    """The shear frames of T on X that pin h points, at cone_seed 0."""
+    return [f for f in _shear_frames(_Attacks(T, X, AttackSuite())) if len(f.kept) == h]
 
 
 def assert_reductions_match_records(trace):
@@ -183,11 +192,10 @@ def test_shear_attack_requires_gp():
 def test_shear_attack_nudges_degenerate_gamma(demo10):
     # hit a slope at which some subset determinant D0 + gamma*D1 vanishes
     # exactly: the sweep must recover by the one allowed relative nudge
-    from robloc.breakdown import _ShearPositionScreen, _shear_frames
+    from robloc.breakdown import _ShearPositionScreen
 
     T = make_estimator("mcd")
-    theta = T(demo10).canonical
-    frame = _shear_frames(demo10, theta, 2, cone_seed=0)[0]
+    frame = frames_of(T, demo10, 2)[0]
     screen = _ShearPositionScreen(demo10)
     row_dets = screen.row_replacements(frame.basis.e(2))
     _, b_idx = frame.partition(4, "largest_projection")
@@ -268,13 +276,53 @@ def test_attack_grids_must_be_nonempty_and_finite(bad, demo5, demo10):
         translation_cluster_attack(T, demo5, 2, radius_grid=bad)
 
 
+@pytest.mark.parametrize("grid", [[10, 100.0], (10.0, 100), np.array([10.0, 100.0]), np.array([10, 100])],
+                         ids=["list", "tuple", "float-array", "int-array"])
+def test_suite_stores_its_grids_as_float_tuples(grid):
+    suite = AttackSuite(gamma_grid=grid, radius_grid=grid)
+    want = AttackSuite(gamma_grid=(10.0, 100.0), radius_grid=(10.0, 100.0))
+    for stored in (suite.gamma_grid, suite.radius_grid):
+        assert type(stored) is tuple and all(type(v) is float for v in stored)
+    assert suite == want and hash(suite) == hash(want)
+    assert json.dumps(suite.to_dict()) == json.dumps(want.to_dict())
+
+
+def counting(monkeypatch, name):
+    """Count the calls robloc.breakdown makes to its binding ``name``."""
+    from robloc import breakdown
+
+    calls = []
+    inner = getattr(breakdown, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(breakdown, name, wrapper)
+    return calls
+
+
+def test_shear_attack_draws_tie_directions_only_for_the_subset_it_sweeps(monkeypatch):
+    X = load_dataset_csv(GP83)
+    calls = counting(monkeypatch, "normal_cone_ties")
+    trace = shear_attack(make_estimator("mcd"), X, h=1)
+    assert len(calls) == 1
+    assert trace.details["kept"] == trace.details["facet"][:1]
+
+
+def test_fsbv_enumerates_the_facets_once(monkeypatch):
+    X = load_dataset_csv(GP83)
+    calls = counting(monkeypatch, "enumerate_facets")
+    empirical_fsbv(make_estimator("cmedian"), X)
+    assert len(calls) == 1
+
+
 def preimage_families(X, slopes):
     """Far and near shear families of the first h = 2 frame of X, with
     what the preimage check reads."""
-    from robloc.breakdown import _shear_family, _shear_frames
+    from robloc.breakdown import _shear_family
 
-    theta = make_estimator("cmedian")(X).canonical
-    frame = _shear_frames(X, theta, 2, cone_seed=0)[0]
+    frame = frames_of(make_estimator("cmedian"), X, 2)[0]
     a_idx, b_idx = frame.partition(4, "largest_projection")
     far = _shear_family(X, frame.basis, b_idx, slopes)
     near = _shear_family(X, frame.basis, a_idx, [-g for g in slopes])

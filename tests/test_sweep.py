@@ -20,7 +20,7 @@ from robloc import (
     shear_attack,
     translation_cluster_attack,
 )
-from robloc.breakdown import DEFAULT_GAMMA_GRID, _shear_family, _shear_frames
+from robloc.breakdown import DEFAULT_GAMMA_GRID, _Attacks, _shear_family, _shear_frames
 from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
@@ -36,6 +36,11 @@ from robloc.univariate import univariate_median
 def generic(T):
     """The same estimator without its hook: one evaluate per dataset."""
     return dataclasses.replace(T, families=None)
+
+
+def frames_of(T, X, h):
+    """The shear frames of T on X that pin h points, at cone_seed 0."""
+    return [f for f in _shear_frames(_Attacks(T, X, AttackSuite())) if len(f.kept) == h]
 
 
 def assert_same_estimate(got, want):
@@ -104,9 +109,8 @@ def test_mcd_sweep_matches_generic_loop(case):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
     X = random_gp_dataset(k + 5, k, seed=40 + k)
-    theta = mcd_exhaustive(X).estimates.canonical
     slopes = [sign * 10.0**p for p in range(9) for sign in (1.0, -1.0)]
-    for frame in _shear_frames(X, theta, k, cone_seed=0)[:3]:
+    for frame in frames_of(make_estimator("mcd"), X, k)[:3]:
         sweep = MCDShearSweep(X, frame.basis)
         _, replaced = frame.partition(2, "largest_projection")
         family = _shear_family(X, frame.basis, replaced, slopes)
@@ -134,7 +138,7 @@ def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
     # the full estimator on every dataset of it
     X = random_gp_dataset(7, 2, seed=42)
     T = make_estimator("mcd")
-    frame = _shear_frames(X, T(X).canonical, 2, cone_seed=0)[0]
+    frame = frames_of(T, X, 2)[0]
     sweeps = []
 
     def families(X, basis):
@@ -219,10 +223,9 @@ def median_box_oracle(X):
 def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
     X = make(k + n_extra, k, 60 + k)
     T = make_estimator("cmedian")
-    theta = T(X).canonical
     slopes = [sign * 10.0**p for p in range(9) for sign in (1.0, -1.0)]
     collapsed = 0
-    for frame in _shear_frames(X, theta, k, cone_seed=0)[:3]:
+    for frame in frames_of(T, X, k)[:3]:
         for m in (1, X.n - k):
             a_idx, b_idx = frame.partition(m, "smallest_projection")
             for replaced in (a_idx, b_idx):
