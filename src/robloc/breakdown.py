@@ -957,8 +957,8 @@ def pm_counterexample(m: int, delta: float, noise_scale: float = 0.1, seed: int 
         raise ParameterError(f"need m >= 2, got {m}")
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"need 0 < delta < 1, got {delta}")
-    if noise_scale <= 0.0:
-        raise ParameterError(f"need noise_scale > 0, got {noise_scale}")
+    if not (0.0 < noise_scale < np.inf):
+        raise ParameterError(f"need finite noise_scale > 0, got {noise_scale}")
     rng = np.random.default_rng(require_seed(seed))
     xs = np.linspace(10.0, 20.0, m)
     for _ in range(200):

@@ -645,8 +645,9 @@ def test_pm_counterexample_validation():
         pm_counterexample(1, 0.1)
     with pytest.raises(ParameterError):
         pm_counterexample(5, 1.5)
-    with pytest.raises(ParameterError):
-        pm_counterexample(5, 0.1, noise_scale=0.0)
+    for noise_scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            pm_counterexample(5, 0.1, noise_scale=noise_scale)
 
 
 # --- trace serialization ------------------------------------------------------------

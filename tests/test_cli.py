@@ -335,6 +335,11 @@ def test_scenario_pm_negative_random_count_exits_4(runner):
     assert_fails(runner, ["scenario-pm", "--seed", "1", "--random-count", "-1"], 4)
 
 
+@pytest.mark.parametrize("noise_scale", ["0", "nan", "inf"])
+def test_scenario_pm_bad_noise_scale_exits_4(runner, noise_scale):
+    assert_fails(runner, ["scenario-pm", "--seed", "1", "--noise-scale", noise_scale], 4)
+
+
 def test_condition_on_degenerate_data_exits_3(runner, tmp_path):
     path = tmp_path / "collinear.csv"
     path.write_text("0,0\n1,0\n2,0\n0,1\n")
