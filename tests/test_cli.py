@@ -87,11 +87,13 @@ def test_attack_deterministic_bytes(runner, demo10_csv):
     assert out1 == out2
 
 
-def test_attack_m_exceeding_n_exits_4(runner, demo10_csv):
-    result = runner.invoke(
-        main, ["attack", demo10_csv, "--estimator", "mcd", "--family", "cluster", "--m", "11"]
-    )
-    assert result.exit_code == 4
+def test_attack_m_exceeding_n_exits_4(runner, demo10_csv, tmp_path):
+    # the budget is checked before general position
+    collinear = tmp_path / "collinear.csv"
+    collinear.write_text("0,0\n1,0\n2,0\n0,1\n")
+    for family in ("cluster", "shear"):
+        assert_fails(runner, ["attack", demo10_csv, "-e", "mcd", "--family", family, "--m", "11"], 4)
+        assert_fails(runner, ["attack", str(collinear), "-e", "cmedian", "--family", family, "--m", "5"], 4)
 
 
 def test_attack_cluster_requires_m(runner, demo10_csv):
