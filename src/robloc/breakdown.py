@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -33,7 +33,7 @@ from .errors import (
     GeneralPositionError,
     ParameterError,
     RoblocError,
-    require_seed,
+    require_integer,
 )
 from .estimators import EstimateSet, EstimateStack, LocationEstimator
 from .geometry import (
@@ -326,13 +326,15 @@ class AttackTrace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: it keys per-frame sweep state
+@dataclass(frozen=True, eq=False)
 class _ShearFrame:
     """A hull facet, the h points of it pinned on the hyperplane and the
     verified tie direction ``normal`` at ``level`` through them, with what
     every sweep reads: the shear ``basis``, every point's ``offsets`` from
     the pinned hyperplane, and the non-kept indices in replacement order
-    per b_rule (largest or smallest offset first, ties by index)."""
+    per b_rule (largest or smallest offset first, ties by index). The facet
+    only labels the frame: every sweep of it is fixed by its ``geometry``,
+    the partition and the budget."""
 
     facet: Facet
     kept: tuple  # h indices pinned on the hyperplane
@@ -348,12 +350,21 @@ class _ShearFrame:
         a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
         return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
 
+    @cached_property
+    def geometry(self) -> tuple:
+        """(kept, tie direction, level), the key of what frames pinning the
+        same face share: per-frame state and, per budget and partition, one
+        sweep."""
+        return self.kept, self.normal.tobytes(), self.level
+
 
 def _shear_frames(attacks: _Attacks) -> list:
     """Every workable (facet, kept subset, direction) frame of the attacks,
     h = 1..k ascending, then best facet first, then each facet's kept
     subsets in ``combinations`` order (the first keeps its h smallest
-    indices)."""
+    indices). For h < k a kept subset reached through several facets gives
+    one frame geometry listed under each facet's label; it is swept once
+    per budget and partition."""
     X = attacks.X
     frames = (attacks.frame(facet, kept) for h in range(1, X.k + 1) for facet in attacks.admissible
               for kept in combinations(facet.indices, h))
@@ -487,8 +498,8 @@ class _Attacks:
     and the divergence threshold, ``threshold_factor`` times the data
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
-    first, the position screen, and per frame the screen row determinants
-    and T's evaluator.
+    first, the position screen, per kept subset its frame, and per frame
+    geometry the screen row determinants and T's evaluator.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -504,7 +515,8 @@ class _Attacks:
         self.tol = GP_RTOL * max(X.diameter, 1e-300)
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
-        self._per_frame = {}
+        self._pinned = {}  # kept subset -> its frame or None
+        self._per_frame = {}  # frame geometry -> (row determinants, evaluator)
 
     @cached_property
     def facets(self) -> list:
@@ -524,7 +536,17 @@ class _Attacks:
     def frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
         """The frame pinning ``kept`` on ``facet`` along its first verified
         tie direction with the estimate strictly above, or None. For h < k
-        the directions come from a fresh generator seeded by ``cone_seed``."""
+        the directions come from a fresh generator seeded by ``cone_seed``
+        and depend on ``kept`` alone (for h = k, kept is the facet), so the
+        frame is built once per kept subset: every facet containing it gets
+        the same geometry, basis, offsets and rankings under its own label,
+        and the pinned face is swept once per budget and partition."""
+        if kept not in self._pinned:
+            self._pinned[kept] = self._frame(facet, kept)
+        shared = self._pinned[kept]
+        return None if shared is None else replace(shared, facet=facet)
+
+    def _frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
         X, theta, tol = self.X, self.baseline.canonical, self.tol
         if len(kept) == X.k:
             u = facet.inward_normal
@@ -545,11 +567,13 @@ class _Attacks:
         return _ShearFrame(facet, kept, u, level, basis, X.points @ u - level, rankings)
 
     def per_frame(self, frame: _ShearFrame) -> tuple:
-        """(screen row determinants, estimator evaluator) of a frame."""
-        if frame not in self._per_frame:
+        """(screen row determinants, estimator evaluator) of a frame,
+        built once per geometry for every facet that reaches it."""
+        key = frame.geometry
+        if key not in self._per_frame:
             basis = frame.basis
-            self._per_frame[frame] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
-        return self._per_frame[frame]
+            self._per_frame[key] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
+        return self._per_frame[key]
 
 
 def _run_shear_sweep(attacks: _Attacks, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
@@ -777,7 +801,7 @@ class AttackSuite:
     def __post_init__(self):
         object.__setattr__(self, "gamma_grid", _require_grid(self.gamma_grid, "gamma"))
         object.__setattr__(self, "radius_grid", _require_grid(self.radius_grid, "radius"))
-        object.__setattr__(self, "cone_seed", require_seed(self.cone_seed))
+        object.__setattr__(self, "cone_seed", require_integer(self.cone_seed, "seed"))
 
     def to_dict(self) -> dict:
         return {
@@ -875,6 +899,11 @@ def empirical_fsbv(
     (label, trace) in that order, h ascending and best facet first, and
     stops at the first trace that diverges, which becomes the witness;
     ``attack_families_tried`` lists the attacks run up to and including it.
+    A pinned face reached through several facets (h < k) has one frame
+    geometry and is swept once per budget and partition, yet listed under
+    every facet's label: a repeat has its twin's distances, and the twin
+    ran earlier at the same budget without diverging, so the repeat
+    changes neither the witness nor ``max_distance``.
     The certified fraction is the smallest m whose certificate is "broken",
     as the unreduced pair (m, n); when nothing breaks the result carries the
     survived marker instead of a fabricated fraction. ``threshold_factor``
@@ -894,14 +923,21 @@ def empirical_fsbv(
     directions = [tuple(row) for row in np.vstack([np.eye(k), -np.eye(k)]).tolist()]
 
     def traces(m):
-        """(label, trace) of every attack of the suite at budget m, lazily."""
+        """(label, trace) of every attack of the suite at budget m, lazily;
+        the trace is None for a sweep that repeats one made at this budget."""
+        swept = set()  # (geometry, partition) of every shear sweep made at m
         for frame in frames:
             h = len(frame.kept)
             if m > n - h:
                 continue
             for b_rule in _PARTITION_RULES:
-                trace = _run_shear_sweep(attacks, frame, m, b_rule)
-                yield f"shear(h={h},facet={frame.facet.indices},rule={b_rule})", trace
+                label = f"shear(h={h},facet={frame.facet.indices},rule={b_rule})"
+                key = frame.geometry, frame.partition(m, b_rule)
+                if key in swept:
+                    yield label, None
+                    continue
+                swept.add(key)
+                yield label, _run_shear_sweep(attacks, frame, m, b_rule)
         for direction in directions:
             yield f"cluster(direction={direction})", _cluster_attack(attacks, m, unit_direction(direction))
 
@@ -913,6 +949,10 @@ def empirical_fsbv(
         witness = None
         for label, trace in traces(m):
             tried.append(label)
+            if trace is None:
+                # its twin ran earlier at m with the same distances and did
+                # not diverge, so neither does it, nor does it raise the max
+                continue
             max_distance = max(max_distance, trace.max_distance)
             if trace.diverged:
                 witness = trace
@@ -959,7 +999,7 @@ def pm_counterexample(m: int, delta: float, noise_scale: float = 0.1, seed: int 
         raise ParameterError(f"need 0 < delta < 1, got {delta}")
     if not (0.0 < noise_scale < np.inf):
         raise ParameterError(f"need finite noise_scale > 0, got {noise_scale}")
-    rng = np.random.default_rng(require_seed(seed))
+    rng = np.random.default_rng(require_integer(seed, "seed"))
     xs = np.linspace(10.0, 20.0, m)
     for _ in range(200):
         noise = rng.uniform(-noise_scale, noise_scale, size=m)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .depth import DirectionBudget, tukey_depth
-from .errors import NoAdmissibleDirectionError, ParameterError, RoblocError, require_seed
+from .errors import NoAdmissibleDirectionError, ParameterError, RoblocError, require_integer
 from .estimators import LocationEstimator
 from .geometry import (
     GP_RTOL,
@@ -167,7 +167,7 @@ def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) ->
     """
     if h < 1:
         raise ParameterError(f"h must be >= 1, got {h}")
-    require_seed(seed)
+    require_integer(seed, "seed")
     tol = GP_RTOL * max(X.diameter, 1e-300)
     if h <= X.k:
         require_general_position(X, "condition_margin")
@@ -305,13 +305,15 @@ def check_equivariance(
     ``eq_class`` selects pure translations or full nonsingular affine maps
     (condition number capped at 1e3). Estimate sets are compared with the
     symmetric Hausdorff distance, normalized by the transformed data scale.
+    ``trials`` must be a positive integer: no trial is no evidence.
     """
     if eq_class not in ("translation", "affine"):
         raise ParameterError(f"unknown equivariance class {eq_class!r}")
-    rng = np.random.default_rng(require_seed(seed))
+    trials = require_integer(trials, "trials", 1)
+    rng = np.random.default_rng(require_integer(seed, "seed"))
     scale = max(X.diameter, 1.0)
     worst = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         if eq_class == "translation":
             g = AffineMap.translation(rng.normal(scale=scale, size=X.k))
         else:
@@ -324,7 +326,7 @@ def check_equivariance(
     return EquivarianceReport(
         estimator=T.name,
         equivariance_class=eq_class,
-        trials=int(trials),
+        trials=trials,
         max_discrepancy=worst,
         tolerance=tolerance,
         passed=bool(worst <= tolerance),

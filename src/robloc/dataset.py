@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DatasetFormatError, GeneralPositionError, ParameterError, require_seed
+from .errors import DatasetFormatError, GeneralPositionError, ParameterError, require_integer
 
 __all__ = [
     "DataSet",
@@ -158,7 +158,7 @@ def random_gp_dataset(n: int, k: int, seed: int) -> DataSet:
 
     if n <= k:
         raise ParameterError(f"need n > k for a general-position set, got n={n}, k={k}")
-    rng = np.random.default_rng(require_seed(seed))
+    rng = np.random.default_rng(require_integer(seed, "seed"))
     for _ in range(200):
         X = DataSet(rng.uniform(0.0, 10.0, size=(n, k)))
         if check_general_position(X).ok:

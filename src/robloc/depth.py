@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .dataset import DataSet
-from .errors import CombinatorialBudgetError, DegenerateSampleError, ParameterError, require_seed
+from .errors import CombinatorialBudgetError, DegenerateSampleError, ParameterError, require_integer
 from .geometry import hyperplane_normal, subset_index
 
 __all__ = [
@@ -40,7 +40,8 @@ class DirectionBudget:
     """Reproducible direction probe set: random count, data normals, seed.
 
     The seed is mandatory; every stochastic path in the package owes its
-    reproducibility to it, and the probe cache is keyed on it.
+    reproducibility to it, and the probe cache is keyed on it. The count
+    and the seed must be nonnegative integers and are stored as ints.
     """
 
     random_count: int
@@ -48,9 +49,8 @@ class DirectionBudget:
     seed: int
 
     def __post_init__(self):
-        require_seed(self.seed)
-        if self.random_count < 0:
-            raise ParameterError("random_count must be nonnegative")
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
+        object.__setattr__(self, "random_count", require_integer(self.random_count, "random_count"))
         if self.random_count == 0 and not self.include_data_directions:
             raise ParameterError("budget must provide at least one direction")
 
@@ -122,12 +122,13 @@ class OutlyingnessEvaluator:
         budget: DirectionBudget | None = None,
         directions=None,
     ):
+        scale_shift = require_integer(scale_shift, "scale_shift", None)
         if scale_shift < 0 or scale_shift > X.n - 1:
             raise ParameterError(f"scale_shift must be in [0, n-1], got {scale_shift}")
         if (budget is None) == (directions is None):
             raise ParameterError("provide exactly one of budget or explicit directions")
         self.dataset = X
-        self.scale_shift = int(scale_shift)
+        self.scale_shift = scale_shift
         self.budget = budget
         if directions is None:
             self.directions = direction_set(X, budget)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one seed check."""
+"""Exception types shared across the package, and the one integer check."""
 
 from numbers import Integral
 
@@ -43,9 +43,15 @@ class EstimatorError(RoblocError):
     """Raised when an estimator cannot be resolved or fails to evaluate."""
 
 
-def require_seed(seed):
-    """``seed`` as a Python int if it is a nonnegative integer, the only
-    seeds that numpy's generators take and that make a result reproducible."""
-    if not isinstance(seed, Integral) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+_KINDS = {None: "an", 0: "a nonnegative", 1: "a positive"}
+
+
+def require_integer(value, what: str, minimum: int | None = 0) -> int:
+    """``value`` as a Python int if it is an integer (numpy's too) and at
+    least ``minimum`` (0, 1, or None for any integer). A float is refused
+    even when it is whole, so a fraction is never truncated into another
+    value. Seeds must be nonnegative: those are the only seeds numpy's
+    generators take and that make a result reproducible."""
+    if not isinstance(value, Integral) or (minimum is not None and value < minimum):
+        raise ParameterError(f"{what} must be {_KINDS[minimum]} integer, got {value!r}")
+    return int(value)

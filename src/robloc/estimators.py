@@ -25,7 +25,7 @@ from .errors import (
     EstimatorError,
     OverflowParameterError,
     ParameterError,
-    require_seed,
+    require_integer,
 )
 
 __all__ = [
@@ -323,7 +323,7 @@ class MCDResult:
 
 def _mcd_coverage(n: int, k: int, coverage: int | None) -> int:
     """Validated coverage h, within the exhaustive-enumeration budget."""
-    h = default_mcd_coverage(n, k) if coverage is None else int(coverage)
+    h = default_mcd_coverage(n, k) if coverage is None else require_integer(coverage, "coverage", None)
     if h < k + 1 or h > n:
         raise ParameterError(f"coverage must be in [k+1, n] = [{k + 1}, {n}], got {h}")
     total = comb(n, h)
@@ -560,7 +560,7 @@ def trimmed_mean(
     Ranking ties break by point index. The default probe budget is fixed so
     the estimator is deterministic without caller-supplied seeds.
     """
-    t = int(trim_count)
+    t = require_integer(trim_count, "trim_count", None)
     if t < 0 or X.n - t < X.k + 1:
         raise ParameterError(f"trim_count must satisfy 0 <= t <= n-k-1 = {X.n - X.k - 1}, got {t}")
     if t == 0:
@@ -593,9 +593,8 @@ def projection_median(
     projection.
     """
     k = X.k
-    if grid_refinements < 0:
-        raise ParameterError(f"grid_refinements must be nonnegative, got {grid_refinements}")
-    shift = (k - 1) if scale_shift is None else int(scale_shift)
+    refinements = require_integer(grid_refinements, "grid_refinements")
+    shift = (k - 1) if scale_shift is None else scale_shift
     evaluator = OutlyingnessEvaluator(X, shift, _probe_budget(budget))
 
     def depth_of(pts: np.ndarray) -> np.ndarray:
@@ -615,7 +614,7 @@ def projection_median(
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     # (5^k, k) lattice offsets, rows in itertools.product order
     steps = offsets[np.indices((offsets.size,) * k).reshape(k, -1).T]
-    for level in range(int(grid_refinements)):
+    for level in range(refinements):
         half = width / 2.0 ** (level + 1)
         lattice = incumbent + half * steps
         d = depth_of(lattice)
@@ -662,7 +661,8 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
       Requires ``seed``.
     * ``wmean`` -- unweighted mean (all weights 1, affine equivariant).
 
-    A parameter the named estimator does not take is a ParameterError.
+    A parameter the named estimator does not take, or one that is not an
+    integer (a float is refused even when whole), is a ParameterError.
     """
     name = str(name)
     if name not in _ESTIMATOR_PARAMETERS:
@@ -671,7 +671,10 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
     if unknown:
         raise ParameterError(f"estimator {name!r} does not take parameters {sorted(unknown)}")
     if seed is not None:
-        require_seed(seed)
+        require_integer(seed, "seed")
+    for key, value in params.items():
+        if value is not None:
+            require_integer(value, key, None)
 
     if name == "cmedian":
         return LocationEstimator(
@@ -693,25 +696,23 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         return LocationEstimator("mcd", "affine", _mcd, families=_mcd_families)
 
     if name == "tmean":
-        trim = int(params.get("trim_count", 1))
+        trim = params.get("trim_count", 1)
         shift = params.get("scale_shift", 0)
-        count = int(params.get("random_count", _DEFAULT_PROBE_COUNT))
-        probe_seed = _DEFAULT_PROBE_SEED if seed is None else int(seed)
+        count = params.get("random_count", _DEFAULT_PROBE_COUNT)
+        probe_seed = _DEFAULT_PROBE_SEED if seed is None else seed
         def _tmean(X: DataSet) -> EstimateSet:
             b = DirectionBudget(count, True, probe_seed)
-            return EstimateSet(trimmed_mean(X, trim, int(shift), b))
+            return EstimateSet(trimmed_mean(X, trim, shift, b))
         return LocationEstimator("tmean", "translation", _tmean)
 
     if name == "pm":
         if seed is None:
             raise ParameterError("estimator 'pm' requires a seed")
         shift = params.get("scale_shift")
-        count = int(params.get("random_count", 2000))
-        refinements = int(params.get("grid_refinements", 8))
-        if refinements < 0:
-            raise ParameterError(f"grid_refinements must be nonnegative, got {refinements}")
+        count = params.get("random_count", 2000)
+        refinements = require_integer(params.get("grid_refinements", 8), "grid_refinements")
         def _pm(X: DataSet) -> EstimateSet:
-            b = DirectionBudget(count, True, int(seed))
-            s = (X.k - 1) if shift is None else int(shift)
+            b = DirectionBudget(count, True, seed)
+            s = (X.k - 1) if shift is None else shift
             return projection_median(X, scale_shift=s, budget=b, grid_refinements=refinements)
         return LocationEstimator("pm", "translation", _pm)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, require_seed
+from .errors import ParameterError, require_integer
 
 __all__ = [
     "sample_distance",
@@ -74,7 +74,8 @@ def lipschitz_probe(estimator_1d, x, delta: float, trials: int, seed: int) -> fl
     Each trial moves every value by an independent uniform draw from
     [-delta, delta] and records how far the interval endpoints of
     ``estimator_1d`` move. The sample median satisfies the contract
-    ``result <= delta + 1e-12``.
+    ``result <= delta + 1e-12``. ``delta`` must be finite and nonnegative
+    and ``trials`` a positive integer.
 
     Parameters
     ----------
@@ -82,13 +83,14 @@ def lipschitz_probe(estimator_1d, x, delta: float, trials: int, seed: int) -> fl
         Maps a 1-D sample to a :class:`MedianInterval` (or any object with
         ``low``/``high``).
     """
-    if delta < 0:
-        raise ParameterError("delta must be nonnegative")
+    if not (0.0 <= delta < np.inf):
+        raise ParameterError(f"delta must be finite and nonnegative, got {delta!r}")
+    trials = require_integer(trials, "trials", 1)
     x = np.asarray(x, dtype=float).reshape(-1)
-    rng = np.random.default_rng(require_seed(seed))
+    rng = np.random.default_rng(require_integer(seed, "seed"))
     base = estimator_1d(x)
     worst = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         shifted = x + rng.uniform(-delta, delta, size=x.size)
         moved = estimator_1d(shifted)
         worst = max(worst, abs(moved.low - base.low), abs(moved.high - base.high))
