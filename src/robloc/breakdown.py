@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -158,7 +158,7 @@ def theoretical_bounds(n: int, k: int, h: int) -> BoundTable:
     """Exact breakdown bound catalogue for sample size n, dimension k, tie
     order h. All four values are (numerator, denominator) integer pairs,
     deliberately left unreduced."""
-    n, k, h = int(n), int(k), int(h)
+    n, k, h = (require_integer(v, name, None) for v, name in zip((n, k, h), "nkh"))
     if not (n > k >= 1):
         raise ParameterError(f"need n > k >= 1, got n={n}, k={k}")
     if not (1 <= h <= k):
@@ -328,15 +328,15 @@ class AttackTrace:
 
 @dataclass(frozen=True, eq=False)
 class _ShearFrame:
-    """A hull facet, the h points of it pinned on the hyperplane and the
-    verified tie direction ``normal`` at ``level`` through them, with what
-    every sweep reads: the shear ``basis``, every point's ``offsets`` from
-    the pinned hyperplane, and the non-kept indices in replacement order
-    per b_rule (largest or smallest offset first, ties by index). The facet
-    only labels the frame: every sweep of it is fixed by its ``geometry``,
-    the partition and the budget."""
+    """The h points pinned on a hyperplane and the verified tie direction
+    ``normal`` at ``level`` through them, with what every sweep reads: the
+    shear ``basis``, every point's ``offsets`` from the pinned hyperplane,
+    and the non-kept indices in replacement order per b_rule (largest or
+    smallest offset first, ties by index). A sweep of it is fixed by the
+    frame, the partition and the budget; the hull facet through which the
+    pinned face was found is only a label. Frames compare by identity:
+    :class:`_Attacks` builds one per kept subset."""
 
-    facet: Facet
     kept: tuple  # h indices pinned on the hyperplane
     normal: np.ndarray = field(repr=False)
     level: float
@@ -350,25 +350,18 @@ class _ShearFrame:
         a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
         return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
 
-    @cached_property
-    def geometry(self) -> tuple:
-        """(kept, tie direction, level), the key of what frames pinning the
-        same face share: per-frame state and, per budget and partition, one
-        sweep."""
-        return self.kept, self.normal.tobytes(), self.level
-
 
 def _shear_frames(attacks: _Attacks) -> list:
-    """Every workable (facet, kept subset, direction) frame of the attacks,
+    """Every (facet, frame) pair of the attacks with a workable frame,
     h = 1..k ascending, then best facet first, then each facet's kept
     subsets in ``combinations`` order (the first keeps its h smallest
-    indices). For h < k a kept subset reached through several facets gives
-    one frame geometry listed under each facet's label; it is swept once
-    per budget and partition."""
+    indices). For h < k a kept subset reached through several facets is
+    one frame object, listed under each facet's label and swept once per
+    budget and partition."""
     X = attacks.X
-    frames = (attacks.frame(facet, kept) for h in range(1, X.k + 1) for facet in attacks.admissible
-              for kept in combinations(facet.indices, h))
-    return [frame for frame in frames if frame is not None]
+    pairs = ((facet, attacks.frame(facet, kept)) for h in range(1, X.k + 1) for facet in attacks.admissible
+             for kept in combinations(facet.indices, h))
+    return [(facet, frame) for facet, frame in pairs if frame is not None]
 
 
 class _ShearPositionScreen:
@@ -498,8 +491,8 @@ class _Attacks:
     and the divergence threshold, ``threshold_factor`` times the data
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
-    first, the position screen, per kept subset its frame, and per frame
-    geometry the screen row determinants and T's evaluator.
+    first, the position screen, per kept subset its frame, and per frame,
+    on its first sweep, the screen row determinants and T's evaluator.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -516,7 +509,7 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self._per_frame = {}  # frame geometry -> (row determinants, evaluator)
+        self._per_frame = {}  # frame -> (row determinants, evaluator)
 
     @cached_property
     def facets(self) -> list:
@@ -538,13 +531,11 @@ class _Attacks:
         tie direction with the estimate strictly above, or None. For h < k
         the directions come from a fresh generator seeded by ``cone_seed``
         and depend on ``kept`` alone (for h = k, kept is the facet), so the
-        frame is built once per kept subset: every facet containing it gets
-        the same geometry, basis, offsets and rankings under its own label,
-        and the pinned face is swept once per budget and partition."""
+        frame is built once per kept subset and every facet containing it
+        gets that same object."""
         if kept not in self._pinned:
             self._pinned[kept] = self._frame(facet, kept)
-        shared = self._pinned[kept]
-        return None if shared is None else replace(shared, facet=facet)
+        return self._pinned[kept]
 
     def _frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
         X, theta, tol = self.X, self.baseline.canonical, self.tol
@@ -564,19 +555,20 @@ class _Attacks:
         rankings = {"largest_projection": rest[np.lexsort((rest, -proj))],
                     "smallest_projection": rest[np.lexsort((rest, proj))]}
         basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
-        return _ShearFrame(facet, kept, u, level, basis, X.points @ u - level, rankings)
+        return _ShearFrame(kept, u, level, basis, X.points @ u - level, rankings)
 
     def per_frame(self, frame: _ShearFrame) -> tuple:
-        """(screen row determinants, estimator evaluator) of a frame,
-        built once per geometry for every facet that reaches it."""
-        key = frame.geometry
-        if key not in self._per_frame:
+        """(screen row determinants, estimator evaluator) of a frame, built
+        on its first sweep: a budget that breaks early sweeps few frames."""
+        if frame not in self._per_frame:
             basis = frame.basis
-            self._per_frame[key] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
-        return self._per_frame[key]
+            self._per_frame[frame] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
+        return self._per_frame[frame]
 
 
-def _run_shear_sweep(attacks: _Attacks, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
+def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
+    """One shear sweep of ``frame`` at budget m under ``b_rule``; the facet
+    only labels it in ``details``."""
     X, screen, offsets = attacks.X, attacks.screen, frame.offsets
     row_dets, estimate = attacks.per_frame(frame)
     requested = attacks.suite.gamma_grid
@@ -599,7 +591,7 @@ def _run_shear_sweep(attacks: _Attacks, frame: _ShearFrame, m: int, b_rule: str)
         families.append(("shear_replace_near", near))
     columns = [(label, family.replaced, estimate(family)) for label, family in families]
     details = {
-        "facet": list(frame.facet.indices),
+        "facet": list(facet.indices),
         "kept": list(frame.kept),
         "kept_out": list(a_idx),
         "replaced_far": list(b_idx),
@@ -699,19 +691,21 @@ def shear_attack(
     """
     if X.k < 2:
         raise ParameterError("shear attack requires k >= 2")
+    h = require_integer(h, "h", None)
     if not (1 <= h <= X.k):
         raise ParameterError(f"need 1 <= h <= k, got h={h}")
     suite = AttackSuite(gamma_grid=gamma_grid, cone_seed=cone_seed)
     n = X.n
-    m_eff = (n - h + 1) // 2 if m is None else int(m)
+    m_eff = (n - h + 1) // 2 if m is None else require_integer(m, "m", None)
     if not (1 <= m_eff <= n - h):
         raise ParameterError(f"need 1 <= m <= n - h = {n - h}, got m={m_eff}")
     require_general_position(X, "shear_attack")
     attacks = _Attacks(T, X, suite)
-    frame = next(filter(None, (attacks.frame(f, f.indices[:h]) for f in attacks.admissible)), None)
-    if frame is None:
-        raise NoFacetAdmitsEstimateError(T.name)
-    return _run_shear_sweep(attacks, frame, m_eff, partition_rule.b_rule)
+    for facet in attacks.admissible:
+        frame = attacks.frame(facet, facet.indices[:h])
+        if frame is not None:
+            return _run_shear_sweep(attacks, facet, frame, m_eff, partition_rule.b_rule)
+    raise NoFacetAdmitsEstimateError(T.name)
 
 
 class NoFacetAdmitsEstimateError(RoblocError):
@@ -745,6 +739,7 @@ def translation_cluster_attack(
     degeneracies on their own. The threshold is ``DEFAULT_THRESHOLD_FACTOR``,
     and the grid is checked as an :class:`AttackSuite` checks it.
     """
+    m = require_integer(m, "m", None)
     if m < 0 or m > X.n:
         raise ParameterError(f"need 0 <= m <= n, got m={m}")
     suite = AttackSuite(radius_grid=radius_grid)
@@ -899,11 +894,11 @@ def empirical_fsbv(
     (label, trace) in that order, h ascending and best facet first, and
     stops at the first trace that diverges, which becomes the witness;
     ``attack_families_tried`` lists the attacks run up to and including it.
-    A pinned face reached through several facets (h < k) has one frame
-    geometry and is swept once per budget and partition, yet listed under
-    every facet's label: a repeat has its twin's distances, and the twin
-    ran earlier at the same budget without diverging, so the repeat
-    changes neither the witness nor ``max_distance``.
+    A pinned face reached through several facets (h < k) is one frame,
+    swept once per budget and partition yet listed under every facet's
+    label: a repeat has its twin's distances, and the twin ran earlier at
+    the same budget without diverging, so the repeat changes neither the
+    witness nor ``max_distance``.
     The certified fraction is the smallest m whose certificate is "broken",
     as the unreduced pair (m, n); when nothing breaks the result carries the
     survived marker instead of a fabricated fraction. ``threshold_factor``
@@ -915,7 +910,7 @@ def empirical_fsbv(
     suite = suite or AttackSuite()
     n, k = X.n, X.k
     attacks = _Attacks(T, X, suite, threshold_factor)
-    frames = []  # h ascending
+    frames = []  # (facet, frame), h ascending
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
         frames = _shear_frames(attacks)
@@ -925,19 +920,19 @@ def empirical_fsbv(
     def traces(m):
         """(label, trace) of every attack of the suite at budget m, lazily;
         the trace is None for a sweep that repeats one made at this budget."""
-        swept = set()  # (geometry, partition) of every shear sweep made at m
-        for frame in frames:
+        swept = set()  # (frame, partition) of every shear sweep made at m
+        for facet, frame in frames:
             h = len(frame.kept)
             if m > n - h:
                 continue
             for b_rule in _PARTITION_RULES:
-                label = f"shear(h={h},facet={frame.facet.indices},rule={b_rule})"
-                key = frame.geometry, frame.partition(m, b_rule)
+                label = f"shear(h={h},facet={facet.indices},rule={b_rule})"
+                key = frame, frame.partition(m, b_rule)
                 if key in swept:
                     yield label, None
                     continue
                 swept.add(key)
-                yield label, _run_shear_sweep(attacks, frame, m, b_rule)
+                yield label, _run_shear_sweep(attacks, facet, frame, m, b_rule)
         for direction in directions:
             yield f"cluster(direction={direction})", _cluster_attack(attacks, m, unit_direction(direction))
 
@@ -993,6 +988,7 @@ def pm_counterexample(m: int, delta: float, noise_scale: float = 0.1, seed: int 
     near y = -x. The n = 2m + 2 points are redrawn until they pass the
     general-position test.
     """
+    m = require_integer(m, "m", None)
     if m < 2:
         raise ParameterError(f"need m >= 2, got {m}")
     if not (0.0 < delta < 1.0):

@@ -16,7 +16,13 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DatasetFormatError, GeneralPositionError, ParameterError, require_integer
+from .errors import (
+    DatasetFormatError,
+    GeneralPositionError,
+    OverflowParameterError,
+    ParameterError,
+    require_integer,
+)
 
 __all__ = [
     "DataSet",
@@ -64,9 +70,14 @@ class DataSet:
 
     @cached_property
     def diameter(self) -> float:
-        """Largest pairwise Euclidean distance (0 for a singleton)."""
+        """Largest pairwise Euclidean distance (0 for a singleton). Finite
+        points whose distance overflows raise OverflowParameterError."""
         d = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2)).max())
+        with np.errstate(over="ignore"):
+            diameter = float(np.sqrt((d * d).sum(axis=2)).max())
+        if not np.isfinite(diameter):
+            raise OverflowParameterError("the data diameter overflows")
+        return diameter
 
     def with_replaced(self, indices, new_points) -> "DataSet":
         """Return a copy in which ``points[indices]`` are replaced row-wise:
@@ -156,6 +167,7 @@ def random_gp_dataset(n: int, k: int, seed: int) -> DataSet:
     """
     from .geometry import check_general_position
 
+    n, k = require_integer(n, "n", None), require_integer(k, "k", None)
     if n <= k:
         raise ParameterError(f"need n > k for a general-position set, got n={n}, k={k}")
     rng = np.random.default_rng(require_integer(seed, "seed"))

@@ -22,6 +22,7 @@ import numpy as np
 from .dataset import DataSet
 from .errors import CombinatorialBudgetError, DegenerateSampleError, ParameterError, require_integer
 from .geometry import hyperplane_normal, subset_index
+from .univariate import median_interval, shifted_mad
 
 __all__ = [
     "DirectionBudget",
@@ -142,15 +143,8 @@ class OutlyingnessEvaluator:
                 raise ParameterError("directions must be nonzero")
             self.directions = dirs
         proj = X.points @ self.directions.T  # (n, D)
-        n = X.n
-        s = np.sort(proj, axis=0)
-        if n % 2 == 1:
-            self._med = s[n // 2].copy()
-        else:
-            self._med = 0.5 * (s[n // 2 - 1] + s[n // 2])
-        devs = np.sort(np.abs(proj - self._med), axis=0)
-        rank = min(-(-(n + self.scale_shift + 1) // 2), n)
-        self._mad = devs[rank - 1].copy()
+        self._med = median_interval(proj)[2]
+        self._mad = shifted_mad(proj, self._med, self.scale_shift)
 
     def __call__(self, x) -> float:
         return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])

@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     require_integer,
 )
+from .univariate import median_interval
 
 __all__ = [
     "EstimateSet",
@@ -285,15 +286,14 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
 def _median_boxes(stack: np.ndarray) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
     from one sort of the whole stack: what cmedian's hook returns."""
-    ordered = np.sort(stack, axis=1)
-    n, k = ordered.shape[1:]
-    low, high = ordered[:, (n - 1) // 2], ordered[:, n // 2]  # (G, k)
+    k = stack.shape[2]
+    low, high, mid = median_interval(stack, axis=1)  # (G, k)
     bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1  # (2^k, k)
     corners = np.where(bits, high[:, None, :], low[:, None, :])  # (G, 2^k, k)
     # a coordinate with low == high keeps only the corners that take low
     keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)
     counts = keep.sum(axis=1)
-    return EstimateStack(corners[keep], np.cumsum(counts) - counts, 0.5 * (low + high))
+    return EstimateStack(corners[keep], np.cumsum(counts) - counts, mid)
 
 
 def weighted_mean(X: DataSet, weights) -> np.ndarray:
@@ -601,8 +601,7 @@ def projection_median(
         out = evaluator.batch(pts)
         return 1.0 / (1.0 + out)
 
-    candidates = [X.points, coordinatewise_median(X).canonical.reshape(1, -1)]
-    cand = np.vstack(candidates)
+    cand = np.vstack([X.points, median_interval(X.points)[2]])
     depths = depth_of(cand)
     best_idx = int(np.argmax(depths))
     best_depth = float(depths[best_idx])

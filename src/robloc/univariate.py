@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_integer
 
-__all__ = ["MedianInterval", "univariate_median", "mad"]
+__all__ = ["MedianInterval", "univariate_median", "mad", "median_interval", "shifted_mad"]
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,32 @@ class MedianInterval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.low + self.high)
+        """As :func:`median_interval` takes it: a point interval is its own midpoint."""
+        return self.low if self.is_point else 0.5 * (self.low + self.high)
 
     @property
     def is_point(self) -> bool:
         return self.low == self.high
+
+
+def median_interval(values, axis: int = 0) -> tuple:
+    """(low, high, midpoint) of the sample median along ``axis``, from one
+    sort: the order statistics at (n-1)//2 and n//2, which are equal for
+    odd n, and the midpoint between them, which for odd n is the middle
+    value itself. Each has the shape of ``values`` without ``axis``."""
+    s = np.sort(values, axis=axis)
+    n = s.shape[axis]
+    low, high = np.take(s, (n - 1) // 2, axis=axis), np.take(s, n // 2, axis=axis)
+    return low, high, high if n % 2 else 0.5 * (low + high)
+
+
+def shifted_mad(values, center, order_shift: int, axis: int = 0):
+    """The ceil((n + j + 1) / 2)-th smallest absolute deviation of
+    ``values`` from ``center`` along ``axis`` for order shift j, clamped
+    to the n-th; ``center`` broadcasts against ``values``."""
+    devs = np.sort(np.abs(values - center), axis=axis)
+    n = devs.shape[axis]
+    return np.take(devs, min(-(-(n + order_shift + 1) // 2), n) - 1, axis=axis)
 
 
 def univariate_median(values) -> MedianInterval:
@@ -48,11 +69,8 @@ def univariate_median(values) -> MedianInterval:
         raise ParameterError("median of an empty sample")
     if not np.all(np.isfinite(v)):
         raise ParameterError("median requires finite values")
-    s = np.sort(v)
-    if n % 2 == 1:
-        mid = s[n // 2]
-        return MedianInterval(float(mid), float(mid))
-    return MedianInterval(float(s[n // 2 - 1]), float(s[n // 2]))
+    low, high, _ = median_interval(v)
+    return MedianInterval(float(low), float(high))
 
 
 def mad(values, order_shift: int = 0) -> float:
@@ -68,10 +86,9 @@ def mad(values, order_shift: int = 0) -> float:
     n = v.size
     if n == 0:
         raise ParameterError("MAD of an empty sample")
-    j = int(order_shift)
+    j = require_integer(order_shift, "order_shift", None)
     if j < 0 or j > n - 1:
         raise ParameterError(f"order_shift must be in [0, n-1], got {j} with n={n}")
-    center = univariate_median(v).midpoint
-    devs = np.sort(np.abs(v - center))
-    rank = min(-(-(n + j + 1) // 2), n)  # ceil((n+j+1)/2), clamped
-    return float(devs[rank - 1])
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("median requires finite values")
+    return float(shifted_mad(v, median_interval(v)[2], j))

@@ -33,8 +33,9 @@ def as_fraction(pair):
 
 
 def frames_of(T, X, h):
-    """The shear frames of T on X that pin h points, at cone_seed 0."""
-    return [f for f in _shear_frames(_Attacks(T, X, AttackSuite())) if len(f.kept) == h]
+    """The shear frames of T on X that pin h points, at cone_seed 0, one
+    per (facet, frame) pair listed."""
+    return [frame for _, frame in _shear_frames(_Attacks(T, X, AttackSuite())) if len(frame.kept) == h]
 
 
 def assert_reductions_match_records(trace):

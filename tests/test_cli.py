@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from robloc import bundled_dataset, save_dataset_csv
+from robloc import DataSet, bundled_dataset, save_dataset_csv
 from robloc.cli import main
 
 
@@ -178,6 +178,43 @@ def test_mcd_determinants_that_all_overflow_exit_4(runner, demo10_csv, args, mes
     assert result.stderr.splitlines() == [
         f"error: {message} is too large: every coverage subset's covariance determinant overflows"
     ]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fsbv", "-e", "pm", "--seed", "0", "--random-count", "50", "--gamma-grid", "1e154"],
+     "slope 1e+154 is too large: "),
+    (["fsbv", "-e", "pm", "--seed", "0", "--random-count", "50", "--gamma-grid", "1e160"],
+     "slope 1e+160 is too large: "),
+    (["attack", "-e", "pm", "--seed", "0", "--family", "cluster", "--m", "3", "--radius-grid", "1e200"],
+     "radius 1e+200 is too large: "),
+], ids=["pm-slope-1e154", "pm-slope-1e160", "pm-cluster-radius"])
+def test_grid_value_whose_data_diameter_overflows_exits_4(runner, demo10_csv, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [args[0], demo10_csv, *args[1:]])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {message}the data diameter overflows"]
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "-e", "pm", "--seed", "0"],
+    ["fsbv", "-e", "cmedian", "--seed", "0"],
+    ["fsbv", "-e", "tmean", "--seed", "0"],
+    ["fsbv", "-e", "wmean", "--seed", "0"],
+    ["condition", "-e", "cmedian", "--seed", "0"],
+], ids=["estimate-pm", "fsbv-cmedian", "fsbv-tmean", "fsbv-wmean", "condition-cmedian"])
+def test_finite_data_whose_diameter_overflows_exit_4(runner, tmp_path, args):
+    # every coordinate is finite, but differences near 1e160 square beyond
+    # the float range: a parameter error, not a false hyperplane witness
+    path = tmp_path / "huge.csv"
+    save_dataset_csv(DataSet(bundled_dataset("demo10_2d").points * 1e160), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: the data diameter overflows"]
 
 
 @pytest.mark.parametrize("args, message", [

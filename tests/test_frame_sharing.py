@@ -1,50 +1,54 @@
-"""A pinned face reached through several facets is swept once per budget and partition.
+"""One frame object per pinned face, swept once per budget and partition.
 
 For h < k the tie direction of a shear frame depends on its kept subset
-alone, so every admissible facet containing that subset yields the same
-frame geometry: kept subset, tie direction and level. ``empirical_fsbv``
-lists the shear attack under every facet's label, but sweeps a geometry
-only once per budget and partition; a repeat cannot diverge or raise the
-certificate's ``max_distance``, because its twin ran earlier at the same
-budget with the same distances and did not diverge. These tests check that
-claim against each facet's own, unshared frame and count the work saved.
+alone, so ``_Attacks`` builds one frame per kept subset and every
+admissible facet containing that subset gets the same object; the facet
+is only a label. ``empirical_fsbv`` lists the shear attack under every
+facet's label, but sweeps a frame only once per budget and partition; a
+repeat cannot diverge or raise the certificate's ``max_distance``,
+because its twin ran earlier at the same budget with the same distances
+and did not diverge. These tests check that claim against each label's
+own replay on a fresh attack context and count the work saved.
 """
 
-import dataclasses
 import json
 import types
+from collections import defaultdict
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import robloc
-from robloc import AttackSuite, bundled_dataset, empirical_fsbv, load_dataset_csv, make_estimator
+from robloc import (
+    AttackSuite,
+    bundled_dataset,
+    empirical_fsbv,
+    load_dataset_csv,
+    make_estimator,
+    random_gp_dataset,
+)
 from robloc import breakdown, estimators
 from robloc.breakdown import _PARTITION_RULES, _Attacks, _shear_frames
 from robloc.cli import main
 from test_golden import CASES
 from test_tracer_targets import load_bench_module
 
-SWEEP = breakdown._run_shear_sweep  # unwrapped, for the unshared replays
+SWEEP = breakdown._run_shear_sweep  # unwrapped, for the replays
 GP83 = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
 DEMO10 = bundled_dataset("demo10_2d")
 
 
-def geometry(frame) -> tuple:
-    """What a sweep reads of a frame besides its facet label."""
-    return frame.kept, tuple(frame.normal), frame.level
-
-
 def record_sweeps(monkeypatch) -> list:
-    """Record (attacks, frame, m, b_rule) of every shear sweep robloc makes."""
+    """Record (attacks, facet, frame, m, b_rule) of every shear sweep robloc makes."""
     calls = []
     inner = breakdown._run_shear_sweep
 
-    def recording(attacks, frame, m, b_rule):
-        calls.append((attacks, frame, m, b_rule))
-        return inner(attacks, frame, m, b_rule)
+    def recording(attacks, facet, frame, m, b_rule):
+        calls.append((attacks, facet, frame, m, b_rule))
+        return inner(attacks, facet, frame, m, b_rule)
 
     monkeypatch.setattr(breakdown, "_run_shear_sweep", recording)
     return calls
@@ -86,47 +90,70 @@ def bench_certifications(monkeypatch, workload) -> tuple:
     return calls, runs
 
 
+def listed(attacks, m):
+    """Every (facet, frame, b_rule) the suite lists at budget m, in order."""
+    return [(facet, frame, b) for facet, frame in _shear_frames(attacks)
+            if m <= attacks.X.n - len(frame.kept) for b in _PARTITION_RULES]
+
+
 def unswept_labels(calls, runs):
     """Every shear label a certificate lists but that ran no sweep of its
-    own: (attacks, frame, m, b_rule, certificate)."""
-    swept = {(id(a), f.facet.indices, f.kept, m, b) for a, f, m, b in calls}
+    own: (attacks, facet, frame, m, b_rule, certificate)."""
+    swept = {(id(a), facet.indices, frame.kept, m, b) for a, facet, frame, m, b in calls}
     for attacks, certificates in runs:
-        X = attacks.X
-        frames = _shear_frames(_Attacks(attacks.T, X, attacks.suite))
         for m, cert in certificates.items():
             m = int(m)
-            expected = [(f, b) for f in frames if m <= X.n - len(f.kept) for b in _PARTITION_RULES]
+            expected = listed(attacks, m)
             tried = [label for label in cert["attack_families_tried"] if label.startswith("shear(")]
             assert len(tried) <= len(expected)
-            for (frame, b_rule), label in zip(expected, tried):
-                assert label == f"shear(h={len(frame.kept)},facet={frame.facet.indices},rule={b_rule})"
-                if (id(attacks), frame.facet.indices, frame.kept, m, b_rule) not in swept:
-                    yield attacks, frame, m, b_rule, cert
+            for (facet, frame, b_rule), label in zip(expected, tried):
+                assert label == f"shear(h={len(frame.kept)},facet={facet.indices},rule={b_rule})"
+                if (id(attacks), facet.indices, frame.kept, m, b_rule) not in swept:
+                    yield attacks, facet, frame, m, b_rule, cert
 
 
-def assert_unswept_labels_hold_on_their_own_frames(calls, runs):
+def assert_unswept_labels_replay_without_diverging(calls, runs):
     checked = 0
-    for attacks, frame, m, b_rule, cert in list(unswept_labels(calls, runs)):
+    for attacks, facet, frame, m, b_rule, cert in list(unswept_labels(calls, runs)):
         fresh = _Attacks(attacks.T, attacks.X, attacks.suite)
-        own = fresh.frame(frame.facet, frame.kept)  # built for this facet, shared with nothing
-        assert own.facet is frame.facet and geometry(own) == geometry(frame)
-        trace = SWEEP(fresh, own, m, b_rule)
+        own = fresh.frame(facet, frame.kept)  # built first for this label's facet
+        assert own is not frame
+        assert own.kept == frame.kept and own.level == frame.level
+        assert np.array_equal(own.normal, frame.normal)
+        trace = SWEEP(fresh, facet, own, m, b_rule)
+        assert trace.details["facet"] == list(facet.indices)
         assert not trace.diverged
         assert trace.max_distance <= cert["max_distance"]
         checked += 1
     assert checked > 0
 
 
-def test_golden_labels_listed_without_a_sweep_hold_on_their_own_frames(monkeypatch):
+def test_golden_labels_listed_without_a_sweep_replay_without_diverging(monkeypatch):
     calls, runs = golden_certifications(monkeypatch)
     assert len(runs) == 5
-    assert_unswept_labels_hold_on_their_own_frames(calls, runs)
+    assert_unswept_labels_replay_without_diverging(calls, runs)
 
 
 @pytest.mark.parametrize("workload", ["certify-engine", "certify-mcd", "certify-probe"])
-def test_bench_labels_listed_without_a_sweep_hold_on_their_own_frames(monkeypatch, workload):
+def test_bench_labels_listed_without_a_sweep_replay_without_diverging(monkeypatch, workload):
     calls, runs = bench_certifications(monkeypatch, workload)
-    assert_unswept_labels_hold_on_their_own_frames(calls, runs)
+    assert_unswept_labels_replay_without_diverging(calls, runs)
+
+
+CASES_COUNTED = {"gp8_3d-cmedian": (GP83, "cmedian"), "demo10_2d-mcd": (DEMO10, "mcd")}
+
+
+@pytest.mark.parametrize("case", sorted(CASES_COUNTED))
+def test_pairs_share_one_frame_object_exactly_when_they_share_a_kept_subset(case):
+    X, name = CASES_COUNTED[case]
+    pairs = _shear_frames(_Attacks(make_estimator(name), X, AttackSuite()))
+    by_kept = defaultdict(set)
+    for facet, frame in pairs:
+        assert set(frame.kept) <= set(facet.indices)
+        by_kept[frame.kept].add(id(frame))
+    assert all(len(ids) == 1 for ids in by_kept.values())
+    assert len(set().union(*by_kept.values())) == len(by_kept)
+    assert len(by_kept) < len(pairs)  # some kept subset is reached through several facets
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -141,15 +168,13 @@ def counting(monkeypatch, module, name) -> list:
     return calls
 
 
-CASES_COUNTED = {"gp8_3d-cmedian": (GP83, "cmedian"), "demo10_2d-mcd": (DEMO10, "mcd")}
-
-
 @pytest.mark.parametrize("case", sorted(CASES_COUNTED))
-def test_each_geometry_draws_once_and_sweeps_once_per_partition(monkeypatch, case):
+def test_each_frame_draws_once_builds_its_state_once_and_sweeps_once_per_partition(monkeypatch, case):
     X, name = CASES_COUNTED[case]
     T = make_estimator(name)
     ties = counting(monkeypatch, breakdown, "normal_cone_ties")
     sweeps = record_sweeps(monkeypatch)
+    rows = counting(monkeypatch, breakdown._ShearPositionScreen, "row_replacements")
     builds = counting(monkeypatch, estimators, "MCDShearSweep")
     empirical_fsbv(T, X, suite=AttackSuite(cone_seed=0))
 
@@ -158,27 +183,34 @@ def test_each_geometry_draws_once_and_sweeps_once_per_partition(monkeypatch, cas
     assert len(ties) == len(kept_below_k)
     assert sorted(args[2] for args in ties) == sorted(kept_below_k)
 
-    made = [(geometry(f), f.partition(m, b), m) for _, f, m, b in sweeps]
+    made = [(frame, frame.partition(m, b), m) for _, _, frame, m, b in sweeps]
     assert len(made) == len(set(made))
-    frames = _shear_frames(_Attacks(T, X, AttackSuite()))
-    distinct = {geometry(f) for f in frames}
-    assert len(distinct) < len(frames)
-    if name == "mcd":
-        assert len(builds) == len(distinct)
-    else:
-        assert builds == []
+    swept = {frame for _, _, frame, _, _ in sweeps}
+    assert len(rows) == len(swept)
+    assert len(builds) == (len(swept) if name == "mcd" else 0)
+    attacks = sweeps[0][0]
+    assert all(attacks.per_frame(frame) is attacks.per_frame(frame) for frame in swept)
+    assert len(attacks._per_frame) == len(swept)
 
 
-def test_geometry_key_tells_apart_kept_direction_and_level():
-    attacks = _Attacks(make_estimator("cmedian"), GP83, AttackSuite())
-    frames = [f for f in _shear_frames(attacks) if len(f.kept) == 1]
-    f, twin = next((f, g) for f, g in combinations(frames, 2) if f.kept == g.kept)
-    assert twin.facet.indices != f.facet.indices
-    assert twin.geometry == f.geometry
-    assert twin.basis is f.basis and twin.offsets is f.offsets and twin.rankings is f.rankings
-    assert attacks.per_frame(twin) is attacks.per_frame(f)
-    other = next(g for g in frames if g.kept != f.kept)
-    for changed in (other, dataclasses.replace(f, normal=-f.normal), dataclasses.replace(f, level=f.level + 1.0)):
-        assert changed.geometry != f.geometry
-        assert attacks.per_frame(changed) is not attacks.per_frame(f)
+def test_both_rules_at_m_equal_n_minus_h_are_one_sweep(monkeypatch):
+    """At m = n - h both partition rules replace every non-kept point, so
+    the second rule's label is listed without a sweep of its own."""
+    X = random_gp_dataset(5, 3, 0)
+    sweeps = record_sweeps(monkeypatch)
+    result = empirical_fsbv(make_estimator("cmedian"), X)
+    m, h = 2, 3
+    tried = result.certificates[m].attack_families_tried
+    attacks = sweeps[0][0]
+    at_m = [(frame, frame.partition(m, b)) for _, _, frame, mm, b in sweeps if mm == m]
+    assert len(at_m) == len(set(at_m))
+    listed_at_m = listed(attacks, m)[:sum(label.startswith("shear(") for label in tried)]
+    assert {(frame, frame.partition(m, b)) for _, frame, b in listed_at_m} == set(at_m)
 
+    full = [(facet, frame) for facet, frame, b in listed_at_m if len(frame.kept) == h and b == "smallest_projection"]
+    assert [facet.indices for facet, _ in full] == [(0, 3, 4), (0, 1, 4), (0, 1, 3)]
+    for facet, frame in full:
+        assert frame.partition(m, "largest_projection") == frame.partition(m, "smallest_projection")
+        assert f"shear(h={h},facet={facet.indices},rule=smallest_projection)" in tried
+        made = [b for _, _, f, mm, b in sweeps if f is frame and mm == m]
+        assert made == ["largest_projection"]

@@ -17,9 +17,15 @@ from robloc import (
     bundled_dataset,
     check_equivariance,
     lipschitz_probe,
+    mad,
     make_estimator,
     mcd_exhaustive,
+    pm_counterexample,
     projection_median,
+    random_gp_dataset,
+    shear_attack,
+    theoretical_bounds,
+    translation_cluster_attack,
     trimmed_mean,
     univariate_median,
 )
@@ -72,6 +78,34 @@ LIBRARY_ENTRIES = {
     "projection_median-shift": ("scale_shift", lambda v: projection_median(DEMO10, v, BUDGET)),
     "OutlyingnessEvaluator": ("scale_shift", lambda v: OutlyingnessEvaluator(DEMO10, v, BUDGET)),
 }
+
+
+CMEDIAN = make_estimator("cmedian")
+# (entry, parameter, call with a fractional value): each once ran with the
+# value truncated or failed with a TypeError from numpy or a slice
+FRACTIONAL_CALLS = [
+    ("theoretical_bounds-n", "n", lambda: theoretical_bounds(10.7, 2, 2)),
+    ("theoretical_bounds-h", "h", lambda: theoretical_bounds(10, 2, 2.9)),
+    ("shear_attack-h", "h", lambda: shear_attack(CMEDIAN, DEMO10, 1.5)),
+    ("shear_attack-m", "m", lambda: shear_attack(CMEDIAN, DEMO10, 2, m=2.5)),
+    ("translation_cluster_attack", "m", lambda: translation_cluster_attack(CMEDIAN, DEMO10, 2.5)),
+    ("mad", "order_shift", lambda: mad([1.0, 2.0, 3.0], order_shift=0.5)),
+    ("pm_counterexample", "m", lambda: pm_counterexample(4.5, 0.1)),
+    ("random_gp_dataset-n", "n", lambda: random_gp_dataset(10.5, 2, 1)),
+    ("random_gp_dataset-k", "k", lambda: random_gp_dataset(10, 2.0, 1)),
+]
+
+
+@pytest.mark.parametrize("param, call", [c[1:] for c in FRACTIONAL_CALLS], ids=[c[0] for c in FRACTIONAL_CALLS])
+def test_fractional_argument_is_refused(param, call):
+    with pytest.raises(ParameterError, match=rf"^{param} must be an integer, got \d+\.\d+$"):
+        call()
+
+
+def test_whole_numpy_integers_still_count():
+    assert theoretical_bounds(np.int64(10), np.int8(2), np.uint8(2)) == theoretical_bounds(10, 2, 2)
+    assert mad([1.0, 2.0, 3.0, 4.0, 100.0], order_shift=np.int32(0)) == 1.0
+    assert shear_attack(CMEDIAN, DEMO10, np.int64(2), m=np.int64(3)).m == 3
 
 
 @pytest.mark.parametrize("entry", sorted(LIBRARY_ENTRIES))

@@ -20,7 +20,7 @@ from robloc import (
     shear_attack,
     translation_cluster_attack,
 )
-from robloc.breakdown import DEFAULT_GAMMA_GRID, _Attacks, _shear_family, _shear_frames
+from robloc.breakdown import DEFAULT_GAMMA_GRID, _shear_family
 from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
@@ -31,16 +31,12 @@ from robloc.estimators import (
     mcd_exhaustive,
 )
 from robloc.univariate import univariate_median
+from test_breakdown import frames_of
 
 
 def generic(T):
     """The same estimator without its hook: one evaluate per dataset."""
     return dataclasses.replace(T, families=None)
-
-
-def frames_of(T, X, h):
-    """The shear frames of T on X that pin h points, at cone_seed 0."""
-    return [f for f in _shear_frames(_Attacks(T, X, AttackSuite())) if len(f.kept) == h]
 
 
 def assert_same_estimate(got, want):
