@@ -31,6 +31,7 @@ import numpy as np
 from .dataset import DataSet
 from .errors import (
     GeneralPositionError,
+    OverflowParameterError,
     ParameterError,
     RoblocError,
     require_integer,
@@ -387,7 +388,12 @@ class _ShearPositionScreen:
         n, k = X.n, X.k
         pts = X.points
         self.k = k
-        self.tol = GP_RTOL * max(X.diameter, 1e-300) ** k
+        try:
+            self.tol = GP_RTOL * max(X.diameter, 1e-300) ** k
+        except OverflowError:
+            raise OverflowParameterError(
+                "the general-position screen's threshold (data diameter ** k) overflows"
+            ) from None
         self.subsets = subset_index(n, k + 1)
         base = pts[self.subsets]  # (S, k+1, k)
         self.rows = base[:, 1:, :] - base[:, :1, :]  # (S, k, k)

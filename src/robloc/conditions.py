@@ -182,18 +182,21 @@ def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) ->
         raise NoAdmissibleDirectionError(
             f"no admissible direction with an exact {h}-fold tie was found"
         )
-    members = T(X).members
-    probes = []
-    for u, tied, level, proj in raw:
-        margin = float(np.min(members @ u) - level)
-        probes.append(
-            ConditionProbe(
-                direction=u,
-                sorted_projections=np.sort(proj),
-                tied_indices=tuple(int(i) for i in tied),
-                margin=margin,
-            )
+    directions = np.array([u for u, _, _, _ in raw])
+    levels = np.array([level for _, _, level, _ in raw])
+    # stacked 1-row products reproduce ``members @ u`` of each probe bit for bit
+    tops = np.matmul(T(X).members[None], directions[:, :, None])[:, :, 0].min(axis=1)
+    margins = tops - levels
+    sorted_projections = np.sort(np.array([proj for _, _, _, proj in raw]), axis=1)
+    probes = [
+        ConditionProbe(
+            direction=u,
+            sorted_projections=sorted_projections[i],
+            tied_indices=tuple(int(j) for j in tied),
+            margin=float(margins[i]),
         )
+        for i, (u, tied, _, _) in enumerate(raw)
+    ]
     min_margin = min(p.margin for p in probes)
     return ConditionReport(
         h=h,
@@ -305,13 +308,15 @@ def check_equivariance(
     ``eq_class`` selects pure translations or full nonsingular affine maps
     (condition number capped at 1e3). Estimate sets are compared with the
     symmetric Hausdorff distance, normalized by the transformed data scale.
-    ``trials`` must be a positive integer: no trial is no evidence.
+    ``trials`` must be a positive integer: no trial is no evidence. T(X)
+    is computed once, before the trials.
     """
     if eq_class not in ("translation", "affine"):
         raise ParameterError(f"unknown equivariance class {eq_class!r}")
     trials = require_integer(trials, "trials", 1)
     rng = np.random.default_rng(require_integer(seed, "seed"))
     scale = max(X.diameter, 1.0)
+    estimate = T(X).members
     worst = 0.0
     for _ in range(trials):
         if eq_class == "translation":
@@ -320,7 +325,7 @@ def check_equivariance(
             g = _random_affine(rng, X.k, scale)
         gX = apply_map(g, X)
         lhs = T(gX).members
-        rhs = g.apply(T(X).members)
+        rhs = g.apply(estimate)
         denom = max(1.0, gX.diameter)
         worst = max(worst, hausdorff_set_distance(lhs, rhs) / denom)
     return EquivarianceReport(

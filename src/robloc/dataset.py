@@ -72,8 +72,8 @@ class DataSet:
     def diameter(self) -> float:
         """Largest pairwise Euclidean distance (0 for a singleton). Finite
         points whose distance overflows raise OverflowParameterError."""
-        d = self.points[:, None, :] - self.points[None, :, :]
         with np.errstate(over="ignore"):
+            d = self.points[:, None, :] - self.points[None, :, :]
             diameter = float(np.sqrt((d * d).sum(axis=2)).max())
         if not np.isfinite(diameter):
             raise OverflowParameterError("the data diameter overflows")

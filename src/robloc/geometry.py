@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataSet
-from .errors import GeneralPositionError, ParameterError
+from .errors import GeneralPositionError, OverflowParameterError, ParameterError
 
 __all__ = [
     "GP_RTOL",
@@ -29,6 +29,7 @@ __all__ = [
     "Facet",
     "enumerate_facets",
     "tie_level",
+    "tie_levels",
     "normal_cone_ties",
     "hyperplane_normal",
     "subset_index",
@@ -74,9 +75,12 @@ def check_general_position(X: DataSet) -> GeneralPositionReport:
 
     Every (k+1)-subset is tested for affine independence via the determinant
     of its k x k difference matrix, with threshold ``1e-9`` relative to the
-    subset diameter (the determinant scales like diameter**k, so the
-    comparison is scale-free). Returns ``(ok, witness)`` where ``witness``
-    is one violating index subset when ``ok`` is false.
+    subset diameter (the determinant scales like diameter**k). Each subset
+    is first divided by its largest coordinate difference, so the test is
+    scale-free in floating point too: neither side overflows or underflows
+    with the data. Returns ``(ok, witness)`` where ``witness`` is one
+    violating index subset when ``ok`` is false. A coordinate difference
+    that overflows raises OverflowParameterError.
 
     Attack sweeps re-test every contaminated dataset, so the subset loop is
     batched through numpy.
@@ -87,10 +91,15 @@ def check_general_position(X: DataSet) -> GeneralPositionReport:
         return GeneralPositionReport(True, None)
     subsets = subset_index(n, k + 1)  # (S, k+1)
     groups = pts[subsets]  # (S, k+1, k)
-    diffs = groups[:, 1:, :] - groups[:, :1, :]  # (S, k, k)
-    dets = np.abs(np.linalg.det(diffs))
-    pair = groups[:, :, None, :] - groups[:, None, :, :]
+    with np.errstate(over="ignore"):
+        pair = groups[:, :, None, :] - groups[:, None, :, :]
+    scale = np.abs(pair).max(axis=(1, 2, 3))
+    if not np.all(np.isfinite(scale)):
+        raise OverflowParameterError("a difference of two data points overflows")
+    # scale 0: one point repeated, whose zero determinant fails the test
+    pair /= np.where(scale > 0, scale, 1.0)[:, None, None, None]
     diams = np.sqrt((pair * pair).sum(axis=3)).max(axis=(1, 2))
+    dets = np.abs(np.linalg.det(pair[:, 1:, 0, :]))  # rows x_i - x_0
     bad = dets <= GP_RTOL * diams**k
     if np.any(bad):
         witness = tuple(int(i) for i in subsets[int(np.flatnonzero(bad)[0])])
@@ -212,46 +221,57 @@ def enumerate_facets(X: DataSet) -> list[Facet]:
     return facets
 
 
-def tie_level(proj: np.ndarray, face, tol: float) -> float | None:
-    """Level at which the projections ``proj`` tie exactly the ``face`` points
-    at the minimum: the face points' mean projection when they agree within
-    ``tol`` and every other point is more than ``tol`` above it, else None."""
+def tie_levels(proj: np.ndarray, face, tol: float) -> np.ndarray:
+    """Levels at which each row of the (P, n) projections ``proj`` ties
+    exactly the ``face`` points at the minimum: the face points' mean
+    projection where they agree within ``tol`` and every other point is more
+    than ``tol`` above it, else NaN."""
     face = list(face)
-    level = float(np.mean(proj[face]))
-    if np.abs(proj[face] - level).max() > tol:
-        return None
-    others = np.setdiff1d(np.arange(proj.size), face, assume_unique=True)
-    if others.size and np.min(proj[others] - level) <= tol:
-        return None
-    return level
+    tied = proj[:, face]
+    level = tied.mean(axis=1)
+    untied = np.abs(tied - level[:, None]).max(axis=1) > tol
+    others = np.ones(proj.shape[1], dtype=bool)
+    others[face] = False
+    if others.any():
+        untied |= (proj[:, others] - level[:, None]).min(axis=1) <= tol
+    return np.where(untied, np.nan, level)
 
 
-def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float):
-    """Yield ``(u, level, proj)`` for verified directions in the normal cone
-    of a hull face.
+def tie_level(proj: np.ndarray, face, tol: float) -> float | None:
+    """The 1-row case of :func:`tie_levels` for the projections ``proj``
+    along one direction: the tie level, or None where there is no tie."""
+    level = tie_levels(proj[None], face, tol)[0]
+    return None if np.isnan(level) else float(level)
+
+
+def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float) -> list:
+    """``(u, level, proj)`` of the verified directions in the normal cone of
+    a hull face, in draw order.
 
     The normal cone of a face of a simplicial hull is positively spanned by
     the inward normals of the facets containing it; strictly positive
     combinations tie the face's points at the minimal projection and keep
-    every other point above. Each of ``samples`` Dirichlet draws from ``rng``
-    is normalized and yielded only if :func:`tie_level` confirms the tie.
-    A face on fewer than two facets yields nothing and draws nothing: a
-    boundary-of-cone direction would tie more points than the face.
+    every other point above. All ``samples`` Dirichlet weights come from one
+    call on ``rng``, whose stream equals that many single draws; each
+    combination is normalized and kept only if :func:`tie_levels` confirms
+    the tie. A face on fewer than two facets gives an empty list and draws
+    nothing: a boundary-of-cone direction would tie more points than the face.
     """
     normals = [f.inward_normal for f in facets if set(face) <= set(f.indices)]
     if len(normals) < 2:
-        return
+        return []
     normals = np.array(normals)
-    for _ in range(samples):
-        u = rng.dirichlet(np.ones(len(normals))) @ normals
-        norm = np.linalg.norm(u)
-        if norm <= 1e-12:
-            continue
-        u = u / norm
-        proj = X.points @ u
-        level = tie_level(proj, face, tol)
-        if level is not None:
-            yield u, level, proj
+    weights = rng.dirichlet(np.ones(len(normals)), size=samples)
+    # stacked 1-row products reproduce ``w @ normals`` and ``X.points @ u``
+    # of each draw bit for bit; one 2-D product (``weights @ normals``) does not
+    U = np.matmul(weights[:, None, :], normals[None])[:, 0]
+    norms = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0, 0]
+    keep = norms > 1e-12
+    U = U[keep] / norms[keep, None]
+    proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
+    levels = tie_levels(proj, face, tol)
+    tied = ~np.isnan(levels)
+    return list(zip(U[tied], levels[tied].tolist(), proj[tied]))
 
 
 @dataclass(frozen=True)

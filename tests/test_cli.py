@@ -1,11 +1,12 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from robloc import DataSet, bundled_dataset, save_dataset_csv
+from robloc import DataSet, bundled_dataset, load_dataset_csv, save_dataset_csv
 from robloc.cli import main
 
 
@@ -215,6 +216,27 @@ def test_finite_data_whose_diameter_overflows_exit_4(runner, tmp_path, args):
     assert result.exit_code == 4
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: the data diameter overflows"]
+
+
+def test_data_whose_subset_determinants_overflow(runner, tmp_path):
+    # differences near 1e111 square within the float range, but 3x3
+    # determinants reach about 1e333: the condition report runs, and the
+    # shear screen, which compares unscaled determinants, is out of range;
+    # neither claims the points lie on a hyperplane
+    path = tmp_path / "huge.csv"
+    X = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
+    save_dataset_csv(DataSet(X.points * 1e110), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        condition = runner.invoke(main, ["condition", str(path), "-e", "cmedian", "--seed", "0"])
+        fsbv = runner.invoke(main, ["fsbv", str(path), "-e", "cmedian", "--seed", "0"])
+    assert condition.exit_code == 0
+    assert json.loads(condition.stdout)["h"] == 3
+    assert fsbv.exit_code == 4
+    assert fsbv.stdout == ""
+    assert fsbv.stderr.splitlines() == [
+        "error: the general-position screen's threshold (data diameter ** k) overflows"
+    ]
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from robloc import (
     check_equivariance,
     condition_margin,
     depth_condition,
+    load_dataset_csv,
     make_estimator,
     random_gp_dataset,
     weighted_mean,
@@ -121,6 +123,20 @@ def test_condition_margin_scales_homogeneously(demo10):
     assert scaled.min_margin == pytest.approx(c * base.min_margin, rel=1e-9)
 
 
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_condition_margin_runs_where_subset_determinants_overflow(h):
+    # determinants of these data reach about 1e333: the position check is
+    # scale-free, so the report is the unscaled one scaled, not a false
+    # hyperplane witness
+    X = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
+    T = make_estimator("cmedian")
+    base = condition_margin(T, X, h, seed=0)
+    huge = condition_margin(T, DataSet(1e110 * X.points), h, seed=0)
+    assert [p.tied_indices for p in huge.probes] == [p.tied_indices for p in base.probes]
+    assert huge.min_margin == pytest.approx(1e110 * base.min_margin, rel=1e-9)
+    assert huge.holds_empirically == base.holds_empirically
+
+
 def test_condition_margin_h_above_k_reports_no_direction(demo10):
     # under general position a 3-fold tie cannot occur in the plane
     with pytest.raises(NoAdmissibleDirectionError):
@@ -214,6 +230,15 @@ def test_every_registry_estimator_is_translation_equivariant(demo10):
 def test_mcd_affine_equivariance(demo10):
     report = check_equivariance(make_estimator("mcd"), demo10, "affine", 30, seed=6)
     assert report.passed
+
+
+def test_equivariance_evaluates_the_untransformed_estimate_once(demo10):
+    calls = []
+    mcd = make_estimator("mcd")
+    counted = LocationEstimator("mcd", "affine", lambda X: calls.append(X) or mcd(X))
+    report = check_equivariance(counted, demo10, "affine", 3, seed=6)
+    assert report == check_equivariance(mcd, demo10, "affine", 3, seed=6)
+    assert [X is demo10 for X in calls] == [True, False, False, False]
 
 
 def test_fixed_weights_mean_affine_equivariance(demo10):

@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +13,25 @@ from robloc import (
     basis_from_normal,
     check_general_position,
     enumerate_facets,
+    load_dataset_csv,
     random_gp_dataset,
     shear_transform,
 )
-from robloc.errors import DatasetFormatError, GeneralPositionError, ParameterError
+from robloc.errors import DatasetFormatError, GeneralPositionError, OverflowParameterError, ParameterError
 from robloc.breakdown import _shear_family
 from robloc.estimators import EstimateSet, LocationEstimator
-from robloc.geometry import ReplacementFamily, apply_shears, hyperplane_normal, unit_direction
+from robloc.geometry import (
+    GP_RTOL,
+    ReplacementFamily,
+    apply_shears,
+    hyperplane_normal,
+    normal_cone_ties,
+    tie_level,
+    tie_levels,
+    unit_direction,
+)
+
+GP83 = Path(__file__).parent / "golden" / "gp8_3d.csv"
 
 
 # --- independent oracles -------------------------------------------------
@@ -80,6 +93,24 @@ def test_gp_detects_duplicates():
     assert not check_general_position(X).ok
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-110, 1.0, 1e110, 1e150, 1e300])
+def test_gp_is_scale_free(scale):
+    # each subset is divided by its largest coordinate difference before
+    # its determinant and diameter are taken, so neither overflows nor
+    # underflows
+    X = load_dataset_csv(GP83)
+    assert check_general_position(DataSet(X.points * scale)) == (True, None)
+    pts = X.points.copy()
+    pts[3] = pts[0] + 0.5 * (pts[1] - pts[0]) + 0.25 * (pts[2] - pts[0])
+    assert check_general_position(DataSet(pts * scale)) == (False, (0, 1, 2, 3))
+
+
+def test_gp_raises_when_a_point_difference_overflows():
+    X = DataSet(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]))
+    with pytest.raises(OverflowParameterError):
+        check_general_position(X)
+
+
 # --- facets ----------------------------------------------------------------
 
 def test_triangle_has_three_facets(triangle):
@@ -125,6 +156,80 @@ def test_facets_raise_on_gp_violation():
     X = DataSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(GeneralPositionError):
         enumerate_facets(X)
+
+
+# --- tie directions -----------------------------------------------------------
+
+def reference_cone_ties(X, facets, face, rng, samples, tol):
+    """Oracle: one Dirichlet draw, one product and one tie check per sample."""
+    normals = [f.inward_normal for f in facets if set(face) <= set(f.indices)]
+    if len(normals) < 2:
+        return []
+    normals = np.array(normals)
+    face = list(face)
+    ties = []
+    for _ in range(samples):
+        u = rng.dirichlet(np.ones(len(normals))) @ normals
+        norm = np.linalg.norm(u)
+        if norm <= 1e-12:
+            continue
+        u = u / norm
+        proj = X.points @ u
+        level = float(np.mean(proj[face]))
+        if np.abs(proj[face] - level).max() > tol:
+            continue
+        others = np.setdiff1d(np.arange(proj.size), face, assume_unique=True)
+        if others.size and np.min(proj[others] - level) <= tol:
+            continue
+        ties.append((u, level, proj))
+    return ties
+
+
+@st.composite
+def cone_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 2, k + 7))
+    X = random_gp_dataset(n, k, draw(st.integers(0, 2**16)))
+    return X, draw(st.integers(1, k - 1)), draw(st.integers(0, 40)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone_cases())
+def test_batched_cone_ties_match_per_draw_reference(case):
+    # one generator serves every face in turn, as condition_margin draws
+    X, h, samples, seed = case
+    facets = enumerate_facets(X)
+    tol = GP_RTOL * X.diameter
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for face in sorted({sub for f in facets for sub in combinations(f.indices, h)}):
+        got = normal_cone_ties(X, facets, face, ours, samples, tol)
+        want = reference_cone_ties(X, facets, face, ref, samples, tol)
+        assert len(got) == len(want)
+        for (u, level, proj), (u0, level0, proj0) in zip(got, want):
+            assert np.array_equal(u, u0)
+            assert level == level0
+            assert np.array_equal(proj, proj0)
+    assert ours.random() == ref.random()
+
+
+def test_cone_of_a_face_on_one_facet_draws_nothing():
+    X = random_gp_dataset(9, 3, 0)
+    facets = enumerate_facets(X)
+    rng = np.random.default_rng(0)
+    assert normal_cone_ties(X, facets[:1], facets[0].indices[:1], rng, 8, 1e-9) == []
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_tie_levels_mark_rows_without_a_tie_nan():
+    proj = np.array([
+        [0.0, 0.0, 1.0],  # points 0 and 1 tie at 0
+        [0.0, 0.5, 1.0],  # point 1 is above point 0
+        [0.0, 0.0, 0.0],  # point 2 ties too
+        [1.0, 1.0, 0.0],  # point 2 is below the tie
+    ])
+    levels = tie_levels(proj, (0, 1), 1e-9)
+    assert np.array_equal(levels, [0.0, np.nan, np.nan, np.nan], equal_nan=True)
+    assert [tie_level(row, (0, 1), 1e-9) for row in proj] == [0.0, None, None, None]
 
 
 # --- bases ------------------------------------------------------------------
