@@ -75,12 +75,13 @@ def check_general_position(X: DataSet) -> GeneralPositionReport:
 
     Every (k+1)-subset is tested for affine independence via the determinant
     of its k x k difference matrix, with threshold ``1e-9`` relative to the
-    subset diameter (the determinant scales like diameter**k). Each subset
-    is first divided by its largest coordinate difference, so the test is
-    scale-free in floating point too: neither side overflows or underflows
-    with the data. Returns ``(ok, witness)`` where ``witness`` is one
-    violating index subset when ``ok`` is false. A coordinate difference
-    that overflows raises OverflowParameterError.
+    subset diameter (the determinant scales like diameter**k). The points
+    are first taken relative to the first one, in units of their largest
+    coordinate difference, so the test is scale-free in floating point too:
+    neither side overflows or underflows with the data. Returns
+    ``(ok, witness)`` where ``witness`` is one violating index subset when
+    ``ok`` is false. A coordinate difference that overflows raises
+    OverflowParameterError.
 
     Attack sweeps re-test every contaminated dataset, so the subset loop is
     batched through numpy.
@@ -89,17 +90,16 @@ def check_general_position(X: DataSet) -> GeneralPositionReport:
     n, k = X.n, X.k
     if n < k + 1:
         return GeneralPositionReport(True, None)
-    subsets = subset_index(n, k + 1)  # (S, k+1)
-    groups = pts[subsets]  # (S, k+1, k)
     with np.errstate(over="ignore"):
-        pair = groups[:, :, None, :] - groups[:, None, :, :]
-    scale = np.abs(pair).max(axis=(1, 2, 3))
-    if not np.all(np.isfinite(scale)):
+        scale = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    if not np.isfinite(scale):
         raise OverflowParameterError("a difference of two data points overflows")
-    # scale 0: one point repeated, whose zero determinant fails the test
-    pair /= np.where(scale > 0, scale, 1.0)[:, None, None, None]
+    subsets = subset_index(n, k + 1)  # (S, k+1)
+    groups = ((pts - pts[0]) / (scale if scale > 0 else 1.0))[subsets]  # (S, k+1, k)
+    diffs = groups[:, 1:, :] - groups[:, :1, :]  # (S, k, k)
+    dets = np.abs(np.linalg.det(diffs))
+    pair = groups[:, :, None, :] - groups[:, None, :, :]
     diams = np.sqrt((pair * pair).sum(axis=3)).max(axis=(1, 2))
-    dets = np.abs(np.linalg.det(pair[:, 1:, 0, :]))  # rows x_i - x_0
     bad = dets <= GP_RTOL * diams**k
     if np.any(bad):
         witness = tuple(int(i) for i in subsets[int(np.flatnonzero(bad)[0])])

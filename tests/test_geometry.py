@@ -95,9 +95,8 @@ def test_gp_detects_duplicates():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-110, 1.0, 1e110, 1e150, 1e300])
 def test_gp_is_scale_free(scale):
-    # each subset is divided by its largest coordinate difference before
-    # its determinant and diameter are taken, so neither overflows nor
-    # underflows
+    # the points are taken in units of their largest coordinate difference
+    # before any determinant or diameter, so neither overflows nor underflows
     X = load_dataset_csv(GP83)
     assert check_general_position(DataSet(X.points * scale)) == (True, None)
     pts = X.points.copy()
