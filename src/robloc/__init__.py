@@ -64,6 +64,7 @@ from .breakdown import (
     BreakdownCertificate,
     FsbvResult,
     PartitionRule,
+    Witness,
     empirical_fsbv,
     pm_counterexample,
     shear_attack,

@@ -25,13 +25,13 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import DataSet
 from .errors import (
     GeneralPositionError,
-    OverflowParameterError,
     ParameterError,
     RoblocError,
     require_integer,
@@ -58,7 +58,7 @@ __all__ = [
     "BoundTable",
     "theoretical_bounds",
     "PartitionRule",
-    "AttackRecord",
+    "Witness",
     "AttackTrace",
     "shear_attack",
     "translation_cluster_attack",
@@ -85,6 +85,8 @@ _CONE_SAMPLES = 64
 _PARTITION_RULES = ("largest_projection", "smallest_projection")
 # Relative size of the single gamma nudge allowed to restore general position.
 _NUDGE_REL = 1e-6
+# The fields of an attack's details that fix the frame of its witnesses.
+_FRAME_FIELDS = {"shear": ("kept", "normal"), "cluster": ("direction", "anchor")}
 # Tolerance for the inline check that family two is the affine preimage of
 # family one.
 _IDENTITY_RTOL = 1e-9
@@ -196,31 +198,46 @@ class PartitionRule:
             raise ParameterError(f"unknown b_rule {self.b_rule!r}")
 
 
-@dataclass(frozen=True)
-class AttackRecord:
-    """One contaminated dataset and what the estimator did on it."""
+class Witness(NamedTuple):
+    """One contaminated dataset of an attack, which ``dataset`` rebuilds
+    from the data alone. ``family`` is ``shear_replace_far``,
+    ``shear_replace_near`` (the inverse shear, slope -parameter) or
+    ``cluster``; ``requested_parameter`` is the grid value before a
+    general-position nudge. A shear carries its pinned rows and tie
+    direction, a cluster its direction and anchor."""
 
     family: str
+    replaced: tuple
     parameter: float
     requested_parameter: float
-    replaced_indices: tuple
-    estimate: EstimateSet
-    distance: float
+    kept: tuple | None = None
+    normal: tuple | None = None
+    direction: tuple | None = None
+    anchor: tuple | None = None
 
     @property
     def nudged(self) -> bool:
         return self.parameter != self.requested_parameter
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": float(self.parameter),
-            "requested_parameter": float(self.requested_parameter),
-            "nudged": self.nudged,
-            "replaced_indices": list(self.replaced_indices),
-            "estimate_members": [[float(v) for v in row] for row in self.estimate.members],
-            "distance": float(self.distance),
-        }
+    def dataset(self, X: DataSet) -> DataSet:
+        """X with rows ``replaced`` moved as the attack moved them; a shear
+        is taken in ``basis_from_normal(normal, mean of the kept points)``."""
+        if self.family == "cluster":
+            family = _cluster_rows(X, self.replaced, self.anchor, self.direction, [self.parameter])
+        else:
+            basis = basis_from_normal(self.normal, X.points[list(self.kept)].mean(axis=0))
+            family = _shear_images(X, basis, self.family, self.replaced, [self.parameter])
+        return DataSet(family.points[0])
+
+    @classmethod
+    def from_dict(cls, trace: dict) -> Witness | None:
+        """The first record of a trace's JSON beyond its threshold,
+        grid-major, with the frame read off its details; or None."""
+        hit = next((r for r in trace["records"] if r["distance"] > trace["divergence_threshold"]), None)
+        if hit is None:
+            return None
+        return cls(hit["family"], tuple(hit["replaced_indices"]), hit["parameter"], hit["requested_parameter"],
+                   **{key: tuple(trace["details"][key]) for key in _FRAME_FIELDS[trace["family"]]})
 
 
 @dataclass(frozen=True)
@@ -232,8 +249,8 @@ class AttackTrace:
     indices, the :class:`EstimateStack` of its estimates, one per grid
     point, and per grid point the distance of the estimate to the clean
     one. ``distances`` is the (G, F) array of those distances, and every
-    verdict is a reduction of it. ``records`` builds one
-    :class:`AttackRecord` per (grid point, family), grid-major, on demand.
+    verdict is a reduction of it. ``records`` builds one :class:`Witness`
+    per (grid point, family), grid-major, on demand.
     """
 
     family: str
@@ -251,20 +268,12 @@ class AttackTrace:
     divergence_threshold: float
     details: dict = field(repr=False)
 
-    def _record(self, j: int, f: int) -> AttackRecord:
-        return AttackRecord(
-            family=self.labels[f],
-            parameter=self.used_parameters[j],
-            requested_parameter=self.parameters[j],
-            replaced_indices=self.replaced[f],
-            estimate=self.estimates[f][j],
-            distance=float(self.distances[j, f]),
-        )
-
     @property
     def records(self) -> tuple:
-        G, F = self.distances.shape
-        return tuple(self._record(j, f) for j in range(G) for f in range(F))
+        frame = {key: tuple(self.details[key]) for key in _FRAME_FIELDS[self.family]}
+        return tuple(Witness(label, replaced, used, requested, **frame)
+                     for used, requested in zip(self.used_parameters, self.parameters)
+                     for label, replaced in zip(self.labels, self.replaced))
 
     @property
     def diverged(self) -> bool:
@@ -275,10 +284,10 @@ class AttackTrace:
         return float(self.distances.max())
 
     @property
-    def witness_record(self) -> AttackRecord | None:
+    def witness_record(self) -> Witness | None:
         """The first record beyond the threshold, grid-major."""
         hits = np.flatnonzero(self.distances > self.divergence_threshold)
-        return self._record(*divmod(int(hits[0]), len(self.labels))) if hits.size else None
+        return self.records[int(hits[0])] if hits.size else None
 
     def distances_per_parameter(self) -> list:
         """Max recorded distance at each grid parameter, in grid order.
@@ -292,6 +301,12 @@ class AttackTrace:
 
     def to_dict(self) -> dict:
         witness = self.witness_record
+        members = [np.split(stack.members, stack.starts[1:]) for stack in self.estimates]
+        records = [{"family": label, "parameter": float(used), "requested_parameter": float(requested),
+                    "nudged": used != requested, "replaced_indices": list(replaced),
+                    "estimate_members": members[f][j].tolist(), "distance": float(self.distances[j, f])}
+                   for j, (used, requested) in enumerate(zip(self.used_parameters, self.parameters))
+                   for f, (label, replaced) in enumerate(zip(self.labels, self.replaced))]
         body = {
             "estimator": self.estimator,
             "n": self.n,
@@ -306,7 +321,7 @@ class AttackTrace:
             "divergence_threshold": float(self.divergence_threshold),
             "seed": self.details.get("seed"),
             "details": {k: v for k, v in sorted(self.details.items())},
-            "records": [r.to_dict() for r in self.records],
+            "records": records,
         }
         body["config_hash"] = config_digest(
             {
@@ -373,30 +388,24 @@ class _ShearPositionScreen:
     difference matrix of any (k+1)-subset every row then reads
     dq_j + gamma * dc_j * e2, and since terms with two e2 rows vanish, the
     subset determinant is exactly linear: D0 + gamma * D1, with D0 and D1
-    computed from original-scale quantities. Evaluating the raw coordinates
+    computed from the uncontaminated data. Evaluating the raw coordinates
     instead would lose these determinants to cancellation around
     gamma ~ 1e6 (coordinates grow like gamma while the determinant stays
     put). The finitely many degenerate gamma values of the construction are
     exactly the roots -D0/D1.
 
-    Thresholds are judged against the uncontaminated data diameter, for the
-    same reason: the shear preserves determinants while stretching subset
-    diameters without bound.
+    Difference rows and displacements are taken in units of the clean
+    data diameter (the shear preserves determinants while stretching subset
+    diameters without bound), so D0 and D1 are scale-free and a subset
+    fails within ``GP_RTOL``, as in ``check_general_position``.
     """
 
     def __init__(self, X: DataSet):
-        n, k = X.n, X.k
-        pts = X.points
-        self.k = k
-        try:
-            self.tol = GP_RTOL * max(X.diameter, 1e-300) ** k
-        except OverflowError:
-            raise OverflowParameterError(
-                "the general-position screen's threshold (data diameter ** k) overflows"
-            ) from None
-        self.subsets = subset_index(n, k + 1)
-        base = pts[self.subsets]  # (S, k+1, k)
-        self.rows = base[:, 1:, :] - base[:, :1, :]  # (S, k, k)
+        self.k = X.k
+        self.scale = max(X.diameter, 1e-300)
+        self.subsets = subset_index(X.n, X.k + 1)
+        base = X.points[self.subsets]  # (S, k+1, k)
+        self.rows = (base[:, 1:, :] - base[:, :1, :]) / self.scale  # (S, k, k)
         self.d0 = np.linalg.det(self.rows)
 
     def row_replacements(self, e2: np.ndarray) -> np.ndarray:
@@ -411,8 +420,8 @@ class _ShearPositionScreen:
 
     def linear_coeff(self, M: np.ndarray, c: np.ndarray) -> np.ndarray:
         """D1 per subset for displacement coefficients c (zero off the
-        replaced set)."""
-        cs = c[self.subsets]  # (S, k+1)
+        replaced set), in data units."""
+        cs = (c / self.scale)[self.subsets]  # (S, k+1)
         dc = cs[:, 1:] - cs[:, :1]  # (S, k)
         return (dc * M).sum(axis=1)
 
@@ -429,7 +438,7 @@ class _ShearPositionScreen:
                 vals = np.abs(self.d0 + g * d1)
             _require_finite_at(gammas, vals, "the general-position screen")
             j = np.argmin(vals, axis=1)
-            new = (np.take_along_axis(vals, j[:, None], axis=1)[:, 0] <= self.tol) & (failed < 0)
+            new = (np.take_along_axis(vals, j[:, None], axis=1)[:, 0] <= GP_RTOL) & (failed < 0)
             failed[new] = j[new]
         ok = failed < 0
         witness = None if ok.all() else tuple(int(i) for i in self.subsets[failed[np.argmin(ok)]])
@@ -580,22 +589,18 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
     requested = attacks.suite.gamma_grid
     a_idx, b_idx = frame.partition(m, b_rule)
     include_preimage_family = 0 < len(a_idx) <= m
-
-    c_far = np.zeros(X.n)
-    c_far[list(b_idx)] = offsets[list(b_idx)]
-    d1_list = [screen.linear_coeff(row_dets, c_far)]
-    if include_preimage_family:
-        c_near = np.zeros(X.n)
-        c_near[list(a_idx)] = -offsets[list(a_idx)]
-        d1_list.append(screen.linear_coeff(row_dets, c_near))
-
+    # per family: its label, its replaced rows and the sign of their slope
+    moved = [("shear_replace_far", b_idx, 1.0), ("shear_replace_near", a_idx, -1.0)][:1 + include_preimage_family]
+    d1_list = []
+    for _, idx, sign in moved:
+        c = np.zeros(X.n)
+        c[list(idx)] = sign * offsets[list(idx)]
+        d1_list.append(screen.linear_coeff(row_dets, c))
     used = _screened_grid(screen, requested, d1_list)
-    families = [("shear_replace_far", _shear_family(X, frame.basis, b_idx, used))]
+    families = [_shear_images(X, frame.basis, label, idx, used) for label, idx, _ in moved]
     if include_preimage_family:
-        near = _shear_family(X, frame.basis, a_idx, [-g for g in used])
-        _check_preimage_identity(families[0][1], near, offsets, frame.kept)
-        families.append(("shear_replace_near", near))
-    columns = [(label, family.replaced, estimate(family)) for label, family in families]
+        _check_preimage_identity(*families, offsets, frame.kept)
+    columns = [(label, family.replaced, estimate(family)) for (label, _, _), family in zip(moved, families)]
     details = {
         "facet": list(facet.indices),
         "kept": list(frame.kept),
@@ -611,8 +616,11 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
     return _attack_trace(attacks, "shear", m, len(frame.kept), requested, used, columns, details)
 
 
-def _shear_family(X: DataSet, basis, replaced, slopes) -> ReplacementFamily:
-    """X with rows ``replaced`` moved by the shear of each slope, as one family."""
+def _shear_images(X: DataSet, basis: OrthonormalBasis, family: str, replaced, gammas) -> ReplacementFamily:
+    """X with rows ``replaced`` moved by the shear of each slope, as one
+    family: slope gamma for ``shear_replace_far``, the inverse shear -gamma
+    for ``shear_replace_near``. Sweeps and witnesses both build here."""
+    slopes = [-g for g in gammas] if family == "shear_replace_near" else gammas
     # an image that overflows is not finite, and the family rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         images = apply_shears(X.points[list(replaced)], slopes, basis)
@@ -711,18 +719,8 @@ def shear_attack(
         frame = attacks.frame(facet, facet.indices[:h])
         if frame is not None:
             return _run_shear_sweep(attacks, facet, frame, m_eff, partition_rule.b_rule)
-    raise NoFacetAdmitsEstimateError(T.name)
-
-
-class NoFacetAdmitsEstimateError(RoblocError):
-    """The estimate cleared no facet halfspace: it sits on or outside every
-    supporting hyperplane, so no shear frame exists."""
-
-    def __init__(self, estimator_name: str):
-        super().__init__(
-            f"estimator {estimator_name!r}: no hull facet strictly contains the "
-            "estimate in its halfspace; cannot anchor a shear frame"
-        )
+    raise RoblocError(f"estimator {T.name!r}: no hull facet strictly contains the estimate in its "
+                      "halfspace; cannot anchor a shear frame")
 
 
 # ---------------------------------------------------------------------------
@@ -757,16 +755,10 @@ def translation_cluster_attack(
 
 def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray) -> AttackTrace:
     """:func:`translation_cluster_attack` along the unit direction u over
-    the suite's radius grid: all G clusters in one (G, m, k) broadcast, and
-    their datasets as one family for the estimator's evaluator."""
+    the suite's radius grid, as one family for the estimator's evaluator."""
     T, X, theta = attacks.T, attacks.X, attacks.baseline.canonical
     order = np.lexsort((np.arange(X.n), -(X.points @ u)))
-    R = np.array(attacks.suite.radius_grid, dtype=float)
-    copies = np.arange(m)
-    jitter = np.zeros((R.size, m, X.k))
-    jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
-    clusters = (theta + R[:, None] * u)[:, None, :] + jitter
-    family = ReplacementFamily.of(X, np.sort(order[:m]), R, clusters)
+    family = _cluster_rows(X, np.sort(order[:m]), theta, u, attacks.suite.radius_grid)
     radii = list(family.parameters)
     details = {
         "direction": [float(v) for v in u],
@@ -775,6 +767,17 @@ def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray) -> AttackTrace:
     }
     columns = [("cluster", family.replaced, T.evaluator(X)(family))]
     return _attack_trace(attacks, "cluster", m, None, radii, radii, columns, details)
+
+
+def _cluster_rows(X: DataSet, replaced, anchor, direction, radii) -> ReplacementFamily:
+    """X with rows ``replaced`` moved to the cluster of each radius, as one
+    (G, m, k) family; the cluster attack and witnesses both build here."""
+    R = np.array(radii, dtype=float)
+    copies = np.arange(len(replaced))
+    jitter = np.zeros((R.size, copies.size, X.k))
+    jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
+    clusters = (np.asarray(anchor, dtype=float) + R[:, None] * np.asarray(direction, dtype=float))[:, None, :]
+    return ReplacementFamily.of(X, replaced, R, clusters + jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +840,8 @@ class BreakdownCertificate:
             "max_distance": float(self.max_distance),
         }
         if self.witness is not None:
-            w = self.witness.witness_record
             d["witness"] = self.witness.to_dict()
-            d["witness_parameter"] = None if w is None else float(w.parameter)
+            d["witness_parameter"] = d["witness"]["witness_gamma"]
         else:
             d["witness"] = None
             d["note"] = SURVIVED_MARKER
@@ -943,7 +945,6 @@ def empirical_fsbv(
             yield f"cluster(direction={direction})", _cluster_attack(attacks, m, unit_direction(direction))
 
     certificates = {}
-    first_broken = None
     for m in range(1, -(-n // 2) + 1):
         tried = []
         max_distance = 0.0
@@ -966,13 +967,12 @@ def empirical_fsbv(
             max_distance=max_distance,
             witness=witness,
         )
-        if witness is not None and first_broken is None:
-            first_broken = m
+    broken = [m for m, c in certificates.items() if c.status == "broken"]
     return FsbvResult(
         estimator=T.name,
         n=n,
         k=k,
-        fraction=None if first_broken is None else (first_broken, n),
+        fraction=(broken[0], n) if broken else None,
         certificates=certificates,
         threshold_factor=threshold_factor,
         suite=suite,

@@ -135,8 +135,8 @@ def hyperplane_normal(groups: np.ndarray) -> tuple:
     vector of the subset's difference matrix, from one batched SVD; the
     sign is canonicalized so the first component above 1e-14 in magnitude
     is positive. A subset is degenerate when its smallest singular value is
-    at most 1e-12 times max(1, largest absolute difference). For k = 1 every
-    normal is +1.
+    at most 1e-12 times its largest absolute difference, a test that does
+    not depend on the scale of the data. For k = 1 every normal is +1.
     """
     groups = np.asarray(groups, dtype=float)
     if groups.ndim != 3 or groups.shape[1] != groups.shape[2]:
@@ -145,9 +145,8 @@ def hyperplane_normal(groups: np.ndarray) -> tuple:
     if k == 1:
         return np.ones((S, 1)), np.zeros(S, dtype=bool)
     diffs = groups[:, 1:] - groups[:, :1]  # (S, k-1, k)
-    scale = np.maximum(1.0, np.abs(diffs).max(axis=(1, 2)))
     _, svals, vt = np.linalg.svd(diffs)
-    degenerate = svals[:, -1] <= 1e-12 * scale
+    degenerate = svals[:, -1] <= 1e-12 * np.abs(diffs).max(axis=(1, 2))
     normals = vt[:, -1]  # (S, k)
     nonzero = np.abs(normals) > 1e-14
     lead = normals[np.arange(S), np.argmax(nonzero, axis=1)]

@@ -8,6 +8,7 @@ import pytest
 
 from robloc import (
     DataSet,
+    Witness,
     bundled_dataset,
     empirical_fsbv,
     load_dataset_csv,
@@ -39,30 +40,36 @@ def frames_of(T, X, h):
 
 
 def assert_reductions_match_records(trace):
-    """A trace's columnar verdicts equal their definitions over its records,
-    which come grid-major: every family at the first grid point, then the
-    next."""
+    """A trace's columnar verdicts equal their definitions over its
+    records, which come grid-major (every family at the first grid point,
+    then the next) and carry the frame of the trace's details; its JSON
+    records say the same, and ``Witness.from_dict`` reads back the witness."""
     records = trace.records
     thr = trace.divergence_threshold
     F = len(trace.labels)
-    assert len(records) == len(trace.parameters) * F
-    for i, r in enumerate(records):
+    distances = trace.distances.reshape(-1).tolist()
+    assert len(records) == len(distances) == len(trace.parameters) * F
+    body = trace.to_dict()
+    for i, (r, d) in enumerate(zip(records, body["records"])):
         j, f = divmod(i, F)
         assert (r.requested_parameter, r.parameter) == (trace.parameters[j], trace.used_parameters[j])
-        assert (r.family, r.replaced_indices) == (trace.labels[f], trace.replaced[f])
-        assert np.array_equal(r.estimate.members, trace.estimates[f][j].members)
-        assert np.array_equal(r.estimate.canonical, trace.estimates[f][j].canonical)
-    assert trace.diverged == any(r.distance > thr for r in records)
-    assert trace.max_distance == max(r.distance for r in records)
-    over = [r for r in records if r.distance > thr]
-    witness = trace.witness_record
-    if over:
-        assert witness.to_dict() == over[0].to_dict()
-        assert np.array_equal(witness.estimate.canonical, over[0].estimate.canonical)
-    else:
-        assert witness is None
+        assert (r.family, r.replaced) == (trace.labels[f], trace.replaced[f])
+        if trace.family == "shear":
+            assert (list(r.kept), list(r.normal)) == (trace.details["kept"], trace.details["normal"])
+        else:
+            assert (list(r.direction), list(r.anchor)) == (trace.details["direction"], trace.details["anchor"])
+        assert d == {
+            "family": r.family, "parameter": r.parameter, "requested_parameter": r.requested_parameter,
+            "nudged": r.nudged, "replaced_indices": list(r.replaced),
+            "estimate_members": trace.estimates[f][j].members.tolist(), "distance": distances[i],
+        }
+    assert trace.diverged == any(d > thr for d in distances)
+    assert trace.max_distance == max(distances)
+    over = [r for r, d in zip(records, distances) if d > thr]
+    assert trace.witness_record == (over[0] if over else None)
+    assert Witness.from_dict(json.loads(json.dumps(body))) == trace.witness_record
     assert trace.distances_per_parameter() == [
-        max(r.distance for r in records if r.requested_parameter == p) for p in trace.parameters
+        max(d for r, d in zip(records, distances) if r.requested_parameter == p) for p in trace.parameters
     ]
 
 
@@ -151,14 +158,15 @@ def test_shear_attack_breaks_mcd_at_default_m(demo10):
     T = make_estimator("mcd")
     trace = shear_attack(T, demo10, h=2)
     assert trace.diverged
-    assert trace.witness_record.distance > 1e6 * demo10.diameter
+    witness = trace.witness_record.dataset(demo10)
+    assert estimate_set_distance(T(witness), T(demo10)) > 1e6 * demo10.diameter
 
 
 def test_shear_attack_both_families_recorded(demo10):
     trace = shear_attack(make_estimator("mcd"), demo10, h=2, gamma_grid=(100.0,))
     families = {r.family for r in trace.records}
     assert families == {"shear_replace_far", "shear_replace_near"}
-    sizes = {r.family: len(r.replaced_indices) for r in trace.records}
+    sizes = {r.family: len(r.replaced) for r in trace.records}
     assert sizes["shear_replace_far"] == 4
     assert sizes["shear_replace_near"] == 4
 
@@ -166,7 +174,7 @@ def test_shear_attack_both_families_recorded(demo10):
 def test_shear_attack_m_one_has_single_family(demo10):
     trace = shear_attack(make_estimator("mcd"), demo10, h=2, gamma_grid=(10.0,), m=1)
     assert {r.family for r in trace.records} == {"shear_replace_far"}
-    assert all(len(r.replaced_indices) == 1 for r in trace.records)
+    assert all(len(r.replaced) == 1 for r in trace.records)
 
 
 def test_shear_attack_validation(demo10):
@@ -190,21 +198,28 @@ def test_shear_attack_requires_gp():
         shear_attack(make_estimator("wmean"), X, h=2)
 
 
-def test_shear_attack_nudges_degenerate_gamma(demo10):
-    # hit a slope at which some subset determinant D0 + gamma*D1 vanishes
-    # exactly: the sweep must recover by the one allowed relative nudge
+def degenerate_slope(T, X) -> tuple:
+    """(gamma, screen, D1): the smallest slope above 1 at which a subset
+    determinant D0 + gamma * D1 of the far family of T's first h = 2 frame
+    on X, at m = 4 under the default rule, vanishes."""
     from robloc.breakdown import _ShearPositionScreen
 
-    T = make_estimator("mcd")
-    frame = frames_of(T, demo10, 2)[0]
-    screen = _ShearPositionScreen(demo10)
+    frame = frames_of(T, X, 2)[0]
+    screen = _ShearPositionScreen(X)
     row_dets = screen.row_replacements(frame.basis.e(2))
     _, b_idx = frame.partition(4, "largest_projection")
-    c = np.zeros(demo10.n)
+    c = np.zeros(X.n)
     c[list(b_idx)] = frame.offsets[list(b_idx)]
     d1 = screen.linear_coeff(row_dets, c)
     roots = -screen.d0[d1 != 0.0] / d1[d1 != 0.0]
-    gamma_bad = float(roots[roots > 1.0].min())
+    return float(roots[roots > 1.0].min()), screen, d1
+
+
+def test_shear_attack_nudges_degenerate_gamma(demo10):
+    # hit a slope at which some subset determinant D0 + gamma*D1 vanishes
+    # exactly: the sweep must recover by the one allowed relative nudge
+    T = make_estimator("mcd")
+    gamma_bad, screen, d1 = degenerate_slope(T, demo10)
     ok, witness = screen.gamma_ok([10.0, gamma_bad], [d1])
     assert ok.tolist() == [True, False]
     j = int(np.argmin(np.abs(screen.d0 + gamma_bad * d1)))
@@ -321,12 +336,12 @@ def test_fsbv_enumerates_the_facets_once(monkeypatch):
 def preimage_families(X, slopes):
     """Far and near shear families of the first h = 2 frame of X, with
     what the preimage check reads."""
-    from robloc.breakdown import _shear_family
+    from robloc.breakdown import _shear_images
 
     frame = frames_of(make_estimator("cmedian"), X, 2)[0]
     a_idx, b_idx = frame.partition(4, "largest_projection")
-    far = _shear_family(X, frame.basis, b_idx, slopes)
-    near = _shear_family(X, frame.basis, a_idx, [-g for g in slopes])
+    far = _shear_images(X, frame.basis, "shear_replace_far", b_idx, slopes)
+    near = _shear_images(X, frame.basis, "shear_replace_near", a_idx, slopes)
     return far, near, frame.offsets, frame.kept
 
 
@@ -422,7 +437,7 @@ def test_cluster_attack_replaces_farthest_along_direction(demo9):
     trace = translation_cluster_attack(
         make_estimator("cmedian"), demo9, 3, radius_grid=(10.0,), direction=np.array([1.0])
     )
-    assert trace.records[0].replaced_indices == (6, 7, 8)
+    assert trace.records[0].replaced == (6, 7, 8)
 
 
 def test_cluster_attack_2d_jitter_avoids_exact_degeneracy(demo10):
@@ -439,7 +454,7 @@ def test_cluster_attack_2d_jitter_avoids_exact_degeneracy(demo10):
     for R in (10.0, 1e5):
         cluster = [anchor + R * np.array([1.0, 0.0]) + np.eye(2)[i % 2] * 1e-6 * R * (i + 1)
                    for i in range(4)]
-        Xc = demo10.with_replaced(trace.records[0].replaced_indices, cluster)
+        Xc = demo10.with_replaced(trace.records[0].replaced, cluster)
         for sub in combinations(range(Xc.n), 3):
             pts = Xc.points[list(sub)]
             assert abs(np.linalg.det(pts[1:] - pts[0])) > 0.0
@@ -491,6 +506,19 @@ def test_cmedian_cluster_stack_matches_per_radius_evaluation(make):
 
 
 # --- empirical fsbv --------------------------------------------------------------
+
+@pytest.mark.parametrize("name, scale", [
+    ("cmedian", 1e-12), ("cmedian", 1e-150), ("cmedian", 1e110), ("tmean", 1e-150),
+])
+def test_fsbv_does_not_depend_on_the_scale_of_the_data(name, scale):
+    # facets, tie directions and the shear screen are all scale-free, so a
+    # scaled sample is certified as the sample itself, attack for attack
+    X = load_dataset_csv(GP83)
+    T = make_estimator(name, seed=0)
+    want, got = empirical_fsbv(T, X), empirical_fsbv(T, DataSet(X.points * scale))
+    assert got.fraction == want.fraction == {"cmedian": (4, 8), "tmean": (2, 8)}[name]
+    for m, cert in want.certificates.items():
+        assert got.certificates[m].attack_families_tried == cert.attack_families_tried
 
 def test_fsbv_median_demo5(demo5):
     res = empirical_fsbv(make_estimator("cmedian"), demo5)
@@ -671,7 +699,7 @@ def test_shear_screen_matches_exact_rational_determinants():
     # common direction v, every (k+1)-subset determinant is exactly the
     # linear polynomial D0 + gamma * D1. Verify the algebra with Fraction
     # arithmetic on integer data, and the float screen against the exact
-    # coefficients.
+    # coefficients divided by diameter ** k.
     from itertools import combinations as comb
 
     from robloc.breakdown import _ShearPositionScreen
@@ -708,9 +736,11 @@ def test_shear_screen_matches_exact_rational_determinants():
                 exact_d1 += (cf[j + 1] - cf[0]) * frac_det(alt)
             # the algebraic identity itself, in exact arithmetic
             assert frac_det(rows) == exact_d0 + gamma * exact_d1, subset
-            # and the float screen agrees with the exact coefficients
-            assert screen.d0[s] == pytest.approx(float(exact_d0), rel=1e-12, abs=1e-9)
-            assert d1[s] == pytest.approx(float(exact_d1), rel=1e-12, abs=1e-9)
+            # and the float screen agrees with the exact coefficients, which
+            # it takes in units of the data diameter
+            unit = Fraction(X.diameter) ** k
+            assert screen.d0[s] == pytest.approx(float(exact_d0 / unit), rel=1e-12, abs=1e-12)
+            assert d1[s] == pytest.approx(float(exact_d1 / unit), rel=1e-12, abs=1e-12)
 
 
 def test_mcd_objective_matches_exact_rational_covariance():

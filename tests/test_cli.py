@@ -220,23 +220,25 @@ def test_finite_data_whose_diameter_overflows_exit_4(runner, tmp_path, args):
 
 def test_data_whose_subset_determinants_overflow(runner, tmp_path):
     # differences near 1e111 square within the float range, but 3x3
-    # determinants reach about 1e333: the condition report runs, and the
-    # shear screen, which compares unscaled determinants, is out of range;
-    # neither claims the points lie on a hyperplane
+    # determinants reach about 1e333: the condition report and the shear
+    # screen, which take determinants in units of the data's scale, both
+    # run, and the certificate is the one of the unscaled data
+    golden = Path(__file__).parent / "golden" / "gp8_3d.csv"
     path = tmp_path / "huge.csv"
-    X = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
-    save_dataset_csv(DataSet(X.points * 1e110), path)
+    save_dataset_csv(DataSet(load_dataset_csv(golden).points * 1e110), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         condition = runner.invoke(main, ["condition", str(path), "-e", "cmedian", "--seed", "0"])
         fsbv = runner.invoke(main, ["fsbv", str(path), "-e", "cmedian", "--seed", "0"])
+        unscaled = runner.invoke(main, ["fsbv", str(golden), "-e", "cmedian", "--seed", "0"])
     assert condition.exit_code == 0
     assert json.loads(condition.stdout)["h"] == 3
-    assert fsbv.exit_code == 4
-    assert fsbv.stdout == ""
-    assert fsbv.stderr.splitlines() == [
-        "error: the general-position screen's threshold (data diameter ** k) overflows"
-    ]
+    assert (fsbv.exit_code, fsbv.stderr) == (0, "")
+    got, want = json.loads(fsbv.stdout), json.loads(unscaled.stdout)
+    assert got["fraction"] == want["fraction"] == [4, 8]
+    for m, cert in want["certificates"].items():
+        assert got["certificates"][m]["attack_families_tried"] == cert["attack_families_tried"]
+        assert got["certificates"][m]["status"] == cert["status"]
 
 
 @pytest.mark.parametrize("args, message", [

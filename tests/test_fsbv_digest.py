@@ -6,13 +6,23 @@ result as ``robloc fsbv`` prints it (``emit_fsbv``). One pass of each
 workload at seeds 1, 2 and 1001 must reproduce the pinned SHA-256 of those
 outputs, in operation order. A change that keeps every emitted byte leaves
 the digests alone; a deliberate output change records new ones and says why.
+
+Every broken certificate of those outputs, and of the ``fsbv`` golden
+files, is also replayed from its JSON and the data alone: the witness
+dataset ``Witness.from_dict`` rebuilds, evaluated without the estimator's
+batch hook, must diverge by the recorded distance.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
 import robloc
+from robloc import Witness, load_dataset_csv, make_estimator
+from robloc.metric import estimate_set_distance
+from test_golden import CASES, GOLDEN
 from test_tracer_targets import load_bench_module
 
 DIGESTS = {
@@ -28,22 +38,61 @@ DIGESTS = {
 }
 
 
+def replay(T, X, body, result=None) -> int:
+    """Replay every broken certificate of an fsbv JSON ``body`` of T on X;
+    with the ``result`` it was emitted from, its witness must also be the
+    one ``Witness.from_dict`` reads. Returns the number replayed."""
+    plain = dataclasses.replace(T, families=None)
+    baseline = plain(X)
+    broken = [(int(m), cert) for m, cert in body["certificates"].items() if cert["status"] == "broken"]
+    for m, cert in broken:
+        trace = cert["witness"]
+        witness = Witness.from_dict(trace)
+        if result is not None:
+            assert witness == result.certificates[m].witness.witness_record
+        threshold = trace["divergence_threshold"]
+        recorded = next(r["distance"] for r in trace["records"] if r["distance"] > threshold)
+        distance = estimate_set_distance(plain(witness.dataset(X)), baseline)
+        assert distance > threshold, (m, witness)
+        assert distance == pytest.approx(recorded, rel=1e-12, abs=0), (m, witness)
+    return len(broken)
+
+
 # seed 1 keeps the ids it was first pinned under
 @pytest.mark.parametrize(
     "workload, seed", [pytest.param(w, s, id=w if s == 1 else f"{w}-{s}") for w, s in sorted(DIGESTS)]
 )
 def test_certify_pass_emits_pinned_bytes(workload, seed, monkeypatch):
     workloads = load_bench_module("workloads", monkeypatch)
-    emit = workloads.emit_fsbv
+    emit, certify = workloads.emit_fsbv, robloc.empirical_fsbv
     digest = hashlib.sha256()
+    inputs = []  # (T, X) of the certification being emitted
+
+    def recording_certify(T, X, **kwargs):
+        inputs.append((T, X))
+        return certify(T, X, **kwargs)
 
     def recording_emit(result, seed):
         text = emit(result, seed)
         digest.update(text.encode("utf-8") + b"\n")
+        assert replay(*inputs[-1], json.loads(text), result) > 0
         return text
 
+    monkeypatch.setattr(robloc, "empirical_fsbv", recording_certify)
     monkeypatch.setattr(workloads, "emit_fsbv", recording_emit)
     ops, _ = workloads.build(robloc, workload, seed)
     for op in ops:
         assert op.check(op.run()) is None, op.label
+    assert len(inputs) == len(ops)
     assert digest.hexdigest() == DIGESTS[workload, seed]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("fsbv_")))
+def test_golden_certificates_replay(name):
+    args = CASES[name][0]
+    options = dict(zip(args[2::2], args[3::2]))
+    params = {"random_count": int(options["--random-count"])} if "--random-count" in options else {}
+    seed = int(options["--seed"]) if "--seed" in options else None
+    T = make_estimator(options["-e"], seed=seed, **params)
+    body = json.loads((GOLDEN / f"{name}.json").read_bytes())
+    assert replay(T, load_dataset_csv(args[1]), body) > 0

@@ -18,7 +18,7 @@ from robloc import (
     shear_transform,
 )
 from robloc.errors import DatasetFormatError, GeneralPositionError, OverflowParameterError, ParameterError
-from robloc.breakdown import _shear_family
+from robloc.breakdown import _shear_images
 from robloc.estimators import EstimateSet, LocationEstimator
 from robloc.geometry import (
     GP_RTOL,
@@ -277,10 +277,11 @@ def test_hyperplane_normal_r2():
 
 def per_subset_normal(pts):
     """Oracle: one SVD per subset, smallest right singular vector, first
-    component above 1e-14 in magnitude made positive."""
+    component above 1e-14 in magnitude made positive; degenerate when the
+    smallest singular value is within 1e-12 of the largest difference."""
     diffs = pts[1:] - pts[0]
     _, svals, vt = np.linalg.svd(diffs)
-    degenerate = bool(svals[-1] <= 1e-12 * max(1.0, float(np.abs(diffs).max())))
+    degenerate = bool(svals[-1] <= 1e-12 * float(np.abs(diffs).max()))
     normal = vt[-1]
     nz = np.flatnonzero(np.abs(normal) > 1e-14)
     if nz.size and normal[nz[0]] < 0:
@@ -316,6 +317,20 @@ def test_hyperplane_normal_sign_rule_skips_zero_first_component():
     assert normals.tolist() == [[0.0, 1.0], [0.0, 1.0]]
     normals, _ = hyperplane_normal(np.array([[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]))
     assert normals.tolist() == [[1.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-150, 1e110])
+def test_facets_do_not_depend_on_the_scale_of_the_data(scale):
+    # the degeneracy test is relative to each subset's own differences, so
+    # scaled data have the same facets, with the same normals
+    X = load_dataset_csv(GP83)
+    want, got = enumerate_facets(X), enumerate_facets(DataSet(X.points * scale))
+    assert [f.indices for f in got] == [f.indices for f in want]
+    for f, g in zip(want, got):
+        np.testing.assert_allclose(g.inward_normal, f.inward_normal, rtol=0, atol=1e-12)
+        assert g.support_value == pytest.approx(f.support_value * scale, rel=0, abs=1e-9 * X.diameter * scale)
+    degenerate = X.points[[0, 1, 1]] * scale  # a repeated point
+    assert hyperplane_normal(np.array([X.points[:3] * scale, degenerate]))[1].tolist() == [False, True]
 
 
 def test_hyperplane_normal_flags_degenerate_subsets():
@@ -442,7 +457,7 @@ def shear_family_cases(draw):
 @given(shear_family_cases())
 def test_shear_family_stack_matches_per_slope_construction(case):
     X, basis, replaced, slopes = case
-    family = _shear_family(X, basis, replaced, slopes)
+    family = _shear_images(X, basis, "shear_replace_far", replaced, slopes)
     assert family.points.shape == (len(slopes), X.n, X.k)
     assert not family.points.flags.writeable
     rows = X.points[list(replaced)]
@@ -458,7 +473,7 @@ def test_shear_family_datasets_view_the_stack(demo10):
     # the evaluator's per-dataset loop sees exactly the blocks of the stack:
     # this estimator returns every row it is given
     basis = basis_from_normal(np.array([0.6, 0.8]), demo10.points[0])
-    family = _shear_family(demo10, basis, (3, 1, 7), (10.0, -1e8, 0.0))
+    family = _shear_images(demo10, basis, "shear_replace_far", (3, 1, 7), (10.0, -1e8, 0.0))
     assert family.basis is basis and family.parameters == (10.0, -1e8, 0.0)
     rows = LocationEstimator("rows", "translation", lambda X: EstimateSet(X.points))
     stack = rows.evaluator(demo10, basis)(family)
@@ -478,7 +493,7 @@ def test_shear_family_rejects_bad_indices(demo10, replaced):
 def test_shear_family_rejects_non_finite_images(demo10):
     basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
     with pytest.raises(DatasetFormatError), np.errstate(over="ignore"):
-        _shear_family(demo10, basis, (0,), (1.0, 1e308))
+        _shear_images(demo10, basis, "shear_replace_far", (0,), (1.0, 1e308))
 
 
 def test_apply_map_identity_and_inverse(demo10):

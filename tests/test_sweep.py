@@ -20,7 +20,7 @@ from robloc import (
     shear_attack,
     translation_cluster_attack,
 )
-from robloc.breakdown import DEFAULT_GAMMA_GRID, _shear_family
+from robloc.breakdown import DEFAULT_GAMMA_GRID, _shear_images
 from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
@@ -109,7 +109,7 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
     for frame in frames_of(make_estimator("mcd"), X, k)[:3]:
         sweep = MCDShearSweep(X, frame.basis)
         _, replaced = frame.partition(2, "largest_projection")
-        family = _shear_family(X, frame.basis, replaced, slopes)
+        family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
         low, high = sweep.bounds(family)
         for j, points in enumerate(family.points):
             groups = points[sweep.subsets]
@@ -143,7 +143,7 @@ def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
 
     evaluate = dataclasses.replace(T, families=families).evaluator(X, frame.basis)
     _, replaced = frame.partition(2, "largest_projection")
-    family = _shear_family(X, frame.basis, replaced, (0.1, 10.0, 1e100))
+    family = _shear_images(X, frame.basis, "shear_replace_far", replaced, (0.1, 10.0, 1e100))
     (sweep,) = sweeps
     _, high = sweep.bounds(family)
     assert not np.isfinite(high).all()
@@ -225,7 +225,7 @@ def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
         for m in (1, X.n - k):
             a_idx, b_idx = frame.partition(m, "smallest_projection")
             for replaced in (a_idx, b_idx):
-                family = _shear_family(X, frame.basis, replaced, slopes)
+                family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
                 got = T.evaluator(X, frame.basis)(family)
                 for est, Xg in zip(got, map(DataSet, family.points)):
                     want = median_box_oracle(Xg)

@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 import robloc
-from robloc import AttackSuite, empirical_fsbv, make_estimator
+from robloc import AttackSuite, empirical_fsbv, make_estimator, shear_attack
 from robloc import breakdown
+from test_breakdown import degenerate_slope
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,3 +46,24 @@ def test_tracer_finds_every_target_and_uninstalls(demo10, monkeypatch):
     assert [key for key, value in metrics.items() if value is None] == []
     assert metrics["breakdown.sweep.calls"] > 0
     assert metrics["breakdown.frames.count"] > 0
+
+
+def test_tracer_counts_every_nudged_record(demo10, monkeypatch):
+    # the nudging sweep of test_shear_attack_nudges_degenerate_gamma, with
+    # its degenerate slope twice: the tracer counts nudges off the trace's
+    # records, one per nudged (grid point, family)
+    tracer_mod = load_bench_module("tracer", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
+    T = make_estimator("mcd")
+    gamma_bad, _, _ = degenerate_slope(T, demo10)
+    tracer = tracer_mod.Tracer()
+    tracer.install(robloc, workloads)
+    try:
+        trace = tracer.run_op(0, lambda: shear_attack(T, demo10, h=2, gamma_grid=(gamma_bad, 10.0, gamma_bad)))
+        metrics = tracer.pass_metrics(0, tracer.counts)
+    finally:
+        tracer.uninstall()
+    nudged = [(r.requested_parameter, r.family) for r in trace.records if r.nudged]
+    assert nudged == [(gamma_bad, "shear_replace_far"), (gamma_bad, "shear_replace_near")] * 2
+    assert metrics["breakdown.sweep.calls"] == 1
+    assert metrics["breakdown.gamma_nudges"] == len(nudged)
