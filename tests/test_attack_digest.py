@@ -1,4 +1,4 @@
-"""Byte pin of ``shear_attack`` traces.
+"""Byte pin of ``shear_attack`` and ``translation_cluster_attack`` traces.
 
 Each case runs ``shear_attack`` on one dataset for every tie order h = 1..k,
 both partition rules, the budgets m = 1 and the default, and tie-direction
@@ -8,6 +8,10 @@ tie direction) is in every trace, so a change to how frames are built or
 chosen shows here even where the golden attack files do not reach. A change
 that keeps every byte leaves the digests alone; a deliberate output change
 records new ones and says why.
+
+The cluster cases run ``translation_cluster_attack`` on the default radius
+grid for every budget m = 1..ceil(n/2) along each direction +e_1..+e_k,
+-e_1..-e_k, in that order, and hash the traces the same way.
 """
 
 import hashlib
@@ -16,7 +20,16 @@ from pathlib import Path
 
 import pytest
 
-from robloc import PartitionRule, bundled_dataset, load_dataset_csv, make_estimator, shear_attack
+import numpy as np
+
+from robloc import (
+    PartitionRule,
+    bundled_dataset,
+    load_dataset_csv,
+    make_estimator,
+    shear_attack,
+    translation_cluster_attack,
+)
 
 GP83 = Path(__file__).parent / "golden" / "gp8_3d.csv"
 
@@ -45,3 +58,23 @@ def test_shear_attack_emits_pinned_bytes(estimator, data):
                                          cone_seed=cone_seed)
                     digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
     assert digest.hexdigest() == DIGESTS[estimator, data]
+
+
+CLUSTER_DIGESTS = {
+    ("cmedian", "demo10_2d"): "bfba948430d723624f2eadfc0a95c830b0ec60ed3a131d4947e2bd2cfc3ef991",
+    ("cmedian", "gp8_3d"): "6676299ef05ec82583c4a1d1d1069e2e82cfbe6a91461584b133c9c4cf2603ec",
+    ("mcd", "demo10_2d"): "d69ddb53ebd6b2cf063a843c07b4147f567e80fc2547ced6cd7d546d65faf3c8",
+    ("mcd", "gp8_3d"): "086eb2869e25fd5ba24956e181aaf2fe0229f2dd38bbb211c04c83fba6930062",
+}
+
+
+@pytest.mark.parametrize("estimator, data", sorted(CLUSTER_DIGESTS))
+def test_cluster_attack_emits_pinned_bytes(estimator, data):
+    T = make_estimator(estimator)
+    X = load(data)
+    digest = hashlib.sha256()
+    for m in range(1, -(-X.n // 2) + 1):
+        for direction in np.vstack([np.eye(X.k), -np.eye(X.k)]).tolist():
+            trace = translation_cluster_attack(T, X, m, direction=direction)
+            digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == CLUSTER_DIGESTS[estimator, data]
