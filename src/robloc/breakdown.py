@@ -108,7 +108,7 @@ def _require_finite_at(grid, values: np.ndarray, what: str, kind: str = "slope")
     if not np.isfinite(values).all():
         bad = ~np.isfinite(values).reshape(len(grid), -1).all(axis=1)
         value = float(grid[int(np.argmax(bad))])
-        raise ParameterError(f"{kind} {value!r} is too large: {what} overflows")
+        raise ParameterError.too_large(kind, value, f"{what} overflows")
 
 
 def config_digest(mapping: dict) -> str:

@@ -14,6 +14,11 @@ class DatasetFormatError(RoblocError):
 class ParameterError(RoblocError, ValueError):
     """Raised when an argument is outside its documented range."""
 
+    @classmethod
+    def too_large(cls, kind: str, value: float, reason) -> "ParameterError":
+        """The error for a slope or radius at which ``reason`` stops evaluation."""
+        return cls(f"{kind} {value!r} is too large: {reason}")
+
 
 class OverflowParameterError(ParameterError):
     """Raised when finite inputs are too large for a result to be finite."""

@@ -230,12 +230,12 @@ class LocationEstimator:
     estimates as one :class:`EstimateStack` from :meth:`evaluator`. The
     optional hook ``families(X, basis)`` is called once per frame of the
     base data X, with the shear basis or, for the cluster attack, None. It
-    returns None or a function from a family to its estimate stack, which
-    may itself return None for a family it does not settle. What it returns
-    must be exactly what ``evaluate`` returns on each dataset, the same
-    members in the same order to the last bit, and its errors the ones
-    ``evaluate`` raises: certificates built through either path are
-    compared byte for byte.
+    returns a function that settles every family of X it is given: its
+    estimate stack must be exactly what ``evaluate`` returns on each
+    dataset, the same members in the same order to the last bit, and its
+    errors the ones the per-dataset loop of :meth:`evaluator` raises, for
+    the first failing dataset in grid order: certificates built through
+    either path are compared byte for byte.
     """
 
     name: str
@@ -251,22 +251,19 @@ class LocationEstimator:
         return self.evaluate(X)
 
     def evaluator(self, X: DataSet, basis: OrthonormalBasis | None = None) -> Callable:
-        """Per-frame evaluator: a family of X to its estimate stack, from the
-        hook where it settles the family, else dataset by dataset, where an
-        estimate that overflows is a ParameterError naming its parameter."""
-        hook = None if self.families is None else self.families(X, basis)
+        """A family of X to its estimate stack: the hook's, else dataset by
+        dataset, an estimate that overflows naming its slope or radius."""
+        if self.families is not None:
+            return self.families(X, basis)
 
         def evaluate(family: ReplacementFamily) -> EstimateStack:
-            stack = None if hook is None else hook(family)
-            if stack is not None:
-                return stack
             estimates = []
             for value, points in zip(family.parameters, family.points):
                 try:
                     estimates.append(self(DataSet(points)))
                 except OverflowParameterError as exc:
                     kind = "radius" if family.basis is None else "slope"
-                    raise ParameterError(f"{kind} {value!r} is too large: {exc}") from None
+                    raise ParameterError.too_large(kind, value, exc) from None
             return EstimateStack.pack(estimates)
 
         return evaluate
@@ -346,32 +343,36 @@ def _subset_objectives(groups: np.ndarray) -> tuple:
     return means, dets
 
 
-def _mcd_winners(dets: np.ndarray, starts) -> tuple:
+def _mcd_winners(dets: np.ndarray, starts, family: ReplacementFamily | None = None) -> tuple:
     """The MCD tie rule on each run of subsets that begins at ``starts``:
     every nonsingular subset within 1e-9 relative of the run's smallest
     determinant, in the order given, the first one canonical. Returns the
     winners' indices, each run's smallest determinant and where each run's
-    winners begin among the winners. Runs must be nonempty. A run without a
-    finite positive determinant is an OverflowParameterError when one of
-    its determinants overflowed, else a DegenerateSampleError."""
+    winners begin among the winners. Runs must be nonempty. The first run
+    without a finite positive determinant is a DegenerateSampleError, or an
+    OverflowParameterError if a determinant overflowed, named by ``family``."""
     valid = np.isfinite(dets) & (dets > 0.0)
     best = np.minimum.reduceat(np.where(valid, dets, np.inf), starts)
     if not np.all(np.isfinite(best)):
-        if np.logical_or.reduceat(np.isposinf(dets), starts)[~np.isfinite(best)].any():
-            raise OverflowParameterError("every coverage subset's covariance determinant overflows")
-        raise DegenerateSampleError("every coverage subset has singular covariance")
+        run = int(np.argmin(np.isfinite(best)))
+        if not np.logical_or.reduceat(np.isposinf(dets), starts)[run]:
+            raise DegenerateSampleError("every coverage subset has singular covariance")
+        exc = OverflowParameterError("every coverage subset's covariance determinant overflows")
+        raise exc if family is None else ParameterError.too_large(
+            "radius" if family.basis is None else "slope", family.parameters[run], exc)
     run_best = np.repeat(best, np.diff(np.append(starts, dets.size)))
     winners = np.flatnonzero(valid & (dets <= run_best + _MCD_TIE_RTOL * run_best))
     return winners, best, np.searchsorted(winners, starts)
 
 
-def _mcd_picks(subsets: np.ndarray, means: np.ndarray, dets: np.ndarray, starts) -> list:
-    """One :class:`MCDResult` per run of subsets, by :func:`_mcd_winners`."""
-    winners, best, first = _mcd_winners(dets, starts)
-    return [
-        MCDResult(EstimateSet(means[w]), float(b), tuple(map(tuple, subsets[w].tolist())))
-        for w, b in zip(np.split(winners, first[1:]), best)
-    ]
+def _mcd_family(subsets: np.ndarray, family: ReplacementFamily) -> EstimateStack:
+    """:func:`mcd_exhaustive` on every dataset of a family, from one stack
+    of all their coverage subsets and one tie-rule run per dataset; LAPACK
+    factors each subset alone, so each dataset's bits are its own."""
+    G, S = family.points.shape[0], subsets.shape[0]
+    means, dets = _subset_objectives(family.points[:, subsets].reshape(G * S, *subsets.shape[1:], -1))
+    winners, _, first = _mcd_winners(dets, np.arange(G) * S, family)
+    return EstimateStack(means[winners], first)
 
 
 def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
@@ -432,7 +433,8 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     h = _mcd_coverage(X.n, X.k, coverage)
     subsets = subset_index(X.n, h)
     means, dets = _subset_objectives(X.points[subsets])
-    return _mcd_picks(subsets, means, dets, [0])[0]
+    winners, (best,), _ = _mcd_winners(dets, [0])
+    return MCDResult(EstimateSet(means[winners]), float(best), tuple(map(tuple, subsets[winners].tolist())))
 
 
 class MCDShearSweep:
@@ -443,10 +445,10 @@ class MCDShearSweep:
     of exactly the estimates :func:`mcd_exhaustive` returns on the datasets
     of the family, by the quadratic identity and candidate bound described
     there. When the bound is not finite at some slope, or a candidate is
-    singular, it returns None and the family goes whole through the
-    per-dataset loop of :meth:`LocationEstimator.evaluator`; ``fallbacks``
-    counts the slopes of such families and ``candidates`` the subsets that
-    went through the SVD.
+    singular, the whole family falls back to every subset of every slope,
+    the stacked exhaustive evaluation that settles mcd's cluster families;
+    ``fallbacks`` counts the slopes of such families and ``candidates`` the
+    subsets that went through the SVD before the fallback.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -529,11 +531,11 @@ class MCDShearSweep:
         # every run is nonempty: the smallest upper bound is a candidate
         return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.parameters)))
 
-    def __call__(self, family: ReplacementFamily) -> EstimateStack | None:
+    def __call__(self, family: ReplacementFamily) -> EstimateStack:
         found = self._candidates(family)
         if found is None:
             self.fallbacks += len(family.parameters)
-            return None
+            return _mcd_family(self.subsets, family)
         _, means, dets, starts = found
         winners, _, first = _mcd_winners(dets, starts)
         return EstimateStack(means[winners], first)
@@ -691,7 +693,10 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         def _mcd(X: DataSet) -> EstimateSet:
             return mcd_exhaustive(X, coverage=coverage).estimates
         def _mcd_families(X: DataSet, basis: OrthonormalBasis | None):
-            return None if basis is None else MCDShearSweep(X, basis, coverage)
+            if basis is not None:
+                return MCDShearSweep(X, basis, coverage)
+            subsets = subset_index(X.n, _mcd_coverage(X.n, X.k, coverage))
+            return lambda family: _mcd_family(subsets, family)
         return LocationEstimator("mcd", "affine", _mcd, families=_mcd_families)
 
     if name == "tmean":

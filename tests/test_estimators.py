@@ -28,9 +28,11 @@ from robloc.errors import (
 from robloc.estimators import (
     EstimateSet,
     EstimateStack,
-    _mcd_picks,
+    _mcd_family,
+    _mcd_winners,
     default_mcd_coverage,
 )
+from robloc.geometry import ReplacementFamily
 
 
 def mcd_oracle(X, coverage):
@@ -246,36 +248,67 @@ DETS = st.one_of(
 )
 
 
+OVERFLOWS = "every coverage subset's covariance determinant overflows"
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(DETS, min_size=1, max_size=6), min_size=1, max_size=5), st.integers(0, 2**16))
-@example([[1.0]], 0)
-@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1)
-@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2)
-def test_mcd_picks_matches_the_rule_run_by_run(runs, seed):
+@given(st.lists(st.lists(DETS, min_size=1, max_size=6), min_size=1, max_size=5), st.integers(0, 2**16),
+       st.booleans())
+@example([[1.0]], 0, False)
+@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1, True)
+@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2, False)
+@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, True)  # degenerate run before an overflowing one
+@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, False)  # overflowing run before a degenerate one
+def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear):
     dets = np.array([d for run in runs for d in run])
     starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((dets.size, 2))
     subsets = np.arange(3 * dets.size).reshape(-1, 3)
-    failed = [run for run in runs if not any(np.isfinite(d) and d > 0 for d in run)]
+    # the kernel stacks runs of S subsets: pad each run with NaN
+    # determinants, which the rule skips, to the longest one
+    S = max(len(run) for run in runs)
+    padded = np.full((len(runs), S), np.nan)
+    padded_means = rng.standard_normal((len(runs), S, 2))
+    for g, (start, run) in enumerate(zip(starts, runs)):
+        padded[g, :len(run)] = run
+        padded_means[g, :len(run)] = means[start:start + len(run)]
+    grid = tuple(10.0 ** (g + 1) for g in range(len(runs)))
+    family = ReplacementFamily((0,), grid, np.zeros((len(runs), 3, 2)), object() if shear else None)
+
+    def kernel():
+        found = padded_means.reshape(-1, 2), padded.reshape(-1)
+        with mock.patch("robloc.estimators._subset_objectives", return_value=found):
+            return _mcd_family(np.zeros((S, 3), dtype=np.intp), family)
+
+    failed = [g for g, run in enumerate(runs) if not any(np.isfinite(d) and d > 0 for d in run)]
     if failed:
-        # a run whose determinants overflowed is out of range, not singular
-        if any(np.inf in run for run in failed):
-            error, message = OverflowParameterError, "determinant overflows"
+        # the first failing run in grid order decides; one whose
+        # determinants overflowed is out of range, not singular
+        if np.inf in runs[failed[0]]:
+            with pytest.raises(OverflowParameterError, match=OVERFLOWS):
+                _mcd_winners(dets, starts)
+            kind = "slope" if shear else "radius"
+            with pytest.raises(ParameterError) as info:
+                kernel()
+            assert type(info.value) is ParameterError
+            assert str(info.value) == f"{kind} {grid[failed[0]]!r} is too large: {OVERFLOWS}"
         else:
-            error, message = DegenerateSampleError, "singular covariance"
-        with pytest.raises(error, match=message):
-            _mcd_picks(subsets, means, dets, starts)
+            for run in (lambda: _mcd_winners(dets, starts), kernel):
+                with pytest.raises(DegenerateSampleError, match="singular covariance"):
+                    run()
         return
-    got = _mcd_picks(subsets, means, dets, starts)
-    assert len(got) == len(runs)
-    for result, start, run in zip(got, starts, runs):
+    winners, best, first = _mcd_winners(dets, starts)
+    stack = kernel()
+    assert len(best) == len(first) == len(stack) == len(runs)
+    for g, (w, start, run) in enumerate(zip(np.split(winners, first[1:]), starts, runs)):
         part = slice(start, start + len(run))
-        best, members, winners = mcd_pick_oracle(subsets[part], means[part], dets[part])
-        assert result.objective == best
-        assert np.array_equal(result.estimates.members, members)
-        assert np.array_equal(result.estimates.canonical, members[0])
-        assert result.optimal_subsets == winners
+        objective, members, optimal = mcd_pick_oracle(subsets[part], means[part], dets[part])
+        assert best[g] == objective
+        assert tuple(map(tuple, subsets[w].tolist())) == optimal
+        for estimate in (EstimateSet(means[w]), stack[g]):
+            assert np.array_equal(estimate.members, members)
+            assert np.array_equal(estimate.canonical, members[0])
 
 
 def test_mcd_coverage_validation(demo10):

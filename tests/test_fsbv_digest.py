@@ -10,7 +10,10 @@ the digests alone; a deliberate output change records new ones and says why.
 Every broken certificate of those outputs, and of the ``fsbv`` golden
 files, is also replayed from its JSON and the data alone: the witness
 dataset ``Witness.from_dict`` rebuilds, evaluated without the estimator's
-batch hook, must diverge by the recorded distance.
+batch hook, must diverge by the recorded distance. Every survived
+certificate must have run the whole suite: its labels end with the 2k
+cluster attacks, and its h = k shear labels are the admissible facets
+derived from the hull facets and T(X) alone.
 """
 
 import dataclasses
@@ -20,7 +23,8 @@ import json
 import pytest
 
 import robloc
-from robloc import Witness, load_dataset_csv, make_estimator
+from robloc import Witness, enumerate_facets, load_dataset_csv, make_estimator
+from robloc.geometry import GP_RTOL
 from robloc.metric import estimate_set_distance
 from test_golden import CASES, GOLDEN
 from test_tracer_targets import load_bench_module
@@ -38,12 +42,36 @@ DIGESTS = {
 }
 
 
+def survived_labels_ok(X, theta, m, tried) -> bool:
+    """Whether the labels ``tried`` of a survived certificate at budget m
+    cover the suite: they end with the cluster attacks along +e_1..+e_k,
+    -e_1..-e_k, and their h = k shear labels are, best facet first, both
+    rules of every hull facet whose halfspace holds the estimate ``theta``
+    by more than the general-position tolerance, where m <= n - k."""
+    n, k = X.n, X.k
+    clusters = [f"cluster(direction={tuple(sign * float(i == j) for j in range(k))})"
+                for sign in (1.0, -1.0) for i in range(k)]
+    facets = []
+    if k >= 2 and m <= n - k:
+        tol = GP_RTOL * X.diameter
+        admissible = [f for f in enumerate_facets(X) if f.margin_of(theta) > tol]
+        facets = sorted(admissible, key=lambda f: (-f.margin_of(theta), f.indices))
+    shears = [f"shear(h={k},facet={f.indices},rule={rule})"
+              for f in facets for rule in ("largest_projection", "smallest_projection")]
+    return (list(tried[-2 * k:]) == clusters
+            and [label for label in tried if label.startswith(f"shear(h={k},")] == shears)
+
+
 def replay(T, X, body, result=None) -> int:
     """Replay every broken certificate of an fsbv JSON ``body`` of T on X;
     with the ``result`` it was emitted from, its witness must also be the
-    one ``Witness.from_dict`` reads. Returns the number replayed."""
+    one ``Witness.from_dict`` reads. Every survived certificate must pass
+    :func:`survived_labels_ok`. Returns the number replayed."""
     plain = dataclasses.replace(T, families=None)
     baseline = plain(X)
+    for m, cert in body["certificates"].items():
+        if cert["status"] == "survived":
+            assert survived_labels_ok(X, baseline.canonical, int(m), cert["attack_families_tried"]), m
     broken = [(int(m), cert) for m, cert in body["certificates"].items() if cert["status"] == "broken"]
     for m, cert in broken:
         trace = cert["witness"]
@@ -96,3 +124,33 @@ def test_golden_certificates_replay(name):
     T = make_estimator(options["-e"], seed=seed, **params)
     body = json.loads((GOLDEN / f"{name}.json").read_bytes())
     assert replay(T, load_dataset_csv(args[1]), body) > 0
+
+
+def perturbed(tried, k):
+    """Label lists that each break one rule of a survived certificate."""
+    shears = [j for j, label in enumerate(tried) if label.startswith(f"shear(h={k},")]
+    first, second = shears[0], shears[2]  # the first rule of the two best facets
+    swapped = list(tried)
+    swapped[first], swapped[second] = swapped[second], swapped[first]
+    yield swapped  # facets out of order
+    yield tried[:first] + tried[first + 1:]  # a facet's rule missing
+    yield tried[:-1]  # a cluster direction missing
+    yield tried[:-2 * k] + tried[-k:] + tried[-2 * k:-k]  # -axes before +axes
+    yield tried + [tried[-1]]  # a cluster attack repeated
+
+
+@pytest.mark.parametrize("name", ["fsbv_mcd", "fsbv_gp83_cmedian"])
+def test_survived_label_check_rejects_perturbed_labels(name):
+    args = CASES[name][0]
+    X = load_dataset_csv(args[1])
+    theta = make_estimator(args[3])(X).canonical
+    body = json.loads((GOLDEN / f"{name}.json").read_bytes())
+    checked = 0
+    for m, cert in body["certificates"].items():
+        tried = cert["attack_families_tried"]
+        if cert["status"] == "survived" and int(m) <= X.n - X.k:
+            assert survived_labels_ok(X, theta, int(m), tried)
+            for labels in perturbed(tried, X.k):
+                assert not survived_labels_ok(X, theta, int(m), labels), labels
+            checked += 1
+    assert checked

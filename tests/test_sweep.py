@@ -20,12 +20,12 @@ from robloc import (
     shear_attack,
     translation_cluster_attack,
 )
-from robloc.breakdown import DEFAULT_GAMMA_GRID, _shear_images
+from robloc.breakdown import DEFAULT_GAMMA_GRID, DEFAULT_RADIUS_GRID, _cluster_rows, _shear_images
 from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
     MCDShearSweep,
-    _mcd_picks,
+    _mcd_winners,
     coordinatewise_median,
     default_mcd_coverage,
     mcd_exhaustive,
@@ -119,19 +119,20 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
             if abs(slopes[j]) <= 1e3:
                 # tight at moderate slopes: the quadratic identity is exact
                 assert np.all(high[:, j] - low[:, j] <= 1e-6 * high[:, j])
-        picks = _mcd_picks(*sweep._candidates(family))
+        subsets, _, dets, starts = sweep._candidates(family)
+        winners, best, first = _mcd_winners(dets, starts)
         stack = sweep(family)
-        for j, points in enumerate(family.points):
+        for j, (w, points) in enumerate(zip(np.split(winners, first[1:]), family.points)):
             want = mcd_exhaustive(DataSet(points))
-            assert picks[j].optimal_subsets == want.optimal_subsets
-            assert picks[j].objective == want.objective
+            assert tuple(map(tuple, subsets[w].tolist())) == want.optimal_subsets
+            assert best[j] == want.objective
             assert_same_estimate(stack[j], want.estimates)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # slope 1e100 overflows on purpose
 def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
-    # the sweep declines the family and the evaluator's shared loop runs
-    # the full estimator on every dataset of it
+    # the sweep falls back to the stacked exhaustive evaluation of every
+    # subset of every dataset of the family
     X = random_gp_dataset(7, 2, seed=42)
     T = make_estimator("mcd")
     frame = frames_of(T, X, 2)[0]
@@ -166,10 +167,12 @@ def test_mcd_sweep_screens_out_most_subsets(demo10):
             self.pairs += len(self.subsets) * len(family.parameters)
             return super().bounds(family)
 
-    def families(X, basis):
-        return None if basis is None else CountingSweep(X, basis)
+    T = make_estimator("mcd")
 
-    empirical_fsbv(dataclasses.replace(make_estimator("mcd"), families=families), demo10)
+    def families(X, basis):
+        return T.families(X, basis) if basis is None else CountingSweep(X, basis)
+
+    empirical_fsbv(dataclasses.replace(T, families=families), demo10)
     assert made and sum(s.fallbacks for s in made) == 0
     assert sum(s.candidates for s in made) < sum(s.pairs for s in made) / 4
 
@@ -183,6 +186,31 @@ def integer_gp_dataset(n, k, seed):
         if check_general_position(X).ok:
             return X
     raise AssertionError(f"no integer GP set for n={n}, k={k}, seed={seed}")
+
+
+@pytest.mark.parametrize("data", ["demo10", "gp9_2", "gp8_3", "int7_2", "int9_2", "int8_3"])
+def test_mcd_cluster_hook_matches_generic_loop_at_every_m(data, demo10):
+    # the integer sets tie subset determinants, so estimates have several
+    # members; every budget m = 1..n, both directions of every axis
+    X = {"demo10": demo10, "gp9_2": random_gp_dataset(9, 2, 3), "gp8_3": random_gp_dataset(8, 3, 4),
+         "int7_2": integer_gp_dataset(7, 2, 38), "int9_2": integer_gp_dataset(9, 2, 37),
+         "int8_3": integer_gp_dataset(8, 3, 34)}[data]
+    T = make_estimator("mcd")
+    theta = T(X).canonical
+    hook, loop = T.evaluator(X), generic(T).evaluator(X)
+    tied = 0
+    for m in range(1, X.n + 1):
+        for u in np.vstack([np.eye(X.k), -np.eye(X.k)]):
+            order = np.lexsort((np.arange(X.n), -(X.points @ u)))
+            family = _cluster_rows(X, np.sort(order[:m]), theta, u, DEFAULT_RADIUS_GRID)
+            got, want = hook(family), loop(family)
+            for name in ("members", "starts", "canonical"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (m, u, name)
+            tied += len(got.members) > len(got)
+            assert outcome(translation_cluster_attack, T, X, m, direction=u) == \
+                outcome(translation_cluster_attack, generic(T), X, m, direction=u)
+    if data.startswith("int"):
+        assert tied
 
 
 @st.composite

@@ -48,6 +48,25 @@ def test_tracer_finds_every_target_and_uninstalls(demo10, monkeypatch):
     assert metrics["breakdown.frames.count"] > 0
 
 
+def test_tracer_traces_an_mcd_certification(demo10, monkeypatch):
+    # mcd's hook settles every shear and cluster family from stacked
+    # subsets, so the estimator itself runs once: the baseline T(X)
+    tracer_mod = load_bench_module("tracer", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
+    tracer = tracer_mod.Tracer()
+    tracer.install(robloc, workloads)
+    try:
+        suite = AttackSuite(gamma_grid=(1e2, 1e7), radius_grid=(1e3, 1e9), cone_seed=0)
+        T = make_estimator("mcd")
+        tracer.run_op(0, lambda: empirical_fsbv(T, demo10, suite=suite))
+        metrics = tracer.pass_metrics(0, tracer.counts)
+    finally:
+        tracer.uninstall()
+    assert [key for key, value in metrics.items() if value is None] == []
+    assert metrics["breakdown.sweep.calls"] > 0
+    assert metrics["estimators.mcd_exhaustive.calls"] == 1
+
+
 def test_tracer_counts_every_nudged_record(demo10, monkeypatch):
     # the nudging sweep of test_shear_attack_nudges_degenerate_gamma, with
     # its degenerate slope twice: the tracer counts nudges off the trace's
