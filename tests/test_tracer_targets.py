@@ -28,20 +28,27 @@ def load_bench_module(name, monkeypatch):
     return module
 
 
-def test_tracer_finds_every_target_and_uninstalls(demo10, monkeypatch):
+def traced_certification(name, X, monkeypatch):
+    """The tracer's unresolved targets and the metrics of one small
+    ``empirical_fsbv`` of estimator ``name`` on X traced by it."""
     tracer_mod = load_bench_module("tracer", monkeypatch)
     workloads = load_bench_module("workloads", monkeypatch)
-    originals = (breakdown._run_shear_sweep, breakdown.translation_cluster_attack)
     tracer = tracer_mod.Tracer()
     tracer.install(robloc, workloads)
     try:
-        assert tracer.missing == set()
+        missing = set(tracer.missing)
         suite = AttackSuite(gamma_grid=(1e2, 1e7), radius_grid=(1e3, 1e9), cone_seed=0)
-        T = make_estimator("cmedian")
-        tracer.run_op(0, lambda: empirical_fsbv(T, demo10, suite=suite))
-        metrics = tracer.pass_metrics(0, tracer.counts)
+        T = make_estimator(name)
+        tracer.run_op(0, lambda: empirical_fsbv(T, X, suite=suite))
+        return missing, tracer.pass_metrics(0, tracer.counts)
     finally:
         tracer.uninstall()
+
+
+def test_tracer_finds_every_target_and_uninstalls(demo10, monkeypatch):
+    originals = (breakdown._run_shear_sweep, breakdown.translation_cluster_attack)
+    missing, metrics = traced_certification("cmedian", demo10, monkeypatch)
+    assert missing == set()
     assert (breakdown._run_shear_sweep, breakdown.translation_cluster_attack) == originals
     assert [key for key, value in metrics.items() if value is None] == []
     assert metrics["breakdown.sweep.calls"] > 0
@@ -51,17 +58,7 @@ def test_tracer_finds_every_target_and_uninstalls(demo10, monkeypatch):
 def test_tracer_traces_an_mcd_certification(demo10, monkeypatch):
     # mcd's hook settles every shear and cluster family from stacked
     # subsets, so the estimator itself runs once: the baseline T(X)
-    tracer_mod = load_bench_module("tracer", monkeypatch)
-    workloads = load_bench_module("workloads", monkeypatch)
-    tracer = tracer_mod.Tracer()
-    tracer.install(robloc, workloads)
-    try:
-        suite = AttackSuite(gamma_grid=(1e2, 1e7), radius_grid=(1e3, 1e9), cone_seed=0)
-        T = make_estimator("mcd")
-        tracer.run_op(0, lambda: empirical_fsbv(T, demo10, suite=suite))
-        metrics = tracer.pass_metrics(0, tracer.counts)
-    finally:
-        tracer.uninstall()
+    _, metrics = traced_certification("mcd", demo10, monkeypatch)
     assert [key for key, value in metrics.items() if value is None] == []
     assert metrics["breakdown.sweep.calls"] > 0
     assert metrics["estimators.mcd_exhaustive.calls"] == 1
