@@ -21,7 +21,12 @@ class ParameterError(RoblocError, ValueError):
 
 
 class OverflowParameterError(ParameterError):
-    """Raised when finite inputs are too large for a result to be finite."""
+    """Raised when finite inputs are too large for a result to be finite;
+    ``run`` is the failing dataset of a stacked evaluation, if there is one."""
+
+    def __init__(self, message, run=None):
+        super().__init__(message)
+        self.run = run
 
 
 class GeneralPositionError(RoblocError):

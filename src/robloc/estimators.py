@@ -53,6 +53,9 @@ _DEDUP_PAIR_BUDGET = 1 << 18
 
 # Exhaustive MCD refuses to enumerate more subsets than this.
 _MCD_SUBSET_BUDGET = 10_000_000
+# The MCD kernel gathers the subsets of several datasets at once while they
+# hold at most this many coordinates (8 MiB), one dataset's at least.
+_MCD_STACK_FLOATS = 1 << 20
 # MCD subsets within this relative distance of the best determinant tie.
 _MCD_TIE_RTOL = 1e-9
 
@@ -258,12 +261,11 @@ class LocationEstimator:
 
         def evaluate(family: ReplacementFamily) -> EstimateStack:
             estimates = []
-            for value, points in zip(family.parameters, family.points):
+            for j, points in enumerate(family.points):
                 try:
                     estimates.append(self(DataSet(points)))
                 except OverflowParameterError as exc:
-                    kind = "radius" if family.basis is None else "slope"
-                    raise ParameterError.too_large(kind, value, exc) from None
+                    raise family.too_large(j, exc) from None
             return EstimateStack.pack(estimates)
 
         return evaluate
@@ -343,36 +345,43 @@ def _subset_objectives(groups: np.ndarray) -> tuple:
     return means, dets
 
 
-def _mcd_winners(dets: np.ndarray, starts, family: ReplacementFamily | None = None) -> tuple:
+def _mcd_winners(dets: np.ndarray, starts) -> tuple:
     """The MCD tie rule on each run of subsets that begins at ``starts``:
     every nonsingular subset within 1e-9 relative of the run's smallest
     determinant, in the order given, the first one canonical. Returns the
     winners' indices, each run's smallest determinant and where each run's
     winners begin among the winners. Runs must be nonempty. The first run
     without a finite positive determinant is a DegenerateSampleError, or an
-    OverflowParameterError if a determinant overflowed, named by ``family``."""
+    OverflowParameterError whose ``run`` it is if a determinant overflowed."""
     valid = np.isfinite(dets) & (dets > 0.0)
     best = np.minimum.reduceat(np.where(valid, dets, np.inf), starts)
     if not np.all(np.isfinite(best)):
         run = int(np.argmin(np.isfinite(best)))
         if not np.logical_or.reduceat(np.isposinf(dets), starts)[run]:
             raise DegenerateSampleError("every coverage subset has singular covariance")
-        exc = OverflowParameterError("every coverage subset's covariance determinant overflows")
-        raise exc if family is None else ParameterError.too_large(
-            "radius" if family.basis is None else "slope", family.parameters[run], exc)
+        raise OverflowParameterError("every coverage subset's covariance determinant overflows", run)
     run_best = np.repeat(best, np.diff(np.append(starts, dets.size)))
     winners = np.flatnonzero(valid & (dets <= run_best + _MCD_TIE_RTOL * run_best))
     return winners, best, np.searchsorted(winners, starts)
 
 
 def _mcd_family(subsets: np.ndarray, family: ReplacementFamily) -> EstimateStack:
-    """:func:`mcd_exhaustive` on every dataset of a family, from one stack
-    of all their coverage subsets and one tie-rule run per dataset; LAPACK
-    factors each subset alone, so each dataset's bits are its own."""
-    G, S = family.points.shape[0], subsets.shape[0]
-    means, dets = _subset_objectives(family.points[:, subsets].reshape(G * S, *subsets.shape[1:], -1))
-    winners, _, first = _mcd_winners(dets, np.arange(G) * S, family)
-    return EstimateStack(means[winners], first)
+    """:func:`mcd_exhaustive` on every dataset of a family, from stacks of
+    the coverage subsets of as many datasets as fit _MCD_STACK_FLOATS (one
+    at least) and one tie-rule run per dataset; LAPACK factors each subset
+    alone, so each dataset's bits are its own."""
+    k = family.points.shape[2]
+    chunk = max(1, _MCD_STACK_FLOATS // (subsets.size * k))
+    members, starts = [], []
+    for lo in range(0, len(family.points), chunk):
+        means, dets = _subset_objectives(family.points[lo:lo + chunk, subsets].reshape(-1, *subsets.shape[1:], k))
+        try:
+            winners, _, first = _mcd_winners(dets, np.arange(0, dets.size, len(subsets)))
+        except OverflowParameterError as exc:
+            raise family.too_large(lo + exc.run, exc) from None
+        starts.append(first + sum(map(len, members)))
+        members.append(means[winners])
+    return EstimateStack(np.concatenate(members), np.concatenate(starts))
 
 
 def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:

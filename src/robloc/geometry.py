@@ -486,6 +486,10 @@ class ReplacementFamily(NamedTuple):
         points = X.replaced_stack(replaced, images)
         return cls(tuple(int(i) for i in replaced), tuple(float(p) for p in parameters), points, basis)
 
+    def too_large(self, j: int, reason) -> ParameterError:
+        """The error for the j-th radius or slope, at which ``reason`` stops evaluation."""
+        return ParameterError.too_large("radius" if self.basis is None else "slope", self.parameters[j], reason)
+
 
 def apply_map(g: AffineMap, X: DataSet) -> DataSet:
     """Pointwise image of a dataset under an affine map."""

@@ -253,13 +253,18 @@ OVERFLOWS = "every coverage subset's covariance determinant overflows"
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(DETS, min_size=1, max_size=6), min_size=1, max_size=5), st.integers(0, 2**16),
-       st.booleans())
-@example([[1.0]], 0, False)
-@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1, True)
-@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2, False)
-@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, True)  # degenerate run before an overflowing one
-@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, False)  # overflowing run before a degenerate one
-def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear):
+       st.booleans(), st.integers(1, 6))
+@example([[1.0]], 0, False, 1)
+@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1, True, 6)
+@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2, False, 1)
+# a degenerate run before an overflowing one, and the reverse, within
+# one stack of datasets and across two
+@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, True, 6)
+@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, False, 6)
+@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, False, 2)
+@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, True, 1)
+@example([[SCALE], [SCALE, 2.0], [1.0], [np.inf, 0.0], [3.0]], 5, True, 2)
+def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chunk):
     dets = np.array([d for run in runs for d in run])
     starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
     rng = np.random.default_rng(seed)
@@ -274,20 +279,34 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear):
         padded[g, :len(run)] = run
         padded_means[g, :len(run)] = means[start:start + len(run)]
     grid = tuple(10.0 ** (g + 1) for g in range(len(runs)))
-    family = ReplacementFamily((0,), grid, np.zeros((len(runs), 3, 2)), object() if shear else None)
+    # every coordinate of dataset g is g, so a gathered subset names its run
+    points = np.broadcast_to(np.arange(len(runs), dtype=float)[:, None, None], (len(runs), 3, 2))
+    family = ReplacementFamily((0,), grid, points, object() if shear else None)
+    sizes = []
+
+    def objectives(groups):
+        sizes.append(len(groups))
+        rows = groups[:, 0, 0].astype(int) * S + np.arange(len(groups)) % S
+        return padded_means.reshape(-1, 2)[rows], padded.reshape(-1)[rows]
 
     def kernel():
-        found = padded_means.reshape(-1, 2), padded.reshape(-1)
-        with mock.patch("robloc.estimators._subset_objectives", return_value=found):
-            return _mcd_family(np.zeros((S, 3), dtype=np.intp), family)
+        # a stack of `chunk` datasets' subsets (S subsets of 3 points in 2-d each)
+        sizes.clear()
+        with mock.patch("robloc.estimators._subset_objectives", objectives), \
+                mock.patch("robloc.estimators._MCD_STACK_FLOATS", chunk * S * 3 * 2):
+            try:
+                return _mcd_family(np.zeros((S, 3), dtype=np.intp), family)
+            finally:
+                assert sizes and max(sizes) <= chunk * S
 
     failed = [g for g, run in enumerate(runs) if not any(np.isfinite(d) and d > 0 for d in run)]
     if failed:
         # the first failing run in grid order decides; one whose
         # determinants overflowed is out of range, not singular
         if np.inf in runs[failed[0]]:
-            with pytest.raises(OverflowParameterError, match=OVERFLOWS):
+            with pytest.raises(OverflowParameterError, match=OVERFLOWS) as info:
                 _mcd_winners(dets, starts)
+            assert info.value.run == failed[0]
             kind = "slope" if shear else "radius"
             with pytest.raises(ParameterError) as info:
                 kernel()
@@ -300,6 +319,7 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear):
         return
     winners, best, first = _mcd_winners(dets, starts)
     stack = kernel()
+    assert sizes == [S * len(runs[lo:lo + chunk]) for lo in range(0, len(runs), chunk)]
     assert len(best) == len(first) == len(stack) == len(runs)
     for g, (w, start, run) in enumerate(zip(np.split(winners, first[1:]), starts, runs)):
         part = slice(start, start + len(run))
