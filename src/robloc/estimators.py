@@ -11,7 +11,8 @@ The estimates of a whole family of datasets travel as one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,9 @@ _MCD_SUBSET_BUDGET = 10_000_000
 _MCD_STACK_FLOATS = 1 << 20
 # MCD subsets within this relative distance of the best determinant tie.
 _MCD_TIE_RTOL = 1e-9
+# Absolute slack of the MCD bracket's Gram determinant: underflow in the
+# Gram, its determinant and the SVD product stays far below it.
+_MCD_DET_FLOOR = 1e-280
 
 _EPS = float(np.finfo(float).eps)
 
@@ -334,15 +338,105 @@ def _mcd_coverage(n: int, k: int, coverage: int | None) -> int:
 
 
 def _subset_objectives(groups: np.ndarray) -> tuple:
-    """Means and covariance determinants of stacked (S, h, k) subsets."""
+    """Means and covariance determinants of stacked (S, h, k) subsets. A
+    subset whose mean overflows scores +inf, as one whose determinant
+    overflows does."""
     h, k = groups.shape[1:]
-    means = groups.mean(axis=1)  # (S, k)
-    centered = groups - means[:, None, :]
+    with np.errstate(over="ignore"):
+        means = groups.mean(axis=1)  # (S, k)
+        centered = groups - means[:, None, :]
+    far = ~np.isfinite(means).all(axis=1)
+    centered[far] = 0.0
     svals = np.linalg.svd(centered, compute_uv=False)  # (S, k), h >= k+1 > k
     # a determinant that overflows is not finite, and the tie rule skips it
     with np.errstate(over="ignore"):
         dets = np.prod(svals, axis=1) ** 2 / float(h - 1) ** k
+    dets[far] = np.inf
     return means, dets
+
+
+def _cofactor_dets(M: np.ndarray) -> np.ndarray:
+    """Determinants of a (k, k, S) stack of S matrices by cofactor
+    expansion along each row in turn, the minors of the last rows shared
+    between the column sets that need them: k 2^(k-1) products."""
+    k = M.shape[0]
+    minors = {(): 1.0}
+    for row in range(k - 1, -1, -1):
+        minors = {
+            cols: sum((-1) ** p * M[row, c] * minors[cols[:p] + cols[p + 1:]] for p, c in enumerate(cols))
+            for cols in combinations(range(k), k - row)
+        }
+    return minors[tuple(range(k))]
+
+
+def _mcd_bounds(points: np.ndarray, subsets: np.ndarray) -> tuple:
+    """(S,) lower and upper bounds on the objective prod(sigma_i)^2 /
+    (h - 1)^k that :func:`_subset_objectives` computes for each subset of
+    ``points`` (n, k) indexed by ``subsets`` (S, h), from sums over each
+    subset of z, z z^T, max_a z_a^2 and max_a x_a^2, with z = x -
+    (coordinatewise median): see the candidate bracket of
+    :func:`mcd_exhaustive`. A bound that overflows is +inf or NaN."""
+    k, h = points.shape[1], subsets.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = points - median_interval(points)[2]
+        features = np.hstack([z, (z[:, :, None] * z[:, None, :]).reshape(-1, k * k),
+                              (z * z).max(axis=1)[:, None], (points * points).max(axis=1)[:, None]])
+        columns = subsets.T.copy()  # one contiguous row per position in the subsets
+        sums = features[columns[0]]
+        for col in columns[1:]:
+            sums += features[col]
+        sums = sums.T.copy()  # (k + k^2 + 2, S): one contiguous row per sum
+        gram = sums[k:k + k * k].reshape(k, k, -1)
+        gram -= sums[:k, None] * sums[None, :k] / h
+        det = _cofactor_dets(gram)
+        size_z, size_x = sums[-2], sums[-1]  # sum_i |z_i|_max^2, sum_i |x_i|_max^2
+        # Y is the subset of z centered exactly. Gram cancellation: every
+        # entry of gram is within (3h + 3) eps size_z of Y^T Y's, and phi
+        # bounds the 2-norm of that error
+        phi = 2 * k * (3 * h + 3) * _EPS * size_z
+        diag = gram[np.arange(k), np.arange(k)]
+        trace = np.maximum(diag.sum(axis=0) + k * phi, 0.0)  # >= |Y|_F^2
+        # the eigenvalues move by phi at most, so det(Y^T Y) by
+        # sum_j phi^j e_{k-j}(lambda), e_j(lambda) <= C(k, j) (trace / k)^j;
+        # the expansion rounds by k(k+1)/2 eps per(|gram|) at most, and
+        # |gram_ab| <= sqrt(d_a d_b) with d = diag + 2 phi
+        per = factorial(k) * np.prod(np.maximum(diag + 2 * phi, 0.0), axis=0)
+        spread = sum(comb(k, j) * phi**j * (trace / k) ** (k - j) for j in range(1, k + 1))
+        err = (1.0 + 1e-6) * (spread + k * (k + 1) * _EPS * per) + _MCD_DET_FLOOR
+        vol_low = np.sqrt(np.maximum(det - err, 0.0)) * (1.0 - 4 * _EPS)
+        vol_high = np.sqrt(det + err) * (1.0 + 4 * _EPS)
+        # the SVD factors x centered by its rounded mean, z differs from x -
+        # median by its rounding, and the SVD adds its backward error: eta
+        # bounds all three in the 2-norm
+        coords = np.sqrt(k) * _EPS * ((h + 2) * np.sqrt(size_x) + 2 * np.sqrt(size_z))
+        top = (1.0 + 1e-6) * (np.sqrt(trace) + coords)
+        eta = 2.0 * coords + 4 * h * k * _EPS * top
+        # Weyl, with Maclaurin: e_j(sigma) <= C(k, j) (|Y|_F^2 / k)^(j/2)
+        delta = (1.0 + 1e-6) * sum(comb(k, j) * eta**j * (trace / k) ** ((k - j) / 2) for j in range(1, k + 1))
+        scale = float(h - 1) ** k
+        low = np.maximum(vol_low - delta, 0.0) ** 2 / scale * (1.0 - 8 * (k + 1) * _EPS)
+        high = (vol_high + delta) ** 2 / scale * (1.0 + 8 * (k + 1) * _EPS)
+    return low, high
+
+
+def _mcd_candidates(points: np.ndarray, subsets: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple | None:
+    """The subsets that can win or tie the MCD tie rule on each dataset of
+    a (G, n, k) stack ``points``, from (G, S) bounds on the objective of
+    every subset of ``subsets`` (S, h) on each: every subset whose lower
+    bound is within the 1e-9 tie tolerance of its dataset's smallest upper
+    bound. Returns their (dataset, subset) indices in that order, and
+    their means and determinants from one batched SVD; or None when a
+    bound is not finite or a candidate is singular, where the bounds do
+    not show that the candidates hold every winner."""
+    if not np.isfinite(high).all():
+        return None
+    cutoff = high.min(axis=1) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
+    gi, si = np.nonzero(low <= cutoff[:, None])
+    means, dets = _subset_objectives(points[gi[:, None], subsets[si]])
+    if not np.all(np.isfinite(dets) & (dets > 0.0)):
+        return None
+    # every run is nonempty: the smallest upper bound is a candidate
+    return gi, si, means, dets
 
 
 def _mcd_winners(dets: np.ndarray, starts) -> tuple:
@@ -436,12 +530,37 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     slope among them in enumeration order: the same rule, on the same
     determinants, that this function applies to all subsets.
 
+    **Candidate bracket at gamma = 0.** On a single dataset the same
+    bound runs without a shear (:func:`_mcd_bounds`). One pass over the h
+    columns of the subset index sums z and z z^T over every subset, with
+    z = x - (coordinatewise median), and the determinant of the centered
+    Gram Y^T Y follows by cofactor expansion. The bracket adds the Gram's
+    cancellation, of order eps h^2 max|z|^2 (the median lies within the
+    range of every subset of more than n/2 points, so z is of the subset's
+    own size), and the rounding of the expansion; then, by Weyl's
+    inequality with e_j(sigma) bounded from the trace by Maclaurin's, the
+    SVD path's centering in the original coordinates, of order
+    eps h max|x|, and its backward error. Every magnitude is the
+    subset's own, so a far point loosens only the subsets that hold it.
+    The candidates are chosen, scored and checked as the sweep's are
+    (:func:`_mcd_candidates`), and the tie rule runs on them alone: the
+    Gram only screens, and every determinant it reports is the SVD's. Where
+    a bound is not finite (the Gram overflows) or a candidate is singular,
+    every subset is scored, so results and errors are always those of
+    scoring every subset.
+
     Enumeration order is deterministic (lexicographic index tuples), which
     makes tie reporting and the canonical member reproducible.
     """
     h = _mcd_coverage(X.n, X.k, coverage)
     subsets = subset_index(X.n, h)
-    means, dets = _subset_objectives(X.points[subsets])
+    low, high = _mcd_bounds(X.points, subsets)
+    found = _mcd_candidates(X.points[None], subsets, low[None], high[None])
+    if found is None:
+        means, dets = _subset_objectives(X.points[subsets])
+    else:
+        _, kept, means, dets = found
+        subsets = subsets[kept]
     winners, (best,), _ = _mcd_winners(dets, [0])
     return MCDResult(EstimateSet(means[winners]), float(best), tuple(map(tuple, subsets[winners].tolist())))
 
@@ -457,7 +576,7 @@ class MCDShearSweep:
     singular, the whole family falls back to every subset of every slope,
     the stacked exhaustive evaluation that settles mcd's cluster families;
     ``fallbacks`` counts the slopes of such families and ``candidates`` the
-    subsets that went through the SVD before the fallback.
+    subsets that went through the SVD in the families the bound settled.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -529,15 +648,11 @@ class MCDShearSweep:
         # a bound that overflows is not finite, and the family falls back whole
         with np.errstate(over="ignore", invalid="ignore"):
             low, high = self.bounds(family)
-        if not np.isfinite(high).all():
+        found = _mcd_candidates(family.points, self.subsets, low.T, high.T)
+        if found is None:
             return None
-        cutoff = high.min(axis=0) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
-        gi, si = np.nonzero((low <= cutoff).T)
+        gi, si, means, dets = found
         self.candidates += int(gi.size)
-        means, dets = _subset_objectives(family.points[gi[:, None], self.subsets[si]])
-        if not np.all(np.isfinite(dets) & (dets > 0.0)):
-            return None
-        # every run is nonempty: the smallest upper bound is a candidate
         return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.parameters)))
 
     def __call__(self, family: ReplacementFamily) -> EstimateStack:

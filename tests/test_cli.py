@@ -166,7 +166,10 @@ def test_grid_values_beyond_the_numerics_warn_nothing(runner, demo10_csv):
     (["fsbv", "-e", "mcd", "--seed", "0", "--gamma-grid", "1e100"], "slope 1e+100"),
     (["attack", "-e", "mcd", "--family", "cluster", "--m", "6", "--radius-grid", "1e200"],
      "radius 1e+200"),
-], ids=["fsbv-slope", "cluster-radius"])
+    # the subset means overflow before any determinant does
+    (["attack", "-e", "mcd", "--family", "cluster", "--m", "6", "--radius-grid", "1.7e308"],
+     "radius 1.7e+308"),
+], ids=["fsbv-slope", "cluster-radius", "cluster-radius-mean"])
 def test_mcd_determinants_that_all_overflow_exit_4(runner, demo10_csv, args, message):
     # every coverage subset of some dataset holds a huge row and no
     # determinant is finite: the grid value is out of range, the data are
