@@ -378,14 +378,12 @@ def _mcd_bounds(points: np.ndarray, subsets: np.ndarray) -> tuple:
     :func:`mcd_exhaustive`. A bound that overflows is +inf or NaN."""
     k, h = points.shape[1], subsets.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = points - median_interval(points)[2]
-        features = np.hstack([z, (z[:, :, None] * z[:, None, :]).reshape(-1, k * k),
-                              (z * z).max(axis=1)[:, None], (points * points).max(axis=1)[:, None]])
-        columns = subsets.T.copy()  # one contiguous row per position in the subsets
-        sums = features[columns[0]]
-        for col in columns[1:]:
-            sums += features[col]
-        sums = sums.T.copy()  # (k + k^2 + 2, S): one contiguous row per sum
+        z = (points - median_interval(points)[2]).T
+        features = np.vstack([z, (z[:, None] * z[None, :]).reshape(k * k, -1), (z * z).max(axis=0),
+                              (points * points).max(axis=1)])  # (k + k^2 + 2, n)
+        sums = features[:, subsets[:, 0]]
+        for col in subsets.T[1:]:
+            sums += features[:, col]
         gram = sums[k:k + k * k].reshape(k, k, -1)
         gram -= sums[:k, None] * sums[None, :k] / h
         det = _cofactor_dets(gram)
