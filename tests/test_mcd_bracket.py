@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from robloc import DataSet, bundled_dataset, random_gp_dataset
 from robloc.errors import DegenerateSampleError, OverflowParameterError
 from robloc.estimators import (
+    EstimateSet,
     _mcd_bounds,
     _mcd_candidates,
     _mcd_winners,
@@ -82,11 +83,6 @@ def test_mcd_bounds_bracket_the_svd_objective(case):
     assert np.all(low <= dets) and np.all(dets <= high)
 
 
-def tied_1d():
-    # {0,.1,.2} and {.1,.2,.3} have exactly equal variance
-    return DataSet(np.array([0.0, 0.1, 0.2, 0.3, 100.0]))
-
-
 @pytest.mark.parametrize("data, h, ties", [
     ("gp16_2", None, False), ("gp12_3", None, False), ("gp9_4", None, False),
     ("gp9_1", None, False), ("gp9_2_small_h", 3, False),
@@ -97,22 +93,24 @@ def test_bracketed_mcd_equals_every_subset_scored(data, h, ties):
     X = {"gp16_2": lambda: random_gp_dataset(16, 2, 1), "gp12_3": lambda: random_gp_dataset(12, 3, 2),
          "gp9_4": lambda: random_gp_dataset(9, 4, 3), "gp9_1": lambda: random_gp_dataset(9, 1, 4),
          "gp9_2_small_h": lambda: random_gp_dataset(9, 2, 5), "int7_2": lambda: integer_gp_dataset(7, 2, 38),
-         "mirror": lambda: DataSet(np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])), "tied_1d": tied_1d,
+         "mirror": lambda: DataSet(np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])),
+         # {0,.1,.2} and {.1,.2,.3} have exactly equal variance
+         "tied_1d": lambda: DataSet(np.array([0.0, 0.1, 0.2, 0.3, 100.0])),
          "demo10_shifted": lambda: DataSet(bundled_dataset("demo10_2d").points + 1e6),
          "demo10_scaled": lambda: DataSet(bundled_dataset("demo10_2d").points * 1e-3 + 5.0)}[data]()
     h = default_mcd_coverage(X.n, X.k) if h is None else h
     found = candidates(X, h)
     assert found is not None
     objective, optimal, members = all_subsets(X, h)
-    # a single candidate, or every tied winner and no more than a few others
+    # the bracket leaves one candidate unless winners tie
     assert (len(optimal) > 1) == ties
     assert len(found[1]) == 1 or ties
     got = mcd_exhaustive(X, coverage=h)
     assert repr(got.objective) == repr(objective)
     assert got.optimal_subsets == optimal
-    want = np.unique(members, axis=0) if ties else members
-    assert np.array_equal(np.unique(got.estimates.members, axis=0), want)
-    assert got.estimates.canonical.tobytes() == members[0].tobytes()
+    want = EstimateSet(members)
+    assert got.estimates.members.tobytes() == want.members.tobytes()
+    assert got.estimates.canonical.tobytes() == want.canonical.tobytes()
 
 
 @pytest.mark.parametrize("scale, error, message", [
