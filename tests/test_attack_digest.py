@@ -27,6 +27,7 @@ from robloc import (
     bundled_dataset,
     load_dataset_csv,
     make_estimator,
+    random_gp_dataset,
     shear_attack,
     translation_cluster_attack,
 )
@@ -78,3 +79,31 @@ def test_cluster_attack_emits_pinned_bytes(estimator, data):
             trace = translation_cluster_attack(T, X, m, direction=direction)
             digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
     assert digest.hexdigest() == CLUSTER_DIGESTS[estimator, data]
+
+
+# mcd traces on GP (16, 2) at seed 1, whose C(16, 9) = 11,440 coverage
+# subsets make the families long: over 24 slopes from 10 to 1e8 for every
+# h, both partition rules and budgets m = 4 and 7, and over 24 radii from
+# 10 to 1e9 for m = 7 and 8 along +e_1 and -e_1, in that order
+CHUNKED_DIGESTS = {
+    "shear": "e1bcfae5fd8f2d5c4804db9f361f2b99f4d0a2f480c908cf237c28c4ec796165",
+    "cluster": "a8d3477b83c449c8fcacc376f803fdc82c52669bcc7424e7c550f32d9cd4ab2b",
+}
+
+
+@pytest.mark.parametrize("family", sorted(CHUNKED_DIGESTS))
+def test_long_mcd_families_emit_pinned_bytes(family):
+    T = make_estimator("mcd")
+    X = random_gp_dataset(16, 2, 1)
+    digest = hashlib.sha256()
+    if family == "shear":
+        slopes = tuple(np.geomspace(10.0, 1e8, 24).tolist())
+        traces = (shear_attack(T, X, h, gamma_grid=slopes, partition_rule=PartitionRule(rule), m=m)
+                  for h in (1, 2) for rule in ("largest_projection", "smallest_projection") for m in (4, 7))
+    else:
+        radii = tuple(np.geomspace(10.0, 1e9, 24).tolist())
+        traces = (translation_cluster_attack(T, X, m, radius_grid=radii, direction=u)
+                  for m in (7, 8) for u in ([1.0, 0.0], [-1.0, 0.0]))
+    for trace in traces:
+        digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == CHUNKED_DIGESTS[family]
