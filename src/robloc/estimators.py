@@ -370,21 +370,29 @@ def _cofactor_dets(M: np.ndarray) -> np.ndarray:
 
 
 def _mcd_bounds(points: np.ndarray, subsets: np.ndarray) -> tuple:
-    """(S,) lower and upper bounds on the objective prod(sigma_i)^2 /
-    (h - 1)^k that :func:`_subset_objectives` computes for each subset of
-    ``points`` (n, k) indexed by ``subsets`` (S, h), from sums over each
-    subset of z, z z^T, max_a z_a^2 and max_a x_a^2, with z = x -
-    (coordinatewise median): see the candidate bracket of
-    :func:`mcd_exhaustive`. A bound that overflows is +inf or NaN."""
-    k, h = points.shape[1], subsets.shape[1]
+    """(G, S) lower and upper bounds on the objective prod(sigma_i)^2 /
+    (h - 1)^k that :func:`_subset_objectives` computes for each subset
+    ``subsets`` (S, h) of each dataset of a (G, n, k) stack. One pass over
+    the h columns of the subset index sums z, z z^T, max_a z_a^2 and
+    max_a x_a^2 over every subset, with z = x - (coordinatewise median),
+    and the determinant of the centered Gram Y^T Y follows by cofactor
+    expansion. The bracket adds the Gram's cancellation, of order eps h^2
+    max|z|^2 (the median lies within the range of every subset of more
+    than n/2 points, so z is of the subset's own size), and the rounding
+    of the expansion; then, by Weyl's inequality with e_j(sigma) bounded
+    from the trace by Maclaurin's, the SVD path's centering in the
+    original coordinates, of order eps h max|x|, and its backward error.
+    Every magnitude is the subset's own, so a far point loosens only the
+    subsets that hold it. A bound that overflows is +inf or NaN."""
+    k, h = points.shape[2], subsets.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (points - median_interval(points)[2]).T
-        features = np.vstack([z, (z[:, None] * z[None, :]).reshape(k * k, -1), (z * z).max(axis=0),
-                              (points * points).max(axis=1)])  # (k + k^2 + 2, n)
-        sums = features[:, subsets[:, 0]]
+        z = (points - median_interval(points, axis=1)[2][:, None]).transpose(2, 0, 1)  # (k, G, n)
+        features = np.concatenate([z, (z[:, None] * z[None, :]).reshape(k * k, *z.shape[1:]),
+                                   [(z * z).max(axis=0), (points * points).max(axis=2)]])  # (k + k^2 + 2, G, n)
+        sums = features[:, :, subsets[:, 0]]
         for col in subsets.T[1:]:
-            sums += features[:, col]
-        gram = sums[k:k + k * k].reshape(k, k, -1)
+            sums += features[:, :, col]
+        gram = sums[k:k + k * k].reshape(k, k, *sums.shape[1:])
         gram -= sums[:k, None] * sums[None, :k] / h
         det = _cofactor_dets(gram)
         size_z, size_x = sums[-2], sums[-1]  # sum_i |z_i|_max^2, sum_i |x_i|_max^2
@@ -417,26 +425,6 @@ def _mcd_bounds(points: np.ndarray, subsets: np.ndarray) -> tuple:
     return low, high
 
 
-def _mcd_candidates(points: np.ndarray, subsets: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple | None:
-    """The subsets that can win or tie the MCD tie rule on each dataset of
-    a (G, n, k) stack ``points``, from (G, S) bounds on the objective of
-    every subset of ``subsets`` (S, h) on each: every subset whose lower
-    bound is within the 1e-9 tie tolerance of its dataset's smallest upper
-    bound. Returns their (dataset, subset) indices in that order, and
-    their means and determinants from one batched SVD; or None when a
-    bound is not finite or a candidate is singular, where the bounds do
-    not show that the candidates hold every winner."""
-    if not np.isfinite(high).all():
-        return None
-    cutoff = high.min(axis=1) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
-    gi, si = np.nonzero(low <= cutoff[:, None])
-    means, dets = _subset_objectives(points[gi[:, None], subsets[si]])
-    if not np.all(np.isfinite(dets) & (dets > 0.0)):
-        return None
-    # every run is nonempty: the smallest upper bound is a candidate
-    return gi, si, means, dets
-
-
 def _mcd_winners(dets: np.ndarray, starts) -> tuple:
     """The MCD tie rule on each run of subsets that begins at ``starts``:
     every nonsingular subset within 1e-9 relative of the run's smallest
@@ -457,23 +445,69 @@ def _mcd_winners(dets: np.ndarray, starts) -> tuple:
     return winners, best, np.searchsorted(winners, starts)
 
 
-def _mcd_family(subsets: np.ndarray, family: ReplacementFamily) -> EstimateStack:
-    """:func:`mcd_exhaustive` on every dataset of a family, from stacks of
-    the coverage subsets of as many datasets as fit _MCD_STACK_FLOATS (one
-    at least) and one tie-rule run per dataset; LAPACK factors each subset
-    alone, so each dataset's bits are its own."""
-    k = family.points.shape[2]
-    chunk = max(1, _MCD_STACK_FLOATS // (subsets.size * k))
-    members, starts = [], []
-    for lo in range(0, len(family.points), chunk):
-        means, dets = _subset_objectives(family.points[lo:lo + chunk, subsets].reshape(-1, *subsets.shape[1:], k))
+def _mcd_stack(points: np.ndarray, subsets: np.ndarray, bounds: Callable) -> tuple:
+    """:func:`mcd_exhaustive` on every dataset of a (G, n, k) stack with
+    coverage subsets ``subsets`` (S, h): the one MCD kernel.
+
+    The stack is settled in chunks of as many datasets as fit
+    _MCD_STACK_FLOATS coordinates, one at least. ``bounds(lo, hi)``
+    brackets the SVD objective of every subset of datasets lo..hi, as
+    (hi - lo, S) ``low`` and ``high`` on any one scale (:func:`_mcd_bounds`,
+    or the shear sweep's). The candidates of a dataset are its subsets
+    whose lower bound comes within the 1e-9 tie tolerance of its smallest
+    upper bound, so every subset that can win or tie is one. The chunk's
+    candidates go through one batched SVD of their real coordinates and
+    the tie rule picks each dataset's winners among them in enumeration
+    order: the bracket only screens, and every determinant the rule sees
+    is the SVD's. Where a bound is not finite or a candidate is singular,
+    every subset of the chunk is scored, so results and errors are always
+    those of scoring every subset. LAPACK factors each subset alone, so
+    each dataset's bits are its own.
+
+    Returns the winners' subset rows and means, where each dataset's
+    winners begin, each dataset's best objective, the subsets the bracket
+    sent to the SVD and the datasets of chunks that scored every subset.
+    An OverflowParameterError's ``run`` is its dataset's index in the stack.
+    """
+    G, S = len(points), len(subsets)
+    chunk = max(1, _MCD_STACK_FLOATS // (subsets.size * points.shape[2]))
+    rows, means, starts, best = [], [], [], []
+    candidates = fallbacks = 0
+    for lo in range(0, G, chunk):
+        hi = min(lo + chunk, G)
+        low, high = bounds(lo, hi)
+        settled = False
+        if np.isfinite(high).all():
+            cutoff = high.min(axis=1) * (1.0 + _MCD_TIE_RTOL) * (1.0 + 16 * _EPS)
+            gi, si = np.nonzero(low <= cutoff[:, None])
+            found, dets = _subset_objectives(points[lo + gi[:, None], subsets[si]])
+            settled = np.all(np.isfinite(dets) & (dets > 0.0))
+        if settled:
+            candidates += gi.size
+        else:
+            fallbacks += hi - lo
+            gi, si = np.divmod(np.arange((hi - lo) * S), S)
+            found, dets = _subset_objectives(points[lo + gi[:, None], subsets[si]])
         try:
-            winners, _, first = _mcd_winners(dets, np.arange(0, dets.size, len(subsets)))
+            # every run is nonempty: the smallest upper bound is a candidate
+            winners, chunk_best, first = _mcd_winners(dets, np.searchsorted(gi, np.arange(hi - lo)))
         except OverflowParameterError as exc:
-            raise family.too_large(lo + exc.run, exc) from None
-        starts.append(first + sum(map(len, members)))
-        members.append(means[winners])
-    return EstimateStack(np.concatenate(members), np.concatenate(starts))
+            raise OverflowParameterError(str(exc), lo + exc.run) from None
+        starts.append(first + sum(map(len, means)))
+        rows.append(subsets[si[winners]])
+        means.append(found[winners])
+        best.append(chunk_best)
+    return *map(np.concatenate, (rows, means, starts, best)), candidates, fallbacks
+
+
+def _mcd_family(subsets: np.ndarray, family: ReplacementFamily, bounds: Callable) -> tuple:
+    """The :class:`EstimateStack` of :func:`_mcd_stack` on a family and its
+    two counts; an overflow is the family's too-large slope or radius."""
+    try:
+        _, means, starts, _, *counts = _mcd_stack(family.points, subsets, bounds)
+    except OverflowParameterError as exc:
+        raise family.too_large(exc.run, exc) from None
+    return EstimateStack(means, starts), counts
 
 
 def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
@@ -493,13 +527,34 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     number and loses the tiny determinant to cancellation long before the
     singular values do.
 
-    **Along a shear** the objective is quadratic in the slope, which
-    :class:`MCDShearSweep` uses to reproduce this function on whole shear
-    families at once. A shear of slope gamma moves replaced row i by
-    gamma * c_i * e2, with c_i = e1 . (x_i - origin), so in the shear basis
-    only the e2 column of a centered subset Y moves: y2 + gamma * w, w the
-    centered c. With O the other columns, g_O = det(O^T O) and r, s the
-    parts of y2, w orthogonal to span(O),
+    This is :func:`_mcd_stack` on a stack of one, bracketed by
+    :func:`_mcd_bounds`: on general-position data the SVD usually scores
+    one subset. Enumeration order is deterministic (lexicographic index
+    tuples), which makes tie reporting and the canonical member
+    reproducible.
+    """
+    h = _mcd_coverage(X.n, X.k, coverage)
+    subsets, stack = subset_index(X.n, h), X.points[None]
+    rows, means, _, (best,), *_ = _mcd_stack(stack, subsets, lambda lo, hi: _mcd_bounds(stack, subsets))
+    return MCDResult(EstimateSet(means), float(best), tuple(map(tuple, rows.tolist())))
+
+
+class MCDShearSweep:
+    """mcd's hook: exhaustive MCD over the shear families of one frame.
+
+    Built once per shear frame (base data X and shear basis); called on a
+    shear :class:`ReplacementFamily`, it returns the :class:`EstimateStack`
+    of exactly the estimates :func:`mcd_exhaustive` returns on the datasets
+    of the family: :func:`_mcd_stack` bracketed by :meth:`bounds` on each
+    chunk's slopes. ``fallbacks`` counts the slopes of chunks that scored
+    every subset, ``candidates`` the subsets the bracket sent to the SVD.
+
+    **Along a shear** the objective is quadratic in the slope. A shear of
+    slope gamma moves replaced row i by gamma * c_i * e2, with c_i = e1 .
+    (x_i - origin), so in the shear basis only the e2 column of a centered
+    subset Y moves: y2 + gamma * w, w the centered c. With O the other
+    columns, g_O = det(O^T O) and r, s the parts of y2, w orthogonal to
+    span(O),
 
         det(Y^T Y) = g_O |r + gamma s|^2 = alpha + beta gamma + zeta gamma^2,
 
@@ -508,8 +563,8 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     vol = sqrt(g_O) |r + gamma s| for every subset and slope in one pass,
     as a norm so that it does not cancel near a degenerate slope.
 
-    **Candidate bound.** What must be reproduced is the SVD determinant of
-    the floating-point coordinates, which at large slopes differs from the
+    **Bracket.** What must be reproduced is the SVD determinant of the
+    floating-point coordinates, which at large slopes differs from the
     exact one (on demo10_2d at gamma = 1e8, h = 2, m = 4, the near family's
     winner scores 38.32 by SVD and 24.43 in exact rational arithmetic on
     the same float coordinates). The computed singular values are those of
@@ -520,61 +575,7 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     Weyl's inequality the volume then moves by at most
     sum_j eta^j e_{k-j}(sigma); the elementary symmetric functions of the
     singular values are bounded through interlacing with O's singular
-    values and Maclaurin's inequality. A subset is a candidate when its
-    lower bound comes within the 1e-9 tie tolerance of the smallest upper
-    bound, so every subset that can win or tie is one. The candidates of
-    all slopes go through one batched SVD of the real contaminated
-    coordinates, and one pass of the tie rule picks the winners of every
-    slope among them in enumeration order: the same rule, on the same
-    determinants, that this function applies to all subsets.
-
-    **Candidate bracket at gamma = 0.** On a single dataset the same
-    bound runs without a shear (:func:`_mcd_bounds`). One pass over the h
-    columns of the subset index sums z and z z^T over every subset, with
-    z = x - (coordinatewise median), and the determinant of the centered
-    Gram Y^T Y follows by cofactor expansion. The bracket adds the Gram's
-    cancellation, of order eps h^2 max|z|^2 (the median lies within the
-    range of every subset of more than n/2 points, so z is of the subset's
-    own size), and the rounding of the expansion; then, by Weyl's
-    inequality with e_j(sigma) bounded from the trace by Maclaurin's, the
-    SVD path's centering in the original coordinates, of order
-    eps h max|x|, and its backward error. Every magnitude is the
-    subset's own, so a far point loosens only the subsets that hold it.
-    The candidates are chosen, scored and checked as the sweep's are
-    (:func:`_mcd_candidates`), and the tie rule runs on them alone: the
-    Gram only screens, and every determinant it reports is the SVD's. Where
-    a bound is not finite (the Gram overflows) or a candidate is singular,
-    every subset is scored, so results and errors are always those of
-    scoring every subset.
-
-    Enumeration order is deterministic (lexicographic index tuples), which
-    makes tie reporting and the canonical member reproducible.
-    """
-    h = _mcd_coverage(X.n, X.k, coverage)
-    subsets = subset_index(X.n, h)
-    low, high = _mcd_bounds(X.points, subsets)
-    found = _mcd_candidates(X.points[None], subsets, low[None], high[None])
-    if found is None:
-        means, dets = _subset_objectives(X.points[subsets])
-    else:
-        _, kept, means, dets = found
-        subsets = subsets[kept]
-    winners, (best,), _ = _mcd_winners(dets, [0])
-    return MCDResult(EstimateSet(means[winners]), float(best), tuple(map(tuple, subsets[winners].tolist())))
-
-
-class MCDShearSweep:
-    """mcd's hook: exhaustive MCD over the shear families of one frame.
-
-    Built once per shear frame (base data X and shear basis); called on a
-    shear :class:`ReplacementFamily`, it returns the :class:`EstimateStack`
-    of exactly the estimates :func:`mcd_exhaustive` returns on the datasets
-    of the family, by the quadratic identity and candidate bound described
-    there. When the bound is not finite at some slope, or a candidate is
-    singular, the whole family falls back to every subset of every slope,
-    the stacked exhaustive evaluation that settles mcd's cluster families;
-    ``fallbacks`` counts the slopes of such families and ``candidates`` the
-    subsets that went through the SVD in the families the bound settled.
+    values and Maclaurin's inequality.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -640,27 +641,17 @@ class MCDShearSweep:
         high = (vol * (1.0 + tau) + delta) ** 2 * (1.0 + 8 * _EPS)
         return low, high
 
-    def _candidates(self, family: ReplacementFamily) -> tuple | None:
-        """(subsets, means, determinants, run starts) of the candidates of
-        every slope, one run per slope, or None when the family falls back."""
-        # a bound that overflows is not finite, and the family falls back whole
-        with np.errstate(over="ignore", invalid="ignore"):
-            low, high = self.bounds(family)
-        found = _mcd_candidates(family.points, self.subsets, low.T, high.T)
-        if found is None:
-            return None
-        gi, si, means, dets = found
-        self.candidates += int(gi.size)
-        return self.subsets[si], means, dets, np.searchsorted(gi, np.arange(len(family.parameters)))
-
     def __call__(self, family: ReplacementFamily) -> EstimateStack:
-        found = self._candidates(family)
-        if found is None:
-            self.fallbacks += len(family.parameters)
-            return _mcd_family(self.subsets, family)
-        _, means, dets, starts = found
-        winners, _, first = _mcd_winners(dets, starts)
-        return EstimateStack(means[winners], first)
+        def bounds(lo, hi):
+            part = family._replace(parameters=family.parameters[lo:hi], points=family.points[lo:hi])
+            # a bound that overflows is not finite, and its chunk scores every subset
+            with np.errstate(over="ignore", invalid="ignore"):
+                return tuple(b.T for b in self.bounds(part))
+
+        stack, (candidates, fallbacks) = _mcd_family(self.subsets, family, bounds)
+        self.candidates += candidates
+        self.fallbacks += fallbacks
+        return stack
 
 
 def _probe_budget(budget: DirectionBudget | None) -> DirectionBudget:
@@ -818,7 +809,8 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
             if basis is not None:
                 return MCDShearSweep(X, basis, coverage)
             subsets = subset_index(X.n, _mcd_coverage(X.n, X.k, coverage))
-            return lambda family: _mcd_family(subsets, family)
+            return lambda family: _mcd_family(subsets, family,
+                                              lambda lo, hi: _mcd_bounds(family.points[lo:hi], subsets))[0]
         return LocationEstimator("mcd", "affine", _mcd, families=_mcd_families)
 
     if name == "tmean":

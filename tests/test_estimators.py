@@ -29,6 +29,7 @@ from robloc.estimators import (
     EstimateSet,
     EstimateStack,
     _mcd_family,
+    _mcd_stack,
     _mcd_winners,
     default_mcd_coverage,
 )
@@ -253,18 +254,23 @@ OVERFLOWS = "every coverage subset's covariance determinant overflows"
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(DETS, min_size=1, max_size=6), min_size=1, max_size=5), st.integers(0, 2**16),
-       st.booleans(), st.integers(1, 6))
-@example([[1.0]], 0, False, 1)
-@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1, True, 6)
-@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2, False, 1)
+       st.booleans(), st.integers(1, 6), st.integers(0, 2**5 - 1))
+@example([[1.0]], 0, False, 1, 0)
+@example([[1.0]], 0, False, 1, 1)
+@example([[SCALE], [0.0, np.nan, TIE_EDGE, np.inf, SCALE, SCALE * (1 + 2e-9)]], 1, True, 6, 1)
+@example([[2.0, 1.0], [0.0, np.nan, np.inf]], 2, False, 1, 3)
+# a singular subset below the best one: a tight bracket makes it the only
+# candidate, and the chunk must score every subset
+@example([[0.0, SCALE]], 6, False, 1, 1)
+@example([[SCALE, TIE_EDGE], [SCALE * 2, -1.0, SCALE * 3]], 7, True, 2, 1)
 # a degenerate run before an overflowing one, and the reverse, within
 # one stack of datasets and across two
-@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, True, 6)
-@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, False, 6)
-@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, False, 2)
-@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, True, 1)
-@example([[SCALE], [SCALE, 2.0], [1.0], [np.inf, 0.0], [3.0]], 5, True, 2)
-def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chunk):
+@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, True, 6, 0)
+@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, False, 6, 1)
+@example([[SCALE], [0.0, np.nan], [np.inf, 0.0]], 3, False, 2, 3)
+@example([[SCALE], [np.inf, 0.0], [0.0, np.nan]], 4, True, 1, 7)
+@example([[SCALE], [SCALE, 2.0], [1.0], [np.inf, 0.0], [3.0]], 5, True, 2, 5)
+def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chunk, tight):
     dets = np.array([d for run in runs for d in run])
     starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
     rng = np.random.default_rng(seed)
@@ -279,56 +285,80 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
         padded[g, :len(run)] = run
         padded_means[g, :len(run)] = means[start:start + len(run)]
     grid = tuple(10.0 ** (g + 1) for g in range(len(runs)))
-    # every coordinate of dataset g is g, so a gathered subset names its run
-    points = np.broadcast_to(np.arange(len(runs), dtype=float)[:, None, None], (len(runs), 3, 2))
+    # point p of dataset g is (g, p) and subset s takes point s thrice,
+    # so a gathered subset names its run and its place in it
+    points = np.stack(np.broadcast_arrays(*np.ix_(np.arange(len(runs)), np.arange(S))), axis=2).astype(float)
     family = ReplacementFamily((0,), grid, points, object() if shear else None)
+    index = np.repeat(np.arange(S)[:, None], 3, axis=1)
+    # chunk c's bracket is tight where bit c of `tight` is set, else not
+    # finite: a tight one is the objective itself, at most 0 for a
+    # singular subset, and keeps the padding out of the candidates
+    exact = np.where(np.isfinite(padded) & (padded > 0.0), padded, 0.0)
+    exact[np.isposinf(padded)] = np.inf
+    exact[np.arange(S) >= np.array([len(run) for run in runs])[:, None]] = 1e300
+
+    def bounds(lo, hi):
+        if tight >> (lo // chunk) & 1:
+            return exact[lo:hi], exact[lo:hi]
+        return np.zeros((hi - lo, S)), np.full((hi - lo, S), np.nan)
+
     sizes = []
 
     def objectives(groups):
         sizes.append(len(groups))
-        rows = groups[:, 0, 0].astype(int) * S + np.arange(len(groups)) % S
-        return padded_means.reshape(-1, 2)[rows], padded.reshape(-1)[rows]
+        g, p = groups[:, 0].astype(int).T
+        return padded_means[g, p], padded[g, p]
 
-    def kernel():
+    def kernel(run, *args):
         # a stack of `chunk` datasets' subsets (S subsets of 3 points in 2-d each)
         sizes.clear()
         with mock.patch("robloc.estimators._subset_objectives", objectives), \
                 mock.patch("robloc.estimators._MCD_STACK_FLOATS", chunk * S * 3 * 2):
             try:
-                return _mcd_family(np.zeros((S, 3), dtype=np.intp), family)
+                return run(*args)
             finally:
                 assert sizes and max(sizes) <= chunk * S
 
+    stacked = (points, index, bounds)
     failed = [g for g, run in enumerate(runs) if not any(np.isfinite(d) and d > 0 for d in run)]
     if failed:
         # the first failing run in grid order decides; one whose
         # determinants overflowed is out of range, not singular
         if np.inf in runs[failed[0]]:
-            with pytest.raises(OverflowParameterError, match=OVERFLOWS) as info:
-                _mcd_winners(dets, starts)
-            assert info.value.run == failed[0]
+            for run in (lambda: _mcd_winners(dets, starts), lambda: kernel(_mcd_stack, *stacked)):
+                with pytest.raises(OverflowParameterError, match=OVERFLOWS) as info:
+                    run()
+                assert info.value.run == failed[0]
             kind = "slope" if shear else "radius"
             with pytest.raises(ParameterError) as info:
-                kernel()
+                kernel(_mcd_family, index, family, bounds)
             assert type(info.value) is ParameterError
             assert str(info.value) == f"{kind} {grid[failed[0]]!r} is too large: {OVERFLOWS}"
         else:
-            for run in (lambda: _mcd_winners(dets, starts), kernel):
+            for run in (lambda: _mcd_winners(dets, starts), lambda: kernel(_mcd_stack, *stacked)):
                 with pytest.raises(DegenerateSampleError, match="singular covariance"):
                     run()
         return
     winners, best, first = _mcd_winners(dets, starts)
-    stack = kernel()
-    assert sizes == [S * len(runs[lo:lo + chunk]) for lo in range(0, len(runs), chunk)]
-    assert len(best) == len(first) == len(stack) == len(runs)
+    rows, members, kernel_first, kernel_best, _, fallbacks = kernel(_mcd_stack, *stacked)
+    stack, _ = kernel(_mcd_family, index, family, bounds)
+    # a chunk scores every subset unless its bracket is tight and every
+    # candidate (each singular subset among them) has a valid objective
+    assert fallbacks == sum(
+        len(part) for c, part in enumerate(runs[lo:lo + chunk] for lo in range(0, len(runs), chunk))
+        if not tight >> c & 1 or not all(np.isfinite(d) and d > 0 for run in part for d in run))
+    assert len(best) == len(first) == len(kernel_best) == len(kernel_first) == len(stack) == len(runs)
+    assert np.array_equal(stack.starts, kernel_first)
     for g, (w, start, run) in enumerate(zip(np.split(winners, first[1:]), starts, runs)):
         part = slice(start, start + len(run))
-        objective, members, optimal = mcd_pick_oracle(subsets[part], means[part], dets[part])
-        assert best[g] == objective
+        objective, want, optimal = mcd_pick_oracle(subsets[part], means[part], dets[part])
+        assert best[g] == kernel_best[g] == objective
         assert tuple(map(tuple, subsets[w].tolist())) == optimal
-        for estimate in (EstimateSet(means[w]), stack[g]):
-            assert np.array_equal(estimate.members, members)
-            assert np.array_equal(estimate.canonical, members[0])
+        picked = slice(kernel_first[g], kernel_first[g + 1] if g + 1 < len(runs) else None)
+        assert rows[picked, 0].tolist() == (w - start).tolist()
+        for estimate in (EstimateSet(means[w]), EstimateSet(members[picked]), stack[g]):
+            assert np.array_equal(estimate.members, want)
+            assert np.array_equal(estimate.canonical, want[0])
 
 
 def test_mcd_coverage_validation(demo10):

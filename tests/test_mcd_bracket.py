@@ -2,6 +2,9 @@
 the bounds hold the SVD objective of every subset, and the bracketed
 estimator returns what scoring every subset returns, to the bit."""
 
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +15,7 @@ from robloc.errors import DegenerateSampleError, OverflowParameterError
 from robloc.estimators import (
     EstimateSet,
     _mcd_bounds,
-    _mcd_candidates,
+    _mcd_stack,
     _mcd_winners,
     _subset_objectives,
     default_mcd_coverage,
@@ -31,10 +34,11 @@ def all_subsets(X, h):
     return float(best), tuple(map(tuple, subsets[winners].tolist())), means[winners]
 
 
-def candidates(X, h):
-    subsets = subset_index(X.n, h)
-    low, high = _mcd_bounds(X.points, subsets)
-    return _mcd_candidates(X.points[None], subsets, low[None], high[None])
+def counts(X, h):
+    """(subsets the bracket sent to the SVD, datasets that scored every
+    subset) of the MCD kernel on X alone."""
+    subsets, stack = subset_index(X.n, h), X.points[None]
+    return _mcd_stack(stack, subsets, lambda lo, hi: _mcd_bounds(stack, subsets))[4:]
 
 
 @st.composite
@@ -78,7 +82,7 @@ def test_mcd_bounds_bracket_the_svd_objective(case):
     points, h = case
     subsets = subset_index(len(points), h)
     _, dets = _subset_objectives(points[subsets])
-    low, high = _mcd_bounds(points, subsets)
+    (low,), (high,) = _mcd_bounds(points[None], subsets)
     assert np.all(np.isfinite(high))
     assert np.all(low <= dets) and np.all(dets <= high)
 
@@ -99,12 +103,12 @@ def test_bracketed_mcd_equals_every_subset_scored(data, h, ties):
          "demo10_shifted": lambda: DataSet(bundled_dataset("demo10_2d").points + 1e6),
          "demo10_scaled": lambda: DataSet(bundled_dataset("demo10_2d").points * 1e-3 + 5.0)}[data]()
     h = default_mcd_coverage(X.n, X.k) if h is None else h
-    found = candidates(X, h)
-    assert found is not None
+    candidates, fallbacks = counts(X, h)
+    assert fallbacks == 0
     objective, optimal, members = all_subsets(X, h)
     # the bracket leaves one candidate unless winners tie
     assert (len(optimal) > 1) == ties
-    assert len(found[1]) == 1 or ties
+    assert candidates == 1 or ties
     got = mcd_exhaustive(X, coverage=h)
     assert repr(got.objective) == repr(objective)
     assert got.optimal_subsets == optimal
@@ -122,8 +126,15 @@ def test_extreme_scales_fall_back_and_raise_as_before(scale, error, message, dat
     X = bundled_dataset("demo10_2d") if data == "demo10" else random_gp_dataset(9, 4, 1)
     X = DataSet(X.points * scale)
     h = default_mcd_coverage(X.n, X.k)
-    assert candidates(X, h) is None
-    with pytest.raises(error, match=message):
+    scored = []
+
+    def objectives(groups):
+        scored.append(len(groups))
+        return _subset_objectives(groups)
+
+    with mock.patch("robloc.estimators._subset_objectives", objectives), pytest.raises(error, match=message):
         mcd_exhaustive(X)
+    # the bracket does not settle it: its last pass scores every subset
+    assert scored[-1] == comb(X.n, h)
     with pytest.raises(error, match=message):
         all_subsets(X, h)

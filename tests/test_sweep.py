@@ -3,6 +3,7 @@ on the families of both attacks."""
 
 import dataclasses
 import json
+import tracemalloc
 from unittest import mock
 from itertools import product
 
@@ -26,7 +27,7 @@ from robloc.errors import RoblocError
 from robloc.estimators import (
     EstimateSet,
     MCDShearSweep,
-    _mcd_winners,
+    _mcd_stack,
     coordinatewise_median,
     default_mcd_coverage,
     mcd_exhaustive,
@@ -120,20 +121,21 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
             if abs(slopes[j]) <= 1e3:
                 # tight at moderate slopes: the quadratic identity is exact
                 assert np.all(high[:, j] - low[:, j] <= 1e-6 * high[:, j])
-        subsets, _, dets, starts = sweep._candidates(family)
-        winners, best, first = _mcd_winners(dets, starts)
+        rows, _, first, best, _, fallbacks = _mcd_stack(family.points, sweep.subsets,
+                                                         lambda lo, hi: (low[:, lo:hi].T, high[:, lo:hi].T))
+        assert fallbacks == 0
         stack = sweep(family)
-        for j, (w, points) in enumerate(zip(np.split(winners, first[1:]), family.points)):
+        for j, (w, points) in enumerate(zip(np.split(rows, first[1:]), family.points)):
             want = mcd_exhaustive(DataSet(points))
-            assert tuple(map(tuple, subsets[w].tolist())) == want.optimal_subsets
+            assert tuple(map(tuple, w.tolist())) == want.optimal_subsets
             assert best[j] == want.objective
             assert_same_estimate(stack[j], want.estimates)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # slope 1e100 overflows on purpose
-def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
-    # the sweep falls back to the stacked exhaustive evaluation of every
-    # subset of every dataset of the family
+def test_mcd_sweep_falls_back_chunk_by_chunk_where_the_bound_overflows():
+    # with one slope per chunk, only the chunk whose bound overflows scores
+    # every subset, and every slope still gets exactly mcd_exhaustive's estimate
     X = random_gp_dataset(7, 2, seed=42)
     T = make_estimator("mcd")
     frame = frames_of(T, X, 2)[0]
@@ -148,9 +150,10 @@ def test_mcd_sweep_falls_back_whole_family_where_the_bound_overflows():
     family = _shear_images(X, frame.basis, "shear_replace_far", replaced, (0.1, 10.0, 1e100))
     (sweep,) = sweeps
     _, high = sweep.bounds(family)
-    assert not np.isfinite(high).all()
-    stack = evaluate(family)
-    assert sweep.fallbacks == len(family.parameters)
+    assert np.isfinite(high[:, :2]).all() and not np.isfinite(high[:, 2]).all()
+    with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1):
+        stack = evaluate(family)
+    assert sweep.fallbacks == 1 and 0 < sweep.candidates
     for j, points in enumerate(family.points):
         assert_same_estimate(stack[j], mcd_exhaustive(DataSet(points)).estimates)
 
@@ -176,6 +179,26 @@ def test_mcd_sweep_screens_out_most_subsets(demo10):
     empirical_fsbv(dataclasses.replace(T, families=families), demo10)
     assert made and sum(s.fallbacks for s in made) == 0
     assert sum(s.candidates for s in made) < sum(s.pairs for s in made) / 4
+
+
+@pytest.mark.parametrize("attack", ["shear", "cluster"])
+def test_long_mcd_families_hold_bounded_memory(attack):
+    # 256 datasets of C(16, 9) = 11,440 coverage subsets each: the kernel
+    # settles them chunk by chunk, so however long the grid, a family holds
+    # about one chunk's subsets
+    T = make_estimator("mcd")
+    X = random_gp_dataset(16, 2, 1)
+    grid = tuple(np.geomspace(10.0, 1e8 if attack == "shear" else 1e9, 256).tolist())
+    tracemalloc.start()
+    try:
+        if attack == "shear":
+            shear_attack(T, X, 2, gamma_grid=grid, m=4)
+        else:
+            translation_cluster_attack(T, X, 7, radius_grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def integer_gp_dataset(n, k, seed):
