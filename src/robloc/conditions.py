@@ -162,11 +162,13 @@ def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) ->
     candidate directions come from data-hyperplane normals instead of hull
     faces.
 
-    Raises :class:`NoAdmissibleDirectionError` when no direction could be
+    ``h`` must be an integer in [1, n], else a ParameterError. Raises
+    :class:`NoAdmissibleDirectionError` when no direction could be
     verified; a missing direction is reported, never fabricated.
     """
-    if h < 1:
-        raise ParameterError(f"h must be >= 1, got {h}")
+    h = require_integer(h, "h", 1)
+    if h > X.n:
+        raise ParameterError(f"h must be in [1, n] = [1, {X.n}], got {h}")
     require_integer(seed, "seed")
     tol = GP_RTOL * max(X.diameter, 1e-300)
     if h <= X.k:

@@ -11,6 +11,7 @@ The estimates of a whole family of datasets travel as one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Callable
@@ -48,9 +49,6 @@ __all__ = [
 
 # Members closer than this (Euclidean) are collapsed into one.
 _DEDUP_ATOL = 1e-12
-# The dedup screens all pairs of all runs at once while that (G, P, P, k)
-# difference array has at most this many entries.
-_DEDUP_PAIR_BUDGET = 1 << 18
 
 # Exhaustive MCD refuses to enumerate more subsets than this.
 _MCD_SUBSET_BUDGET = 10_000_000
@@ -76,10 +74,10 @@ _DEFAULT_PROBE_COUNT = 2000
 class EstimateSet:
     """Finite nonempty set of location estimates with a canonical member.
 
-    Members are deduplicated within 1e-12, first occurrences kept.
-    ``canonical`` is the conventional point representative, the first kept
-    member when omitted (for interval-valued estimators it may be an
-    interval midpoint that is not itself a member).
+    Built as an :class:`EstimateStack` of one: members deduplicated within
+    1e-12, first occurrences kept. ``canonical`` is the conventional point
+    representative, the first kept member when omitted (for interval-valued
+    estimators it may be an interval midpoint that is not itself a member).
     """
 
     members: np.ndarray = field(repr=False)
@@ -89,20 +87,12 @@ class EstimateSet:
         m = np.asarray(self.members, dtype=float)
         if m.ndim == 1:
             m = m.reshape(1, -1)
-        if m.shape[0] == 0:
-            raise EstimatorError("estimate set must be nonempty")
-        if not np.all(np.isfinite(m)):
-            raise EstimatorError("estimate members must be finite")
-        keep = _kept_rows(m, np.zeros(1, dtype=np.intp), np.array([m.shape[0]]))
-        m = m.copy() if keep is None else m[keep]
-        c = m[0] if self.canonical is None else np.asarray(self.canonical, dtype=float).reshape(-1)
-        if c.size != m.shape[1]:
-            raise EstimatorError("canonical point dimension mismatch")
-        m.setflags(write=False)
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "members", m)
-        object.__setattr__(self, "canonical", c)
+        c = None if self.canonical is None else np.reshape(self.canonical, (1, -1))
+        stack = EstimateStack(m, np.zeros(1, dtype=np.intp), c)
+        for name, value in (("members", stack.members), ("canonical", stack.canonical[0])):
+            value = value.copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -113,62 +103,80 @@ class EstimateSet:
         return self.members.shape[1]
 
 
+@lru_cache(maxsize=None)
+def _dedup_direction(k: int) -> tuple:
+    """The dedup screen's direction, sqrt(2 .. k+1) scaled to 1-norm 1/8
+    (read-only), and the two terms of its slack, base + scale * max|m|."""
+    v = np.sqrt(np.arange(2.0, k + 2.0))
+    v /= 8 * v.sum()
+    v.setflags(write=False)
+    gamma = k * _EPS / 2 / (1 - k * _EPS / 2)
+    return v, (1.0 + 1e-6) * float(np.sqrt(v @ v)) * _DEDUP_ATOL, (1.0 + 1e-6) * 2 * gamma * float(v.sum())
+
+
 def _kept_rows(members: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
     """Keep mask of the dedup rule on each run of ``counts`` rows beginning
     at ``starts``, or None when every row is kept: a row is dropped exactly
     when it lies within 1e-12 of a row already kept in its run, so first
     occurrences survive.
 
-    A run is walked kept row by kept row, each dropping every later row of
-    its run within 1e-12 of it, so a long run of equal rows (tied MCD
-    subsets sharing a mean) takes one step. While all pairs of all runs fit
-    in one padded (G, P, P) closeness array, that array screens the runs,
-    only runs with a close pair are walked, and the walk reads it; beyond
-    that, each step computes its distances, in memory linear in the run.
+    A screen flags each run whose sorted projections onto v
+    (:func:`_dedup_direction`; the +inf padding never flags) have a
+    neighbour gap of at most (1 + 1e-6) (|v|_2 1e-12 + 2 gamma_k |v|_1 M),
+    M the stack's largest coordinate, gamma_k = k u / (1 - k u), u = eps / 2.
+    Rows the walk calls close lie within 1e-12 (1 + (k + 2) eps), each
+    rounded projection within gamma_k |v|_1 M of the exact one in any
+    summation order, and a gap between the two rounds by u; for every k
+    below 4e9 the factor 1 + 1e-6 holds these terms and the slack's own
+    rounding, and underflow stays far below 1e-6 of the first term. So no
+    close pair escapes, and a slack too large only costs a walk. As
+    |v|_1 = 1/8, no projection or gap overflows. A walk then settles each
+    flagged run kept row by kept row, each dropping every later row of its
+    run within 1e-12 of it (a distance that overflows is not close), in
+    memory linear in the run: a long run of equal rows takes one step.
     """
-    G, P, k = counts.size, int(counts.max(initial=0)), members.shape[1]
-    if P < 2:
+    G = counts.size
+    if members.shape[0] == G:  # every run holds one row
         return None
-    close, runs = None, range(G)
-    with np.errstate(over="ignore"):  # a distance that overflows is not close
-        if G * P * P * k <= _DEDUP_PAIR_BUDGET:
-            if counts.min() == P:
-                padded = members.reshape(G, P, k)
-            else:
-                run = np.repeat(np.arange(G), counts)
-                padded = np.full((G, P, k), np.nan)  # NaN padding is never close
-                padded[run, np.arange(members.shape[0]) - starts[run]] = members
-            d = padded[:, :, None, :] - padded[:, None, :, :]
-            close = np.sqrt((d * d).sum(axis=3)) <= _DEDUP_ATOL  # diagonal set
-            runs = np.flatnonzero(close.sum(axis=(1, 2)) > counts).tolist()  # a close pair
-            if not runs:
-                return None
+    P = int(counts.max())
+    v, base, scale = _dedup_direction(members.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = members @ v
+        if counts.min() == P:
+            order = np.sort(proj.reshape(G, P), axis=1)
+        else:
+            run = np.repeat(np.arange(G), counts)
+            order = np.full((G, P), np.inf)
+            order[run, np.arange(members.shape[0]) - starts[run]] = proj
+            order.sort(axis=1)
+        slack = base + scale * float(np.abs(members).max(initial=0.0))
+        runs = np.flatnonzero((order[:, 1:] - order[:, :-1] <= slack).any(axis=1))
+        if not runs.size:
+            return None
         keep = np.ones(members.shape[0], dtype=bool)
-        for g in runs:
+        for g in runs.tolist():
             start, count = int(starts[g]), int(counts[g])
             kept = keep[start:start + count]
             i = 0
             while i < count - 1:
-                if close is None:
-                    d = members[start + i + 1:start + count] - members[start + i]
-                    kept[i + 1:] &= np.sqrt((d * d).sum(axis=1)) > _DEDUP_ATOL
-                else:
-                    kept[i + 1:] &= ~close[g, i, i + 1:count]
+                d = members[start + i + 1:start + count] - members[start + i]
+                kept[i + 1:] &= np.sqrt((d * d).sum(axis=1)) > _DEDUP_ATOL
                 later = np.flatnonzero(kept[i + 1:])
                 i = i + 1 + int(later[0]) if later.size else count
     return None if keep.all() else keep
 
 
 class EstimateStack:
-    """The estimates of a family of datasets, one per dataset, as arrays.
+    """The estimates of a family of datasets, one per dataset, as arrays;
+    the only code that validates and deduplicates estimates.
 
     ``members`` (M, k) holds the members of every estimate in order, each
-    estimate deduplicated as :class:`EstimateSet` does; estimate j owns the
-    rows from ``starts[j]`` up to the next start, and ``canonical[j]`` is its
-    canonical point, the first kept member when omitted. ``stack[j]`` builds
-    estimate j as an EstimateSet on demand, so only the estimates that are
-    reported pay for objects. Raises what EstimateSet raises: an empty or
-    non-finite estimate is an EstimatorError.
+    estimate deduplicated by :func:`_kept_rows`; estimate j owns the rows
+    from ``starts[j]`` up to the next start, and ``canonical[j]`` is its
+    canonical point, the first kept member when omitted. An empty or
+    non-finite estimate, or a canonical point of the wrong dimension, is an
+    EstimatorError. ``stack[j]`` builds estimate j as an EstimateSet on
+    demand, so only the estimates that are reported pay for objects.
     """
 
     __slots__ = ("members", "starts", "canonical")
@@ -188,21 +196,10 @@ class EstimateStack:
             m = m[keep]
             counts = np.add.reduceat(keep, starts)
             starts = np.cumsum(counts) - counts
-        c = m[starts] if canonical is None else np.asarray(canonical, dtype=float)
+        c = m.take(starts, axis=0) if canonical is None else np.asarray(canonical, dtype=float)
         if c.shape != (starts.size, m.shape[1]):
             raise EstimatorError("canonical point dimension mismatch")
         self.members, self.starts, self.canonical = m, starts, c
-
-    @classmethod
-    def pack(cls, estimates) -> "EstimateStack":
-        """The stack of a nonempty sequence of EstimateSets, one per
-        dataset; they are validated and deduplicated already."""
-        stack = cls.__new__(cls)
-        sizes = [e.size for e in estimates]
-        stack.members = np.concatenate([e.members for e in estimates])
-        stack.starts = np.cumsum(sizes) - sizes
-        stack.canonical = np.array([e.canonical for e in estimates])
-        return stack
 
     def __len__(self) -> int:
         return self.starts.size
@@ -210,11 +207,9 @@ class EstimateStack:
     def __getitem__(self, j: int) -> EstimateSet:
         j = range(len(self))[j]
         end = self.starts[j + 1] if j + 1 < len(self) else self.members.shape[0]
-        # the stack's rows are validated and deduplicated already; building
-        # the set through its constructor would repeat both
-        rows = self.members[self.starts[j]:end]
+        # read-only copies of rows the constructor checked already
         est = object.__new__(EstimateSet)
-        for name, value in (("members", rows), ("canonical", self.canonical[j])):
+        for name, value in (("members", self.members[self.starts[j]:end]), ("canonical", self.canonical[j])):
             value = value.copy()
             value.setflags(write=False)
             object.__setattr__(est, name, value)
@@ -270,7 +265,9 @@ class LocationEstimator:
                     estimates.append(self(DataSet(points)))
                 except OverflowParameterError as exc:
                     raise family.too_large(j, exc) from None
-            return EstimateStack.pack(estimates)
+            sizes = [e.size for e in estimates]
+            return EstimateStack(np.concatenate([e.members for e in estimates]), np.cumsum(sizes) - sizes,
+                                 np.array([e.canonical for e in estimates]))
 
         return evaluate
 

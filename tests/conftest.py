@@ -1,7 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 
-from robloc import DataSet, bundled_dataset, random_gp_dataset
+import robloc
+from robloc import DataSet, breakdown, bundled_dataset, random_gp_dataset
+from test_tracer_targets import load_bench_module
 
 
 @pytest.fixture
@@ -32,3 +36,52 @@ def demo9():
 def gp_datasets(count, n, k, seed0):
     """Deterministic stream of general-position datasets for property runs."""
     return [random_gp_dataset(n, k, seed0 + i) for i in range(count)]
+
+
+def record_certify_pass(workload, seed) -> tuple:
+    """Run one pass of a certify workload of ``bench/workloads.py``, every
+    operation's own check passing, and record in operation order every
+    shear sweep robloc made, as (attacks, facet, frame, m, b_rule), and
+    every certification: its estimator ``T`` and data ``X``, the
+    ``result``, the ``text`` that ``emit_fsbv`` printed and the index of
+    its ``first_sweep``."""
+    sweeps, certifications = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        workloads = load_bench_module("workloads", mp)
+        inner_sweep, inner_emit = breakdown._run_shear_sweep, workloads.emit_fsbv
+
+        def sweep(attacks, facet, frame, m, b_rule):
+            sweeps.append((attacks, facet, frame, m, b_rule))
+            return inner_sweep(attacks, facet, frame, m, b_rule)
+
+        def certify(T, X, **kwargs):
+            certifications.append(types.SimpleNamespace(T=T, X=X, first_sweep=len(sweeps)))
+            return robloc.empirical_fsbv(T, X, **kwargs)
+
+        def emit(result, seed):
+            text = inner_emit(result, seed)
+            certifications[-1].result, certifications[-1].text = result, text
+            return text
+
+        mp.setattr(breakdown, "_run_shear_sweep", sweep)
+        mp.setattr(workloads, "emit_fsbv", emit)
+        ops, _ = workloads.build(types.SimpleNamespace(**{**vars(robloc), "empirical_fsbv": certify}), workload, seed)
+        for op in ops:
+            assert op.check(op.run()) is None, op.label
+    assert len(certifications) == len(ops)
+    return sweeps, certifications
+
+
+@pytest.fixture(scope="session")
+def certify_pass():
+    """``certify_pass(workload, seed)``: :func:`record_certify_pass`, run
+    once per session for each workload and seed, so that the tests that
+    check one pass share it."""
+    passes = {}
+
+    def get(workload, seed):
+        if (workload, seed) not in passes:
+            passes[workload, seed] = record_certify_pass(workload, seed)
+        return passes[workload, seed]
+
+    return get

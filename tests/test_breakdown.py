@@ -391,7 +391,8 @@ def test_family_distances_match_one_by_one(k):
     for sizes in ((1,) * 9, (4,) * 9, (1, 4, 2, 1, 3, 4, 1)):
         ests = [EstimateSet(rng.standard_normal((s, k)) * 10.0 ** rng.integers(-3, 9)) for s in sizes]
         assert [e.size for e in ests] == list(sizes)
-        got = _family_distances(EstimateStack.pack(ests), baseline)
+        members = np.concatenate([e.members for e in ests])
+        got = _family_distances(EstimateStack(members, np.cumsum(sizes) - sizes), baseline)
         assert got == [estimate_set_distance(e, baseline) for e in ests]
     assert _family_distances(EstimateStack(np.empty((0, k)), []), baseline) == []
 

@@ -412,6 +412,11 @@ def test_condition_on_degenerate_data_exits_3(runner, tmp_path):
     assert_fails(runner, ["condition", str(path), "-e", "cmedian"], 3)
 
 
+def test_condition_h_beyond_n_exits_4(runner):
+    gp83 = str(Path(__file__).parent / "golden" / "gp8_3d.csv")
+    assert_fails(runner, ["condition", gp83, "-e", "cmedian", "--h", "9"], 4)
+
+
 def test_estimate_pm_negative_grid_refinements_exits_4(runner, demo10_csv):
     args = ["estimate", demo10_csv, "-e", "pm", "--seed", "3", "--grid-refinements", "-2"]
     assert_fails(runner, args, 4)

@@ -29,6 +29,7 @@ from robloc.estimators import (
     EstimateSet,
     EstimateStack,
     _mcd_family,
+    _median_boxes,
     _mcd_stack,
     _mcd_winners,
     default_mcd_coverage,
@@ -64,38 +65,58 @@ def dedup_oracle(rows):
     """The dedup rule one row at a time: keep a row unless it lies within
     1e-12 of a row already kept."""
     kept = []
-    for row in rows:
-        if not any(np.sqrt(((row - r) ** 2).sum()) <= 1e-12 for r in kept):
-            kept.append(row)
+    with np.errstate(over="ignore"):  # a distance that overflows is not close
+        for row in rows:
+            if not any(np.sqrt(((row - r) ** 2).sum()) <= 1e-12 for r in kept):
+                kept.append(row)
     return np.array(kept)
 
 
 # steps of 0.6e-12 along one axis: neighbours are within 1e-12 of each
 # other, rows two steps apart are not, so the rule is not transitive
 STEP = 0.6e-12
+# coordinate scales, drawn per coordinate: near 1e4 one ulp (eps |m|)
+# straddles the 1e-12 tolerance, and a large coordinate beside a small one
+# rounds the projection by more than a step of the small one moves it;
+# 1e300 leaves steps below one ulp and overflows distances
+SCALES = [1.0, 1e3, 1e4, 3e4, 1e8, 1e300]
 
 
 @st.composite
 def dedup_runs(draw):
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    scale = np.array(draw(st.lists(st.sampled_from(SCALES), min_size=k, max_size=k)))
     runs = []
     for _ in range(draw(st.integers(1, 5))):
-        base = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+        base = scale * np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)))
         run = []
         for _ in range(draw(st.integers(1, 7))):
             row = base.copy()
-            if draw(st.booleans()):
-                row[draw(st.integers(0, k - 1))] += STEP * draw(st.integers(0, 4))
+            axis, steps = draw(st.integers(0, k - 1)), draw(st.integers(0, 4))
+            move = draw(st.sampled_from(["step", "ulp", "far"]))
+            if move == "step":
+                row[axis] += STEP * steps
+            elif move == "ulp":
+                for _ in range(steps):
+                    row[axis] = np.nextafter(row[axis], np.inf)
             else:
-                row += draw(st.sampled_from([1.0, -2.5]))
+                row += scale * draw(st.sampled_from([1.0, -2.5]))
             run.append(row)
         runs.append(run)
     return runs
 
 
-@settings(max_examples=200, deadline=None)
+# one run of 400 rows at k = 2, where comparing all pairs at once would take
+# a (1, 400, 400, 2) array: a chain of steps with every row repeated
+LONG_RUN = [[np.array([STEP * (i // 2), 1.0]) for i in range(400)]]
+
+
+@settings(max_examples=300, deadline=None)
 @given(dedup_runs())
 @example([[np.array([1.0, 1.0])] * 3, [np.array([0.0, 2 * STEP]), np.array([0.0, STEP]), np.array([0.0, 0.0])]])
+@example(LONG_RUN)
+@example([[np.array([3e4, 2.0]), np.array([3e4, 2.0 + STEP])]])  # close, but projected apart by rounding
+@example([[np.array([1.7e308, -1.7e308])] * 2 + [np.array([-1.7e308, 1.7e308])]])  # distances overflow
 def test_stack_dedup_matches_the_rule_row_by_row(runs):
     counts = np.array([len(run) for run in runs])
     members = np.vstack([np.vstack(run) for run in runs])
@@ -106,11 +127,22 @@ def test_stack_dedup_matches_the_rule_row_by_row(runs):
         for got in (stack[j], EstimateSet(np.vstack(run))):
             assert np.array_equal(got.members, want)
             assert np.array_equal(got.canonical, want[0])
-    # the walk alone, as runs too long for the pairwise screen take it
-    with mock.patch("robloc.estimators._DEDUP_PAIR_BUDGET", 0):
-        walked = EstimateStack(members, np.cumsum(counts) - counts)
-    assert np.array_equal(walked.members, stack.members)
-    assert np.array_equal(walked.starts, stack.starts)
+
+
+def test_median_boxes_of_a_long_stack_match_it_chunk_by_chunk():
+    # every fourth dataset has two middle values 1e-13 apart in each
+    # coordinate, so its box corners fall within 1e-12 and are deduplicated
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((11_200, 12, 2))
+    stack[::4] = np.sort(stack[::4], axis=1)
+    stack[::4, 6] = stack[::4, 5] + 1e-13
+    whole = _median_boxes(stack)
+    parts = [_median_boxes(stack[lo:lo + 2048]) for lo in range(0, len(stack), 2048)]
+    offsets = np.cumsum([0] + [part.members.shape[0] for part in parts[:-1]])
+    assert np.array_equal(whole.members, np.concatenate([part.members for part in parts]))
+    assert np.array_equal(whole.starts, np.concatenate([part.starts + o for part, o in zip(parts, offsets)]))
+    assert np.array_equal(whole.canonical, np.concatenate([part.canonical for part in parts]))
+    assert len(whole[0].members) == 1 and len(whole[1].members) == 4
 
 
 def test_stack_dedup_keeps_both_ends_of_a_chain():

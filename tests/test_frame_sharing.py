@@ -12,7 +12,6 @@ own replay on a fresh attack context and count the work saved.
 """
 
 import json
-import types
 from collections import defaultdict
 from itertools import combinations
 from pathlib import Path
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import robloc
 from robloc import (
     AttackSuite,
     bundled_dataset,
@@ -34,7 +32,6 @@ from robloc import breakdown, estimators
 from robloc.breakdown import _PARTITION_RULES, _Attacks, _shear_frames
 from robloc.cli import main
 from test_golden import CASES
-from test_tracer_targets import load_bench_module
 
 SWEEP = breakdown._run_shear_sweep  # unwrapped, for the replays
 GP83 = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
@@ -70,24 +67,10 @@ def golden_certifications(monkeypatch) -> tuple:
     return calls, runs
 
 
-def bench_certifications(monkeypatch, workload) -> tuple:
+def bench_certifications(certify_pass, workload) -> tuple:
     """The same for every certification of one pass of a bench workload at seed 1."""
-    calls = record_sweeps(monkeypatch)
-    workloads = load_bench_module("workloads", monkeypatch)
-    rb = types.SimpleNamespace(**vars(robloc))
-    runs = []
-
-    def certify(T, X, suite):
-        start = len(calls)
-        result = empirical_fsbv(T, X, suite=suite)
-        runs.append((calls[start][0], result.to_dict()["certificates"]))
-        return result
-
-    rb.empirical_fsbv = certify
-    ops, _ = workloads.build(rb, workload, 1)
-    for op in ops:
-        assert op.check(op.run()) is None, op.label
-    return calls, runs
+    calls, certifications = certify_pass(workload, 1)
+    return calls, [(calls[cert.first_sweep][0], cert.result.to_dict()["certificates"]) for cert in certifications]
 
 
 def listed(attacks, m):
@@ -134,8 +117,8 @@ def test_golden_labels_listed_without_a_sweep_hold_on_their_own_frames(monkeypat
 
 
 @pytest.mark.parametrize("workload", ["certify-engine", "certify-mcd", "certify-probe"])
-def test_bench_labels_listed_without_a_sweep_hold_on_their_own_frames(monkeypatch, workload):
-    calls, runs = bench_certifications(monkeypatch, workload)
+def test_bench_labels_listed_without_a_sweep_hold_on_their_own_frames(certify_pass, workload):
+    calls, runs = bench_certifications(certify_pass, workload)
     assert_unswept_labels_hold_on_their_own_frames(calls, runs)
 
 

@@ -22,12 +22,10 @@ import json
 
 import pytest
 
-import robloc
 from robloc import Witness, enumerate_facets, load_dataset_csv, make_estimator
 from robloc.geometry import GP_RTOL
 from robloc.metric import estimate_set_distance
 from test_golden import CASES, GOLDEN
-from test_tracer_targets import load_bench_module
 
 DIGESTS = {
     ("certify-engine", 1): "3f0809adffca4dd5d7403cbc04e34c1885d586f8b204579325cfb72de080f4c8",
@@ -90,28 +88,12 @@ def replay(T, X, body, result=None) -> int:
 @pytest.mark.parametrize(
     "workload, seed", [pytest.param(w, s, id=w if s == 1 else f"{w}-{s}") for w, s in sorted(DIGESTS)]
 )
-def test_certify_pass_emits_pinned_bytes(workload, seed, monkeypatch):
-    workloads = load_bench_module("workloads", monkeypatch)
-    emit, certify = workloads.emit_fsbv, robloc.empirical_fsbv
+def test_certify_pass_emits_pinned_bytes(workload, seed, certify_pass):
+    _, certifications = certify_pass(workload, seed)
     digest = hashlib.sha256()
-    inputs = []  # (T, X) of the certification being emitted
-
-    def recording_certify(T, X, **kwargs):
-        inputs.append((T, X))
-        return certify(T, X, **kwargs)
-
-    def recording_emit(result, seed):
-        text = emit(result, seed)
-        digest.update(text.encode("utf-8") + b"\n")
-        assert replay(*inputs[-1], json.loads(text), result) > 0
-        return text
-
-    monkeypatch.setattr(robloc, "empirical_fsbv", recording_certify)
-    monkeypatch.setattr(workloads, "emit_fsbv", recording_emit)
-    ops, _ = workloads.build(robloc, workload, seed)
-    for op in ops:
-        assert op.check(op.run()) is None, op.label
-    assert len(inputs) == len(ops)
+    for cert in certifications:
+        digest.update(cert.text.encode("utf-8") + b"\n")
+        assert replay(cert.T, cert.X, json.loads(cert.text), cert.result) > 0
     assert digest.hexdigest() == DIGESTS[workload, seed]
 
 

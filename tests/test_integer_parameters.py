@@ -16,6 +16,7 @@ from robloc import (
     OutlyingnessEvaluator,
     bundled_dataset,
     check_equivariance,
+    condition_margin,
     lipschitz_probe,
     mad,
     make_estimator,
@@ -100,6 +101,23 @@ FRACTIONAL_CALLS = [
 def test_fractional_argument_is_refused(param, call):
     with pytest.raises(ParameterError, match=rf"^{param} must be an integer, got \d+\.\d+$"):
         call()
+
+
+@pytest.mark.parametrize("h, message", [
+    (1.5, r"h must be a positive integer, got 1\.5"),
+    (2.0, r"h must be a positive integer, got 2\.0"),
+    (0, r"h must be a positive integer, got 0"),
+    (11, r"h must be in \[1, n\] = \[1, 10\], got 11"),
+])
+def test_condition_margin_needs_h_in_one_to_n(h, message):
+    with pytest.raises(ParameterError, match=rf"^{message}$"):
+        condition_margin(CMEDIAN, DEMO10, h)
+
+
+def test_condition_margin_reports_h_as_a_plain_int():
+    for h in (True, np.int64(2)):
+        report = condition_margin(CMEDIAN, DEMO10, h)
+        assert report.h == h and type(report.h) is int
 
 
 def test_whole_numpy_integers_still_count():
