@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataSet
+from .dataset import DataSet, _require_finite
 from .errors import (
     GeneralPositionError,
     ParameterError,
@@ -42,6 +42,8 @@ from .geometry import (
     Facet,
     OrthonormalBasis,
     ReplacementFamily,
+    _shear_stack,
+    _shear_terms,
     apply_shears,
     basis_from_normal,
     check_general_position,
@@ -90,6 +92,10 @@ _FRAME_FIELDS = {"shear": ("kept", "normal"), "cluster": ("direction", "anchor")
 # Tolerance for the inline check that family two is the affine preimage of
 # family one.
 _IDENTITY_RTOL = 1e-9
+# A batch of attacks holds at most this many coordinates of contaminated
+# data (one attack at least), and its position screen takes its rows at
+# most this many floats at a time: 64 KiB.
+_BATCH_FLOATS = 1 << 13
 
 
 def _require_grid(grid, what: str) -> tuple:
@@ -359,12 +365,15 @@ class _ShearFrame:
     basis: OrthonormalBasis = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     rankings: dict = field(repr=False)
+    partitions: dict = field(default_factory=dict, repr=False)  # (m, b_rule) -> partition
 
     def partition(self, m: int, b_rule: str) -> tuple:
         """(kept-out A, replaced B) with |B| = m, each in increasing index order."""
-        ranked = self.rankings[b_rule]
-        a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
-        return tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
+        if (m, b_rule) not in self.partitions:
+            ranked = self.rankings[b_rule]
+            a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
+            self.partitions[m, b_rule] = tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
+        return self.partitions[m, b_rule]
 
 
 def _shear_frames(attacks: _Attacks) -> list:
@@ -419,69 +428,69 @@ class _ShearPositionScreen:
         return M
 
     def linear_coeff(self, M: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """D1 per subset for displacement coefficients c (zero off the
-        replaced set), in data units."""
-        cs = (c / self.scale)[self.subsets]  # (S, k+1)
-        dc = cs[:, 1:] - cs[:, :1]  # (S, k)
-        return (dc * M).sum(axis=1)
+        """D1 per subset for displacement coefficients c (n,) (zero off the
+        replaced set), in data units; for a stack of row determinants M
+        (F, S, k) and coefficients c (F, n), one row of D1 per family."""
+        cs = (c / self.scale)[..., self.subsets]  # (..., S, k+1)
+        dc = cs[..., 1:] - cs[..., :1]  # (..., S, k)
+        return (dc * M).sum(axis=-1)
 
-    def gamma_ok(self, gammas, d1_list) -> tuple:
-        """(ok, witness) for every slope of ``gammas``, one (G, S) pass per
-        D1. A slope fails when, under some D1, its subset of smallest
-        |D0 + gamma * D1| is within the threshold; the witness is that
-        subset for the first failing slope and the first D1 failing there,
-        or None."""
-        g = np.asarray(gammas, dtype=float)[:, None]
-        failed = np.full(g.shape[0], -1)  # per slope, its witness subset
-        for d1 in d1_list:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.abs(self.d0 + g * d1)
-            _require_finite_at(gammas, vals, "the general-position screen")
-            j = np.argmin(vals, axis=1)
-            new = (np.take_along_axis(vals, j[:, None], axis=1)[:, 0] <= GP_RTOL) & (failed < 0)
-            failed[new] = j[new]
-        ok = failed < 0
-        witness = None if ok.all() else tuple(int(i) for i in self.subsets[failed[np.argmin(ok)]])
-        return ok, witness
+    def gamma_ok(self, gammas, d1s) -> tuple:
+        """(ok, nearest), each (F, G), for every D1 of ``d1s`` (F, S) and
+        slope of ``gammas``, in one (F, G, S) pass: the subset of smallest
+        |D0 + gamma * D1|, and whether it clears the threshold. A D1 whose
+        values overflow names its first such slope."""
+        vals = np.asarray(gammas, dtype=float)[:, None] * np.asarray(d1s)[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals += self.d0
+            np.abs(vals, out=vals)
+        if not np.isfinite(vals).all():
+            for row in vals:
+                _require_finite_at(gammas, row, "the general-position screen")
+        nearest = np.argmin(vals, axis=2)
+        return np.take_along_axis(vals, nearest[..., None], axis=2)[..., 0] > GP_RTOL, nearest
 
 
-def _screened_grid(screen: _ShearPositionScreen, gammas, d1_list) -> list:
+def _screened_grid(screen: _ShearPositionScreen, gammas, d1s) -> list:
     """Each slope of the grid, or that slope nudged once where it breaks
-    general position. Raises for the first slope whose nudge breaks it
-    too, with the witness subset at the nudged slope."""
+    general position under some D1 of ``d1s``. Raises for the first slope
+    whose nudge breaks it too, with the witness subset of the first D1
+    failing there at the nudged slope."""
     used = np.array(gammas, dtype=float)
-    ok, _ = screen.gamma_ok(used, d1_list)
-    bad = np.flatnonzero(~ok)
+    ok, _ = screen.gamma_ok(used, d1s)
+    bad = np.flatnonzero(~ok.all(axis=0))
     if bad.size:
         used[bad] *= 1.0 + _NUDGE_REL
-        ok, witness = screen.gamma_ok(used[bad], d1_list)
+        ok, nearest = screen.gamma_ok(used[bad], d1s)
         if not ok.all():
-            gamma = gammas[bad[np.argmin(ok)]]
+            j = int(np.argmin(ok.all(axis=0)))
             raise GeneralPositionError(
-                f"contaminated dataset not in general position even after nudging gamma={gamma!r}",
-                witness=witness,
+                f"contaminated dataset not in general position even after nudging gamma={gammas[bad[j]]!r}",
+                witness=tuple(int(i) for i in screen.subsets[nearest[np.argmin(ok[:, j]), j]]),
             )
     return used.tolist()
 
 
-def _family_distances(estimates: EstimateStack, baseline: EstimateSet) -> list:
-    """``estimate_set_distance`` of each estimate of a stack to the
-    baseline: the largest distance of every member, then the largest per
-    estimate, in one pass over all members."""
-    rows = _row_sup_distances(estimates.members, baseline.members)
-    return np.maximum.reduceat(rows, estimates.starts).tolist()
+def _family_distances(stacks, baseline: EstimateSet) -> list:
+    """``estimate_set_distance`` of each estimate of each stack to the
+    baseline, one array per stack: the largest distance of every member,
+    then the largest per estimate, in one pass over the members of all the
+    stacks."""
+    offsets = np.cumsum([0] + [len(stack.members) for stack in stacks])
+    starts = np.concatenate([stack.starts + offset for stack, offset in zip(stacks, offsets)])
+    rows = _row_sup_distances(np.concatenate([stack.members for stack in stacks]), baseline.members)
+    return np.split(np.maximum.reduceat(rows, starts), np.cumsum([len(stack) for stack in stacks])[:-1])
 
 
 def _attack_trace(
     attacks: _Attacks, family: str, m: int, h: int | None, requested: list, used: list, columns: list,
     details: dict,
 ) -> AttackTrace:
-    """The trace of one attack from its (label, replaced, estimates)
-    columns, with the distances of every column to the baseline. A grid
-    value whose distance overflows is a ParameterError."""
-    labels, replaced, estimates = zip(*columns)
-    with np.errstate(over="ignore"):
-        distances = np.column_stack([_family_distances(e, attacks.baseline) for e in estimates])
+    """The trace of one attack from its (label, replaced, estimates,
+    distances to the baseline) columns. A grid value whose distance
+    overflows is a ParameterError."""
+    labels, replaced, estimates, distances = zip(*columns)
+    distances = np.column_stack(distances)
     _require_finite_at(used, distances, "its distance", "slope" if family == "shear" else "radius")
     return AttackTrace(
         family=family,
@@ -507,7 +516,10 @@ class _Attacks:
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
     first, the position screen, per kept subset its frame, and per frame,
-    on its first sweep, the screen row determinants and T's evaluator.
+    on its first sweep, the screen row determinants, the shear terms and
+    T's evaluator; T's evaluator for cluster families; and ``settled``, the
+    attacks a batch settled ahead of the walk, by (frame, m, b_rule) or (m,
+    direction), until their attack function takes them.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -524,7 +536,8 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self._per_frame = {}  # frame -> (row determinants, evaluator)
+        self._per_frame = {}  # frame -> (row determinants, shear terms, evaluator)
+        self.settled = {}  # attack -> (used grid, columns)
 
     @cached_property
     def facets(self) -> list:
@@ -541,6 +554,10 @@ class _Attacks:
     def screen(self) -> _ShearPositionScreen:
         return _ShearPositionScreen(self.X)
 
+    @cached_property
+    def cluster_evaluator(self):
+        return self.T.evaluator(self.X)
+
     def frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
         """The frame pinning ``kept`` on ``facet`` along its first verified
         tie direction with the estimate strictly above, or None. For h < k
@@ -554,14 +571,18 @@ class _Attacks:
 
     def _frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
         X, theta, tol = self.X, self.baseline.canonical, self.tol
+
+        def above(u, level):
+            return float(u @ theta) - level > tol
+
         if len(kept) == X.k:
             u = facet.inward_normal
             level = tie_level(X.points @ u, kept, tol)
             ties = [] if level is None else [(u, level, None)]
         else:
             rng = np.random.default_rng(self.suite.cone_seed)
-            ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol)
-        found = next(((u, level) for u, level, _ in ties if float(u @ theta) - level > tol), None)
+            ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol, until=above)
+        found = next(((u, level) for u, level, _ in ties if above(u, level)), None)
         if found is None:
             return None
         u, level = found
@@ -573,34 +594,115 @@ class _Attacks:
         return _ShearFrame(kept, u, level, basis, X.points @ u - level, rankings)
 
     def per_frame(self, frame: _ShearFrame) -> tuple:
-        """(screen row determinants, estimator evaluator) of a frame, built
-        on its first sweep: a budget that breaks early sweeps few frames."""
+        """(screen row determinants, shear terms, estimator evaluator) of a
+        frame, built on its first sweep: a budget that breaks early sweeps
+        few frames."""
         if frame not in self._per_frame:
             basis = frame.basis
-            self._per_frame[frame] = self.screen.row_replacements(basis.e(2)), self.T.evaluator(self.X, basis)
+            self._per_frame[frame] = (self.screen.row_replacements(basis.e(2)), _shear_terms(basis),
+                                      self.T.evaluator(self.X, basis))
         return self._per_frame[frame]
 
 
+def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> None:
+    """Settle the shear sweeps ``sweeps``, (frame, b_rule) pairs, and the
+    cluster attacks along the unit ``directions`` at budget m into
+    ``attacks.settled``, with one call per evaluator and one distance pass.
+    An error stores nothing. A batch of one attack takes that attack's
+    steps in order, so it raises what the attack raises."""
+    built, evaluators, settled = _shear_batch(attacks, m, sweeps) if sweeps else ([], [], [])
+    X, theta = attacks.X, attacks.baseline.canonical
+    for u in directions:
+        order = np.lexsort((np.arange(X.n), -(X.points @ u)))
+        built.append(_cluster_rows(X, np.sort(order[:m]), theta, u, attacks.suite.radius_grid))
+        evaluators.append(attacks.cluster_evaluator)
+        settled.append(((m, tuple(u.tolist())), list(built[-1].parameters), [("cluster", len(built) - 1)]))
+    stacks = [None] * len(built)
+    by_evaluator = {}
+    for f, evaluate in enumerate(evaluators):
+        by_evaluator.setdefault(evaluate, []).append(f)
+    for evaluate, group in by_evaluator.items():
+        for f, stack in zip(group, evaluate([built[f] for f in group])):
+            stacks[f] = stack
+    with np.errstate(over="ignore"):
+        distances = _family_distances(stacks, attacks.baseline)
+    for key, used, columns in settled:
+        attacks.settled[key] = used, [(label, built[f].replaced, stacks[f], distances[f]) for label, f in columns]
+
+
+def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
+    """The families of the shear sweeps ``sweeps`` at budget m from one
+    position screen and one shear-image product per count of replaced
+    rows, their evaluators, and per sweep its key, grid and (label, family
+    index) columns. A sweep with a slope that fails the screen takes its
+    grid from :func:`_screened_grid` alone. The far family replaces the m
+    rows B of the partition by their shear images, and the near family,
+    when 0 < |A| <= m, the rows A by their preimages (slope -gamma)."""
+    X, screen, grid = attacks.X, attacks.screen, attacks.suite.gamma_grid
+    families, spans = [], []  # (frame, label, replaced rows, sign of their slope); per sweep, its families
+    for frame, b_rule in sweeps:
+        a_idx, b_idx = frame.partition(m, b_rule)
+        moved = [("shear_replace_far", b_idx, 1.0), ("shear_replace_near", a_idx, -1.0)][:1 + (0 < len(a_idx) <= m)]
+        spans.append((len(families), len(families) + len(moved)))
+        families += [(frame, *family) for family in moved]
+    state = [attacks.per_frame(frame) for frame, *_ in families]
+    coeffs = np.zeros((len(families), X.n))
+    for f, (frame, _, idx, sign) in enumerate(families):
+        coeffs[f, list(idx)] = sign * frame.offsets[list(idx)]
+
+    def d1s(lo, hi):
+        return screen.linear_coeff(np.stack([dets for dets, *_ in state[lo:hi]]), coeffs[lo:hi])
+
+    step = max(1, _BATCH_FLOATS // (len(screen.subsets) * max(len(grid), X.k + 1)))
+    ok = np.concatenate([screen.gamma_ok(grid, d1s(lo, lo + step))[0].all(axis=1)
+                         for lo in range(0, len(families), step)])
+    grids = [list(grid) if ok[lo:hi].all() else _screened_grid(screen, grid, d1s(lo, hi)) for lo, hi in spans]
+    grid_of = [grids[s] for s, (lo, hi) in enumerate(spans) for _ in range(lo, hi)]
+
+    built = [None] * len(families)
+    by_count = {}
+    for f, (_, _, idx, _) in enumerate(families):
+        by_count.setdefault(len(idx), []).append(f)
+    for group in by_count.values():
+        shears = _shear_families(X, [families[f] for f in group], [grid_of[f] for f in group],
+                                 [state[f][1] for f in group])
+        for f, family in zip(group, shears):
+            built[f] = family
+    for lo, hi in spans:
+        if hi - lo == 2:
+            _check_preimage_identity(built[lo], built[lo + 1], families[lo][0].offsets, families[lo][0].kept)
+    settled = [((frame, m, b_rule), grids[s], [(families[f][1], f) for f in range(lo, hi)])
+               for s, ((frame, b_rule), (lo, hi)) in enumerate(zip(sweeps, spans))]
+    return built, [evaluate for *_, evaluate in state], settled
+
+
+def _shear_families(X: DataSet, families: list, grids: list, terms: list) -> list:
+    """The :class:`ReplacementFamily` of each (frame, label, replaced,
+    sign) of ``families``, all replacing r rows, over its grid: one (F, G,
+    r, k) product with the stacked shear matrices of the frames' ``terms``,
+    bit for bit what :func:`_shear_images` builds family by family."""
+    idx = np.array([replaced for _, _, replaced, _ in families], dtype=np.intp).reshape(len(families), -1)
+    slopes = np.array(grids) * np.array([sign for *_, sign in families])[:, None]  # (F, G)
+    matrices, offsets = _shear_stack(slopes, *(np.array(t) for t in zip(*terms)))
+    # an image that overflows is not finite, and the family rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = np.matmul(X.points[idx][:, None], matrices.swapaxes(-1, -2)) + offsets[:, :, None, :]
+    _require_finite(images)
+    points = np.repeat(X.points[None, None], slopes.size, axis=0).reshape(*slopes.shape, X.n, X.k)
+    points[np.arange(len(families))[:, None, None], np.arange(slopes.shape[1])[:, None], idx[:, None]] = images
+    points.setflags(write=False)
+    return [ReplacementFamily(replaced, tuple(row.tolist()), block, frame.basis)
+            for (frame, _, replaced, _), row, block in zip(families, slopes, points)]
+
+
 def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
-    """One shear sweep of ``frame`` at budget m under ``b_rule``; the facet
-    only labels it in ``details``."""
-    X, screen, offsets = attacks.X, attacks.screen, frame.offsets
-    row_dets, estimate = attacks.per_frame(frame)
-    requested = attacks.suite.gamma_grid
+    """One shear sweep of ``frame`` at budget m under ``b_rule``, as its
+    batch settled it, else settled alone; the facet only labels it in
+    ``details``."""
+    if (frame, m, b_rule) not in attacks.settled:
+        _settle(attacks, m, [(frame, b_rule)])
+    used, columns = attacks.settled.pop((frame, m, b_rule))
     a_idx, b_idx = frame.partition(m, b_rule)
-    include_preimage_family = 0 < len(a_idx) <= m
-    # per family: its label, its replaced rows and the sign of their slope
-    moved = [("shear_replace_far", b_idx, 1.0), ("shear_replace_near", a_idx, -1.0)][:1 + include_preimage_family]
-    d1_list = []
-    for _, idx, sign in moved:
-        c = np.zeros(X.n)
-        c[list(idx)] = sign * offsets[list(idx)]
-        d1_list.append(screen.linear_coeff(row_dets, c))
-    used = _screened_grid(screen, requested, d1_list)
-    families = [_shear_images(X, frame.basis, label, idx, used) for label, idx, _ in moved]
-    if include_preimage_family:
-        _check_preimage_identity(*families, offsets, frame.kept)
-    columns = [(label, family.replaced, estimate(family)) for (label, _, _), family in zip(moved, families)]
     details = {
         "facet": list(facet.indices),
         "kept": list(frame.kept),
@@ -611,9 +713,9 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
         "origin": [float(v) for v in frame.basis.origin_shift],
         "b_rule": b_rule,
         "seed": attacks.suite.cone_seed,
-        "preimage_family_included": include_preimage_family,
+        "preimage_family_included": len(columns) == 2,
     }
-    return _attack_trace(attacks, "shear", m, len(frame.kept), requested, used, columns, details)
+    return _attack_trace(attacks, "shear", m, len(frame.kept), attacks.suite.gamma_grid, used, columns, details)
 
 
 def _shear_images(X: DataSet, basis: OrthonormalBasis, family: str, replaced, gammas) -> ReplacementFamily:
@@ -755,17 +857,16 @@ def translation_cluster_attack(
 
 def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray) -> AttackTrace:
     """:func:`translation_cluster_attack` along the unit direction u over
-    the suite's radius grid, as one family for the estimator's evaluator."""
-    T, X, theta = attacks.T, attacks.X, attacks.baseline.canonical
-    order = np.lexsort((np.arange(X.n), -(X.points @ u)))
-    family = _cluster_rows(X, np.sort(order[:m]), theta, u, attacks.suite.radius_grid)
-    radii = list(family.parameters)
+    the suite's radius grid, as its batch settled it, else settled alone."""
+    key = m, tuple(u.tolist())
+    if key not in attacks.settled:
+        _settle(attacks, m, [], [u])
+    radii, columns = attacks.settled.pop(key)
     details = {
         "direction": [float(v) for v in u],
-        "anchor": [float(v) for v in theta],
+        "anchor": [float(v) for v in attacks.baseline.canonical],
         "seed": None,
     }
-    columns = [("cluster", family.replaced, T.evaluator(X)(family))]
     return _attack_trace(attacks, "cluster", m, None, radii, radii, columns, details)
 
 
@@ -898,10 +999,16 @@ def empirical_fsbv(
     For each m the suite runs every shear frame (h = 1..k, all admissible
     facets, all kept-subset choices, both partition rules, both dual
     families when they fit the budget) and the translation cluster attack
-    along +/- each coordinate axis. Each budget walks one lazy sequence of
-    (label, trace) in that order, h ascending and best facet first, and
+    along +/- each coordinate axis. Each budget walks the (label, trace) of
+    every attack in that order, h ascending and best facet first, and
     stops at the first trace that diverges, which becomes the witness;
-    ``attack_families_tried`` lists the attacks run up to and including it.
+    ``attack_families_tried`` lists the attacks up to and including it.
+    The attacks settle ahead of the walk in batches of 1, 2, 4, ... in walk
+    order, each within ``_BATCH_FLOATS`` coordinates of contaminated data:
+    a budget that survives takes a few evaluator calls, one that breaks
+    early settles little past its witness. A batch that raises is dropped
+    and the rest of the budget settles attack by attack, so the error is
+    the one the walk meets first, and none once a trace has diverged.
     A pinned face reached through several facets (h < k) is one frame,
     swept once per budget and partition yet listed under every facet's
     label: a repeat has its twin's distances, and the twin ran earlier at
@@ -922,27 +1029,48 @@ def empirical_fsbv(
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
         frames = _shear_frames(attacks)
+    # attacks per batch: a sweep has two families, a cluster attack one
+    cap = max(1, _BATCH_FLOATS // (max(2 * len(suite.gamma_grid), len(suite.radius_grid)) * n * k))
     # plain floats, so the labels read the same under every numpy version
     directions = [tuple(row) for row in np.vstack([np.eye(k), -np.eye(k)]).tolist()]
+    units = [unit_direction(direction) for direction in directions]
 
     def traces(m):
         """(label, trace) of every attack of the suite at budget m, lazily;
-        the trace is None for a sweep that repeats one made at this budget."""
-        swept = set()  # (frame, partition) of every shear sweep made at m
+        the trace is None for a sweep that repeats one made at this budget.
+        Batches hold at most ``cap`` attacks."""
+        listed, sweeps = [], []  # (label, repeats a sweep); (facet, frame, b_rule) per sweep
+        swept = set()  # (frame, partition) of every shear sweep at m
         for facet, frame in frames:
             h = len(frame.kept)
             if m > n - h:
                 continue
             for b_rule in _PARTITION_RULES:
-                label = f"shear(h={h},facet={facet.indices},rule={b_rule})"
                 key = frame, frame.partition(m, b_rule)
-                if key in swept:
-                    yield label, None
-                    continue
-                swept.add(key)
+                listed.append((f"shear(h={h},facet={facet.indices},rule={b_rule})", key in swept))
+                if key not in swept:
+                    swept.add(key)
+                    sweeps.append((facet, frame, b_rule))
+        listed += [(f"cluster(direction={direction})", False) for direction in directions]
+        S = len(sweeps)
+        i, end, size = 0, 0, 1  # the next attack; the end of the batches; the next batch size
+        for label, repeat in listed:
+            if repeat:
+                yield label, None
+                continue
+            if i == end and size:
+                try:
+                    _settle(attacks, m, [(frame, b_rule) for _, frame, b_rule in sweeps[end:end + size]],
+                            units[max(end - S, 0):max(end + size - S, 0)])
+                    end, size = end + size, min(2 * size, cap)
+                except RoblocError:
+                    size = 0
+            if i < S:
+                facet, frame, b_rule = sweeps[i]
                 yield label, _run_shear_sweep(attacks, facet, frame, m, b_rule)
-        for direction in directions:
-            yield f"cluster(direction={direction})", _cluster_attack(attacks, m, unit_direction(direction))
+            else:
+                yield label, _cluster_attack(attacks, m, units[i - S])
+            i += 1
 
     certificates = {}
     for m in range(1, -(-n // 2) + 1):
@@ -959,6 +1087,7 @@ def empirical_fsbv(
             if trace.diverged:
                 witness = trace
                 break
+        attacks.settled.clear()  # sweeps settled past the witness
         certificates[m] = BreakdownCertificate(
             m=m,
             n=n,

@@ -176,7 +176,9 @@ class EstimateStack:
     canonical point, the first kept member when omitted. An empty or
     non-finite estimate, or a canonical point of the wrong dimension, is an
     EstimatorError. ``stack[j]`` builds estimate j as an EstimateSet on
-    demand, so only the estimates that are reported pay for objects.
+    demand, so only the estimates that are reported pay for objects, and
+    ``stack[lo:hi]`` is the stack of estimates lo..hi as views, not checked
+    again.
     """
 
     __slots__ = ("members", "starts", "canonical")
@@ -204,9 +206,19 @@ class EstimateStack:
     def __len__(self) -> int:
         return self.starts.size
 
-    def __getitem__(self, j: int) -> EstimateSet:
+    def _end(self, j: int) -> int:
+        return self.starts[j] if j < len(self) else self.members.shape[0]
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            lo, hi, _ = j.indices(len(self))
+            sub = object.__new__(EstimateStack)
+            first = self._end(lo)
+            sub.members = self.members[first:self._end(hi)]
+            sub.starts, sub.canonical = self.starts[lo:hi] - first, self.canonical[lo:hi]
+            return sub
         j = range(len(self))[j]
-        end = self.starts[j + 1] if j + 1 < len(self) else self.members.shape[0]
+        end = self._end(j + 1)
         # read-only copies of rows the constructor checked already
         est = object.__new__(EstimateSet)
         for name, value in (("members", self.members[self.starts[j]:end]), ("canonical", self.canonical[j])):
@@ -232,12 +244,15 @@ class LocationEstimator:
     estimates as one :class:`EstimateStack` from :meth:`evaluator`. The
     optional hook ``families(X, basis)`` is called once per frame of the
     base data X, with the shear basis or, for the cluster attack, None. It
-    returns a function that settles every family of X it is given: its
-    estimate stack must be exactly what ``evaluate`` returns on each
-    dataset, the same members in the same order to the last bit, and its
-    errors the ones the per-dataset loop of :meth:`evaluator` raises, for
-    the first failing dataset in grid order: certificates built through
-    either path are compared byte for byte.
+    returns a function that takes a sequence of families of X in that
+    frame and returns one estimate stack per family. Each stack must be
+    exactly what ``evaluate`` returns on each dataset, the same members in
+    the same order to the last bit, and a call's errors the ones the
+    per-dataset loop of :meth:`evaluator` raises, for the first failing
+    dataset in family and grid order: certificates built through either
+    path are compared byte for byte. A hook may return one function for
+    every frame; the shear engine then hands it the families of several
+    frames in one call.
     """
 
     name: str
@@ -253,8 +268,9 @@ class LocationEstimator:
         return self.evaluate(X)
 
     def evaluator(self, X: DataSet, basis: OrthonormalBasis | None = None) -> Callable:
-        """A family of X to its estimate stack: the hook's, else dataset by
-        dataset, an estimate that overflows naming its slope or radius."""
+        """Families of X to their estimate stacks, one per family: the
+        hook's, else dataset by dataset, an estimate that overflows naming
+        its slope or radius."""
         if self.families is not None:
             return self.families(X, basis)
 
@@ -269,7 +285,7 @@ class LocationEstimator:
             return EstimateStack(np.concatenate([e.members for e in estimates]), np.cumsum(sizes) - sizes,
                                  np.array([e.canonical for e in estimates]))
 
-        return evaluate
+        return lambda families: [evaluate(family) for family in families]
 
 
 def coordinatewise_median(X: DataSet) -> EstimateSet:
@@ -283,17 +299,27 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     return _median_boxes(X.points[None])[0]
 
 
-def _median_boxes(stack: np.ndarray) -> EstimateStack:
+def _median_families(families) -> list:
+    """cmedian's hook for every frame: the :func:`_median_boxes` of every
+    dataset of the families in one call, on a copy it sorts in place, one
+    sub-stack per family."""
+    stack = _median_boxes(np.concatenate([family.points for family in families]), overwrite=True)
+    ends = np.cumsum([len(family.parameters) for family in families]).tolist()
+    return [stack[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _median_boxes(stack: np.ndarray, overwrite: bool = False) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
-    from one sort of the whole stack: what cmedian's hook returns."""
+    from one sort of the whole stack (in place, with ``overwrite``): what
+    cmedian's hook returns."""
     k = stack.shape[2]
-    low, high, mid = median_interval(stack, axis=1)  # (G, k)
+    low, high, mid = median_interval(stack, axis=1, overwrite=overwrite)  # (G, k)
     bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1  # (2^k, k)
-    corners = np.where(bits, high[:, None, :], low[:, None, :])  # (G, 2^k, k)
     # a coordinate with low == high keeps only the corners that take low
     keep = ~(bits & (low == high)[:, None, :]).any(axis=2)  # (G, 2^k)
+    box, corner = np.nonzero(keep)
     counts = keep.sum(axis=1)
-    return EstimateStack(corners[keep], np.cumsum(counts) - counts, mid)
+    return EstimateStack(np.where(bits[corner], high[box], low[box]), np.cumsum(counts) - counts, mid)
 
 
 def weighted_mean(X: DataSet, weights) -> np.ndarray:
@@ -539,11 +565,11 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
 class MCDShearSweep:
     """mcd's hook: exhaustive MCD over the shear families of one frame.
 
-    Built once per shear frame (base data X and shear basis); called on a
-    shear :class:`ReplacementFamily`, it returns the :class:`EstimateStack`
-    of exactly the estimates :func:`mcd_exhaustive` returns on the datasets
-    of the family: :func:`_mcd_stack` bracketed by :meth:`bounds` on each
-    chunk's slopes. ``fallbacks`` counts the slopes of chunks that scored
+    Built once per shear frame (base data X and shear basis); called on
+    shear :class:`ReplacementFamily` objects of that frame, it returns per
+    family the :class:`EstimateStack` of exactly the estimates
+    :func:`mcd_exhaustive` returns on its datasets: :func:`_mcd_stack`
+    bracketed by :meth:`bounds` on each chunk's slopes. ``fallbacks`` counts the slopes of chunks that scored
     every subset, ``candidates`` the subsets the bracket sent to the SVD.
 
     **Along a shear** the objective is quadratic in the slope. A shear of
@@ -638,7 +664,10 @@ class MCDShearSweep:
         high = (vol * (1.0 + tau) + delta) ** 2 * (1.0 + 8 * _EPS)
         return low, high
 
-    def __call__(self, family: ReplacementFamily) -> EstimateStack:
+    def __call__(self, families) -> list:
+        return [self._settle(family) for family in families]
+
+    def _settle(self, family: ReplacementFamily) -> EstimateStack:
         def bounds(lo, hi):
             part = family._replace(parameters=family.parameters[lo:hi], points=family.points[lo:hi])
             # a bound that overflows is not finite, and its chunk scores every subset
@@ -790,7 +819,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
     if name == "cmedian":
         return LocationEstimator(
             "cmedian", "translation", coordinatewise_median,
-            families=lambda X, basis: lambda family: _median_boxes(family.points),
+            families=lambda X, basis: _median_families,
         )
 
     if name == "wmean":
@@ -806,8 +835,9 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
             if basis is not None:
                 return MCDShearSweep(X, basis, coverage)
             subsets = subset_index(X.n, _mcd_coverage(X.n, X.k, coverage))
-            return lambda family: _mcd_family(subsets, family,
-                                              lambda lo, hi: _mcd_bounds(family.points[lo:hi], subsets))[0]
+            return lambda families: [
+                _mcd_family(subsets, family, lambda lo, hi: _mcd_bounds(family.points[lo:hi], subsets))[0]
+                for family in families]
         return LocationEstimator("mcd", "affine", _mcd, families=_mcd_families)
 
     if name == "tmean":

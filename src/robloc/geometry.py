@@ -243,7 +243,8 @@ def tie_level(proj: np.ndarray, face, tol: float) -> float | None:
     return None if np.isnan(level) else float(level)
 
 
-def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float) -> list:
+def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float,
+                     until=None) -> list:
     """``(u, level, proj)`` of the verified directions in the normal cone of
     a hull face, in draw order.
 
@@ -255,22 +256,31 @@ def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples
     combination is normalized and kept only if :func:`tie_levels` confirms
     the tie. A face on fewer than two facets gives an empty list and draws
     nothing: a boundary-of-cone direction would tie more points than the face.
+    With a predicate ``until(u, level)``, the first draw is taken and
+    checked alone and the rest only if it is not accepted, and the list
+    ends at the first tie accepted.
     """
     normals = [f.inward_normal for f in facets if set(face) <= set(f.indices)]
     if len(normals) < 2:
         return []
     normals = np.array(normals)
-    weights = rng.dirichlet(np.ones(len(normals)), size=samples)
-    # stacked 1-row products reproduce ``w @ normals`` and ``X.points @ u``
-    # of each draw bit for bit; one 2-D product (``weights @ normals``) does not
-    U = np.matmul(weights[:, None, :], normals[None])[:, 0]
-    norms = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0, 0]
-    keep = norms > 1e-12
-    U = U[keep] / norms[keep, None]
-    proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
-    levels = tie_levels(proj, face, tol)
-    tied = ~np.isnan(levels)
-    return list(zip(U[tied], levels[tied].tolist(), proj[tied]))
+    ties, first = [], min(samples, 1)
+    for size in (samples,) if until is None else (first, samples - first):
+        weights = rng.dirichlet(np.ones(len(normals)), size=size)
+        # stacked 1-row products reproduce ``w @ normals`` and ``X.points @ u``
+        # of each draw bit for bit; one 2-D product (``weights @ normals``) does not
+        U = np.matmul(weights[:, None, :], normals[None])[:, 0]
+        norms = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0, 0]
+        keep = norms > 1e-12
+        U = U[keep] / norms[keep, None]
+        proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
+        levels = tie_levels(proj, face, tol)
+        tied = ~np.isnan(levels)
+        for tie in zip(U[tied], levels[tied].tolist(), proj[tied]):
+            ties.append(tie)
+            if until is not None and until(*tie[:2]):
+                return ties
+    return ties
 
 
 @dataclass(frozen=True)
@@ -424,15 +434,21 @@ def _trusted_affine(matrix: np.ndarray, offset: np.ndarray) -> AffineMap:
     return m
 
 
-def _shear_stack(slopes: np.ndarray, basis: OrthonormalBasis) -> tuple:
-    """Matrices (G, k, k) and offsets (G, k) of the shears of every slope."""
-    k = basis.k
-    if k < 2:
+def _shear_terms(basis: OrthonormalBasis) -> tuple:
+    """(e2 e1^T, e1 . origin_shift, e2): what the shears of a basis are built from."""
+    if basis.k < 2:
         raise ParameterError("shear transform requires k >= 2")
-    e1 = basis.e(1)
-    e2 = basis.e(2)
-    matrices = np.eye(k)[None] + slopes[:, None, None] * np.outer(e2, e1)[None]
-    offsets = (-slopes * float(e1 @ basis.origin_shift))[:, None] * e2
+    e1, e2 = basis.e(1), basis.e(2)
+    return np.outer(e2, e1), np.float64(e1 @ basis.origin_shift), e2
+
+
+def _shear_stack(slopes: np.ndarray, outer: np.ndarray, shift, e2: np.ndarray) -> tuple:
+    """Matrices (..., G, k, k) and offsets (..., G, k) of the shears of the
+    slopes (..., G), from the :func:`_shear_terms` of one basis, or of one
+    basis per row of slopes stacked along the leading axes. Every entry is
+    an elementwise product, so its bits do not depend on the stack."""
+    matrices = np.eye(outer.shape[-1]) + slopes[..., None, None] * outer[..., None, :, :]
+    offsets = (-slopes * shift[..., None])[..., None] * e2[..., None, :]
     return matrices, offsets
 
 
@@ -446,7 +462,7 @@ def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     determinant exactly 1 (it is unipotent), and a point with
     e_1-coordinate c travels a distance |gamma| * |c|.
     """
-    matrices, offsets = _shear_stack(np.array([float(gamma)]), basis)
+    matrices, offsets = _shear_stack(np.array([float(gamma)]), *_shear_terms(basis))
     return _trusted_affine(matrices[0], offsets[0])
 
 
@@ -458,7 +474,7 @@ def apply_shears(points: np.ndarray, slopes, basis: OrthonormalBasis) -> np.ndar
     ``shear_transform(slopes[j], basis).apply`` of the same rows to the
     last bit (``tests/test_geometry.py`` compares them).
     """
-    matrices, offsets = _shear_stack(np.asarray(slopes, dtype=float).reshape(-1), basis)
+    matrices, offsets = _shear_stack(np.asarray(slopes, dtype=float).reshape(-1), *_shear_terms(basis))
     return np.matmul(points, matrices.transpose(0, 2, 1)) + offsets[:, None, :]
 
 

@@ -55,9 +55,14 @@ def estimate_set_distance(S1, S2) -> float:
 
 
 def _row_sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest distance from each row of a (m, k) to the rows of b (p, k)."""
-    d = a[:, None, :] - b[None, :, :]
-    return np.sqrt((d * d).sum(axis=2)).max(axis=1)
+    """Largest distance from each row of a (m, k) to the rows of b (p, k),
+    p >= 1, taken one row of b at a time."""
+    out = np.zeros(a.shape[0])
+    for row in b:
+        d = a - row
+        d *= d
+        np.maximum(out, np.sqrt(d.sum(axis=1)), out=out)
+    return out
 
 
 def hausdorff_set_distance(S1, S2) -> float:

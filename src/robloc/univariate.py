@@ -37,12 +37,15 @@ class MedianInterval:
         return self.low == self.high
 
 
-def median_interval(values, axis: int = 0) -> tuple:
+def median_interval(values, axis: int = 0, overwrite: bool = False) -> tuple:
     """(low, high, midpoint) of the sample median along ``axis``, from one
     sort: the order statistics at (n-1)//2 and n//2, which are equal for
     odd n, and the midpoint between them, which for odd n is the middle
-    value itself. Each has the shape of ``values`` without ``axis``."""
-    s = np.sort(values, axis=axis)
+    value itself. Each has the shape of ``values`` without ``axis``. With
+    ``overwrite``, the array ``values`` is sorted in place, not copied."""
+    s = values if overwrite else np.sort(values, axis=axis)
+    if overwrite:
+        s.sort(axis=axis)
     n = s.shape[axis]
     low, high = np.take(s, (n - 1) // 2, axis=axis), np.take(s, n // 2, axis=axis)
     return low, high, high if n % 2 else 0.5 * (low + high)

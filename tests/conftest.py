@@ -38,6 +38,19 @@ def gp_datasets(count, n, k, seed0):
     return [random_gp_dataset(n, k, seed0 + i) for i in range(count)]
 
 
+def recording_sweeps(mp) -> list:
+    """Record, through the MonkeyPatch ``mp``, every shear sweep robloc
+    makes as (attacks, facet, frame, m, b_rule), in the list returned."""
+    sweeps, inner = [], breakdown._run_shear_sweep
+
+    def sweep(attacks, facet, frame, m, b_rule):
+        sweeps.append((attacks, facet, frame, m, b_rule))
+        return inner(attacks, facet, frame, m, b_rule)
+
+    mp.setattr(breakdown, "_run_shear_sweep", sweep)
+    return sweeps
+
+
 def record_certify_pass(workload, seed) -> tuple:
     """Run one pass of a certify workload of ``bench/workloads.py``, every
     operation's own check passing, and record in operation order every
@@ -45,14 +58,10 @@ def record_certify_pass(workload, seed) -> tuple:
     every certification: its estimator ``T`` and data ``X``, the
     ``result``, the ``text`` that ``emit_fsbv`` printed and the index of
     its ``first_sweep``."""
-    sweeps, certifications = [], []
+    certifications = []
     with pytest.MonkeyPatch.context() as mp:
         workloads = load_bench_module("workloads", mp)
-        inner_sweep, inner_emit = breakdown._run_shear_sweep, workloads.emit_fsbv
-
-        def sweep(attacks, facet, frame, m, b_rule):
-            sweeps.append((attacks, facet, frame, m, b_rule))
-            return inner_sweep(attacks, facet, frame, m, b_rule)
+        sweeps, inner_emit = recording_sweeps(mp), workloads.emit_fsbv
 
         def certify(T, X, **kwargs):
             certifications.append(types.SimpleNamespace(T=T, X=X, first_sweep=len(sweeps)))
@@ -63,7 +72,6 @@ def record_certify_pass(workload, seed) -> tuple:
             certifications[-1].result, certifications[-1].text = result, text
             return text
 
-        mp.setattr(breakdown, "_run_shear_sweep", sweep)
         mp.setattr(workloads, "emit_fsbv", emit)
         ops, _ = workloads.build(types.SimpleNamespace(**{**vars(robloc), "empirical_fsbv": certify}), workload, seed)
         for op in ops:
@@ -85,3 +93,21 @@ def certify_pass():
         return passes[workload, seed]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def golden_fsbv(tmp_path_factory):
+    """Every ``fsbv`` case of ``test_golden.CASES`` run once per session
+    through the CLI, its shear sweeps recorded: (sweeps, {case: (its first
+    sweep, the end of its sweeps, {golden file name: bytes produced})})."""
+    from test_golden import CASES, run_case
+
+    runs, workdir = {}, tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        sweeps = recording_sweeps(mp)
+        for name, (args, _) in sorted(CASES.items()):
+            if args[0] == "fsbv":
+                start = len(sweeps)
+                produced = run_case(name, workdir)
+                runs[name] = start, len(sweeps), produced
+    return sweeps, runs

@@ -220,10 +220,10 @@ def test_shear_attack_nudges_degenerate_gamma(demo10):
     # exactly: the sweep must recover by the one allowed relative nudge
     T = make_estimator("mcd")
     gamma_bad, screen, d1 = degenerate_slope(T, demo10)
-    ok, witness = screen.gamma_ok([10.0, gamma_bad], [d1])
-    assert ok.tolist() == [True, False]
+    ok, nearest = screen.gamma_ok([10.0, gamma_bad], [d1])
+    assert ok.tolist() == [[True, False]]
     j = int(np.argmin(np.abs(screen.d0 + gamma_bad * d1)))
-    assert witness == tuple(int(i) for i in screen.subsets[j])
+    assert nearest[0, 1] == j
     trace = shear_attack(T, demo10, h=2, gamma_grid=(gamma_bad, 10.0))
     far = [r for r in trace.records if r.family == "shear_replace_far"][0]
     assert far.nudged
@@ -392,9 +392,12 @@ def test_family_distances_match_one_by_one(k):
         ests = [EstimateSet(rng.standard_normal((s, k)) * 10.0 ** rng.integers(-3, 9)) for s in sizes]
         assert [e.size for e in ests] == list(sizes)
         members = np.concatenate([e.members for e in ests])
-        got = _family_distances(EstimateStack(members, np.cumsum(sizes) - sizes), baseline)
-        assert got == [estimate_set_distance(e, baseline) for e in ests]
-    assert _family_distances(EstimateStack(np.empty((0, k)), []), baseline) == []
+        stack = EstimateStack(members, np.cumsum(sizes) - sizes)
+        want = [estimate_set_distance(e, baseline) for e in ests]
+        got = _family_distances([stack, stack[2:5], stack], baseline)
+        assert [d.tolist() for d in got] == [want, want[2:5], want]
+    (empty,) = _family_distances([EstimateStack(np.empty((0, k)), [])], baseline)
+    assert empty.tolist() == []
 
 
 # --- cluster attack ------------------------------------------------------------

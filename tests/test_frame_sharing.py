@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from robloc import (
     AttackSuite,
@@ -30,8 +29,6 @@ from robloc import (
 )
 from robloc import breakdown, estimators
 from robloc.breakdown import _PARTITION_RULES, _Attacks, _shear_frames
-from robloc.cli import main
-from test_golden import CASES
 
 SWEEP = breakdown._run_shear_sweep  # unwrapped, for the replays
 GP83 = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
@@ -51,19 +48,13 @@ def record_sweeps(monkeypatch) -> list:
     return calls
 
 
-def golden_certifications(monkeypatch) -> tuple:
+def golden_certifications(golden_fsbv) -> tuple:
     """The recorded sweeps, and per golden fsbv case that has shear frames
     (its attack context, its certificates as ``robloc fsbv`` emits them)."""
-    calls = record_sweeps(monkeypatch)
-    runs = []
-    for name, (args, _) in sorted(CASES.items()):
-        if args[0] != "fsbv":
-            continue
-        start = len(calls)
-        result = CliRunner().invoke(main, args, catch_exceptions=False)
-        assert result.exit_code == 0, result.stderr
-        if len(calls) > start:  # 1-D data have no shear frame
-            runs.append((calls[start][0], json.loads(result.stdout)["certificates"]))
+    calls, cases = golden_fsbv
+    runs = [(calls[start][0], json.loads(produced[f"{name}.json"])["certificates"])
+            for name, (start, end, produced) in sorted(cases.items())
+            if end > start]  # 1-D data have no shear frame
     return calls, runs
 
 
@@ -110,8 +101,8 @@ def assert_unswept_labels_hold_on_their_own_frames(calls, runs):
     assert checked > 0
 
 
-def test_golden_labels_listed_without_a_sweep_hold_on_their_own_frames(monkeypatch):
-    calls, runs = golden_certifications(monkeypatch)
+def test_golden_labels_listed_without_a_sweep_hold_on_their_own_frames(golden_fsbv):
+    calls, runs = golden_certifications(golden_fsbv)
     assert len(runs) == 5
     assert_unswept_labels_hold_on_their_own_frames(calls, runs)
 

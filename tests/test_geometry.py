@@ -476,7 +476,7 @@ def test_shear_family_datasets_view_the_stack(demo10):
     family = _shear_images(demo10, basis, "shear_replace_far", (3, 1, 7), (10.0, -1e8, 0.0))
     assert family.basis is basis and family.parameters == (10.0, -1e8, 0.0)
     rows = LocationEstimator("rows", "translation", lambda X: EstimateSet(X.points))
-    stack = rows.evaluator(demo10, basis)(family)
+    (stack,) = rows.evaluator(demo10, basis)([family])
     assert len(stack) == 3
     for j, est in enumerate(stack):
         assert np.array_equal(est.members, family.points[j])

@@ -124,7 +124,7 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
         rows, _, first, best, _, fallbacks = _mcd_stack(family.points, sweep.subsets,
                                                          lambda lo, hi: (low[:, lo:hi].T, high[:, lo:hi].T))
         assert fallbacks == 0
-        stack = sweep(family)
+        (stack,) = sweep([family])
         for j, (w, points) in enumerate(zip(np.split(rows, first[1:]), family.points)):
             want = mcd_exhaustive(DataSet(points))
             assert tuple(map(tuple, w.tolist())) == want.optimal_subsets
@@ -152,7 +152,7 @@ def test_mcd_sweep_falls_back_chunk_by_chunk_where_the_bound_overflows():
     _, high = sweep.bounds(family)
     assert np.isfinite(high[:, :2]).all() and not np.isfinite(high[:, 2]).all()
     with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1):
-        stack = evaluate(family)
+        (stack,) = evaluate([family])
     assert sweep.fallbacks == 1 and 0 < sweep.candidates
     for j, points in enumerate(family.points):
         assert_same_estimate(stack[j], mcd_exhaustive(DataSet(points)).estimates)
@@ -227,11 +227,11 @@ def test_mcd_cluster_hook_matches_generic_loop_at_every_m(data, demo10):
         for u in np.vstack([np.eye(X.k), -np.eye(X.k)]):
             order = np.lexsort((np.arange(X.n), -(X.points @ u)))
             family = _cluster_rows(X, np.sort(order[:m]), theta, u, DEFAULT_RADIUS_GRID)
-            want = loop(family)
+            (want,) = loop([family])
             # one stack of every radius's subsets, and one radius at a time
             with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1):
-                alone = hook(family)
-            for got in (hook(family), alone):
+                (alone,) = hook([family])
+            for got in (*hook([family]), alone):
                 for name in ("members", "starts", "canonical"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (m, u, name)
             tied += len(got.members) > len(got)
@@ -282,7 +282,7 @@ def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
             a_idx, b_idx = frame.partition(m, "smallest_projection")
             for replaced in (a_idx, b_idx):
                 family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
-                got = T.evaluator(X, frame.basis)(family)
+                (got,) = T.evaluator(X, frame.basis)([family])
                 for est, Xg in zip(got, map(DataSet, family.points)):
                     want = median_box_oracle(Xg)
                     for found in (est, coordinatewise_median(Xg)):
