@@ -569,8 +569,9 @@ class MCDShearSweep:
     shear :class:`ReplacementFamily` objects of that frame, it returns per
     family the :class:`EstimateStack` of exactly the estimates
     :func:`mcd_exhaustive` returns on its datasets: :func:`_mcd_stack`
-    bracketed by :meth:`bounds` on each chunk's slopes. ``fallbacks`` counts the slopes of chunks that scored
-    every subset, ``candidates`` the subsets the bracket sent to the SVD.
+    bracketed by :meth:`bounds` on each chunk's slopes. ``fallbacks``
+    counts the slopes of chunks that scored every subset, ``candidates``
+    the subsets the bracket sent to the SVD.
 
     **Along a shear** the objective is quadratic in the slope. A shear of
     slope gamma moves replaced row i by gamma * c_i * e2, with c_i = e1 .
@@ -665,9 +666,9 @@ class MCDShearSweep:
         return low, high
 
     def __call__(self, families) -> list:
-        return [self._settle(family) for family in families]
+        return [self._stack(family) for family in families]
 
-    def _settle(self, family: ReplacementFamily) -> EstimateStack:
+    def _stack(self, family: ReplacementFamily) -> EstimateStack:
         def bounds(lo, hi):
             part = family._replace(parameters=family.parameters[lo:hi], points=family.points[lo:hi])
             # a bound that overflows is not finite, and its chunk scores every subset

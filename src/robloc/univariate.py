@@ -43,9 +43,9 @@ def median_interval(values, axis: int = 0, overwrite: bool = False) -> tuple:
     odd n, and the midpoint between them, which for odd n is the middle
     value itself. Each has the shape of ``values`` without ``axis``. With
     ``overwrite``, the array ``values`` is sorted in place, not copied."""
-    s = values if overwrite else np.sort(values, axis=axis)
     if overwrite:
-        s.sort(axis=axis)
+        values.sort(axis=axis)
+    s = values if overwrite else np.sort(values, axis=axis)
     n = s.shape[axis]
     low, high = np.take(s, (n - 1) // 2, axis=axis), np.take(s, n // 2, axis=axis)
     return low, high, high if n % 2 else 0.5 * (low + high)
