@@ -515,11 +515,12 @@ class _Attacks:
     and the divergence threshold, ``threshold_factor`` times the data
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
-    first, the position screen, per kept subset its frame, and per frame,
-    on its first sweep, the screen row determinants, the shear terms and
-    T's evaluator; T's evaluator for cluster families; and ``settled``, the
-    attacks a batch settled ahead of the walk, by (frame, m, b_rule) or (m,
-    direction), until their attack function takes them.
+    first, the position screen, per kept subset its frame, per frame, on
+    its first sweep, the screen row determinants and the shear terms, and
+    T's one evaluator, for the families of every frame and of the cluster
+    attacks; and ``settled``, the attacks a batch settled ahead of the
+    walk, by (frame, m, b_rule) or (m, direction), until their attack
+    function takes them.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -536,7 +537,7 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self._per_frame = {}  # frame -> (row determinants, shear terms, evaluator)
+        self._per_frame = {}  # frame -> (row determinants, shear terms)
         self.settled = {}  # attack -> (used grid, columns)
 
     @cached_property
@@ -555,7 +556,7 @@ class _Attacks:
         return _ShearPositionScreen(self.X)
 
     @cached_property
-    def cluster_evaluator(self):
+    def evaluator(self):
         return self.T.evaluator(self.X)
 
     def frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
@@ -594,36 +595,27 @@ class _Attacks:
         return _ShearFrame(kept, u, level, basis, X.points @ u - level, rankings)
 
     def per_frame(self, frame: _ShearFrame) -> tuple:
-        """(screen row determinants, shear terms, estimator evaluator) of a
-        frame, built on its first sweep: a budget that breaks early sweeps
-        few frames."""
+        """(screen row determinants, shear terms) of a frame, built on its
+        first sweep: a budget that breaks early sweeps few frames."""
         if frame not in self._per_frame:
             basis = frame.basis
-            self._per_frame[frame] = (self.screen.row_replacements(basis.e(2)), _shear_terms(basis),
-                                      self.T.evaluator(self.X, basis))
+            self._per_frame[frame] = self.screen.row_replacements(basis.e(2)), _shear_terms(basis)
         return self._per_frame[frame]
 
 
 def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> None:
     """Settle the shear sweeps ``sweeps``, (frame, b_rule) pairs, and the
     cluster attacks along the unit ``directions`` at budget m into
-    ``attacks.settled``, with one call per evaluator and one distance pass.
+    ``attacks.settled``, with one evaluator call and one distance pass.
     An error stores nothing. A batch of one attack takes that attack's
     steps in order, so it raises what the attack raises."""
-    built, evaluators, settled = _shear_batch(attacks, m, sweeps) if sweeps else ([], [], [])
+    built, settled = _shear_batch(attacks, m, sweeps) if sweeps else ([], [])
     X, theta = attacks.X, attacks.baseline.canonical
     for u in directions:
         order = np.lexsort((np.arange(X.n), -(X.points @ u)))
         built.append(_cluster_rows(X, np.sort(order[:m]), theta, u, attacks.suite.radius_grid))
-        evaluators.append(attacks.cluster_evaluator)
         settled.append(((m, tuple(u.tolist())), list(built[-1].parameters), [("cluster", len(built) - 1)]))
-    stacks = [None] * len(built)
-    by_evaluator = {}
-    for f, evaluate in enumerate(evaluators):
-        by_evaluator.setdefault(evaluate, []).append(f)
-    for evaluate, group in by_evaluator.items():
-        for f, stack in zip(group, evaluate([built[f] for f in group])):
-            stacks[f] = stack
+    stacks = attacks.evaluator(built)
     with np.errstate(over="ignore"):
         distances = _family_distances(stacks, attacks.baseline)
     for key, used, columns in settled:
@@ -633,11 +625,11 @@ def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> N
 def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     """The families of the shear sweeps ``sweeps`` at budget m from one
     position screen and one shear-image product per count of replaced
-    rows, their evaluators, and per sweep its key, grid and (label, family
-    index) columns. A sweep with a slope that fails the screen takes its
-    grid from :func:`_screened_grid` alone. The far family replaces the m
-    rows B of the partition by their shear images, and the near family,
-    when 0 < |A| <= m, the rows A by their preimages (slope -gamma)."""
+    rows, and per sweep its key, grid and (label, family index) columns. A
+    sweep with a slope that fails the screen takes its grid from
+    :func:`_screened_grid` alone. The far family replaces the m rows B of
+    the partition by their shear images, and the near family, when 0 < |A|
+    <= m, the rows A by their preimages (slope -gamma)."""
     X, screen, grid = attacks.X, attacks.screen, attacks.suite.gamma_grid
     families, spans = [], []  # (frame, label, replaced rows, sign of their slope); per sweep, its families
     for frame, b_rule in sweeps:
@@ -651,7 +643,7 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
         coeffs[f, list(idx)] = sign * frame.offsets[list(idx)]
 
     def d1s(lo, hi):
-        return screen.linear_coeff(np.stack([dets for dets, *_ in state[lo:hi]]), coeffs[lo:hi])
+        return screen.linear_coeff(np.stack([dets for dets, _ in state[lo:hi]]), coeffs[lo:hi])
 
     step = max(1, _BATCH_FLOATS // (len(screen.subsets) * max(len(grid), X.k + 1)))
     ok = np.concatenate([screen.gamma_ok(grid, d1s(lo, lo + step))[0].all(axis=1)
@@ -673,7 +665,7 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
             _check_preimage_identity(built[lo], built[lo + 1], families[lo][0].offsets, families[lo][0].kept)
     settled = [((frame, m, b_rule), grids[s], [(families[f][1], f) for f in range(lo, hi)])
                for s, ((frame, b_rule), (lo, hi)) in enumerate(zip(sweeps, spans))]
-    return built, [evaluate for *_, evaluate in state], settled
+    return built, settled
 
 
 def _shear_families(X: DataSet, families: list, grids: list, terms: list) -> list:

@@ -10,6 +10,7 @@ The estimates of a whole family of datasets travel as one
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -240,19 +241,17 @@ class LocationEstimator:
 
     The attacks evaluate the estimator on families of datasets that differ
     from a base dataset only in a few rows (a
-    :class:`~robloc.geometry.ReplacementFamily`), and take each family's
-    estimates as one :class:`EstimateStack` from :meth:`evaluator`. The
-    optional hook ``families(X, basis)`` is called once per frame of the
-    base data X, with the shear basis or, for the cluster attack, None. It
-    returns a function that takes a sequence of families of X in that
-    frame and returns one estimate stack per family. Each stack must be
-    exactly what ``evaluate`` returns on each dataset, the same members in
-    the same order to the last bit, and a call's errors the ones the
-    per-dataset loop of :meth:`evaluator` raises, for the first failing
-    dataset in family and grid order: certificates built through either
-    path are compared byte for byte. A hook may return one function for
-    every frame; the shear engine then hands it the families of several
-    frames in one call.
+    :class:`~robloc.geometry.ReplacementFamily`, which carries its shear
+    basis, or None for a cluster), and take each family's estimates as one
+    :class:`EstimateStack` from :meth:`evaluator`, built once per attack
+    context. The optional hook ``families(X)`` returns a function that
+    takes a sequence of families of the base data X, of any frames and of
+    both attacks, and returns one estimate stack per family. Each stack
+    must be exactly what ``evaluate`` returns on each dataset, the same
+    members in the same order to the last bit, and a call's errors the
+    ones the per-dataset loop of :meth:`evaluator` raises, for the first
+    failing dataset in family and grid order: certificates built through
+    either path are compared byte for byte.
     """
 
     name: str
@@ -267,12 +266,12 @@ class LocationEstimator:
     def __call__(self, X: DataSet) -> EstimateSet:
         return self.evaluate(X)
 
-    def evaluator(self, X: DataSet, basis: OrthonormalBasis | None = None) -> Callable:
+    def evaluator(self, X: DataSet) -> Callable:
         """Families of X to their estimate stacks, one per family: the
         hook's, else dataset by dataset, an estimate that overflows naming
         its slope or radius."""
         if self.families is not None:
-            return self.families(X, basis)
+            return self.families(X)
 
         def evaluate(family: ReplacementFamily) -> EstimateStack:
             estimates = []
@@ -475,10 +474,11 @@ def _mcd_stack(points: np.ndarray, subsets: np.ndarray, bounds: Callable) -> tup
     The stack is settled in chunks of as many datasets as fit
     _MCD_STACK_FLOATS coordinates, one at least. ``bounds(lo, hi)``
     brackets the SVD objective of every subset of datasets lo..hi, as
-    (hi - lo, S) ``low`` and ``high`` on any one scale (:func:`_mcd_bounds`,
-    or the shear sweep's). The candidates of a dataset are its subsets
-    whose lower bound comes within the 1e-9 tie tolerance of its smallest
-    upper bound, so every subset that can win or tie is one. The chunk's
+    (hi - lo, S) ``low`` and ``high``, each dataset's on any one scale
+    (:func:`_mcd_bounds`, or a shear frame's bracket). The candidates of a
+    dataset are its subsets whose lower bound comes within the 1e-9 tie
+    tolerance of its smallest upper bound, so every subset that can win or
+    tie is one. The chunk's
     candidates go through one batched SVD of their real coordinates and
     the tie rule picks each dataset's winners among them in enumeration
     order: the bracket only screens, and every determinant the rule sees
@@ -523,16 +523,6 @@ def _mcd_stack(points: np.ndarray, subsets: np.ndarray, bounds: Callable) -> tup
     return *map(np.concatenate, (rows, means, starts, best)), candidates, fallbacks
 
 
-def _mcd_family(subsets: np.ndarray, family: ReplacementFamily, bounds: Callable) -> tuple:
-    """The :class:`EstimateStack` of :func:`_mcd_stack` on a family and its
-    two counts; an overflow is the family's too-large slope or radius."""
-    try:
-        _, means, starts, _, *counts = _mcd_stack(family.points, subsets, bounds)
-    except OverflowParameterError as exc:
-        raise family.too_large(exc.run, exc) from None
-    return EstimateStack(means, starts), counts
-
-
 def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
     """Minimum covariance determinant location by full subset enumeration.
 
@@ -563,15 +553,8 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
 
 
 class MCDShearSweep:
-    """mcd's hook: exhaustive MCD over the shear families of one frame.
-
-    Built once per shear frame (base data X and shear basis); called on
-    shear :class:`ReplacementFamily` objects of that frame, it returns per
-    family the :class:`EstimateStack` of exactly the estimates
-    :func:`mcd_exhaustive` returns on its datasets: :func:`_mcd_stack`
-    bracketed by :meth:`bounds` on each chunk's slopes. ``fallbacks``
-    counts the slopes of chunks that scored every subset, ``candidates``
-    the subsets the bracket sent to the SVD.
+    """mcd's bracket on the shear families of one frame (base data X and
+    shear basis), built once per frame by mcd's hook.
 
     **Along a shear** the objective is quadratic in the slope. A shear of
     slope gamma moves replaced row i by gamma * c_i * e2, with c_i = e1 .
@@ -580,12 +563,23 @@ class MCDShearSweep:
     columns, g_O = det(O^T O) and r, s the parts of y2, w orthogonal to
     span(O),
 
-        det(Y^T Y) = g_O |r + gamma s|^2 = alpha + beta gamma + zeta gamma^2,
+        det(Y^T Y) = g_O |r + gamma s|^2 = g_O (rr + 2 gamma rs + gamma^2 ss),
 
-    alpha = g_O |r|^2 = det Gram[O, y2], zeta = g_O |s|^2 = det Gram[O, w]
-    and beta = 2 g_O r . s = 2 det([O, w]^T [O, y2]). The sweep evaluates
-    vol = sqrt(g_O) |r + gamma s| for every subset and slope in one pass,
-    as a norm so that it does not cancel near a degenerate slope.
+    rr = |r|^2, rs = r . s, ss = |s|^2. O, r and rr belong to the frame;
+    :meth:`terms` computes a family's slope-free terms once, and
+    :meth:`bracket` evaluates the quadratic at each slope.
+
+    **Its rounding.** Let R, P, T be the exact |r|^2, r . s, |s|^2 of the
+    computed r, s, u = eps / 2 and g_j = j u / (1 - j u). In any summation
+    order |rr - R| <= g_h R, |ss - T| <= g_h T and |rs - P| <= g_h |r| |s|,
+    and 2 |gamma| |r| |s| <= R + gamma^2 T. Horner's q = (gamma ss + 2 rs)
+    gamma + rr rounds each term at most four times. So |q - |r + gamma
+    s|^2| <= (g_4 + 2 g_h / (1 - g_h)) Q < (h + 3) eps Q, with Q = rr + 2
+    |gamma| |rs| + gamma^2 ss. The bracket widens q by 4 (h + 4) eps Q,
+    which also covers the rounding of Q, plus (h + 4) (1 + |gamma|)^2
+    subnormals for underflow, and takes |r + gamma s| between the square
+    roots of q minus and plus that. It is loose only near the root -rs /
+    ss, where the expansion cancels.
 
     **Bracket.** What must be reproduced is the SVD determinant of the
     floating-point coordinates, which at large slopes differs from the
@@ -599,7 +593,8 @@ class MCDShearSweep:
     Weyl's inequality the volume then moves by at most
     sum_j eta^j e_{k-j}(sigma); the elementary symmetric functions of the
     singular values are bounded through interlacing with O's singular
-    values and Maclaurin's inequality.
+    values and Maclaurin's inequality. eta and the top singular value are
+    linear in |gamma|, so a family stores both of their coefficients.
     """
 
     def __init__(self, X: DataSet, basis: OrthonormalBasis, coverage: int | None = None):
@@ -607,78 +602,129 @@ class MCDShearSweep:
         self.X = X
         self.h = h = _mcd_coverage(n, k, coverage)
         self.subsets = subset_index(n, h)
-        self.fallbacks = 0
-        self.candidates = 0
         pts = X.points
         groups = pts[self.subsets]
         shear = (groups - groups.mean(axis=1, keepdims=True)) @ basis.vectors  # (S, h, k)
         others = np.delete(shear, 1, axis=2)
         self._q, R = np.linalg.qr(others)
-        self._vol_o = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+        vol_o = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
         self._r = self._orthogonal_part(shear[:, :, 1])
-        self._norm = np.sqrt((shear * shear).sum(axis=(1, 2)))
+        self._rr = np.einsum("sh,sh->s", self._r, self._r)
         # Maclaurin: e_j of O's k-1 singular values <= C(k-1, j) (|O|_F^2 / (k-1))^(j/2).
         mean_sq = (others * others).sum(axis=(1, 2)) / (k - 1)
         self._sym_o = [comb(k - 1, j) * mean_sq ** (j / 2) for j in range(k)]
         origin = basis.origin_shift
         self._offset = (pts - origin) @ basis.e(1)
         self._size = np.abs(pts).sum(axis=1) + np.abs(origin).sum()
-        self._mag = np.abs(pts).max(axis=1)[self.subsets].max(axis=1)
-        self._rho = k * float(np.abs(basis.vectors.T @ basis.vectors - np.eye(k)).max())
+        rho = k * float(np.abs(basis.vectors.T @ basis.vectors - np.eye(k)).max())
+        tau = (k + 2) * rho + 16 * k * _EPS
+        self._vol_low, self._vol_high = vol_o * (1.0 - tau), vol_o * (1.0 + tau)
+        # eta = 2 coords + C top, coords = sqrt(hk) eps (2 (k+2) (1 + |gamma|)
+        # size + (h+2) (mag + |gamma| moved)), top = (1 + 1e-6) (|Y_0|_F + |gamma| |w|)
+        self._unit = 2 * np.sqrt(h * k) * _EPS
+        self._c = 4 * h * k * _EPS + np.sqrt(k) * rho
+        self._top = (1.0 + 1e-6) * np.sqrt((shear * shear).sum(axis=(1, 2)))
+        mag = np.abs(pts).max(axis=1)[self.subsets].max(axis=1)
+        self._eta = self._unit * (h + 2) * mag + self._c * self._top
 
     def _orthogonal_part(self, v: np.ndarray) -> np.ndarray:
         """Component of each subset's column v (S, h) orthogonal to span(O)."""
         q = self._q
         return v - (q @ (q.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
 
-    def bounds(self, family: ReplacementFamily) -> tuple:
-        """(S, G) lower and upper bounds on prod(sigma_i)^2, the SVD
-        objective of every subset at every slope of the family before its
-        division by (h - 1)^k."""
-        h, k, n = self.h, self.X.k, self.X.n
+    def terms(self, family: ReplacementFamily) -> tuple:
+        """The slope-free (S,) terms of one family of this frame: 2 rs, ss,
+        the three coefficients of the quadratic's widening, eta's two and
+        the top singular value's coefficient of |gamma|."""
+        h, n = self.h, self.X.n
         replaced = list(family.replaced)
         c = np.zeros(n)
         c[replaced] = self._offset[replaced]
         cs = c[self.subsets]
-        w = cs - cs.mean(axis=1, keepdims=True)
+        w = cs - cs.sum(axis=1, keepdims=True) / h
         s = self._orthogonal_part(w)
-        slopes = np.asarray(family.parameters, dtype=float)
-        g = np.abs(slopes)[None, :]
-        v = self._r[:, None, :] + slopes[None, :, None] * s[:, None, :]  # (S, G, h)
-        vol = self._vol_o[:, None] * np.sqrt((v * v).sum(axis=2))
-
+        rs2 = 2 * np.einsum("sh,sh->s", self._r, s)
+        ss = np.einsum("sh,sh->s", s, s)
         size = np.zeros(n)
         size[replaced] = self._size[replaced]
-        size = size[self.subsets].max(axis=1)[:, None]
-        moved = np.abs(cs).max(axis=1)[:, None]
-        top = (1.0 + 1e-6) * (self._norm[:, None] + g * np.sqrt((w * w).sum(axis=1))[:, None])
-        coords = np.sqrt(h * k) * _EPS * (
-            2 * (k + 2) * (1.0 + g) * size + (h + 2) * (self._mag[:, None] + g * moved)
-        )
-        eta = 2.0 * coords + (4 * h * k * _EPS + np.sqrt(k) * self._rho) * top
-        sym = [np.ones_like(top)] + [
-            top * self._sym_o[j - 1][:, None] + self._sym_o[j][:, None] for j in range(1, k)
-        ]
-        delta = (1.0 + 1e-6) * sum(eta**j * sym[k - j] for j in range(1, k + 1))
-        tau = (k + 2) * self._rho + 16 * k * _EPS
-        low = np.maximum(vol * (1.0 - tau) - delta, 0.0) ** 2 * (1.0 - 8 * _EPS)
-        high = (vol * (1.0 + tau) + delta) ** 2 * (1.0 + 8 * _EPS)
+        spread = self._unit * 2 * (self.X.k + 2) * size[self.subsets].max(axis=1)
+        top = (1.0 + 1e-6) * np.sqrt(np.einsum("sh,sh->s", w, w))
+        moved = self._unit * (h + 2) * np.abs(cs).max(axis=1) + self._c * top
+        widen, floor = 4 * (h + 4) * _EPS, (h + 4) * float(np.finfo(float).smallest_subnormal)
+        return (rs2, ss, widen * self._rr + floor, widen * np.abs(rs2) + 2 * floor, widen * ss + floor,
+                self._eta + spread, moved + spread, top)
+
+    def bracket(self, terms: tuple, slopes) -> tuple:
+        """(G, S) lower and upper bounds on prod(sigma_i)^2, the SVD
+        objective of every subset at every slope of ``slopes`` (a stretch
+        of the family whose :meth:`terms` these are), before its division
+        by (h - 1)^k. A bound that overflows is +inf or NaN."""
+        rs2, ss, widen0, widen1, widen2, eta0, eta1, top1 = terms
+        k = self.X.k
+        gamma = np.asarray(slopes, dtype=float)[:, None]
+        g = np.abs(gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = gamma * ss
+            q += rs2
+            q *= gamma
+            q += self._rr
+            widen = g * widen2
+            widen += widen1
+            widen *= g
+            widen += widen0
+            vol_low = self._vol_low * np.sqrt(np.maximum(q - widen, 0.0))
+            vol_high = self._vol_high * np.sqrt(q + widen)
+            eta = eta0 + g * eta1
+            top = self._top + g * top1
+            # sum_j eta^j sym_{k-j}, sym_0 = 1 and sym_i = top e_{i-1}(O) + e_i(O), by Horner
+            delta = eta
+            for j in range(1, k):
+                delta = (delta + top * self._sym_o[j - 1] + self._sym_o[j]) * eta
+            delta *= 1.0 + 1e-6
+            low = np.maximum(vol_low - delta, 0.0) ** 2 * (1.0 - 8 * _EPS)
+            high = (vol_high + delta) ** 2 * (1.0 + 8 * _EPS)
         return low, high
 
-    def __call__(self, families) -> list:
-        return [self._stack(family) for family in families]
 
-    def _stack(self, family: ReplacementFamily) -> EstimateStack:
-        def bounds(lo, hi):
-            part = family._replace(parameters=family.parameters[lo:hi], points=family.points[lo:hi])
-            # a bound that overflows is not finite, and its chunk scores every subset
-            with np.errstate(over="ignore", invalid="ignore"):
-                return tuple(b.T for b in self.bounds(part))
+def _mcd_families(subsets: np.ndarray, families, sweep: Callable) -> list:
+    """mcd's hook: the :class:`EstimateStack` of each family, exactly what
+    :func:`mcd_exhaustive` returns on its datasets, as views of one stack
+    from one :func:`_mcd_stack` call on their concatenated points.
+    ``bounds`` maps each chunk back to its families: a stretch of a shear
+    family goes through its frame's bracket (``sweep(basis)``), from terms
+    computed once per family, and a run of consecutive cluster datasets
+    through one :func:`_mcd_bounds` call. An overflow is its family's
+    too-large slope or radius."""
+    points = np.concatenate([family.points for family in families])
+    ends = np.cumsum([len(family.parameters) for family in families]).tolist()
+    starts = [0, *ends[:-1]]
+    last = [None, None]  # the shear family whose terms were computed last, and its terms
 
-        stack, (candidates, fallbacks) = _mcd_family(self.subsets, family, bounds)
-        self.candidates += candidates
-        self.fallbacks += fallbacks
-        return stack
+    def bounds(lo, hi):
+        out = np.empty((2, hi - lo, len(subsets)))
+        a, f = lo, bisect_right(ends, lo)
+        while a < hi:
+            family, b = families[f], min(hi, ends[f])
+            if family.basis is None:
+                while b < hi and families[f + 1].basis is None:
+                    f += 1
+                    b = min(hi, ends[f])
+                out[:, a - lo:b - lo] = _mcd_bounds(points[a:b], subsets)
+            else:
+                frame = sweep(family.basis)
+                if last[0] is not family:
+                    last[:] = family, frame.terms(family)
+                out[:, a - lo:b - lo] = frame.bracket(last[1], family.parameters[a - starts[f]:b - starts[f]])
+            a, f = b, f + 1
+        return out
+
+    try:
+        _, means, first, *_ = _mcd_stack(points, subsets, bounds)
+    except OverflowParameterError as exc:
+        f = bisect_right(ends, exc.run)
+        raise families[f].too_large(exc.run - starts[f], exc) from None
+    stack = EstimateStack(means, first)
+    return [stack[lo:hi] for lo, hi in zip(starts, ends)]
 
 
 def _probe_budget(budget: DirectionBudget | None) -> DirectionBudget:
@@ -820,7 +866,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
     if name == "cmedian":
         return LocationEstimator(
             "cmedian", "translation", coordinatewise_median,
-            families=lambda X, basis: _median_families,
+            families=lambda X: _median_families,
         )
 
     if name == "wmean":
@@ -832,14 +878,15 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         coverage = params.get("coverage")
         def _mcd(X: DataSet) -> EstimateSet:
             return mcd_exhaustive(X, coverage=coverage).estimates
-        def _mcd_families(X: DataSet, basis: OrthonormalBasis | None):
-            if basis is not None:
-                return MCDShearSweep(X, basis, coverage)
+        def _mcd_hook(X: DataSet):
             subsets = subset_index(X.n, _mcd_coverage(X.n, X.k, coverage))
-            return lambda families: [
-                _mcd_family(subsets, family, lambda lo, hi: _mcd_bounds(family.points[lo:hi], subsets))[0]
-                for family in families]
-        return LocationEstimator("mcd", "affine", _mcd, families=_mcd_families)
+            frames = {}  # id(basis) -> (basis, its MCDShearSweep), which keeps the id taken
+            def sweep(basis):
+                if id(basis) not in frames:
+                    frames[id(basis)] = basis, MCDShearSweep(X, basis, coverage)
+                return frames[id(basis)][1]
+            return lambda families: _mcd_families(subsets, families, sweep)
+        return LocationEstimator("mcd", "affine", _mcd, families=_mcd_hook)
 
     if name == "tmean":
         trim = params.get("trim_count", 1)

@@ -87,7 +87,7 @@ def rigged(T, X, diverge, fail):
         return [EstimateStack(stack.members + 1e12, stack.starts) if name(family) in diverge else stack
                 for family, stack in zip(families, stacks)]
 
-    return dataclasses.replace(T, families=lambda X, basis: evaluate)
+    return dataclasses.replace(T, families=lambda X: evaluate)
 
 
 def test_an_error_mid_batch_is_the_lazy_walks(monkeypatch):

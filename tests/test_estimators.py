@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations, product
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from robloc.errors import (
 from robloc.estimators import (
     EstimateSet,
     EstimateStack,
-    _mcd_family,
+    _mcd_families,
     _median_boxes,
     _mcd_stack,
     _mcd_winners,
@@ -345,6 +346,7 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
         # a stack of `chunk` datasets' subsets (S subsets of 3 points in 2-d each)
         sizes.clear()
         with mock.patch("robloc.estimators._subset_objectives", objectives), \
+                mock.patch("robloc.estimators._mcd_bounds", lambda points, _: stretch(points[:, 0, 0])), \
                 mock.patch("robloc.estimators._MCD_STACK_FLOATS", chunk * S * 3 * 2):
             try:
                 return run(*args)
@@ -352,6 +354,15 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
                 assert sizes and max(sizes) <= chunk * S
 
     stacked = (points, index, bounds)
+    # the hook maps each chunk back to its family: a cluster family's
+    # through _mcd_bounds on its points, which name their datasets, a shear
+    # family's through its frame's bracket on its slopes
+    def stretch(rows):
+        return bounds(int(rows[0]), int(rows[0]) + len(rows))
+
+    frame = SimpleNamespace(terms=lambda family: None,
+                            bracket=lambda _, slopes: stretch(list(map(grid.index, slopes))))
+    hooked = (index, [family], lambda basis: frame)
     failed = [g for g, run in enumerate(runs) if not any(np.isfinite(d) and d > 0 for d in run)]
     if failed:
         # the first failing run in grid order decides; one whose
@@ -363,7 +374,7 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
                 assert info.value.run == failed[0]
             kind = "slope" if shear else "radius"
             with pytest.raises(ParameterError) as info:
-                kernel(_mcd_family, index, family, bounds)
+                kernel(_mcd_families, *hooked)
             assert type(info.value) is ParameterError
             assert str(info.value) == f"{kind} {grid[failed[0]]!r} is too large: {OVERFLOWS}"
         else:
@@ -373,7 +384,7 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
         return
     winners, best, first = _mcd_winners(dets, starts)
     rows, members, kernel_first, kernel_best, _, fallbacks = kernel(_mcd_stack, *stacked)
-    stack, _ = kernel(_mcd_family, index, family, bounds)
+    (stack,) = kernel(_mcd_families, *hooked)
     # a chunk scores every subset unless its bracket is tight and every
     # candidate (each singular subset among them) has a valid objective
     assert fallbacks == sum(

@@ -7,13 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from robloc import DataSet, bundled_dataset, random_gp_dataset
+from robloc import DataSet, bundled_dataset, check_general_position, make_estimator, random_gp_dataset
+from robloc.breakdown import _cluster_rows, _shear_images
 from robloc.errors import DegenerateSampleError, OverflowParameterError
 from robloc.estimators import (
     EstimateSet,
+    MCDShearSweep,
     _mcd_bounds,
     _mcd_stack,
     _mcd_winners,
@@ -22,6 +24,7 @@ from robloc.estimators import (
     mcd_exhaustive,
 )
 from robloc.geometry import subset_index
+from test_breakdown import frames_of
 from test_sweep import integer_gp_dataset
 
 
@@ -85,6 +88,74 @@ def test_mcd_bounds_bracket_the_svd_objective(case):
     (low,), (high,) = _mcd_bounds(points[None], subsets)
     assert np.all(np.isfinite(high))
     assert np.all(low <= dets) and np.all(dets <= high)
+
+
+@st.composite
+def shear_bracket_cases(draw):
+    """Data, a coverage, a budget, signed slopes up to 1e8 and, per frame,
+    which subset's slope -rs / ss to add with its float neighbours. At
+    coverage k + 1 that slope makes the subset singular: the expanded
+    quadratic cancels there."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 3, k + 5))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["gp", "integer", "collinear"]))
+    points = (integer_gp_dataset if kind == "integer" else random_gp_dataset)(n, k, seed).points.copy()
+    if kind == "collinear":
+        # part of the data within 1e-5 of a line, still in general
+        # position: near-singular subsets
+        rng = np.random.default_rng(seed)
+        m = draw(st.integers(k + 1, n - 1))
+        points[:m] = points[0] + rng.standard_normal(m)[:, None] * rng.standard_normal(k) \
+            + 1e-5 * rng.standard_normal((m, k))
+        assume(check_general_position(DataSet(points)).ok)
+    powers = draw(st.lists(st.tuples(st.sampled_from((1.0, -1.0)), st.integers(-2, 8)), min_size=1, max_size=4))
+    roots = draw(st.lists(st.integers(0, 2**16), min_size=3, max_size=3))
+    coverage = draw(st.integers(k + 1, n))
+    return DataSet(points), coverage, draw(st.integers(1, n - k)), [sign * 10.0**p for sign, p in powers], roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(shear_bracket_cases())
+def test_mcd_shear_bracket_holds_the_svd_objective_in_a_mixed_call(case):
+    # shear families of up to three frames of every tie order and a cluster
+    # family in one evaluator call: each chunk's bounds bracket the SVD
+    # objective of every subset of every dataset, on the scale of its
+    # family's bracket, however the stack is cut into chunks
+    X, coverage, m, slopes, roots = case
+    T = make_estimator("mcd", coverage=coverage)
+    frames = [frame for h in range(1, X.k + 1) for frame in frames_of(T, X, h)[:1]]
+    families = []
+    for frame, pick in zip(frames, roots):
+        replaced = frame.partition(min(m, X.n - len(frame.kept)), "largest_projection")[1]
+        sweep = MCDShearSweep(X, frame.basis, coverage)
+        rs2, ss = sweep.terms(_shear_images(X, frame.basis, "shear_replace_far", replaced, (1.0,)))[:2]
+        i = np.flatnonzero(ss > 0)[pick % np.count_nonzero(ss > 0)]
+        root = float(-rs2[i] / (2 * ss[i]))
+        near = [root, np.nextafter(root, np.inf), np.nextafter(root, -np.inf), root * (1 + 1e-9)]
+        families.append(_shear_images(X, frame.basis, "shear_replace_far", replaced, slopes + near))
+    theta = T(X).canonical
+    families.insert(1, _cluster_rows(X, families[0].replaced, theta, np.eye(X.k)[0], (1e1, 1e5, 1e9)))
+    shear = np.concatenate([np.full(len(f.parameters), f.basis is not None) for f in families])
+    checked = []
+
+    def checking(points, subsets, bounds):
+        groups = points[:, subsets]
+        centered = groups - groups.mean(axis=2, keepdims=True)
+        volume = np.prod(np.linalg.svd(centered, compute_uv=False), axis=2) ** 2
+        _, dets = _subset_objectives(groups.reshape(-1, *groups.shape[2:]))
+        objective = np.where(shear[:, None], volume, dets.reshape(volume.shape))
+        for chunk in (len(points), 1, 3):
+            for lo in range(0, len(points), chunk):
+                low, high = bounds(lo, min(lo + chunk, len(points)))
+                assert np.all(low <= objective[lo:lo + chunk]), (chunk, lo)
+                assert np.all(objective[lo:lo + chunk] <= high), (chunk, lo)
+        checked.append(len(points))
+        return _mcd_stack(points, subsets, bounds)
+
+    with mock.patch("robloc.estimators._mcd_stack", checking):
+        T.evaluator(X)(families)
+    assert checked == [len(shear)]
 
 
 @pytest.mark.parametrize("data, h, ties", [

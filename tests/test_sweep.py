@@ -22,8 +22,9 @@ from robloc import (
     shear_attack,
     translation_cluster_attack,
 )
+from robloc import breakdown, estimators
 from robloc.breakdown import DEFAULT_GAMMA_GRID, DEFAULT_RADIUS_GRID, _cluster_rows, _shear_images
-from robloc.errors import RoblocError
+from robloc.errors import ParameterError, RoblocError
 from robloc.estimators import (
     EstimateSet,
     MCDShearSweep,
@@ -104,27 +105,38 @@ def test_mcd_sweep_matches_generic_loop(case):
     assert_hook_matches_generic(T, X, suite, attack_calls(X, grid, seed))
 
 
+def kernel_counts(calls):
+    """A stand-in for the MCD kernel that appends each call's (subsets sent
+    to the SVD, datasets of chunks that scored every subset) to ``calls``."""
+    def counting(*args):
+        found = _mcd_stack(*args)
+        calls.append(found[4:])
+        return found
+    return mock.patch("robloc.estimators._mcd_stack", counting)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
     X = random_gp_dataset(k + 5, k, seed=40 + k)
+    T = make_estimator("mcd")
     slopes = [sign * 10.0**p for p in range(9) for sign in (1.0, -1.0)]
-    for frame in frames_of(make_estimator("mcd"), X, k)[:3]:
+    for frame in frames_of(T, X, k)[:3]:
         sweep = MCDShearSweep(X, frame.basis)
         _, replaced = frame.partition(2, "largest_projection")
         family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
-        low, high = sweep.bounds(family)
+        low, high = sweep.bracket(sweep.terms(family), family.parameters)
         for j, points in enumerate(family.points):
             groups = points[sweep.subsets]
             centered = groups - groups.mean(axis=1, keepdims=True)
             objective = np.prod(np.linalg.svd(centered, compute_uv=False), axis=1) ** 2
-            assert np.all(low[:, j] <= objective) and np.all(objective <= high[:, j])
+            assert np.all(low[j] <= objective) and np.all(objective <= high[j])
             if abs(slopes[j]) <= 1e3:
                 # tight at moderate slopes: the quadratic identity is exact
-                assert np.all(high[:, j] - low[:, j] <= 1e-6 * high[:, j])
+                assert np.all(high[j] - low[j] <= 1e-6 * high[j])
         rows, _, first, best, _, fallbacks = _mcd_stack(family.points, sweep.subsets,
-                                                         lambda lo, hi: (low[:, lo:hi].T, high[:, lo:hi].T))
+                                                         lambda lo, hi: (low[lo:hi], high[lo:hi]))
         assert fallbacks == 0
-        (stack,) = sweep([family])
+        (stack,) = T.evaluator(X)([family])
         for j, (w, points) in enumerate(zip(np.split(rows, first[1:]), family.points)):
             want = mcd_exhaustive(DataSet(points))
             assert tuple(map(tuple, w.tolist())) == want.optimal_subsets
@@ -139,46 +151,76 @@ def test_mcd_sweep_falls_back_chunk_by_chunk_where_the_bound_overflows():
     X = random_gp_dataset(7, 2, seed=42)
     T = make_estimator("mcd")
     frame = frames_of(T, X, 2)[0]
-    sweeps = []
-
-    def families(X, basis):
-        sweeps.append(MCDShearSweep(X, basis))
-        return sweeps[-1]
-
-    evaluate = dataclasses.replace(T, families=families).evaluator(X, frame.basis)
     _, replaced = frame.partition(2, "largest_projection")
     family = _shear_images(X, frame.basis, "shear_replace_far", replaced, (0.1, 10.0, 1e100))
-    (sweep,) = sweeps
-    _, high = sweep.bounds(family)
-    assert np.isfinite(high[:, :2]).all() and not np.isfinite(high[:, 2]).all()
-    with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1):
-        (stack,) = evaluate([family])
-    assert sweep.fallbacks == 1 and 0 < sweep.candidates
+    sweep = MCDShearSweep(X, frame.basis)
+    _, high = sweep.bracket(sweep.terms(family), family.parameters)
+    assert np.isfinite(high[:2]).all() and not np.isfinite(high[2]).all()
+    calls = []
+    with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1), kernel_counts(calls):
+        (stack,) = T.evaluator(X)([family])
+    ((candidates, fallbacks),) = calls
+    assert fallbacks == 1 and 0 < candidates
     for j, points in enumerate(family.points):
         assert_same_estimate(stack[j], mcd_exhaustive(DataSet(points)).estimates)
 
 
-def test_mcd_sweep_screens_out_most_subsets(demo10):
-    made = []
+def test_mcd_sweep_screens_out_most_subsets(demo10, monkeypatch):
+    # the subsets sent to the SVD, by shear and cluster families and the
+    # baseline alike, against the (subset, dataset) pairs of the shear
+    # families alone
+    pairs, calls = [], []
+    bracket = MCDShearSweep.bracket
 
-    class CountingSweep(MCDShearSweep):
-        def __init__(self, X, basis):
-            super().__init__(X, basis)
-            self.pairs = 0
-            made.append(self)
+    def counting(self, terms, slopes):
+        pairs.append(len(self.subsets) * len(slopes))
+        return bracket(self, terms, slopes)
 
-        def bounds(self, family):
-            self.pairs += len(self.subsets) * len(family.parameters)
-            return super().bounds(family)
+    monkeypatch.setattr(MCDShearSweep, "bracket", counting)
+    with kernel_counts(calls):
+        empirical_fsbv(make_estimator("mcd"), demo10)
+    candidates, fallbacks = map(sum, zip(*calls))
+    assert pairs and fallbacks == 0
+    assert candidates < sum(pairs) / 4
 
+
+def test_mcd_runs_its_kernel_once_per_batch(demo10, monkeypatch):
+    # every batch holds mcd families of several frames or of the cluster
+    # attacks, or both: one kernel call settles it, one more the baseline,
+    # and the SVD scores the 3,335 subsets it scored with one kernel call
+    # per family
+    settles, rows, calls = [], [], []
+    settle, objectives = breakdown._settle, estimators._subset_objectives
+    monkeypatch.setattr(breakdown, "_settle", lambda *args: settles.append(args) or settle(*args))
+    monkeypatch.setattr(estimators, "_subset_objectives", lambda groups: rows.append(len(groups)) or objectives(groups))
+    with kernel_counts(calls):
+        empirical_fsbv(make_estimator("mcd"), demo10)
+    assert len(settles) == 20 and len(calls) == len(settles) + 1
+    assert sum(rows) == 3335
+
+
+OVERFLOWS = "every coverage subset's covariance determinant overflows"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the determinants overflow on purpose
+@pytest.mark.parametrize("kind", ["slope", "radius"])
+def test_an_overflow_in_a_call_names_its_familys_parameter(kind, demo10):
+    # five replaced rows: every coverage subset of six holds one, so every
+    # determinant of the second family's second dataset overflows
     T = make_estimator("mcd")
-
-    def families(X, basis):
-        return T.families(X, basis) if basis is None else CountingSweep(X, basis)
-
-    empirical_fsbv(dataclasses.replace(T, families=families), demo10)
-    assert made and sum(s.fallbacks for s in made) == 0
-    assert sum(s.candidates for s in made) < sum(s.pairs for s in made) / 4
+    frame = frames_of(T, demo10, 2)[0]
+    _, replaced = frame.partition(5, "largest_projection")
+    first = _shear_images(demo10, frame.basis, "shear_replace_far", replaced, (10.0, 1e3))
+    if kind == "slope":
+        second = _shear_images(demo10, frame.basis, "shear_replace_near", replaced, (1e2, 1e160, 1e170))
+    else:
+        second = _cluster_rows(demo10, replaced, T(demo10).canonical, np.eye(2)[0], (1e2, 1e200, 1e210))
+    bad = second.parameters[1]
+    for families in ([first, second], [second, first]):
+        with pytest.raises(ParameterError) as info:
+            T.evaluator(demo10)(families)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == f"{kind} {bad!r} is too large: {OVERFLOWS}"
 
 
 @pytest.mark.parametrize("attack", ["shear", "cluster"])
@@ -282,7 +324,7 @@ def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
             a_idx, b_idx = frame.partition(m, "smallest_projection")
             for replaced in (a_idx, b_idx):
                 family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
-                (got,) = T.evaluator(X, frame.basis)([family])
+                (got,) = T.evaluator(X)([family])
                 for est, Xg in zip(got, map(DataSet, family.points)):
                     want = median_box_oracle(Xg)
                     for found in (est, coordinatewise_median(Xg)):
