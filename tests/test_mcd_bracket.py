@@ -117,6 +117,7 @@ def shear_bracket_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(shear_bracket_cases())
+@example((DataSet(np.array([[3.0, 2.0], [4.0, 0.0], [0.0, 4.0], [3.0, 4.0], [0.0, 0.0]])), 5, 3, [1.0], [0, 0, 0]))
 def test_mcd_shear_bracket_holds_the_svd_objective_in_a_mixed_call(case):
     # shear families of up to three frames of every tie order and a cluster
     # family in one evaluator call: each chunk's bounds bracket the SVD
@@ -130,9 +131,13 @@ def test_mcd_shear_bracket_holds_the_svd_objective_in_a_mixed_call(case):
         replaced = frame.partition(min(m, X.n - len(frame.kept)), "largest_projection")[1]
         sweep = MCDShearSweep(X, frame.basis, coverage)
         rs2, ss = sweep.terms(_shear_images(X, frame.basis, "shear_replace_far", replaced, (1.0,)))[:2]
-        i = np.flatnonzero(ss > 0)[pick % np.count_nonzero(ss > 0)]
-        root = float(-rs2[i] / (2 * ss[i]))
-        near = [root, np.nextafter(root, np.inf), np.nextafter(root, -np.inf), root * (1 + 1e-9)]
+        # at coverage n the one subset can keep its volume at every slope:
+        # then no subset has a root to add
+        near, growing = [], np.flatnonzero(ss > 0)
+        if len(growing):
+            i = growing[pick % len(growing)]
+            root = float(-rs2[i] / (2 * ss[i]))
+            near = [root, np.nextafter(root, np.inf), np.nextafter(root, -np.inf), root * (1 + 1e-9)]
         families.append(_shear_images(X, frame.basis, "shear_replace_far", replaced, slopes + near))
     theta = T(X).canonical
     families.insert(1, _cluster_rows(X, families[0].replaced, theta, np.eye(X.k)[0], (1e1, 1e5, 1e9)))
