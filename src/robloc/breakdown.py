@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataSet, _require_finite
+from .dataset import DataSet
 from .errors import (
     GeneralPositionError,
     ParameterError,
@@ -43,7 +43,6 @@ from .geometry import (
     OrthonormalBasis,
     ReplacementFamily,
     _shear_stack,
-    _shear_terms,
     apply_shears,
     basis_from_normal,
     check_general_position,
@@ -51,7 +50,7 @@ from .geometry import (
     normal_cone_ties,
     require_general_position,
     subset_index,
-    tie_level,
+    tie_levels,
     unit_direction,
 )
 from .metric import _row_sup_distances
@@ -87,6 +86,8 @@ _CONE_SAMPLES = 64
 _PARTITION_RULES = ("largest_projection", "smallest_projection")
 # Relative size of the single gamma nudge allowed to restore general position.
 _NUDGE_REL = 1e-6
+# Relative size of the cluster's per-copy jitter.
+_JITTER_REL = 1e-6
 # The fields of an attack's details that fix the frame of its witnesses.
 _FRAME_FIELDS = {"shear": ("kept", "normal"), "cluster": ("direction", "anchor")}
 # Tolerance for the inline check that family two is the affine preimage of
@@ -516,11 +517,10 @@ class _Attacks:
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
     first, the position screen, per kept subset its frame, per frame, on
-    its first sweep, the screen row determinants and the shear terms, and
-    T's one evaluator, for the families of every frame and of the cluster
-    attacks; and ``settled``, the attacks a batch settled ahead of the
-    walk, by (frame, m, b_rule) or (m, direction), until their attack
-    function takes them.
+    its first sweep, the screen row determinants, and T's one evaluator,
+    for the families of every frame and of the cluster attacks; and
+    ``settled``, the attacks a batch settled ahead of the walk, by (frame,
+    m, b_rule) or (m, direction), until their attack function takes them.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -537,7 +537,7 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self._per_frame = {}  # frame -> (row determinants, shear terms)
+        self._per_frame = {}  # frame -> its screen row determinants
         self.settled = {}  # attack -> (used grid, columns)
 
     @cached_property
@@ -578,8 +578,8 @@ class _Attacks:
 
         if len(kept) == X.k:
             u = facet.inward_normal
-            level = tie_level(X.points @ u, kept, tol)
-            ties = [] if level is None else [(u, level, None)]
+            level = tie_levels((X.points @ u)[None], kept, tol)[0]
+            ties = [] if np.isnan(level) else [(u, float(level), None)]
         else:
             rng = np.random.default_rng(self.suite.cone_seed)
             ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol, until=above)
@@ -594,12 +594,11 @@ class _Attacks:
         basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
         return _ShearFrame(kept, u, level, basis, X.points @ u - level, rankings)
 
-    def per_frame(self, frame: _ShearFrame) -> tuple:
-        """(screen row determinants, shear terms) of a frame, built on its
-        first sweep: a budget that breaks early sweeps few frames."""
+    def per_frame(self, frame: _ShearFrame) -> np.ndarray:
+        """The screen row determinants of a frame, built on its first sweep:
+        a budget that breaks early sweeps few frames."""
         if frame not in self._per_frame:
-            basis = frame.basis
-            self._per_frame[frame] = self.screen.row_replacements(basis.e(2)), _shear_terms(basis)
+            self._per_frame[frame] = self.screen.row_replacements(frame.basis.e(2))
         return self._per_frame[frame]
 
 
@@ -637,13 +636,13 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
         moved = [("shear_replace_far", b_idx, 1.0), ("shear_replace_near", a_idx, -1.0)][:1 + (0 < len(a_idx) <= m)]
         spans.append((len(families), len(families) + len(moved)))
         families += [(frame, *family) for family in moved]
-    state = [attacks.per_frame(frame) for frame, *_ in families]
+    dets = [attacks.per_frame(frame) for frame, *_ in families]
     coeffs = np.zeros((len(families), X.n))
     for f, (frame, _, idx, sign) in enumerate(families):
         coeffs[f, list(idx)] = sign * frame.offsets[list(idx)]
 
     def d1s(lo, hi):
-        return screen.linear_coeff(np.stack([dets for dets, _ in state[lo:hi]]), coeffs[lo:hi])
+        return screen.linear_coeff(np.stack(dets[lo:hi]), coeffs[lo:hi])
 
     step = max(1, _BATCH_FLOATS // (len(screen.subsets) * max(len(grid), X.k + 1)))
     ok = np.concatenate([screen.gamma_ok(grid, d1s(lo, lo + step))[0].all(axis=1)
@@ -656,8 +655,7 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     for f, (_, _, idx, _) in enumerate(families):
         by_count.setdefault(len(idx), []).append(f)
     for group in by_count.values():
-        shears = _shear_families(X, [families[f] for f in group], [grid_of[f] for f in group],
-                                 [state[f][1] for f in group])
+        shears = _shear_families(X, [families[f] for f in group], [grid_of[f] for f in group])
         for f, family in zip(group, shears):
             built[f] = family
     for lo, hi in spans:
@@ -668,23 +666,20 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     return built, settled
 
 
-def _shear_families(X: DataSet, families: list, grids: list, terms: list) -> list:
+def _shear_families(X: DataSet, families: list, grids: list) -> list:
     """The :class:`ReplacementFamily` of each (frame, label, replaced,
     sign) of ``families``, all replacing r rows, over its grid: one (F, G,
-    r, k) product with the stacked shear matrices of the frames' ``terms``,
+    r, k) product with the stacked shear matrices of the frames' bases,
     bit for bit what :func:`_shear_images` builds family by family."""
-    idx = np.array([replaced for _, _, replaced, _ in families], dtype=np.intp).reshape(len(families), -1)
+    replaced = [rows for _, _, rows, _ in families]
+    idx = np.array(replaced, dtype=np.intp).reshape(len(families), -1)
     slopes = np.array(grids) * np.array([sign for *_, sign in families])[:, None]  # (F, G)
-    matrices, offsets = _shear_stack(slopes, *(np.array(t) for t in zip(*terms)))
+    bases = [frame.basis for frame, *_ in families]
     # an image that overflows is not finite, and the family rejects it
     with np.errstate(over="ignore", invalid="ignore"):
+        matrices, offsets = _shear_stack(slopes, *(np.array(t) for t in zip(*(b.shear_terms for b in bases))))
         images = np.matmul(X.points[idx][:, None], matrices.swapaxes(-1, -2)) + offsets[:, :, None, :]
-    _require_finite(images)
-    points = np.repeat(X.points[None, None], slopes.size, axis=0).reshape(*slopes.shape, X.n, X.k)
-    points[np.arange(len(families))[:, None, None], np.arange(slopes.shape[1])[:, None], idx[:, None]] = images
-    points.setflags(write=False)
-    return [ReplacementFamily(replaced, tuple(row.tolist()), block, frame.basis)
-            for (frame, _, replaced, _), row, block in zip(families, slopes, points)]
+    return ReplacementFamily.stack(X, replaced, [tuple(row) for row in slopes.tolist()], images, bases)
 
 
 def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
@@ -713,7 +708,8 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
 def _shear_images(X: DataSet, basis: OrthonormalBasis, family: str, replaced, gammas) -> ReplacementFamily:
     """X with rows ``replaced`` moved by the shear of each slope, as one
     family: slope gamma for ``shear_replace_far``, the inverse shear -gamma
-    for ``shear_replace_near``. Sweeps and witnesses both build here."""
+    for ``shear_replace_near``. Witnesses rebuild here; sweeps build in
+    :func:`_shear_families`, which equals it bit for bit."""
     slopes = [-g for g in gammas] if family == "shear_replace_near" else gammas
     # an image that overflows is not finite, and the family rejects it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -868,9 +864,11 @@ def _cluster_rows(X: DataSet, replaced, anchor, direction, radii) -> Replacement
     R = np.array(radii, dtype=float)
     copies = np.arange(len(replaced))
     jitter = np.zeros((R.size, copies.size, X.k))
-    jitter[:, copies, copies % X.k] = (_NUDGE_REL * R)[:, None] * (copies + 1)
-    clusters = (np.asarray(anchor, dtype=float) + R[:, None] * np.asarray(direction, dtype=float))[:, None, :]
-    return ReplacementFamily.of(X, replaced, R, clusters + jitter)
+    jitter[:, copies, copies % X.k] = (_JITTER_REL * R)[:, None] * (copies + 1)
+    with np.errstate(over="ignore"):  # the family rejects a cluster that overflows
+        clusters = np.asarray(anchor, dtype=float) + R[:, None] * np.asarray(direction, dtype=float)
+        images = clusters[:, None, :] + jitter
+    return ReplacementFamily.of(X, replaced, R, images)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .geometry import (
     normal_cone_ties,
     require_general_position,
     subset_index,
+    tie_levels,
 )
 from .metric import hausdorff_set_distance
 
@@ -93,59 +94,31 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _face_probes_exact(X: DataSet, facets) -> list:
-    """Facet normals tie exactly k minimal projections by construction."""
-    probes = []
-    for f in facets:
-        proj = X.points @ f.inward_normal
-        probes.append((f.inward_normal, f.indices, float(f.support_value), proj))
-    return probes
-
-
-def _face_probes_sampled(X: DataSet, facets, h: int, seed: int, per_face: int, tol: float) -> list:
-    """Verified directions from the normal cone of each h-point hull face.
-
-    Every h-subset of a facet of a simplicial hull is a face. One generator
-    serves all faces in lexicographic order, ``per_face`` draws each.
-    """
+def _tie_probes(X: DataSet, h: int, seed: int, tol: float) -> list:
+    """(direction, face, level) of every probe of :func:`condition_margin`.
+    For h < k one generator serves the h-point hull faces (the h-subsets of
+    the facets) in lexicographic order. For h > k a data-hyperplane normal,
+    either way, takes its h smallest projections (stable order) as its face
+    and is kept once per face and direction if :func:`tie_levels` admits it."""
+    if h > X.k:
+        normals, degenerate = hyperplane_normal(X.points[subset_index(X.n, X.k)])
+        U = np.stack([normals[~degenerate], -normals[~degenerate]], axis=1).reshape(-1, X.k)
+        proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
+        faces = np.sort(np.argsort(proj, axis=1, kind="stable")[:, :h], axis=1)
+        levels = tie_levels(proj, faces, tol)
+        tied = ~np.isnan(levels)
+        probes = {}  # (face, direction to 12 decimals) -> its first probe
+        for u, face, level in zip(U[tied], faces[tied].tolist(), levels[tied].tolist()):
+            probes.setdefault((tuple(face), tuple(round(v, 12) for v in u.tolist())), (u, face, level))
+        return list(probes.values())
+    require_general_position(X, "condition_margin")
+    facets = enumerate_facets(X)
+    if h == X.k:
+        return [(f.inward_normal, f.indices, f.support_value) for f in facets]
     rng = np.random.default_rng(seed)
     faces = sorted({sub for f in facets for sub in combinations(f.indices, h)})
-    return [
-        (u, face, level, proj)
-        for face in faces
-        for u, level, proj in normal_cone_ties(X, facets, face, rng, per_face, tol)
-    ]
-
-
-def _tie_probes_from_data_normals(X: DataSet, h: int, tol: float) -> list:
-    """Verified h-fold-tie directions among data-hyperplane normals.
-
-    Serves the h > k extension, which only bites on degenerate data (an
-    h-fold tie with h > k requires h points on a hyperplane, so general
-    position is deliberately not required here). Ties of that kind can only
-    occur along a normal of a hyperplane through k data points.
-    """
-    pts = X.points
-    n = X.n
-    normals, degenerate = hyperplane_normal(pts[subset_index(n, X.k)])
-    probes = []
-    seen = set()
-    for normal in normals[~degenerate]:
-        for u in (normal, -normal):
-            proj = pts @ u
-            order = np.argsort(proj, kind="stable")
-            y = proj[order]
-            if y[h - 1] - y[0] > tol:
-                continue
-            if h < n and y[h] - y[h - 1] <= tol:
-                continue
-            tied = tuple(sorted(int(i) for i in order[:h]))
-            key = (tied, tuple(round(float(v), 12) for v in u))
-            if key in seen:
-                continue
-            seen.add(key)
-            probes.append((u, tied, float(np.mean(proj[list(tied)])), proj))
-    return probes
+    return [(u, face, level) for face in faces
+            for u, level, _ in normal_cone_ties(X, facets, face, rng, _CONE_SAMPLES_PER_FACE, tol)]
 
 
 def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) -> ConditionReport:
@@ -171,34 +144,19 @@ def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) ->
         raise ParameterError(f"h must be in [1, n] = [1, {X.n}], got {h}")
     require_integer(seed, "seed")
     tol = GP_RTOL * max(X.diameter, 1e-300)
-    if h <= X.k:
-        require_general_position(X, "condition_margin")
-        facets = enumerate_facets(X)
-        if h == X.k:
-            raw = _face_probes_exact(X, facets)
-        else:
-            raw = _face_probes_sampled(X, facets, h, seed, _CONE_SAMPLES_PER_FACE, tol)
-    else:
-        raw = _tie_probes_from_data_normals(X, h, tol)
-    if not raw:
+    found = _tie_probes(X, h, seed, tol)
+    if not found:
         raise NoAdmissibleDirectionError(
             f"no admissible direction with an exact {h}-fold tie was found"
         )
-    directions = np.array([u for u, _, _, _ in raw])
-    levels = np.array([level for _, _, level, _ in raw])
-    # stacked 1-row products reproduce ``members @ u`` of each probe bit for bit
-    tops = np.matmul(T(X).members[None], directions[:, :, None])[:, :, 0].min(axis=1)
-    margins = tops - levels
-    sorted_projections = np.sort(np.array([proj for _, _, _, proj in raw]), axis=1)
-    probes = [
-        ConditionProbe(
-            direction=u,
-            sorted_projections=sorted_projections[i],
-            tied_indices=tuple(int(j) for j in tied),
-            margin=float(margins[i]),
-        )
-        for i, (u, tied, _, _) in enumerate(raw)
-    ]
+    directions, faces, levels = zip(*found)
+    directions = np.array(directions)
+    # stacked 1-row products reproduce ``X.points @ u`` and ``members @ u``
+    # of each probe bit for bit; one 2-D product does not
+    sorted_projections = np.sort(np.matmul(X.points[None], directions[:, :, None])[:, :, 0], axis=1)
+    margins = np.matmul(T(X).members[None], directions[:, :, None])[:, :, 0].min(axis=1) - np.array(levels)
+    probes = [ConditionProbe(direction=u, sorted_projections=row, tied_indices=tuple(map(int, face)), margin=margin)
+              for u, row, face, margin in zip(directions, sorted_projections, faces, margins.tolist())]
     min_margin = min(p.margin for p in probes)
     return ConditionReport(
         h=h,

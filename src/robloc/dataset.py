@@ -55,7 +55,8 @@ class DataSet:
         n, k = pts.shape
         if n < 1 or k < 1:
             raise DatasetFormatError(f"need at least one point and one coordinate, got shape {pts.shape}")
-        _require_finite(pts)
+        if not np.all(np.isfinite(pts)):
+            raise DatasetFormatError("all coordinates must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -80,33 +81,30 @@ class DataSet:
         return diameter
 
     def with_replaced(self, indices, new_points) -> "DataSet":
-        """Return a copy in which ``points[indices]`` are replaced row-wise:
+        """Return a copy in which ``points[indices]`` are replaced row-wise
+        by ``new_points``, which must be finite (else DatasetFormatError):
         :meth:`replaced_stack` of one block."""
-        block = np.asarray(new_points, dtype=float).reshape(1, len(indices), self.k)
-        return DataSet(self.replaced_stack(indices, block)[0])
+        block = np.asarray(new_points, dtype=float).reshape(1, 1, len(indices), self.k)
+        return DataSet(self.replaced_stack([indices], block)[0, 0])
 
-    def replaced_stack(self, indices, blocks) -> np.ndarray:
-        """Copies with rows ``indices`` replaced by ``blocks[j]``, one per block
-        j, as one read-only (G, n, k) stack. Indices must be distinct and in
-        range (else ParameterError), rows finite (else DatasetFormatError)."""
-        idx = np.asarray(indices, dtype=int)
-        if len(set(idx.tolist())) != len(idx):
+    def replaced_stack(self, indices, images) -> np.ndarray:
+        """Copies with rows ``indices[f]`` set to ``images[f, j]``, for (F, r)
+        indices and (F, G, r, k) images, as one read-only (F, G, n, k) stack.
+        A family's indices must be distinct and in range (else ParameterError)."""
+        F, G = np.shape(images)[:2]
+        idx = np.asarray(indices, dtype=np.intp).reshape(F, -1)
+        ordered = np.sort(idx, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ParameterError("replacement indices must be distinct")
-        if np.any(idx < 0) or np.any(idx >= self.n):
+        if ((idx < 0) | (idx >= self.n)).any():
             raise ParameterError("replacement index out of range")
-        points = np.repeat(self.points[None], len(blocks), axis=0)
-        points[:, idx] = blocks
-        _require_finite(points)
+        points = np.repeat(self.points[None], F * G, axis=0).reshape(F, G, self.n, self.k)
+        points[np.arange(F)[:, None, None], np.arange(G)[:, None], idx[:, None]] = images
         points.setflags(write=False)
         return points
 
     def __iter__(self):
         return iter(self.points)
-
-
-def _require_finite(points: np.ndarray) -> None:
-    if not np.all(np.isfinite(points)):
-        raise DatasetFormatError("all coordinates must be finite")
 
 
 def loads_dataset_csv(text: str) -> DataSet:

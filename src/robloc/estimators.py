@@ -880,11 +880,11 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
             return mcd_exhaustive(X, coverage=coverage).estimates
         def _mcd_hook(X: DataSet):
             subsets = subset_index(X.n, _mcd_coverage(X.n, X.k, coverage))
-            frames = {}  # id(basis) -> (basis, its MCDShearSweep), which keeps the id taken
+            frames = {}  # basis -> its MCDShearSweep
             def sweep(basis):
-                if id(basis) not in frames:
-                    frames[id(basis)] = basis, MCDShearSweep(X, basis, coverage)
-                return frames[id(basis)][1]
+                if basis not in frames:
+                    frames[basis] = MCDShearSweep(X, basis, coverage)
+                return frames[basis]
             return lambda families: _mcd_families(subsets, families, sweep)
         return LocationEstimator("mcd", "affine", _mcd, families=_mcd_hook)
 

@@ -13,7 +13,7 @@ of ``1e-9`` times the relevant diameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -28,7 +28,6 @@ __all__ = [
     "check_general_position",
     "Facet",
     "enumerate_facets",
-    "tie_level",
     "tie_levels",
     "normal_cone_ties",
     "hyperplane_normal",
@@ -220,27 +219,20 @@ def enumerate_facets(X: DataSet) -> list[Facet]:
     return facets
 
 
-def tie_levels(proj: np.ndarray, face, tol: float) -> np.ndarray:
+def tie_levels(proj: np.ndarray, faces, tol: float) -> np.ndarray:
     """Levels at which each row of the (P, n) projections ``proj`` ties
-    exactly the ``face`` points at the minimum: the face points' mean
-    projection where they agree within ``tol`` and every other point is more
-    than ``tol`` above it, else NaN."""
-    face = list(face)
-    tied = proj[:, face]
+    exactly its face at the minimum: the face points' mean projection
+    where they agree within ``tol`` and every other point is more than
+    ``tol`` above it, else NaN. ``faces`` is one (h,) face for every row
+    or one face per row, (P, h)."""
+    rows = np.arange(len(proj))[:, None]
+    tied = proj[rows, faces]
     level = tied.mean(axis=1)
     untied = np.abs(tied - level[:, None]).max(axis=1) > tol
-    others = np.ones(proj.shape[1], dtype=bool)
-    others[face] = False
-    if others.any():
-        untied |= (proj[:, others] - level[:, None]).min(axis=1) <= tol
+    gaps = proj - level[:, None]
+    gaps[rows, faces] = np.inf  # the face itself is not "every other point"
+    untied |= gaps.min(axis=1) <= tol
     return np.where(untied, np.nan, level)
-
-
-def tie_level(proj: np.ndarray, face, tol: float) -> float | None:
-    """The 1-row case of :func:`tie_levels` for the projections ``proj``
-    along one direction: the tie level, or None where there is no tie."""
-    level = tie_levels(proj[None], face, tol)[0]
-    return None if np.isnan(level) else float(level)
 
 
 def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float,
@@ -252,44 +244,42 @@ def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples
     the inward normals of the facets containing it; strictly positive
     combinations tie the face's points at the minimal projection and keep
     every other point above. All ``samples`` Dirichlet weights come from one
-    call on ``rng``, whose stream equals that many single draws; each
+    call on ``rng`` and are checked in one pass, for both callers; each
     combination is normalized and kept only if :func:`tie_levels` confirms
-    the tie. A face on fewer than two facets gives an empty list and draws
-    nothing: a boundary-of-cone direction would tie more points than the face.
-    With a predicate ``until(u, level)``, the first draw is taken and
-    checked alone and the rest only if it is not accepted, and the list
-    ends at the first tie accepted.
+    the tie, and with a predicate ``until(u, level)`` the list ends at the
+    first tie accepted. A face on fewer than two facets gives an empty list
+    and draws nothing: a boundary-of-cone direction would tie more points
+    than the face.
     """
     normals = [f.inward_normal for f in facets if set(face) <= set(f.indices)]
     if len(normals) < 2:
         return []
     normals = np.array(normals)
-    ties, first = [], min(samples, 1)
-    for size in (samples,) if until is None else (first, samples - first):
-        weights = rng.dirichlet(np.ones(len(normals)), size=size)
-        # stacked 1-row products reproduce ``w @ normals`` and ``X.points @ u``
-        # of each draw bit for bit; one 2-D product (``weights @ normals``) does not
-        U = np.matmul(weights[:, None, :], normals[None])[:, 0]
-        norms = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0, 0]
-        keep = norms > 1e-12
-        U = U[keep] / norms[keep, None]
-        proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
-        levels = tie_levels(proj, face, tol)
-        tied = ~np.isnan(levels)
-        for tie in zip(U[tied], levels[tied].tolist(), proj[tied]):
-            ties.append(tie)
-            if until is not None and until(*tie[:2]):
-                return ties
+    weights = rng.dirichlet(np.ones(len(normals)), size=samples)
+    # stacked 1-row products reproduce ``w @ normals`` and ``X.points @ u``
+    # of each draw bit for bit; one 2-D product (``weights @ normals``) does not
+    U = np.matmul(weights[:, None, :], normals[None])[:, 0]
+    norms = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0, 0]
+    keep = norms > 1e-12
+    U = U[keep] / norms[keep, None]
+    proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
+    levels = tie_levels(proj, face, tol)
+    tied = ~np.isnan(levels)
+    ties = []
+    for tie in zip(U[tied], levels[tied].tolist(), proj[tied]):
+        ties.append(tie)
+        if until is not None and until(*tie[:2]):
+            break
     return ties
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Orthonormal vectors e_1..e_k plus the origin they are anchored at.
 
     ``vectors`` holds e_i in its columns. ``origin_shift`` places the
     reference hyperplane {x : e_1 . (x - origin_shift) = 0} through zero in
-    basis coordinates.
+    basis coordinates. Bases compare and hash by identity.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -326,6 +316,17 @@ class OrthonormalBasis:
 
     def from_coords(self, c) -> np.ndarray:
         return self.vectors @ np.asarray(c, dtype=float) + self.origin_shift
+
+    @cached_property
+    def shear_terms(self) -> tuple:
+        """(e2 e1^T, e1 . origin_shift, e2), read-only and built on first
+        use: what every shear of the basis is built from."""
+        if self.k < 2:
+            raise ParameterError("shear transform requires k >= 2")
+        e1, e2 = self.e(1), self.e(2)
+        outer = np.outer(e2, e1)
+        outer.setflags(write=False)
+        return outer, np.float64(e1 @ self.origin_shift), e2
 
 
 def basis_from_normal(u, origin) -> OrthonormalBasis:
@@ -434,17 +435,9 @@ def _trusted_affine(matrix: np.ndarray, offset: np.ndarray) -> AffineMap:
     return m
 
 
-def _shear_terms(basis: OrthonormalBasis) -> tuple:
-    """(e2 e1^T, e1 . origin_shift, e2): what the shears of a basis are built from."""
-    if basis.k < 2:
-        raise ParameterError("shear transform requires k >= 2")
-    e1, e2 = basis.e(1), basis.e(2)
-    return np.outer(e2, e1), np.float64(e1 @ basis.origin_shift), e2
-
-
 def _shear_stack(slopes: np.ndarray, outer: np.ndarray, shift, e2: np.ndarray) -> tuple:
     """Matrices (..., G, k, k) and offsets (..., G, k) of the shears of the
-    slopes (..., G), from the :func:`_shear_terms` of one basis, or of one
+    slopes (..., G), from the ``shear_terms`` of one basis, or of one
     basis per row of slopes stacked along the leading axes. Every entry is
     an elementwise product, so its bits do not depend on the stack."""
     matrices = np.eye(outer.shape[-1]) + slopes[..., None, None] * outer[..., None, :, :]
@@ -462,7 +455,7 @@ def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     determinant exactly 1 (it is unipotent), and a point with
     e_1-coordinate c travels a distance |gamma| * |c|.
     """
-    matrices, offsets = _shear_stack(np.array([float(gamma)]), *_shear_terms(basis))
+    matrices, offsets = _shear_stack(np.array([float(gamma)]), *basis.shear_terms)
     return _trusted_affine(matrices[0], offsets[0])
 
 
@@ -474,7 +467,7 @@ def apply_shears(points: np.ndarray, slopes, basis: OrthonormalBasis) -> np.ndar
     ``shear_transform(slopes[j], basis).apply`` of the same rows to the
     last bit (``tests/test_geometry.py`` compares them).
     """
-    matrices, offsets = _shear_stack(np.asarray(slopes, dtype=float).reshape(-1), *_shear_terms(basis))
+    matrices, offsets = _shear_stack(np.asarray(slopes, dtype=float).reshape(-1), *basis.shear_terms)
     return np.matmul(points, matrices.transpose(0, 2, 1)) + offsets[:, None, :]
 
 
@@ -497,10 +490,21 @@ class ReplacementFamily(NamedTuple):
     @classmethod
     def of(cls, X: DataSet, replaced, parameters, images, basis=None) -> "ReplacementFamily":
         """The family whose j-th dataset is X with rows ``replaced`` set to
-        ``images[j]``, checked by ``X.replaced_stack``: repeated or
-        out-of-range indices and non-finite images raise."""
+        ``images[j]``: :meth:`stack` of one family."""
+        return cls.stack(X, [tuple(int(i) for i in replaced)], [tuple(float(p) for p in parameters)],
+                         np.asarray(images, dtype=float)[None], [basis])[0]
+
+    @classmethod
+    def stack(cls, X: DataSet, replaced, parameters, images: np.ndarray, bases) -> list:
+        """The families whose f-th sets rows ``replaced[f]`` to ``images[f, j]``
+        at ``parameters[f][j]``, from one ``X.replaced_stack``. The first
+        image that is not finite, in family and grid order, is too large."""
         points = X.replaced_stack(replaced, images)
-        return cls(tuple(int(i) for i in replaced), tuple(float(p) for p in parameters), points, basis)
+        families = [cls(*family) for family in zip(replaced, parameters, points, bases)]
+        if not np.isfinite(images).all():
+            f, j = np.argwhere(~np.isfinite(images).all(axis=(2, 3)))[0]
+            raise families[f].too_large(j, "its image overflows")
+        return families
 
     def too_large(self, j: int, reason) -> ParameterError:
         """The error for the j-th radius or slope, at which ``reason`` stops evaluation."""

@@ -20,7 +20,6 @@ from robloc import breakdown
 from robloc.breakdown import _PARTITION_RULES, _Attacks, _shear_families, _shear_frames, _shear_images
 from robloc.errors import EstimatorError, RoblocError
 from robloc.estimators import EstimateStack
-from robloc.geometry import _shear_terms
 
 
 @st.composite
@@ -52,7 +51,7 @@ def test_batched_images_match_each_family_bit_for_bit(case):
     if not families:
         return
     grids = [[g * (1.0 + 1e-6 * (f % 3 == 0)) for g in grid] for f in range(len(families))]
-    built = _shear_families(X, families, grids, [_shear_terms(frame.basis) for frame, *_ in families])
+    built = _shear_families(X, families, grids)
     for (frame, label, replaced, _), used, got in zip(families, grids, built):
         want = _shear_images(X, frame.basis, label, replaced, used)
         assert got.replaced == want.replaced and got.basis is want.basis

@@ -221,6 +221,24 @@ def test_finite_data_whose_diameter_overflows_exit_4(runner, tmp_path, args):
     assert result.stderr.splitlines() == ["error: the data diameter overflows"]
 
 
+@pytest.mark.parametrize("args", [
+    ["attack", "-e", "cmedian", "--gamma-grid", "10,1e160"],
+    ["fsbv", "-e", "cmedian", "--seed", "0", "--gamma-grid", "10,1e160"],
+], ids=["attack", "fsbv"])
+def test_shear_images_that_overflow_name_their_slope(runner, tmp_path, args):
+    # the screen passes slope 1e160 on data near 1e150, but the sheared
+    # rows leave the float range: the slope is too large, and no overflow
+    # warning escapes
+    path = tmp_path / "big.csv"
+    save_dataset_csv(DataSet(bundled_dataset("demo10_2d").points * 1e150), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: slope 1e+160 is too large: its image overflows"]
+
+
 def test_data_whose_subset_determinants_overflow(runner, tmp_path):
     # differences near 1e111 square within the float range, but 3x3
     # determinants reach about 1e333: the condition report and the shear

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robloc import (
     DataSet,
@@ -15,10 +17,10 @@ from robloc import (
     random_gp_dataset,
     weighted_mean,
 )
-from robloc.conditions import _random_affine
+from robloc.conditions import _random_affine, _tie_probes
 from robloc.errors import NoAdmissibleDirectionError, ParameterError
 from robloc.estimators import EstimateSet, LocationEstimator
-from robloc.geometry import AffineMap, apply_map
+from robloc.geometry import GP_RTOL, AffineMap, apply_map, hyperplane_normal, subset_index
 from robloc.metric import hausdorff_set_distance
 
 
@@ -161,11 +163,64 @@ def test_condition_margin_h_above_k_on_degenerate_data():
 def test_tie_probes_keep_opposite_normals_with_zero_first_component():
     # three collinear points tie along both (0, 1) and (0, -1); the two
     # normals share their first component and must not be merged
-    from robloc.conditions import _tie_probes_from_data_normals
-
     X = DataSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    probes = _tie_probes_from_data_normals(X, 3, 1e-9 * X.diameter)
+    probes = _tie_probes(X, 3, 0, 1e-9 * X.diameter)
     assert sorted(tuple(float(v) for v in u) for u, *_ in probes) == [(0.0, -1.0), (0.0, 1.0)]
+
+
+def sorted_gap_tie_probes(X, h, tol):
+    """Oracle for the h > k probes, one direction at a time: along each
+    data-hyperplane normal, both ways, the h smallest projections (stable
+    order) span at most tol and the next one lies more than tol above
+    them. (direction, face, level, projections), each (face, direction
+    to 12 decimals) once."""
+    pts = X.points
+    normals, degenerate = hyperplane_normal(pts[subset_index(X.n, X.k)])
+    probes, seen = [], set()
+    for normal in normals[~degenerate]:
+        for u in (normal, -normal):
+            proj = pts @ u
+            order = np.argsort(proj, kind="stable")
+            y = proj[order]
+            if y[h - 1] - y[0] > tol or (h < X.n and y[h] - y[h - 1] <= tol):
+                continue
+            face = tuple(sorted(int(i) for i in order[:h]))
+            key = face, tuple(round(float(v), 12) for v in u)
+            if key not in seen:
+                seen.add(key)
+                probes.append((u, face, float(np.mean(proj[list(face)])), proj))
+    return probes
+
+
+@st.composite
+def integer_grid_cases(draw):
+    k = draw(st.integers(2, 3))
+    h = draw(st.integers(k + 1, k + 3))
+    n = draw(st.integers(h, h + 4))
+    rows = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    return DataSet(np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)), h
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_grid_cases())
+def test_tie_probes_beyond_k_match_the_sorted_gap_oracle(case):
+    # small integer grids put many points on one hyperplane, so h-fold
+    # ties with h > k, and ties of more than h points, are common
+    X, h = case
+    tol = GP_RTOL * max(X.diameter, 1e-300)
+    want = sorted_gap_tie_probes(X, h, tol)
+    got = _tie_probes(X, h, 0, tol)
+    assert [tuple(face) for _, face, _ in got] == [face for _, face, _, _ in want]
+    for (u, _, level), (u0, _, level0, _) in zip(got, want):
+        assert np.array_equal(u, u0)
+        assert level == level0
+    if want:
+        report = condition_margin(constant_estimator(X.points[0]), X, h)
+        assert len(report.probes) == len(want)
+        for probe, (u0, face0, level0, proj0) in zip(report.probes, want):
+            assert np.array_equal(probe.direction, u0) and probe.tied_indices == face0
+            assert np.array_equal(probe.sorted_projections, np.sort(proj0))
+            assert probe.margin == float(X.points[0] @ u0 - level0)
 
 
 def test_condition_report_is_json_serializable(demo10):

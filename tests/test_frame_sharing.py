@@ -29,23 +29,11 @@ from robloc import (
 )
 from robloc import breakdown, estimators
 from robloc.breakdown import _PARTITION_RULES, _Attacks, _shear_frames
+from conftest import recording_sweeps
 
 SWEEP = breakdown._run_shear_sweep  # unwrapped, for the replays
 GP83 = load_dataset_csv(Path(__file__).parent / "golden" / "gp8_3d.csv")
 DEMO10 = bundled_dataset("demo10_2d")
-
-
-def record_sweeps(monkeypatch) -> list:
-    """Record (attacks, facet, frame, m, b_rule) of every shear sweep robloc makes."""
-    calls = []
-    inner = breakdown._run_shear_sweep
-
-    def recording(attacks, facet, frame, m, b_rule):
-        calls.append((attacks, facet, frame, m, b_rule))
-        return inner(attacks, facet, frame, m, b_rule)
-
-    monkeypatch.setattr(breakdown, "_run_shear_sweep", recording)
-    return calls
 
 
 def golden_certifications(golden_fsbv) -> tuple:
@@ -146,7 +134,7 @@ def test_each_frame_draws_once_builds_its_state_once_and_sweeps_once_per_partiti
     X, name = CASES_COUNTED[case]
     T = make_estimator(name)
     ties = counting(monkeypatch, breakdown, "normal_cone_ties")
-    sweeps = record_sweeps(monkeypatch)
+    sweeps = recording_sweeps(monkeypatch)
     rows = counting(monkeypatch, breakdown._ShearPositionScreen, "row_replacements")
     builds = counting(monkeypatch, estimators, "MCDShearSweep")
     empirical_fsbv(T, X, suite=AttackSuite(cone_seed=0))
@@ -170,7 +158,7 @@ def test_both_rules_at_m_equal_n_minus_h_are_one_sweep(monkeypatch):
     """At m = n - h both partition rules replace every non-kept point, so
     the second rule's label is listed without a sweep of its own."""
     X = random_gp_dataset(5, 3, 0)
-    sweeps = record_sweeps(monkeypatch)
+    sweeps = recording_sweeps(monkeypatch)
     result = empirical_fsbv(make_estimator("cmedian"), X)
     m, h = 2, 3
     tried = result.certificates[m].attack_families_tried

@@ -17,7 +17,7 @@ from robloc import (
     random_gp_dataset,
     shear_transform,
 )
-from robloc.errors import DatasetFormatError, GeneralPositionError, OverflowParameterError, ParameterError
+from robloc.errors import GeneralPositionError, OverflowParameterError, ParameterError
 from robloc.breakdown import _shear_images
 from robloc.estimators import EstimateSet, LocationEstimator
 from robloc.geometry import (
@@ -26,7 +26,6 @@ from robloc.geometry import (
     apply_shears,
     hyperplane_normal,
     normal_cone_ties,
-    tie_level,
     tie_levels,
     unit_direction,
 )
@@ -228,10 +227,25 @@ def test_tie_levels_mark_rows_without_a_tie_nan():
     ])
     levels = tie_levels(proj, (0, 1), 1e-9)
     assert np.array_equal(levels, [0.0, np.nan, np.nan, np.nan], equal_nan=True)
-    assert [tie_level(row, (0, 1), 1e-9) for row in proj] == [0.0, None, None, None]
+    # one face per row: each row is judged by its own face alone
+    levels = tie_levels(proj, [(0, 1), (0, 2), (0, 1), (0, 1)], 1e-9)
+    assert np.array_equal(levels, [0.0, np.nan, np.nan, np.nan], equal_nan=True)
+    levels = tie_levels(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                        [(0, 1), (1, 2), (0, 2)], 1e-9)
+    assert np.array_equal(levels, [0.0, 0.0, 0.0])
 
 
 # --- bases ------------------------------------------------------------------
+
+def test_basis_builds_its_shear_terms_once_and_compares_by_identity():
+    b = basis_from_normal(np.array([0.6, 0.8]), np.array([1.0, 2.0]))
+    outer, shift, e2 = b.shear_terms
+    assert b.shear_terms is b.shear_terms
+    assert not outer.flags.writeable and not e2.flags.writeable
+    assert np.array_equal(outer, np.outer(b.e(2), b.e(1))) and shift == b.e(1) @ b.origin_shift
+    twin = basis_from_normal(np.array([0.6, 0.8]), np.array([1.0, 2.0]))
+    assert b != twin and len({b, twin, b}) == 2
+
 
 def test_basis_from_axis_normal():
     b = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
@@ -491,8 +505,9 @@ def test_shear_family_rejects_bad_indices(demo10, replaced):
 
 
 def test_shear_family_rejects_non_finite_images(demo10):
+    # the image overflows at a grid value, so that value is too large
     basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
-    with pytest.raises(DatasetFormatError), np.errstate(over="ignore"):
+    with pytest.raises(ParameterError, match=r"^slope 1e\+308 is too large: its image overflows$"):
         _shear_images(demo10, basis, "shear_replace_far", (0,), (1.0, 1e308))
 
 
