@@ -233,7 +233,8 @@ class Witness(NamedTuple):
             family = _cluster_rows(X, self.replaced, self.anchor, self.direction, [self.parameter])
         else:
             basis = basis_from_normal(self.normal, X.points[list(self.kept)].mean(axis=0))
-            family = _shear_images(X, basis, self.family, self.replaced, [self.parameter])
+            slope = -self.parameter if self.family == "shear_replace_near" else self.parameter
+            (family,) = _shear_families(X, [basis], [self.replaced], np.array([[slope]]))
         return DataSet(family.points[0])
 
     @classmethod
@@ -408,25 +409,30 @@ class _ShearPositionScreen:
     data diameter (the shear preserves determinants while stretching subset
     diameters without bound), so D0 and D1 are scale-free and a subset
     fails within ``GP_RTOL``, as in ``check_general_position``.
+
+    D1 needs each difference matrix's determinant with row j replaced by
+    e2, its cofactor expansion along row j. The (S, k, k) ``cofactors``
+    are built once per dataset from the LU determinants of the minors (det
+    times inverse would lose them on nearly flat subsets), so the row
+    determinants of a whole batch of frames are one product.
     """
 
     def __init__(self, X: DataSet):
-        self.k = X.k
+        k = X.k
         self.scale = max(X.diameter, 1e-300)
-        self.subsets = subset_index(X.n, X.k + 1)
+        self.subsets = subset_index(X.n, k + 1)
         base = X.points[self.subsets]  # (S, k+1, k)
-        self.rows = (base[:, 1:, :] - base[:, :1, :]) / self.scale  # (S, k, k)
-        self.d0 = np.linalg.det(self.rows)
+        rows = (base[:, 1:, :] - base[:, :1, :]) / self.scale  # (S, k, k)
+        self.d0 = np.linalg.det(rows)
+        others = np.array([np.delete(np.arange(k), j) for j in range(k)])  # (k, k-1)
+        minors = rows[:, others[:, None, :, None], others[None, :, None, :]]  # (S, k, k, k-1, k-1)
+        self.cofactors = np.linalg.det(minors) * (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
 
     def row_replacements(self, e2: np.ndarray) -> np.ndarray:
-        """det of each subset's difference matrix with row j replaced by e2."""
-        S, k = self.rows.shape[0], self.k
-        M = np.empty((S, k))
-        for j in range(k):
-            mod = self.rows.copy()
-            mod[:, j, :] = e2
-            M[:, j] = np.linalg.det(mod)
-        return M
+        """det of each subset's difference matrix with row j replaced by
+        e2, (S, k), for one unit vector e2 (k,); for a stack of them (F, k),
+        (F, S, k), one product either way."""
+        return np.matmul(self.cofactors, e2[..., None, :, None])[..., 0]
 
     def linear_coeff(self, M: np.ndarray, c: np.ndarray) -> np.ndarray:
         """D1 per subset for displacement coefficients c (n,) (zero off the
@@ -472,15 +478,11 @@ def _screened_grid(screen: _ShearPositionScreen, gammas, d1s) -> list:
     return used.tolist()
 
 
-def _family_distances(stacks, baseline: EstimateSet) -> list:
-    """``estimate_set_distance`` of each estimate of each stack to the
-    baseline, one array per stack: the largest distance of every member,
-    then the largest per estimate, in one pass over the members of all the
-    stacks."""
-    offsets = np.cumsum([0] + [len(stack.members) for stack in stacks])
-    starts = np.concatenate([stack.starts + offset for stack, offset in zip(stacks, offsets)])
-    rows = _row_sup_distances(np.concatenate([stack.members for stack in stacks]), baseline.members)
-    return np.split(np.maximum.reduceat(rows, starts), np.cumsum([len(stack) for stack in stacks])[:-1])
+def _estimate_distances(stack: EstimateStack, baseline: EstimateSet) -> np.ndarray:
+    """``estimate_set_distance`` of each estimate of a stack to the
+    baseline, in one pass: the largest distance of every member, then the
+    largest per estimate."""
+    return np.maximum.reduceat(_row_sup_distances(stack.members, baseline.members), stack.starts)
 
 
 def _attack_trace(
@@ -516,11 +518,11 @@ class _Attacks:
     and the divergence threshold, ``threshold_factor`` times the data
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
-    first, the position screen, per kept subset its frame, per frame, on
-    its first sweep, the screen row determinants, and T's one evaluator,
-    for the families of every frame and of the cluster attacks; and
-    ``settled``, the attacks a batch settled ahead of the walk, by (frame,
-    m, b_rule) or (m, direction), until their attack function takes them.
+    first, the position screen, per kept subset its frame, and T's one
+    evaluator, for the families of every frame and of the cluster attacks;
+    and ``settled``, the attacks a batch settled ahead of the walk, by
+    (frame, m, b_rule) or (m, direction), until their attack function
+    takes them.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -537,7 +539,6 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self._per_frame = {}  # frame -> its screen row determinants
         self.settled = {}  # attack -> (used grid, columns)
 
     @cached_property
@@ -594,41 +595,39 @@ class _Attacks:
         basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
         return _ShearFrame(kept, u, level, basis, X.points @ u - level, rankings)
 
-    def per_frame(self, frame: _ShearFrame) -> np.ndarray:
-        """The screen row determinants of a frame, built on its first sweep:
-        a budget that breaks early sweeps few frames."""
-        if frame not in self._per_frame:
-            self._per_frame[frame] = self.screen.row_replacements(frame.basis.e(2))
-        return self._per_frame[frame]
-
 
 def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> None:
     """Settle the shear sweeps ``sweeps``, (frame, b_rule) pairs, and the
     cluster attacks along the unit ``directions`` at budget m into
-    ``attacks.settled``, with one evaluator call and one distance pass.
-    An error stores nothing. A batch of one attack takes that attack's
-    steps in order, so it raises what the attack raises."""
+    ``attacks.settled``, with one evaluator call and one distance pass
+    over its one estimate stack, which each family then views. An error
+    stores nothing. A batch of one attack takes that attack's steps in
+    order, so it raises what the attack raises."""
     built, settled = _shear_batch(attacks, m, sweeps) if sweeps else ([], [])
     X, theta = attacks.X, attacks.baseline.canonical
     for u in directions:
         order = np.lexsort((np.arange(X.n), -(X.points @ u)))
         built.append(_cluster_rows(X, np.sort(order[:m]), theta, u, attacks.suite.radius_grid))
         settled.append(((m, tuple(u.tolist())), list(built[-1].parameters), [("cluster", len(built) - 1)]))
-    stacks = attacks.evaluator(built)
+    stack = attacks.evaluator(built)
     with np.errstate(over="ignore"):
-        distances = _family_distances(stacks, attacks.baseline)
+        distances = _estimate_distances(stack, attacks.baseline)
+    ends = np.cumsum([len(family.parameters) for family in built]).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
     for key, used, columns in settled:
-        attacks.settled[key] = used, [(label, built[f].replaced, stacks[f], distances[f]) for label, f in columns]
+        attacks.settled[key] = used, [(label, built[f].replaced, stack[spans[f]], distances[spans[f]])
+                                      for label, f in columns]
 
 
 def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     """The families of the shear sweeps ``sweeps`` at budget m from one
-    position screen and one shear-image product per count of replaced
-    rows, and per sweep its key, grid and (label, family index) columns. A
-    sweep with a slope that fails the screen takes its grid from
-    :func:`_screened_grid` alone. The far family replaces the m rows B of
-    the partition by their shear images, and the near family, when 0 < |A|
-    <= m, the rows A by their preimages (slope -gamma)."""
+    row-determinant product of the position screen per chunk of families
+    and one shear-image product per count of replaced rows, and per sweep
+    its key, grid and (label, family index) columns. A sweep with a slope
+    that fails the screen takes its grid from :func:`_screened_grid`
+    alone. The far family replaces the m rows B of the partition by their
+    shear images, and the near family, when 0 < |A| <= m, the rows A by
+    their preimages (slope -gamma)."""
     X, screen, grid = attacks.X, attacks.screen, attacks.suite.gamma_grid
     families, spans = [], []  # (frame, label, replaced rows, sign of their slope); per sweep, its families
     for frame, b_rule in sweeps:
@@ -636,26 +635,28 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
         moved = [("shear_replace_far", b_idx, 1.0), ("shear_replace_near", a_idx, -1.0)][:1 + (0 < len(a_idx) <= m)]
         spans.append((len(families), len(families) + len(moved)))
         families += [(frame, *family) for family in moved]
-    dets = [attacks.per_frame(frame) for frame, *_ in families]
+    e2 = np.array([frame.basis.e(2) for frame, *_ in families])
+    signs = np.array([sign for *_, sign in families])
     coeffs = np.zeros((len(families), X.n))
     for f, (frame, _, idx, sign) in enumerate(families):
         coeffs[f, list(idx)] = sign * frame.offsets[list(idx)]
 
     def d1s(lo, hi):
-        return screen.linear_coeff(np.stack(dets[lo:hi]), coeffs[lo:hi])
+        return screen.linear_coeff(screen.row_replacements(e2[lo:hi]), coeffs[lo:hi])
 
     step = max(1, _BATCH_FLOATS // (len(screen.subsets) * max(len(grid), X.k + 1)))
     ok = np.concatenate([screen.gamma_ok(grid, d1s(lo, lo + step))[0].all(axis=1)
                          for lo in range(0, len(families), step)])
     grids = [list(grid) if ok[lo:hi].all() else _screened_grid(screen, grid, d1s(lo, hi)) for lo, hi in spans]
-    grid_of = [grids[s] for s, (lo, hi) in enumerate(spans) for _ in range(lo, hi)]
+    slopes = np.array([grids[s] for s, (lo, hi) in enumerate(spans) for _ in range(lo, hi)]) * signs[:, None]
 
     built = [None] * len(families)
     by_count = {}
     for f, (_, _, idx, _) in enumerate(families):
         by_count.setdefault(len(idx), []).append(f)
     for group in by_count.values():
-        shears = _shear_families(X, [families[f] for f in group], [grid_of[f] for f in group])
+        shears = _shear_families(X, [families[f][0].basis for f in group], [families[f][2] for f in group],
+                                 slopes[group])
         for f, family in zip(group, shears):
             built[f] = family
     for lo, hi in spans:
@@ -666,15 +667,12 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     return built, settled
 
 
-def _shear_families(X: DataSet, families: list, grids: list) -> list:
-    """The :class:`ReplacementFamily` of each (frame, label, replaced,
-    sign) of ``families``, all replacing r rows, over its grid: one (F, G,
-    r, k) product with the stacked shear matrices of the frames' bases,
-    bit for bit what :func:`_shear_images` builds family by family."""
-    replaced = [rows for _, _, rows, _ in families]
-    idx = np.array(replaced, dtype=np.intp).reshape(len(families), -1)
-    slopes = np.array(grids) * np.array([sign for *_, sign in families])[:, None]  # (F, G)
-    bases = [frame.basis for frame, *_ in families]
+def _shear_families(X: DataSet, bases: list, replaced: list, slopes: np.ndarray) -> list:
+    """Per basis f of ``bases``, the family of X with the r rows of the
+    tuple ``replaced[f]`` moved by its shears of the signed slopes
+    ``slopes[f]`` (F, G): one (F, G, r, k) product. Sweeps and witnesses
+    both build here."""
+    idx = np.array(replaced, dtype=np.intp).reshape(len(bases), -1)
     # an image that overflows is not finite, and the family rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         matrices, offsets = _shear_stack(slopes, *(np.array(t) for t in zip(*(b.shear_terms for b in bases))))
@@ -703,18 +701,6 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
         "preimage_family_included": len(columns) == 2,
     }
     return _attack_trace(attacks, "shear", m, len(frame.kept), attacks.suite.gamma_grid, used, columns, details)
-
-
-def _shear_images(X: DataSet, basis: OrthonormalBasis, family: str, replaced, gammas) -> ReplacementFamily:
-    """X with rows ``replaced`` moved by the shear of each slope, as one
-    family: slope gamma for ``shear_replace_far``, the inverse shear -gamma
-    for ``shear_replace_near``. Witnesses rebuild here; sweeps build in
-    :func:`_shear_families`, which equals it bit for bit."""
-    slopes = [-g for g in gammas] if family == "shear_replace_near" else gammas
-    # an image that overflows is not finite, and the family rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        images = apply_shears(X.points[list(replaced)], slopes, basis)
-    return ReplacementFamily.of(X, replaced, slopes, images, basis)
 
 
 def _check_preimage_identity(

@@ -34,7 +34,7 @@ from .conditions import condition_margin
 from .dataset import load_dataset_csv
 from .depth import DirectionBudget, OutlyingnessEvaluator, tukey_depth
 from .errors import DatasetFormatError, ParameterError, RoblocError
-from .estimators import ESTIMATOR_NAMES, make_estimator
+from .estimators import _ESTIMATOR_PARAMETERS, ESTIMATOR_NAMES, make_estimator
 from .metric import sample_distance
 
 EXIT_INPUT = 2
@@ -78,7 +78,7 @@ _ESTIMATOR_OPTIONS = [
     click.option("--random-count", type=int, default=None, help="random probe directions"),
     click.option("--grid-refinements", type=int, default=None, help="pm: grid halvings"),
 ]
-_ESTIMATOR_PARAMS = ("coverage", "trim_count", "scale_shift", "random_count", "grid_refinements")
+_ESTIMATOR_PARAMS = tuple(dict.fromkeys(p for params in _ESTIMATOR_PARAMETERS.values() for p in params))
 
 
 def _with_estimator_options(fn):

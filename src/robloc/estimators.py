@@ -4,7 +4,7 @@ Estimators return an :class:`EstimateSet`: a finite nonempty set of
 candidate locations plus a canonical representative. Set-valuedness is not
 decoration; exhaustive subset estimators produce genuine ties on symmetric
 data, and the breakdown machinery measures divergence over all members.
-The estimates of a whole family of datasets travel as one
+The estimates of a whole batch of datasets travel as one
 :class:`EstimateStack` of arrays.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from math import comb, factorial
 from typing import Callable
@@ -168,7 +168,7 @@ def _kept_rows(members: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
 
 
 class EstimateStack:
-    """The estimates of a family of datasets, one per dataset, as arrays;
+    """The estimates of a batch of datasets, one per dataset, as arrays;
     the only code that validates and deduplicates estimates.
 
     ``members`` (M, k) holds the members of every estimate in order, each
@@ -242,12 +242,15 @@ class LocationEstimator:
     The attacks evaluate the estimator on families of datasets that differ
     from a base dataset only in a few rows (a
     :class:`~robloc.geometry.ReplacementFamily`, which carries its shear
-    basis, or None for a cluster), and take each family's estimates as one
-    :class:`EstimateStack` from :meth:`evaluator`, built once per attack
-    context. The optional hook ``families(X)`` returns a function that
-    takes a sequence of families of the base data X, of any frames and of
-    both attacks, and returns one estimate stack per family. Each stack
-    must be exactly what ``evaluate`` returns on each dataset, the same
+    basis, or None for a cluster), and take the estimates of a batch of
+    families as one :class:`EstimateStack` from :meth:`evaluator`, built
+    once per attack context. The optional hook ``families(X)`` returns a
+    function ``f(points, families)``: ``families`` is a sequence of
+    families of the base data X, of any frames and of both attacks, and
+    ``points`` their datasets concatenated in family and grid order, a
+    fresh (sum G, n, k) array that ``f`` may sort in place. It returns one
+    estimate stack, one estimate per dataset of ``points``. Each estimate
+    must be exactly what ``evaluate`` returns on its dataset, the same
     members in the same order to the last bit, and a call's errors the
     ones the per-dataset loop of :meth:`evaluator` raises, for the first
     failing dataset in family and grid order: certificates built through
@@ -267,24 +270,26 @@ class LocationEstimator:
         return self.evaluate(X)
 
     def evaluator(self, X: DataSet) -> Callable:
-        """Families of X to their estimate stacks, one per family: the
-        hook's, else dataset by dataset, an estimate that overflows naming
-        its slope or radius."""
-        if self.families is not None:
-            return self.families(X)
+        """Families of X to the one estimate stack of their datasets, in
+        family and grid order: the hook's, else dataset by dataset, an
+        estimate that overflows naming its slope or radius."""
+        hook = None if self.families is None else self.families(X)
 
-        def evaluate(family: ReplacementFamily) -> EstimateStack:
+        def evaluate(families) -> EstimateStack:
+            if hook is not None:
+                return hook(np.concatenate([family.points for family in families]), families)
             estimates = []
-            for j, points in enumerate(family.points):
-                try:
-                    estimates.append(self(DataSet(points)))
-                except OverflowParameterError as exc:
-                    raise family.too_large(j, exc) from None
+            for family in families:
+                for j, points in enumerate(family.points):
+                    try:
+                        estimates.append(self(DataSet(points)))
+                    except OverflowParameterError as exc:
+                        raise family.too_large(j, exc) from None
             sizes = [e.size for e in estimates]
             return EstimateStack(np.concatenate([e.members for e in estimates]), np.cumsum(sizes) - sizes,
                                  np.array([e.canonical for e in estimates]))
 
-        return lambda families: [evaluate(family) for family in families]
+        return evaluate
 
 
 def coordinatewise_median(X: DataSet) -> EstimateSet:
@@ -298,19 +303,10 @@ def coordinatewise_median(X: DataSet) -> EstimateSet:
     return _median_boxes(X.points[None])[0]
 
 
-def _median_families(families) -> list:
-    """cmedian's hook for every frame: the :func:`_median_boxes` of every
-    dataset of the families in one call, on a copy it sorts in place, one
-    sub-stack per family."""
-    stack = _median_boxes(np.concatenate([family.points for family in families]), overwrite=True)
-    ends = np.cumsum([len(family.parameters) for family in families]).tolist()
-    return [stack[lo:hi] for lo, hi in zip([0, *ends], ends)]
-
-
 def _median_boxes(stack: np.ndarray, overwrite: bool = False) -> EstimateStack:
     """:func:`coordinatewise_median` of each dataset of a (G, n, k) stack,
-    from one sort of the whole stack (in place, with ``overwrite``): what
-    cmedian's hook returns."""
+    from one sort of the whole stack (in place, with ``overwrite``):
+    cmedian's hook, on the points of a batch."""
     k = stack.shape[2]
     low, high, mid = median_interval(stack, axis=1, overwrite=overwrite)  # (G, k)
     bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1  # (2^k, k)
@@ -326,7 +322,7 @@ def weighted_mean(X: DataSet, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != X.n:
         raise ParameterError(f"need {X.n} weights, got {w.size}")
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):  # NaN fails both comparisons
         raise ParameterError("weights must lie in [0, 1]")
     total = w.sum()
     if total <= 0:
@@ -554,7 +550,7 @@ def mcd_exhaustive(X: DataSet, coverage: int | None = None) -> MCDResult:
 
 class MCDShearSweep:
     """mcd's bracket on the shear families of one frame (base data X and
-    shear basis), built once per frame by mcd's hook.
+    shear basis), built once per basis by mcd's hook, which caches it.
 
     **Along a shear** the objective is quadratic in the slope. A shear of
     slope gamma moves replaced row i by gamma * c_i * e2, with c_i = e1 .
@@ -686,16 +682,14 @@ class MCDShearSweep:
         return low, high
 
 
-def _mcd_families(subsets: np.ndarray, families, sweep: Callable) -> list:
-    """mcd's hook: the :class:`EstimateStack` of each family, exactly what
-    :func:`mcd_exhaustive` returns on its datasets, as views of one stack
-    from one :func:`_mcd_stack` call on their concatenated points.
-    ``bounds`` maps each chunk back to its families: a stretch of a shear
-    family goes through its frame's bracket (``sweep(basis)``), from terms
-    computed once per family, and a run of consecutive cluster datasets
-    through one :func:`_mcd_bounds` call. An overflow is its family's
-    too-large slope or radius."""
-    points = np.concatenate([family.points for family in families])
+def _mcd_families(subsets: np.ndarray, sweep: Callable, points: np.ndarray, families) -> EstimateStack:
+    """mcd's hook: the one :class:`EstimateStack` of the families' datasets
+    ``points``, exactly what :func:`mcd_exhaustive` returns on each, from
+    one :func:`_mcd_stack` call. ``bounds`` maps each chunk back to its
+    families: a stretch of a shear family goes through its frame's bracket
+    (``sweep(basis)``), from terms computed once per family, and a run of
+    consecutive cluster datasets through one :func:`_mcd_bounds` call. An
+    overflow is its family's too-large slope or radius."""
     ends = np.cumsum([len(family.parameters) for family in families]).tolist()
     starts = [0, *ends[:-1]]
     last = [None, None]  # the shear family whose terms were computed last, and its terms
@@ -723,8 +717,7 @@ def _mcd_families(subsets: np.ndarray, families, sweep: Callable) -> list:
     except OverflowParameterError as exc:
         f = bisect_right(ends, exc.run)
         raise families[f].too_large(exc.run - starts[f], exc) from None
-    stack = EstimateStack(means, first)
-    return [stack[lo:hi] for lo, hi in zip(starts, ends)]
+    return EstimateStack(means, first)
 
 
 def _probe_budget(budget: DirectionBudget | None) -> DirectionBudget:
@@ -866,7 +859,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
     if name == "cmedian":
         return LocationEstimator(
             "cmedian", "translation", coordinatewise_median,
-            families=lambda X: _median_families,
+            families=lambda X: lambda points, families: _median_boxes(points, overwrite=True),
         )
 
     if name == "wmean":
@@ -880,12 +873,10 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
             return mcd_exhaustive(X, coverage=coverage).estimates
         def _mcd_hook(X: DataSet):
             subsets = subset_index(X.n, _mcd_coverage(X.n, X.k, coverage))
-            frames = {}  # basis -> its MCDShearSweep
+            @cache
             def sweep(basis):
-                if basis not in frames:
-                    frames[basis] = MCDShearSweep(X, basis, coverage)
-                return frames[basis]
-            return lambda families: _mcd_families(subsets, families, sweep)
+                return MCDShearSweep(X, basis, coverage)
+            return partial(_mcd_families, subsets, sweep)
         return LocationEstimator("mcd", "affine", _mcd, families=_mcd_hook)
 
     if name == "tmean":
@@ -902,7 +893,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
         if seed is None:
             raise ParameterError("estimator 'pm' requires a seed")
         shift = params.get("scale_shift")
-        count = params.get("random_count", 2000)
+        count = params.get("random_count", _DEFAULT_PROBE_COUNT)
         refinements = require_integer(params.get("grid_refinements", 8), "grid_refinements")
         def _pm(X: DataSet) -> EstimateSet:
             b = DirectionBudget(count, True, seed)

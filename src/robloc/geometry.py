@@ -279,7 +279,8 @@ class OrthonormalBasis:
 
     ``vectors`` holds e_i in its columns. ``origin_shift`` places the
     reference hyperplane {x : e_1 . (x - origin_shift) = 0} through zero in
-    basis coordinates. Bases compare and hash by identity.
+    basis coordinates. Every entry must be finite. Bases compare and hash
+    by identity.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -291,6 +292,8 @@ class OrthonormalBasis:
         k = E.shape[0]
         if E.shape != (k, k) or o.shape != (k,):
             raise ParameterError("basis must be k x k with a k-vector origin")
+        if not (np.isfinite(E).all() and np.isfinite(o).all()):
+            raise ParameterError("basis vectors and origin must be finite")
         gram = E.T @ E - np.eye(k)
         if np.abs(gram).max() > _GRAM_ATOL:
             raise ParameterError(
@@ -364,7 +367,7 @@ def basis_from_normal(u, origin) -> OrthonormalBasis:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + offset with a nonsingular matrix.
+    """x -> matrix @ x + offset, all finite, with a nonsingular matrix.
 
     Nonsingularity is checked on the row-equilibrated matrix so the test is
     insensitive to overall scale: |det| of the row-max-scaled matrix must
@@ -375,20 +378,10 @@ class AffineMap:
     offset: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.offset, dtype=float).reshape(-1)
-        k = b.size
-        if M.shape != (k, k):
-            raise ParameterError(f"matrix shape {M.shape} does not match offset length {k}")
+        M, b = _set_affine(self, self.matrix, self.offset)
         row_max = np.abs(M).max(axis=1)
         if np.any(row_max == 0.0) or abs(np.linalg.det(M / row_max[:, None])) <= 1e-12:
             raise ParameterError("affine map matrix is singular")
-        M = M.copy()
-        M.setflags(write=False)
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "offset", b)
 
     @property
     def k(self) -> int:
@@ -417,6 +410,21 @@ class AffineMap:
         return AffineMap(np.eye(b.size), b)
 
 
+def _set_affine(m: AffineMap, matrix, offset) -> tuple:
+    """Store read-only float copies of a finite k x k ``matrix`` and
+    k-vector ``offset`` on ``m``, and return them."""
+    M = np.array(matrix, dtype=float)
+    b = np.array(offset, dtype=float).reshape(-1)
+    if M.shape != (b.size, b.size):
+        raise ParameterError(f"matrix shape {M.shape} does not match offset length {b.size}")
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise ParameterError("affine map entries must be finite")
+    for name, value in (("matrix", M), ("offset", b)):
+        value.setflags(write=False)
+        object.__setattr__(m, name, value)
+    return M, b
+
+
 def _trusted_affine(matrix: np.ndarray, offset: np.ndarray) -> AffineMap:
     """Construct an AffineMap bypassing the singularity guard.
 
@@ -426,12 +434,7 @@ def _trusted_affine(matrix: np.ndarray, offset: np.ndarray) -> AffineMap:
     determinant is exactly 1.
     """
     m = AffineMap.__new__(AffineMap)
-    M = np.asarray(matrix, dtype=float).copy()
-    M.setflags(write=False)
-    b = np.asarray(offset, dtype=float).reshape(-1).copy()
-    b.setflags(write=False)
-    object.__setattr__(m, "matrix", M)
-    object.__setattr__(m, "offset", b)
+    _set_affine(m, matrix, offset)
     return m
 
 
@@ -453,9 +456,16 @@ def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     I + gamma * e_2 e_1^T, anchored at the basis origin so the hyperplane
     through the origin with normal e_1 is pointwise fixed. The matrix has
     determinant exactly 1 (it is unipotent), and a point with
-    e_1-coordinate c travels a distance |gamma| * |c|.
+    e_1-coordinate c travels a distance |gamma| * |c|. A slope whose
+    shear overflows is too large.
     """
-    matrices, offsets = _shear_stack(np.array([float(gamma)]), *basis.shear_terms)
+    gamma = float(gamma)
+    if not np.isfinite(gamma):
+        raise ParameterError(f"slope must be finite, got {gamma!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices, offsets = _shear_stack(np.array([gamma]), *basis.shear_terms)
+    if not (np.isfinite(matrices).all() and np.isfinite(offsets).all()):
+        raise ParameterError.too_large("slope", gamma, "its shear overflows")
     return _trusted_affine(matrices[0], offsets[0])
 
 

@@ -38,6 +38,15 @@ def gp_datasets(count, n, k, seed0):
     return [random_gp_dataset(n, k, seed0 + i) for i in range(count)]
 
 
+def shear_images(X, basis, family, replaced, gammas):
+    """X with rows ``replaced`` moved by the shear of ``basis`` at each
+    slope of ``gammas``, as one family; ``shear_replace_near`` takes the
+    inverse shears, slope -gamma."""
+    sign = -1.0 if family == "shear_replace_near" else 1.0
+    slopes = sign * np.array([gammas], dtype=float)
+    return breakdown._shear_families(X, [basis], [tuple(int(i) for i in replaced)], slopes)[0]
+
+
 def recording_sweeps(mp) -> list:
     """Record, through the MonkeyPatch ``mp``, every shear sweep robloc
     makes as (attacks, facet, frame, m, b_rule), in the list returned."""

@@ -1,5 +1,6 @@
 """The batched walk of ``empirical_fsbv`` against the walk one attack at a
-time: bit-identical shear images, the lazy walk's errors and bounded memory.
+time: bit-identical shear images, one estimate stack per batch, the lazy
+walk's errors and bounded memory.
 
 At each budget the attacks settle ahead of the walk in batches of 1, 2, 4,
 ... attacks. Patching ``breakdown._BATCH_FLOATS`` to 1 caps every batch at
@@ -12,14 +13,25 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robloc import AttackSuite, empirical_fsbv, make_estimator, random_gp_dataset
+from robloc import AttackSuite, empirical_fsbv, make_estimator, random_gp_dataset, shear_transform
 from robloc import breakdown
-from robloc.breakdown import _PARTITION_RULES, _Attacks, _shear_families, _shear_frames, _shear_images
+from robloc.breakdown import (
+    _PARTITION_RULES,
+    _Attacks,
+    _cluster_rows,
+    _estimate_distances,
+    _shear_families,
+    _shear_frames,
+)
 from robloc.errors import EstimatorError, RoblocError
 from robloc.estimators import EstimateStack
+from robloc.metric import estimate_set_distance
+from conftest import shear_images
+from test_sweep import integer_gp_dataset
 
 
 @st.composite
@@ -37,7 +49,8 @@ def batch_cases(draw):
 @given(batch_cases())
 def test_batched_images_match_each_family_bit_for_bit(case):
     # every family of every frame whose replaced rows number r, far (slope
-    # gamma) and near (slope -gamma), from one product
+    # gamma) and near (slope -gamma), from one product, against each
+    # slope's own shear map
     X, r, grid, seed = case
     frames = dict.fromkeys(frame for _, frame in _shear_frames(_Attacks(make_estimator("cmedian"), X,
                                                                            AttackSuite(cone_seed=seed))))
@@ -51,13 +64,46 @@ def test_batched_images_match_each_family_bit_for_bit(case):
     if not families:
         return
     grids = [[g * (1.0 + 1e-6 * (f % 3 == 0)) for g in grid] for f in range(len(families))]
-    built = _shear_families(X, families, grids)
-    for (frame, label, replaced, _), used, got in zip(families, grids, built):
-        want = _shear_images(X, frame.basis, label, replaced, used)
-        assert got.replaced == want.replaced and got.basis is want.basis
-        assert got.parameters == want.parameters
-        assert np.array_equal(got.points, want.points)
+    slopes = np.array(grids) * np.array([sign for *_, sign in families])[:, None]
+    built = _shear_families(X, [frame.basis for frame, *_ in families], [rows for _, _, rows, _ in families], slopes)
+    for (frame, _, replaced, _), row, got in zip(families, slopes.tolist(), built):
+        assert got.replaced == replaced and got.basis is frame.basis
+        assert got.parameters == tuple(row)
         assert not got.points.flags.writeable
+        for slope, points in zip(row, got.points):
+            want = X.with_replaced(replaced, shear_transform(slope, frame.basis).apply(X.points[list(replaced)]))
+            assert np.array_equal(points, want.points)
+
+
+@pytest.mark.parametrize("name, n, seed", [("cmedian", 8, 37), ("mcd", 7, 38)])
+def test_one_evaluator_call_stacks_a_mixed_batch_as_the_per_dataset_loop(name, n, seed):
+    # far and near shear families of two frames, the far ones replacing 2
+    # and 3 rows, and the cluster family of one row along +e2, in one call:
+    # the hook's one stack is the generic loop's, and one distance pass
+    # over it measures each estimate as estimate_set_distance does. On
+    # these integer sets cmedian's boxes and mcd's cluster estimates tie,
+    # so estimates have different numbers of members
+    X = integer_gp_dataset(n, 2, seed)
+    T = make_estimator(name)
+    attacks = _Attacks(T, X, AttackSuite())
+    frames = list(dict.fromkeys(frame for _, frame in _shear_frames(attacks)))[:2]
+    grid = (10.0, 1e3, 1e8)
+    families = []
+    for frame, m in zip(frames, (2, 3)):
+        a_idx, b_idx = frame.partition(m, "largest_projection")
+        families += [shear_images(X, frame.basis, "shear_replace_far", b_idx, grid),
+                     shear_images(X, frame.basis, "shear_replace_near", a_idx, grid)]
+    top = np.lexsort((np.arange(X.n), -X.points[:, 1]))[:1]
+    families.append(_cluster_rows(X, top, attacks.baseline.canonical, np.eye(2)[1], (1e1, 1e5)))
+    stack = T.evaluator(X)(families)
+    want = dataclasses.replace(T, families=None).evaluator(X)(families)
+    assert len(stack) == sum(len(family.parameters) for family in families)
+    for field in ("members", "starts", "canonical"):
+        assert getattr(stack, field).tobytes() == getattr(want, field).tobytes(), field
+    counts = np.diff(np.append(stack.starts, len(stack.members)))
+    assert counts.min() < counts.max()
+    baseline = attacks.baseline
+    assert _estimate_distances(stack, baseline).tolist() == [estimate_set_distance(e, baseline) for e in stack]
 
 
 def outcome(T, X, suite):
@@ -69,22 +115,24 @@ def outcome(T, X, suite):
 
 def rigged(T, X, diverge, fail):
     """cmedian T on X, with a hook that moves the estimates of the shear
-    families named in ``diverge`` beyond any threshold and raises on those
-    named in ``fail``; a family is named by its frame's normal and its
-    replaced rows. One function serves every frame, as cmedian's does, so
-    a batch's families share a call."""
-    inner = T.evaluator(X)
+    families named in ``diverge`` beyond any threshold, within the batch's
+    one stack, and raises on those named in ``fail``; a family is named by
+    its frame's normal and its replaced rows. One function serves every
+    frame, as cmedian's does, so a batch's families share a call."""
+    inner = T.families(X)
 
     def name(family):
         return None if family.basis is None else (family.basis.e(1).tobytes(), family.replaced)
 
-    def evaluate(families):
+    def evaluate(points, families):
         for family in families:
             if name(family) in fail:
                 raise EstimatorError(f"rigged estimate on rows {family.replaced}")
-        stacks = inner(families)
-        return [EstimateStack(stack.members + 1e12, stack.starts) if name(family) in diverge else stack
-                for family, stack in zip(families, stacks)]
+        stack = inner(points, families)
+        moved = np.repeat([1e12 * (name(family) in diverge) for family in families],
+                          [len(family.parameters) for family in families])
+        rows = np.repeat(moved, np.diff(np.append(stack.starts, len(stack.members))))
+        return EstimateStack(stack.members + rows[:, None], stack.starts, stack.canonical + moved[:, None])
 
     return dataclasses.replace(T, families=lambda X: evaluate)
 

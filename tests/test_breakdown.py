@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robloc import (
     DataSet,
@@ -336,12 +338,12 @@ def test_fsbv_enumerates_the_facets_once(monkeypatch):
 def preimage_families(X, slopes):
     """Far and near shear families of the first h = 2 frame of X, with
     what the preimage check reads."""
-    from robloc.breakdown import _shear_images
+    from conftest import shear_images
 
     frame = frames_of(make_estimator("cmedian"), X, 2)[0]
     a_idx, b_idx = frame.partition(4, "largest_projection")
-    far = _shear_images(X, frame.basis, "shear_replace_far", b_idx, slopes)
-    near = _shear_images(X, frame.basis, "shear_replace_near", a_idx, slopes)
+    far = shear_images(X, frame.basis, "shear_replace_far", b_idx, slopes)
+    near = shear_images(X, frame.basis, "shear_replace_near", a_idx, slopes)
     return far, near, frame.offsets, frame.kept
 
 
@@ -383,8 +385,8 @@ def test_preimage_check_catches_a_travelling_pinned_point(demo10):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_family_distances_match_one_by_one(k):
-    from robloc.breakdown import _family_distances
+def test_estimate_distances_match_one_by_one(k):
+    from robloc.breakdown import _estimate_distances
 
     rng = np.random.default_rng(k)
     baseline = EstimateSet(rng.standard_normal((2, k)))
@@ -394,10 +396,9 @@ def test_family_distances_match_one_by_one(k):
         members = np.concatenate([e.members for e in ests])
         stack = EstimateStack(members, np.cumsum(sizes) - sizes)
         want = [estimate_set_distance(e, baseline) for e in ests]
-        got = _family_distances([stack, stack[2:5], stack], baseline)
-        assert [d.tolist() for d in got] == [want, want[2:5], want]
-    (empty,) = _family_distances([EstimateStack(np.empty((0, k)), [])], baseline)
-    assert empty.tolist() == []
+        assert _estimate_distances(stack, baseline).tolist() == want
+        assert _estimate_distances(stack[2:5], baseline).tolist() == want[2:5]
+    assert _estimate_distances(EstimateStack(np.empty((0, k)), []), baseline).tolist() == []
 
 
 # --- cluster attack ------------------------------------------------------------
@@ -745,6 +746,72 @@ def test_shear_screen_matches_exact_rational_determinants():
             unit = Fraction(X.diameter) ** k
             assert screen.d0[s] == pytest.approx(float(exact_d0 / unit), rel=1e-12, abs=1e-12)
             assert d1[s] == pytest.approx(float(exact_d1 / unit), rel=1e-12, abs=1e-12)
+
+
+def row_replaced_dets(X, screen, e2):
+    """The oracle of the screen's row determinants: for each row j, the LU
+    determinant of every subset's difference rows (in units of the data
+    diameter) with row j replaced by e2, one ``np.linalg.det`` call per j."""
+    base = X.points[screen.subsets]
+    rows = (base[:, 1:, :] - base[:, :1, :]) / screen.scale
+    M = np.empty(rows.shape[:2])
+    for j in range(X.k):
+        mod = rows.copy()
+        mod[:, j, :] = e2
+        M[:, j] = np.linalg.det(mod)
+    return M
+
+
+def lu_det_error(m):
+    """First-order bound, in units of eps, on the error of the LU
+    determinant of an m x m matrix whose rows have 2-norm at most 1.
+
+    With partial pivoting L U = P (A + E), |E| <= gamma_m |L| |U|, |L_ij|
+    <= 1 and |U_ij| <= 2^(m-1) (the growth bound), so |E_ij| <= m 2^(m-1)
+    gamma_m; every cofactor of A is at most 1 (Hadamard), so det(A + E)
+    moves by at most m^2 of them: m^4 2^(m-1) eps. numpy multiplies the
+    pivots p_i as exp of the sum of their logarithms. With every p_i at
+    most 2^(m-1) and |det| at most 1, |det| sum |log p_i| < 1.4 m^2, so
+    the logarithms, their sum and exp add at most ((m + 1) m^2 + 1) eps."""
+    return m**4 * 2 ** (m - 1) + (m + 1) * m**2 + 1
+
+
+@st.composite
+def screen_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 2, k + 5))
+    kind = draw(st.sampled_from(("gp", "integer", "near_flat")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "gp":
+        X = random_gp_dataset(n, k, int(rng.integers(2**16)))
+    elif kind == "integer":
+        X = DataSet(rng.integers(-n, n + 1, size=(n, k)).astype(float))
+    else:  # every subset nearly flat: the last coordinate is 1e-9 of the rest
+        X = DataSet(rng.standard_normal((n, k)) * np.append(np.ones(k - 1), 1e-9))
+    u = rng.standard_normal((3, k))
+    return X, u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_cases())
+def test_screen_cofactors_match_row_replaced_determinants(case):
+    # every row and e2 has norm at most 1, so every determinant and
+    # cofactor is at most 1: the oracle is within lu_det_error(k) eps of
+    # the exact value, each cofactor within lu_det_error(k - 1) eps, and
+    # their product with e2 adds at most sqrt(k) (that + k) eps. The bound
+    # doubles the sum for second-order terms
+    from robloc.breakdown import _ShearPositionScreen
+
+    X, e2s = case
+    k = X.k
+    screen = _ShearPositionScreen(X)
+    eps = float(np.finfo(float).eps)
+    bound = 2 * (lu_det_error(k) + np.sqrt(k) * (lu_det_error(k - 1) + k)) * eps
+    stacked = screen.row_replacements(e2s)
+    assert stacked.shape == (len(e2s), len(screen.subsets), k)
+    for e2, got in zip(e2s, stacked):
+        assert np.array_equal(screen.row_replacements(e2), got)
+        assert np.abs(got - row_replaced_dets(X, screen, e2)).max() <= bound
 
 
 def test_mcd_objective_matches_exact_rational_covariance():

@@ -215,11 +215,15 @@ def test_weighted_mean_selects_single_point(demo10):
     assert np.array_equal(weighted_mean(demo10, w), demo10.points[3])
 
 
+@pytest.mark.filterwarnings("error")
 def test_weighted_mean_rejects_bad_weights(demo10):
     with pytest.raises(ParameterError):
         weighted_mean(demo10, np.zeros(demo10.n))
     with pytest.raises(ParameterError):
         weighted_mean(demo10, np.full(demo10.n, 1.5))
+    # NaN fails both range comparisons
+    with pytest.raises(ParameterError, match=r"^weights must lie in \[0, 1\]$"):
+        weighted_mean(demo10, [np.nan] + [1.0] * (demo10.n - 1))
 
 
 def test_mcd_full_coverage_is_centroid(demo10):
@@ -362,7 +366,7 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
 
     frame = SimpleNamespace(terms=lambda family: None,
                             bracket=lambda _, slopes: stretch(list(map(grid.index, slopes))))
-    hooked = (index, [family], lambda basis: frame)
+    hooked = (index, lambda basis: frame, points, [family])
     failed = [g for g, run in enumerate(runs) if not any(np.isfinite(d) and d > 0 for d in run)]
     if failed:
         # the first failing run in grid order decides; one whose
@@ -384,7 +388,7 @@ def test_mcd_winners_and_kernel_match_the_rule_run_by_run(runs, seed, shear, chu
         return
     winners, best, first = _mcd_winners(dets, starts)
     rows, members, kernel_first, kernel_best, _, fallbacks = kernel(_mcd_stack, *stacked)
-    (stack,) = kernel(_mcd_families, *hooked)
+    stack = kernel(_mcd_families, *hooked)
     # a chunk scores every subset unless its bracket is tight and every
     # candidate (each singular subset among them) has a valid objective
     assert fallbacks == sum(

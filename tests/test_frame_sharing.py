@@ -135,7 +135,7 @@ def test_each_frame_draws_once_builds_its_state_once_and_sweeps_once_per_partiti
     T = make_estimator(name)
     ties = counting(monkeypatch, breakdown, "normal_cone_ties")
     sweeps = recording_sweeps(monkeypatch)
-    rows = counting(monkeypatch, breakdown._ShearPositionScreen, "row_replacements")
+    screens = counting(monkeypatch, breakdown, "_ShearPositionScreen")
     builds = counting(monkeypatch, estimators, "MCDShearSweep")
     empirical_fsbv(T, X, suite=AttackSuite(cone_seed=0))
 
@@ -147,11 +147,9 @@ def test_each_frame_draws_once_builds_its_state_once_and_sweeps_once_per_partiti
     made = [(frame, frame.partition(m, b), m) for _, _, frame, m, b in sweeps]
     assert len(made) == len(set(made))
     swept = {frame for _, _, frame, _, _ in sweeps}
-    assert len(rows) == len(swept)
     assert len(builds) == (len(swept) if name == "mcd" else 0)
-    attacks = sweeps[0][0]
-    assert all(attacks.per_frame(frame) is attacks.per_frame(frame) for frame in swept)
-    assert len(attacks._per_frame) == len(swept)
+    # one position screen per attack context, whose cofactors serve every frame
+    assert len({id(attacks) for attacks, *_ in sweeps}) == len(screens) == 1
 
 
 def test_both_rules_at_m_equal_n_minus_h_are_one_sweep(monkeypatch):

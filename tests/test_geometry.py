@@ -18,7 +18,6 @@ from robloc import (
     shear_transform,
 )
 from robloc.errors import GeneralPositionError, OverflowParameterError, ParameterError
-from robloc.breakdown import _shear_images
 from robloc.estimators import EstimateSet, LocationEstimator
 from robloc.geometry import (
     GP_RTOL,
@@ -29,6 +28,7 @@ from robloc.geometry import (
     tie_levels,
     unit_direction,
 )
+from conftest import shear_images
 
 GP83 = Path(__file__).parent / "golden" / "gp8_3d.csv"
 
@@ -471,7 +471,7 @@ def shear_family_cases(draw):
 @given(shear_family_cases())
 def test_shear_family_stack_matches_per_slope_construction(case):
     X, basis, replaced, slopes = case
-    family = _shear_images(X, basis, "shear_replace_far", replaced, slopes)
+    family = shear_images(X, basis, "shear_replace_far", replaced, slopes)
     assert family.points.shape == (len(slopes), X.n, X.k)
     assert not family.points.flags.writeable
     rows = X.points[list(replaced)]
@@ -487,10 +487,10 @@ def test_shear_family_datasets_view_the_stack(demo10):
     # the evaluator's per-dataset loop sees exactly the blocks of the stack:
     # this estimator returns every row it is given
     basis = basis_from_normal(np.array([0.6, 0.8]), demo10.points[0])
-    family = _shear_images(demo10, basis, "shear_replace_far", (3, 1, 7), (10.0, -1e8, 0.0))
+    family = shear_images(demo10, basis, "shear_replace_far", (3, 1, 7), (10.0, -1e8, 0.0))
     assert family.basis is basis and family.parameters == (10.0, -1e8, 0.0)
     rows = LocationEstimator("rows", "translation", lambda X: EstimateSet(X.points))
-    (stack,) = rows.evaluator(demo10)([family])
+    stack = rows.evaluator(demo10)([family])
     assert len(stack) == 3
     for j, est in enumerate(stack):
         assert np.array_equal(est.members, family.points[j])
@@ -508,7 +508,7 @@ def test_shear_family_rejects_non_finite_images(demo10):
     # the image overflows at a grid value, so that value is too large
     basis = basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))
     with pytest.raises(ParameterError, match=r"^slope 1e\+308 is too large: its image overflows$"):
-        _shear_images(demo10, basis, "shear_replace_far", (0,), (1.0, 1e308))
+        shear_images(demo10, basis, "shear_replace_far", (0,), (1.0, 1e308))
 
 
 def test_apply_map_identity_and_inverse(demo10):
@@ -522,3 +522,25 @@ def test_apply_map_identity_and_inverse(demo10):
 def test_affine_map_rejects_singular():
     with pytest.raises(ParameterError):
         AffineMap(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
+
+
+NON_FINITE = {
+    "affine-nan-matrix": (lambda: AffineMap(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2)),
+                          "^affine map entries must be finite$"),
+    "affine-inf-offset": (lambda: AffineMap(np.eye(2), np.array([np.inf, 0.0])),
+                          "^affine map entries must be finite$"),
+    "basis-nan-origin": (lambda: basis_from_normal(np.array([1.0, 0.0]), np.array([np.nan, 0.0])),
+                         "^basis vectors and origin must be finite$"),
+    "shear-nan-slope": (lambda: shear_transform(np.nan, basis_from_normal(np.array([1.0, 0.0]), np.zeros(2))),
+                        "^slope must be finite, got nan$"),
+    "shear-overflow": (lambda: shear_transform(1e160, basis_from_normal(np.array([1.0, 0.0]), np.array([1e150, 0.0]))),
+                       r"^slope 1e\+160 is too large: its shear overflows$"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_geometric_constructors_reject_non_finite_input(case):
+    build, message = NON_FINITE[case]
+    with pytest.raises(ParameterError, match=message):
+        build()

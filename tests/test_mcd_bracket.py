@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robloc import DataSet, bundled_dataset, check_general_position, make_estimator, random_gp_dataset
-from robloc.breakdown import _cluster_rows, _shear_images
+from robloc.breakdown import _cluster_rows
 from robloc.errors import DegenerateSampleError, OverflowParameterError
 from robloc.estimators import (
     EstimateSet,
@@ -24,6 +24,7 @@ from robloc.estimators import (
     mcd_exhaustive,
 )
 from robloc.geometry import subset_index
+from conftest import shear_images
 from test_breakdown import frames_of
 from test_sweep import integer_gp_dataset
 
@@ -130,7 +131,7 @@ def test_mcd_shear_bracket_holds_the_svd_objective_in_a_mixed_call(case):
     for frame, pick in zip(frames, roots):
         replaced = frame.partition(min(m, X.n - len(frame.kept)), "largest_projection")[1]
         sweep = MCDShearSweep(X, frame.basis, coverage)
-        rs2, ss = sweep.terms(_shear_images(X, frame.basis, "shear_replace_far", replaced, (1.0,)))[:2]
+        rs2, ss = sweep.terms(shear_images(X, frame.basis, "shear_replace_far", replaced, (1.0,)))[:2]
         # at coverage n the one subset can keep its volume at every slope:
         # then no subset has a root to add
         near, growing = [], np.flatnonzero(ss > 0)
@@ -138,7 +139,7 @@ def test_mcd_shear_bracket_holds_the_svd_objective_in_a_mixed_call(case):
             i = growing[pick % len(growing)]
             root = float(-rs2[i] / (2 * ss[i]))
             near = [root, np.nextafter(root, np.inf), np.nextafter(root, -np.inf), root * (1 + 1e-9)]
-        families.append(_shear_images(X, frame.basis, "shear_replace_far", replaced, slopes + near))
+        families.append(shear_images(X, frame.basis, "shear_replace_far", replaced, slopes + near))
     theta = T(X).canonical
     families.insert(1, _cluster_rows(X, families[0].replaced, theta, np.eye(X.k)[0], (1e1, 1e5, 1e9)))
     shear = np.concatenate([np.full(len(f.parameters), f.basis is not None) for f in families])

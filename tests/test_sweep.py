@@ -23,7 +23,7 @@ from robloc import (
     translation_cluster_attack,
 )
 from robloc import breakdown, estimators
-from robloc.breakdown import DEFAULT_GAMMA_GRID, DEFAULT_RADIUS_GRID, _cluster_rows, _shear_images
+from robloc.breakdown import DEFAULT_GAMMA_GRID, DEFAULT_RADIUS_GRID, _cluster_rows
 from robloc.errors import ParameterError, RoblocError
 from robloc.estimators import (
     EstimateSet,
@@ -34,6 +34,7 @@ from robloc.estimators import (
     mcd_exhaustive,
 )
 from robloc.univariate import univariate_median
+from conftest import shear_images
 from test_breakdown import frames_of
 
 
@@ -123,7 +124,7 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
     for frame in frames_of(T, X, k)[:3]:
         sweep = MCDShearSweep(X, frame.basis)
         _, replaced = frame.partition(2, "largest_projection")
-        family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
+        family = shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
         low, high = sweep.bracket(sweep.terms(family), family.parameters)
         for j, points in enumerate(family.points):
             groups = points[sweep.subsets]
@@ -136,7 +137,7 @@ def test_mcd_sweep_bounds_bracket_the_svd_objective(k):
         rows, _, first, best, _, fallbacks = _mcd_stack(family.points, sweep.subsets,
                                                          lambda lo, hi: (low[lo:hi], high[lo:hi]))
         assert fallbacks == 0
-        (stack,) = T.evaluator(X)([family])
+        stack = T.evaluator(X)([family])
         for j, (w, points) in enumerate(zip(np.split(rows, first[1:]), family.points)):
             want = mcd_exhaustive(DataSet(points))
             assert tuple(map(tuple, w.tolist())) == want.optimal_subsets
@@ -152,13 +153,13 @@ def test_mcd_sweep_falls_back_chunk_by_chunk_where_the_bound_overflows():
     T = make_estimator("mcd")
     frame = frames_of(T, X, 2)[0]
     _, replaced = frame.partition(2, "largest_projection")
-    family = _shear_images(X, frame.basis, "shear_replace_far", replaced, (0.1, 10.0, 1e100))
+    family = shear_images(X, frame.basis, "shear_replace_far", replaced, (0.1, 10.0, 1e100))
     sweep = MCDShearSweep(X, frame.basis)
     _, high = sweep.bracket(sweep.terms(family), family.parameters)
     assert np.isfinite(high[:2]).all() and not np.isfinite(high[2]).all()
     calls = []
     with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1), kernel_counts(calls):
-        (stack,) = T.evaluator(X)([family])
+        stack = T.evaluator(X)([family])
     ((candidates, fallbacks),) = calls
     assert fallbacks == 1 and 0 < candidates
     for j, points in enumerate(family.points):
@@ -210,9 +211,9 @@ def test_an_overflow_in_a_call_names_its_familys_parameter(kind, demo10):
     T = make_estimator("mcd")
     frame = frames_of(T, demo10, 2)[0]
     _, replaced = frame.partition(5, "largest_projection")
-    first = _shear_images(demo10, frame.basis, "shear_replace_far", replaced, (10.0, 1e3))
+    first = shear_images(demo10, frame.basis, "shear_replace_far", replaced, (10.0, 1e3))
     if kind == "slope":
-        second = _shear_images(demo10, frame.basis, "shear_replace_near", replaced, (1e2, 1e160, 1e170))
+        second = shear_images(demo10, frame.basis, "shear_replace_near", replaced, (1e2, 1e160, 1e170))
     else:
         second = _cluster_rows(demo10, replaced, T(demo10).canonical, np.eye(2)[0], (1e2, 1e200, 1e210))
     bad = second.parameters[1]
@@ -269,11 +270,11 @@ def test_mcd_cluster_hook_matches_generic_loop_at_every_m(data, demo10):
         for u in np.vstack([np.eye(X.k), -np.eye(X.k)]):
             order = np.lexsort((np.arange(X.n), -(X.points @ u)))
             family = _cluster_rows(X, np.sort(order[:m]), theta, u, DEFAULT_RADIUS_GRID)
-            (want,) = loop([family])
+            want = loop([family])
             # one stack of every radius's subsets, and one radius at a time
             with mock.patch("robloc.estimators._MCD_STACK_FLOATS", 1):
-                (alone,) = hook([family])
-            for got in (*hook([family]), alone):
+                alone = hook([family])
+            for got in (hook([family]), alone):
                 for name in ("members", "starts", "canonical"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (m, u, name)
             tied += len(got.members) > len(got)
@@ -323,8 +324,8 @@ def test_cmedian_sweep_matches_evaluate_per_dataset(k, n_extra, make):
         for m in (1, X.n - k):
             a_idx, b_idx = frame.partition(m, "smallest_projection")
             for replaced in (a_idx, b_idx):
-                family = _shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
-                (got,) = T.evaluator(X)([family])
+                family = shear_images(X, frame.basis, "shear_replace_far", replaced, slopes)
+                got = T.evaluator(X)([family])
                 for est, Xg in zip(got, map(DataSet, family.points)):
                     want = median_box_oracle(Xg)
                     for found in (est, coordinatewise_median(Xg)):
