@@ -42,13 +42,12 @@ from .geometry import (
     Facet,
     OrthonormalBasis,
     ReplacementFamily,
-    _shear_stack,
-    apply_shears,
     basis_from_normal,
     check_general_position,
     enumerate_facets,
     normal_cone_ties,
     require_general_position,
+    shear_images,
     subset_index,
     tie_levels,
     unit_direction,
@@ -355,10 +354,12 @@ class _ShearFrame:
     """The h points pinned on a hyperplane and the verified tie direction
     ``normal`` at ``level`` through them, with what every sweep reads: the
     shear ``basis``, every point's ``offsets`` from the pinned hyperplane,
-    and the non-kept indices in replacement order per b_rule (largest or
-    smallest offset first, ties by index). A sweep of it is fixed by the
-    frame, the partition and the budget; the hull facet through which the
-    pinned face was found is only a label. Frames compare by identity:
+    and per b_rule and budget m = 0..n-h its (kept-out A, replaced B)
+    ``partitions`` of the non-kept indices, B the m first in replacement
+    order (largest or smallest offset first, ties by index), each side in
+    increasing index order. A sweep of it is fixed by the frame, the
+    partition and the budget; the hull facet through which the pinned face
+    was found is only a label. Frames compare by identity:
     :class:`_Attacks` builds one per kept subset."""
 
     kept: tuple  # h indices pinned on the hyperplane
@@ -366,16 +367,11 @@ class _ShearFrame:
     level: float
     basis: OrthonormalBasis = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    rankings: dict = field(repr=False)
-    partitions: dict = field(default_factory=dict, repr=False)  # (m, b_rule) -> partition
+    partitions: dict = field(repr=False)  # b_rule -> (A, B) per m
 
     def partition(self, m: int, b_rule: str) -> tuple:
         """(kept-out A, replaced B) with |B| = m, each in increasing index order."""
-        if (m, b_rule) not in self.partitions:
-            ranked = self.rankings[b_rule]
-            a_idx, b_idx = np.sort(ranked[m:]), np.sort(ranked[:m])
-            self.partitions[m, b_rule] = tuple(int(i) for i in a_idx), tuple(int(i) for i in b_idx)
-        return self.partitions[m, b_rule]
+        return self.partitions[b_rule][m]
 
 
 def _shear_frames(attacks: _Attacks) -> list:
@@ -486,15 +482,12 @@ def _estimate_distances(stack: EstimateStack, baseline: EstimateSet) -> np.ndarr
 
 
 def _attack_trace(
-    attacks: _Attacks, family: str, m: int, h: int | None, requested: list, used: list, columns: list,
-    details: dict,
+    attacks: _Attacks, family: str, m: int, h: int | None, requested: list, settled: tuple, details: dict,
 ) -> AttackTrace:
-    """The trace of one attack from its (label, replaced, estimates,
-    distances to the baseline) columns. A grid value whose distance
-    overflows is a ParameterError."""
-    labels, replaced, estimates, distances = zip(*columns)
-    distances = np.column_stack(distances)
-    _require_finite_at(used, distances, "its distance", "slope" if family == "shear" else "radius")
+    """The trace of one attack from what its batch settled: the used grid,
+    the (label, replaced, estimates) columns and the (G, F) distances."""
+    used, columns, distances = settled
+    labels, replaced, estimates = zip(*columns)
     return AttackTrace(
         family=family,
         estimator=attacks.T.name,
@@ -539,7 +532,7 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self.settled = {}  # attack -> (used grid, columns)
+        self.settled = {}  # attack -> (used grid, columns, distances)
 
     @cached_property
     def facets(self) -> list:
@@ -573,36 +566,37 @@ class _Attacks:
 
     def _frame(self, facet: Facet, kept: tuple) -> _ShearFrame | None:
         X, theta, tol = self.X, self.baseline.canonical, self.tol
-
-        def above(u, level):
-            return float(u @ theta) - level > tol
-
         if len(kept) == X.k:
             u = facet.inward_normal
             level = tie_levels((X.points @ u)[None], kept, tol)[0]
-            ties = [] if np.isnan(level) else [(u, float(level), None)]
+            ties = [] if np.isnan(level) else [(u, float(level))]
         else:
             rng = np.random.default_rng(self.suite.cone_seed)
-            ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol, until=above)
-        found = next(((u, level) for u, level, _ in ties if above(u, level)), None)
+            ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol)
+        found = next(((u, level) for u, level in ties if float(u @ theta) - level > tol), None)
         if found is None:
             return None
         u, level = found
         rest = np.setdiff1d(np.arange(X.n), kept, assume_unique=True)
         proj = X.points[rest] @ u - level
-        rankings = {"largest_projection": rest[np.lexsort((rest, -proj))],
-                    "smallest_projection": rest[np.lexsort((rest, proj))]}
+        partitions = {}
+        for b_rule, key in zip(_PARTITION_RULES, (-proj, proj)):
+            order = rest[np.lexsort((rest, key))].tolist()
+            partitions[b_rule] = tuple((tuple(sorted(order[m:])), tuple(sorted(order[:m])))
+                                       for m in range(len(order) + 1))
         basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
-        return _ShearFrame(kept, u, level, basis, X.points @ u - level, rankings)
+        return _ShearFrame(kept, u, level, basis, X.points @ u - level, partitions)
 
 
 def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> None:
     """Settle the shear sweeps ``sweeps``, (frame, b_rule) pairs, and the
     cluster attacks along the unit ``directions`` at budget m into
     ``attacks.settled``, with one evaluator call and one distance pass
-    over its one estimate stack, which each family then views. An error
-    stores nothing. A batch of one attack takes that attack's steps in
-    order, so it raises what the attack raises."""
+    over its one estimate stack, which each family and each attack's (G, F)
+    distances then view. An error stores nothing. A batch of one attack
+    takes that attack's steps in order, so it raises what the attack
+    raises; a distance that overflows names the grid value of the first
+    such attack."""
     built, settled = _shear_batch(attacks, m, sweeps) if sweeps else ([], [])
     X, theta = attacks.X, attacks.baseline.canonical
     for u in directions:
@@ -612,11 +606,17 @@ def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> N
     stack = attacks.evaluator(built)
     with np.errstate(over="ignore"):
         distances = _estimate_distances(stack, attacks.baseline)
-    ends = np.cumsum([len(family.parameters) for family in built]).tolist()
-    spans = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
-    for key, used, columns in settled:
-        attacks.settled[key] = used, [(label, built[f].replaced, stack[spans[f]], distances[spans[f]])
-                                      for label, f in columns]
+    starts = np.cumsum([0] + [len(family.parameters) for family in built]).tolist()
+    # the families of an attack are consecutive, each over the attack's grid
+    views = [distances[starts[columns[0][1]]:starts[columns[-1][1] + 1]].reshape(len(columns), -1).T
+             for _, _, columns in settled]
+    if not np.isfinite(distances).all():
+        for (_, used, columns), view in zip(settled, views):
+            kind = "slope" if built[columns[0][1]].basis is not None else "radius"
+            _require_finite_at(used, view, "its distance", kind)
+    for (key, used, columns), view in zip(settled, views):
+        attacks.settled[key] = used, [(label, built[f].replaced, stack[starts[f]:starts[f + 1]])
+                                      for label, f in columns], view
 
 
 def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
@@ -627,7 +627,7 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     that fails the screen takes its grid from :func:`_screened_grid`
     alone. The far family replaces the m rows B of the partition by their
     shear images, and the near family, when 0 < |A| <= m, the rows A by
-    their preimages (slope -gamma)."""
+    their preimages (slope -gamma). One preimage check covers the batch."""
     X, screen, grid = attacks.X, attacks.screen, attacks.suite.gamma_grid
     families, spans = [], []  # (frame, label, replaced rows, sign of their slope); per sweep, its families
     for frame, b_rule in sweeps:
@@ -659,9 +659,10 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
                                  slopes[group])
         for f, family in zip(group, shears):
             built[f] = family
-    for lo, hi in spans:
-        if hi - lo == 2:
-            _check_preimage_identity(built[lo], built[lo + 1], families[lo][0].offsets, families[lo][0].kept)
+    pairs = [lo for lo, hi in spans if hi - lo == 2]
+    if pairs:
+        _check_preimage_identity([built[lo] for lo in pairs], [built[lo + 1] for lo in pairs],
+                                 [families[lo][0].offsets for lo in pairs], [families[lo][0].kept for lo in pairs])
     settled = [((frame, m, b_rule), grids[s], [(families[f][1], f) for f in range(lo, hi)])
                for s, ((frame, b_rule), (lo, hi)) in enumerate(zip(sweeps, spans))]
     return built, settled
@@ -675,8 +676,7 @@ def _shear_families(X: DataSet, bases: list, replaced: list, slopes: np.ndarray)
     idx = np.array(replaced, dtype=np.intp).reshape(len(bases), -1)
     # an image that overflows is not finite, and the family rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices, offsets = _shear_stack(slopes, *(np.array(t) for t in zip(*(b.shear_terms for b in bases))))
-        images = np.matmul(X.points[idx][:, None], matrices.swapaxes(-1, -2)) + offsets[:, :, None, :]
+        images = shear_images(X.points[idx][:, None], bases, slopes)
     return ReplacementFamily.stack(X, replaced, [tuple(row) for row in slopes.tolist()], images, bases)
 
 
@@ -686,7 +686,7 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
     ``details``."""
     if (frame, m, b_rule) not in attacks.settled:
         _settle(attacks, m, [(frame, b_rule)])
-    used, columns = attacks.settled.pop((frame, m, b_rule))
+    settled = attacks.settled.pop((frame, m, b_rule))
     a_idx, b_idx = frame.partition(m, b_rule)
     details = {
         "facet": list(facet.indices),
@@ -698,18 +698,18 @@ def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int
         "origin": [float(v) for v in frame.basis.origin_shift],
         "b_rule": b_rule,
         "seed": attacks.suite.cone_seed,
-        "preimage_family_included": len(columns) == 2,
+        "preimage_family_included": len(settled[1]) == 2,
     }
-    return _attack_trace(attacks, "shear", m, len(frame.kept), attacks.suite.gamma_grid, used, columns, details)
+    return _attack_trace(attacks, "shear", m, len(frame.kept), attacks.suite.gamma_grid, settled, details)
 
 
-def _check_preimage_identity(
-    far: ReplacementFamily, near: ReplacementFamily, offsets: np.ndarray, kept
-) -> None:
-    """Every far-replacement dataset must be the shear image of the
-    near-replacement dataset of the same slope, row for row. Checked on the
-    whole grid of every sweep; the first slope in grid order that fails
-    raises.
+def _check_preimage_identity(fars: list, nears: list, offsets: list, kept: list) -> None:
+    """Every far-replacement dataset of sweep p of a batch, ``fars[p]``,
+    must be the shear image of its near-replacement dataset of the same
+    slope, ``nears[p]``, row for row; ``offsets[p]`` and ``kept[p]`` are
+    its frame's. The first sweep in batch order that fails raises what a
+    check of it alone would: lost orthogonality, else the first slope at
+    which the check overflows, else the first slope in grid order that fails.
 
     The identity is exact coefficient algebra once points are written as
     q_i + gamma * c_i * e2: applying the shear adds gamma * a_i * e2 (the
@@ -724,29 +724,35 @@ def _check_preimage_identity(
     exceeds 1e-9 relative once gamma is beyond about 1e6. A slope so large
     that the check itself overflows is a ParameterError.
     """
-    e1, e2 = far.basis.e(1), far.basis.e(2)
-    orth = abs(float(e1 @ e2))
-    if orth > 1e-12:
-        raise RoblocError(f"shear basis lost orthogonality: |e1.e2| = {orth:.3e}")
-    gamma = np.abs(np.asarray(far.parameters, dtype=float))
-    blown = np.maximum(
-        1.0, np.maximum(np.abs(far.points).max(axis=(1, 2)), np.abs(near.points).max(axis=(1, 2)))
-    )
-    travel = gamma * float(np.abs(offsets[list(kept)]).max())
+    bases = [far.basis for far in fars]
+    vectors = np.array([basis.vectors for basis in bases])
+    # stacked 1-row products reproduce each basis's ``e1 @ e2`` bit for bit
+    orth = np.abs(np.matmul(vectors[:, None, :, 0], vectors[:, :, 1:2]))[:, 0, 0]
+    far, near = np.stack([f.points for f in fars]), np.stack([f.points for f in nears])  # (P, G, n, k)
+    slopes = np.array([f.parameters for f in fars])
+    gamma = np.abs(slopes)
+    blown = np.maximum(1.0, np.maximum(np.abs(far).max(axis=(2, 3)), np.abs(near).max(axis=(2, 3))))
+    travel = gamma * np.array([np.abs(o[list(pinned)]).max() for o, pinned in zip(offsets, kept)])[:, None]
     eps = float(np.finfo(float).eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(apply_shears(near.points, far.parameters, far.basis) - far.points).max(axis=(1, 2))
+        diff = np.abs(shear_images(near, bases, slopes) - far).max(axis=(2, 3))
         bound = np.maximum(_IDENTITY_RTOL, 8.0 * eps * gamma) * blown
-    _require_finite_at(far.parameters, np.column_stack([diff, bound]), "the preimage check")
+    finite = np.isfinite(diff) & np.isfinite(bound)
     travels = travel > _IDENTITY_RTOL * blown
-    for j in np.flatnonzero(travels | (diff > bound))[:1]:
-        if travels[j]:
+    fails = travels | (diff > bound)
+    for p in np.flatnonzero((orth > 1e-12) | ~finite.all(axis=1) | fails.any(axis=1))[:1]:
+        if orth[p] > 1e-12:
+            raise RoblocError(f"shear basis lost orthogonality: |e1.e2| = {orth[p]:.3e}")
+        if not finite[p].all():
+            raise fars[p].too_large(int(np.argmin(finite[p])), "the preimage check overflows")
+        j = int(np.argmax(fails[p]))
+        if travels[p, j]:
             raise RoblocError(
-                f"pinned points travel {travel[j]:.3e} under the shear, beyond "
-                f"{_IDENTITY_RTOL * blown[j]:.3e}"
+                f"pinned points travel {travel[p, j]:.3e} under the shear, beyond "
+                f"{_IDENTITY_RTOL * blown[p, j]:.3e}"
             )
         raise RoblocError(
-            f"shear families lost their preimage identity: max deviation {diff[j]:.3e} > {bound[j]:.3e}"
+            f"shear families lost their preimage identity: max deviation {diff[p, j]:.3e} > {bound[p, j]:.3e}"
         )
 
 
@@ -835,13 +841,13 @@ def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray) -> AttackTrace:
     key = m, tuple(u.tolist())
     if key not in attacks.settled:
         _settle(attacks, m, [], [u])
-    radii, columns = attacks.settled.pop(key)
+    settled = attacks.settled.pop(key)
     details = {
         "direction": [float(v) for v in u],
         "anchor": [float(v) for v in attacks.baseline.canonical],
         "seed": None,
     }
-    return _attack_trace(attacks, "cluster", m, None, radii, radii, columns, details)
+    return _attack_trace(attacks, "cluster", m, None, settled[0], settled, details)
 
 
 def _cluster_rows(X: DataSet, replaced, anchor, direction, radii) -> ReplacementFamily:

@@ -34,7 +34,8 @@ from .conditions import condition_margin
 from .dataset import load_dataset_csv
 from .depth import DirectionBudget, OutlyingnessEvaluator, tukey_depth
 from .errors import DatasetFormatError, ParameterError, RoblocError
-from .estimators import _ESTIMATOR_PARAMETERS, ESTIMATOR_NAMES, make_estimator
+from .estimators import (_DEFAULT_GRID_REFINEMENTS, _DEFAULT_PROBE_COUNT, _ESTIMATOR_PARAMETERS, ESTIMATOR_NAMES,
+                         make_estimator)
 from .metric import sample_distance
 
 EXIT_INPUT = 2
@@ -235,7 +236,7 @@ def bounds(n, k, h):
 @click.option("--point", required=True, type=str, help="comma-separated coordinates")
 @click.option("--mode", type=click.Choice(["exact2d", "sampled"]), default="exact2d")
 @click.option("--seed", type=int, default=None)
-@click.option("--random-count", type=int, default=2000)
+@click.option("--random-count", type=int, default=_DEFAULT_PROBE_COUNT)
 def depth(dataset, point, mode, seed, random_count):
     """Halfspace depth of a point relative to a dataset."""
     X = _load(dataset)
@@ -311,8 +312,8 @@ def metric(sample_x, sample_y):
 @click.option("--deltas", type=str, default="1e-1,1e-2,1e-3", show_default=True)
 @click.option("--noise-scale", type=float, default=0.1, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--random-count", type=int, default=2000, show_default=True)
-@click.option("--grid-refinements", type=int, default=8, show_default=True)
+@click.option("--random-count", type=int, default=_DEFAULT_PROBE_COUNT, show_default=True)
+@click.option("--grid-refinements", type=int, default=_DEFAULT_GRID_REFINEMENTS, show_default=True)
 def scenario_pm(m_value, deltas, noise_scale, seed, random_count, grid_refinements):
     """Sweep the collapse scenario: projection-median norm and origin
     outlyingness as the anchor separation shrinks."""

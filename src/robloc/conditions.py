@@ -118,7 +118,7 @@ def _tie_probes(X: DataSet, h: int, seed: int, tol: float) -> list:
     rng = np.random.default_rng(seed)
     faces = sorted({sub for f in facets for sub in combinations(f.indices, h)})
     return [(u, face, level) for face in faces
-            for u, level, _ in normal_cone_ties(X, facets, face, rng, _CONE_SAMPLES_PER_FACE, tol)]
+            for u, level in normal_cone_ties(X, facets, face, rng, _CONE_SAMPLES_PER_FACE, tol)]
 
 
 def condition_margin(T: LocationEstimator, X: DataSet, h: int, seed: int = 0) -> ConditionReport:

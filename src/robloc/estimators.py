@@ -69,6 +69,8 @@ _EPS = float(np.finfo(float).eps)
 # a package constant so the fallback stays deterministic.
 _DEFAULT_PROBE_SEED = 1729
 _DEFAULT_PROBE_COUNT = 2000
+# Lattice halvings of the projection median's candidate search.
+_DEFAULT_GRID_REFINEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -759,7 +761,7 @@ def projection_median(
     X: DataSet,
     scale_shift: int | None = None,
     budget: DirectionBudget | None = None,
-    grid_refinements: int = 8,
+    grid_refinements: int = _DEFAULT_GRID_REFINEMENTS,
 ) -> EstimateSet:
     """Maximizer of projection depth 1 / (1 + outlyingness) over a candidate set.
 
@@ -894,7 +896,7 @@ def make_estimator(name: str, seed: int | None = None, **params) -> LocationEsti
             raise ParameterError("estimator 'pm' requires a seed")
         shift = params.get("scale_shift")
         count = params.get("random_count", _DEFAULT_PROBE_COUNT)
-        refinements = require_integer(params.get("grid_refinements", 8), "grid_refinements")
+        refinements = require_integer(params.get("grid_refinements", _DEFAULT_GRID_REFINEMENTS), "grid_refinements")
         def _pm(X: DataSet) -> EstimateSet:
             b = DirectionBudget(count, True, seed)
             s = (X.k - 1) if shift is None else shift

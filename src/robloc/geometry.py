@@ -37,7 +37,7 @@ __all__ = [
     "basis_from_normal",
     "AffineMap",
     "shear_transform",
-    "apply_shears",
+    "shear_images",
     "ReplacementFamily",
     "apply_map",
 ]
@@ -235,10 +235,9 @@ def tie_levels(proj: np.ndarray, faces, tol: float) -> np.ndarray:
     return np.where(untied, np.nan, level)
 
 
-def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float,
-                     until=None) -> list:
-    """``(u, level, proj)`` of the verified directions in the normal cone of
-    a hull face, in draw order.
+def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples: int, tol: float) -> list:
+    """``(u, level)`` of the verified directions in the normal cone of a
+    hull face, in draw order.
 
     The normal cone of a face of a simplicial hull is positively spanned by
     the inward normals of the facets containing it; strictly positive
@@ -246,10 +245,9 @@ def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples
     every other point above. All ``samples`` Dirichlet weights come from one
     call on ``rng`` and are checked in one pass, for both callers; each
     combination is normalized and kept only if :func:`tie_levels` confirms
-    the tie, and with a predicate ``until(u, level)`` the list ends at the
-    first tie accepted. A face on fewer than two facets gives an empty list
-    and draws nothing: a boundary-of-cone direction would tie more points
-    than the face.
+    the tie. A face on fewer than two facets gives an empty list and draws
+    nothing: a boundary-of-cone direction would tie more points than the
+    face.
     """
     normals = [f.inward_normal for f in facets if set(face) <= set(f.indices)]
     if len(normals) < 2:
@@ -262,15 +260,9 @@ def normal_cone_ties(X: DataSet, facets, face, rng: np.random.Generator, samples
     norms = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0, 0]
     keep = norms > 1e-12
     U = U[keep] / norms[keep, None]
-    proj = np.matmul(X.points[None], U[:, :, None])[:, :, 0]
-    levels = tie_levels(proj, face, tol)
+    levels = tie_levels(np.matmul(X.points[None], U[:, :, None])[:, :, 0], face, tol)
     tied = ~np.isnan(levels)
-    ties = []
-    for tie in zip(U[tied], levels[tied].tolist(), proj[tied]):
-        ties.append(tie)
-        if until is not None and until(*tie[:2]):
-            break
-    return ties
+    return list(zip(U[tied], levels[tied].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,16 +461,18 @@ def shear_transform(gamma: float, basis: OrthonormalBasis) -> AffineMap:
     return _trusted_affine(matrices[0], offsets[0])
 
 
-def apply_shears(points: np.ndarray, slopes, basis: OrthonormalBasis) -> np.ndarray:
-    """Images of points under the shear of every slope, as a (G, r, k) stack.
+def shear_images(points: np.ndarray, bases, slopes: np.ndarray) -> np.ndarray:
+    """Images of points under the shear of every slope (f, j) of the
+    (F, G) ``slopes`` in ``bases[f]``, as one (F, G, r, k) stack.
 
-    ``points`` is one (r, k) array, mapped by every slope, or a (G, r, k)
-    stack whose j-th block is mapped by the j-th slope. Block j equals
-    ``shear_transform(slopes[j], basis).apply`` of the same rows to the
-    last bit (``tests/test_geometry.py`` compares them).
+    ``points`` is an (F, G, r, k) stack, block (f, j) mapped by slope
+    (f, j), or (F, 1, r, k) for rows that every slope of a basis maps.
+    Block (f, j) equals ``shear_transform(slopes[f, j], bases[f]).apply``
+    of the same rows to the last bit (``tests/test_geometry.py`` compares
+    them); an image that overflows is not finite.
     """
-    matrices, offsets = _shear_stack(np.asarray(slopes, dtype=float).reshape(-1), *basis.shear_terms)
-    return np.matmul(points, matrices.transpose(0, 2, 1)) + offsets[:, None, :]
+    matrices, offsets = _shear_stack(slopes, *(np.array(t) for t in zip(*(b.shear_terms for b in bases))))
+    return np.matmul(points, matrices.swapaxes(-1, -2)) + offsets[:, :, None, :]
 
 
 class ReplacementFamily(NamedTuple):

@@ -335,53 +335,96 @@ def test_fsbv_enumerates_the_facets_once(monkeypatch):
     assert len(calls) == 1
 
 
-def preimage_families(X, slopes):
-    """Far and near shear families of the first h = 2 frame of X, with
+def preimage_families(X, slopes, i=0):
+    """Far and near shear families of the i-th h = 2 frame of X, with
     what the preimage check reads."""
     from conftest import shear_images
 
-    frame = frames_of(make_estimator("cmedian"), X, 2)[0]
+    frame = frames_of(make_estimator("cmedian"), X, 2)[i]
     a_idx, b_idx = frame.partition(4, "largest_projection")
     far = shear_images(X, frame.basis, "shear_replace_far", b_idx, slopes)
     near = shear_images(X, frame.basis, "shear_replace_near", a_idx, slopes)
     return far, near, frame.offsets, frame.kept
 
 
-def test_preimage_check_catches_a_perturbed_row(demo10):
+def deviation_message(far, points, slopes, j):
+    """The message of a per-slope check of the near datasets ``points``
+    against ``far`` at slope j, which must fail there."""
+    image = shear_transform(slopes[j], far.basis).apply(points[j])
+    diff = float(np.abs(image - far.points[j]).max())
+    blown = max(1.0, float(np.abs(far.points[j]).max()), float(np.abs(points[j]).max()))
+    bound = max(1e-9, 8.0 * float(np.finfo(float).eps) * slopes[j]) * blown
+    assert diff > bound
+    return f"shear families lost their preimage identity: max deviation {diff:.3e} > {bound:.3e}"
+
+
+def perturbed(X, near, rows):
+    """``near`` with each (slope index, row) of ``rows`` moved by 1e-6 of
+    the scale of X along the diagonal."""
+    points = near.points.copy()
+    scale = float(np.abs(X.points).max())
+    for j, row in rows:
+        points[j, row] += 1e-6 * scale
+    return near._replace(points=points)
+
+
+def check_batch(sweeps):
+    """The preimage check of (far, near, offsets, kept) sweeps as one batch."""
     from robloc.breakdown import _check_preimage_identity
 
+    _check_preimage_identity(*(list(column) for column in zip(*sweeps)))
+
+
+def test_preimage_check_catches_a_perturbed_row(demo10):
     slopes = (10.0, 100.0, 1000.0)
     far, near, offsets, kept = preimage_families(demo10, slopes)
-    _check_preimage_identity(far, near, offsets, kept)
-    scale = float(np.abs(demo10.points).max())
+    check_batch([(far, near, offsets, kept)])
     for j in (1, 2):
-        points = near.points.copy()
-        points[j, 0] += 1e-6 * scale  # first failing slope is j
-        points[2, 1] += 1e-6 * scale
-        # the message of the per-slope check at slope j
-        image = shear_transform(slopes[j], far.basis).apply(points[j])
-        diff = float(np.abs(image - far.points[j]).max())
-        blown = max(1.0, float(np.abs(far.points[j]).max()), float(np.abs(points[j]).max()))
-        bound = max(1e-9, 8.0 * float(np.finfo(float).eps) * slopes[j]) * blown
-        assert diff > bound
-        message = f"shear families lost their preimage identity: max deviation {diff:.3e} > {bound:.3e}"
+        near_j = perturbed(demo10, near, [(j, 0), (2, 1)])  # first failing slope is j
         with pytest.raises(RoblocError) as info:
-            _check_preimage_identity(far, near._replace(points=points), offsets, kept)
-        assert str(info.value) == message
+            check_batch([(far, near_j, offsets, kept)])
+        assert str(info.value) == deviation_message(far, near_j.points, slopes, j)
 
 
 def test_preimage_check_catches_a_travelling_pinned_point(demo10):
-    from robloc.breakdown import _check_preimage_identity
-
-    slopes = (10.0, 100.0)
-    far, near, offsets, kept = preimage_families(demo10, slopes)
+    far, near, offsets, kept = preimage_families(demo10, (10.0, 100.0))
     moved = offsets.copy()
     moved[kept[0]] = 1e-3
     blown = max(1.0, float(np.abs(far.points[0]).max()), float(np.abs(near.points[0]).max()))
     message = f"pinned points travel {10.0 * 1e-3:.3e} under the shear, beyond {1e-9 * blown:.3e}"
     with pytest.raises(RoblocError) as info:
-        _check_preimage_identity(far, near, moved, kept)
+        check_batch([(far, near, moved, kept)])
     assert str(info.value) == message
+
+
+def test_preimage_check_of_a_batch_raises_for_its_first_failing_sweep(demo10):
+    # three sweeps of different frames; sweeps 2 and 3 fail, and sweep 3
+    # fails at an earlier slope than sweep 2
+    slopes = (10.0, 100.0, 1000.0)
+    sweeps = [preimage_families(demo10, slopes, i) for i in range(3)]
+    assert len({sweep[3] for sweep in sweeps}) == 3
+    check_batch(sweeps)
+    (far2, near2, *frame2), (far3, near3, *frame3) = sweeps[1:]
+    near2, near3 = perturbed(demo10, near2, [(1, 0), (2, 1)]), perturbed(demo10, near3, [(0, 2)])
+    with pytest.raises(RoblocError) as info:
+        check_batch([sweeps[0], (far2, near2, *frame2), (far3, near3, *frame3)])
+    assert str(info.value) == deviation_message(far2, near2.points, slopes, 1)
+    with pytest.raises(RoblocError) as info:
+        check_batch([sweeps[0], (far3, near3, *frame3), (far2, near2, *frame2)])
+    assert str(info.value) == deviation_message(far3, near3.points, slopes, 0)
+
+
+def test_preimage_check_of_a_batch_names_the_first_sweep_that_overflows(demo10):
+    # at 1e300 the families are finite, but shearing the near rows back
+    # overflows inside the check
+    far1, near1, *frame1 = preimage_families(demo10, (10.0, 1e300), 0)
+    far2, near2, *frame2 = preimage_families(demo10, (10.0, 100.0), 1)
+    near2 = perturbed(demo10, near2, [(0, 0)])
+    with pytest.raises(ParameterError, match=r"^slope 1e\+300 is too large: the preimage check overflows$"):
+        check_batch([(far1, near1, *frame1), (far2, near2, *frame2)])
+    with pytest.raises(RoblocError) as info:
+        check_batch([(far2, near2, *frame2), (far1, near1, *frame1)])
+    assert str(info.value) == deviation_message(far2, near2.points, (10.0, 100.0), 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -173,3 +173,26 @@ def test_both_rules_at_m_equal_n_minus_h_are_one_sweep(monkeypatch):
         assert f"shear(h={h},facet={facet.indices},rule=smallest_projection)" in tried
         made = [b for _, _, f, mm, b in sweeps if f is frame and mm == m]
         assert made == ["largest_projection"]
+
+
+@pytest.mark.parametrize("n, k", [(9, 2), (8, 3), (9, 4)])
+@pytest.mark.parametrize("cone_seed", [0, 7])
+def test_frame_partition_table_matches_a_from_scratch_oracle(n, k, cone_seed):
+    """Each frame's table holds, per rule and every budget m = 0..n-h, the
+    split a lexsort of the offsets gives (ties by index), both sides
+    sorted, as tuples of Python ints; ``partition`` reads the table."""
+    X = random_gp_dataset(n, k, 1)
+    attacks = _Attacks(make_estimator("cmedian"), X, AttackSuite(cone_seed=cone_seed))
+    frames = list({id(frame): frame for _, frame in _shear_frames(attacks)}.values())
+    assert {len(frame.kept) for frame in frames} == set(range(1, k + 1))
+    for frame in frames:
+        rest = np.setdiff1d(np.arange(n), frame.kept)
+        assert list(frame.partitions) == list(_PARTITION_RULES)
+        for rule, sign in zip(("largest_projection", "smallest_projection"), (-1.0, 1.0)):
+            order = rest[np.lexsort((rest, sign * frame.offsets[rest]))]
+            table = frame.partitions[rule]
+            assert len(table) == len(rest) + 1
+            for m, partition in enumerate(table):
+                assert partition == (tuple(np.sort(order[m:]).tolist()), tuple(np.sort(order[:m]).tolist()))
+                assert all(type(i) is int for side in partition for i in side)
+                assert frame.partition(m, rule) is partition
