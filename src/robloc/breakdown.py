@@ -79,7 +79,8 @@ DEFAULT_RADIUS_GRID = tuple(10.0**p for p in range(1, 10))
 DEFAULT_THRESHOLD_FACTOR = 1e6
 SURVIVED_MARKER = "no attack in suite succeeded (not a proof of robustness)"
 
-# Dirichlet draws per h-point face when sampling a tie direction for h < k.
+# At most this many Dirichlet draws per h-point face for a tie direction when h < k, a power
+# of two: one stream, drawn in blocks of 1, 1, 2, 4, ... until a block holds a tie taken.
 _CONE_SAMPLES = 64
 # Both sides of the hyperplane-distance ordering, in the order suites try them.
 _PARTITION_RULES = ("largest_projection", "smallest_projection")
@@ -354,12 +355,11 @@ class _ShearFrame:
     """The h points pinned on a hyperplane and the verified tie direction
     ``normal`` at ``level`` through them, with what every sweep reads: the
     shear ``basis``, every point's ``offsets`` from the pinned hyperplane,
-    and per b_rule and budget m = 0..n-h its (kept-out A, replaced B)
-    ``partitions`` of the non-kept indices, B the m first in replacement
-    order (largest or smallest offset first, ties by index), each side in
-    increasing index order. A sweep of it is fixed by the frame, the
-    partition and the budget; the hull facet through which the pinned face
-    was found is only a label. Frames compare by identity:
+    and per b_rule the non-kept indices in replacement ``orders`` (largest
+    or smallest offset first, ties by index), from which :meth:`partition`
+    derives each budget's split when it is read. A sweep of it is fixed by
+    the frame, the partition and the budget; the hull facet through which
+    the pinned face was found is only a label. Frames compare by identity:
     :class:`_Attacks` builds one per kept subset."""
 
     kept: tuple  # h indices pinned on the hyperplane
@@ -367,11 +367,13 @@ class _ShearFrame:
     level: float
     basis: OrthonormalBasis = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    partitions: dict = field(repr=False)  # b_rule -> (A, B) per m
+    orders: dict = field(repr=False)  # b_rule -> non-kept indices, first replaced first
 
     def partition(self, m: int, b_rule: str) -> tuple:
-        """(kept-out A, replaced B) with |B| = m, each in increasing index order."""
-        return self.partitions[b_rule][m]
+        """(kept-out A, replaced B) with B the m first in ``b_rule``'s
+        order, m = 0..n-h, each side in increasing index order."""
+        order = self.orders[b_rule]
+        return tuple(sorted(order[m:])), tuple(sorted(order[:m]))
 
 
 def _shear_frames(attacks: _Attacks) -> list:
@@ -569,23 +571,21 @@ class _Attacks:
         if len(kept) == X.k:
             u = facet.inward_normal
             level = tie_levels((X.points @ u)[None], kept, tol)[0]
-            ties = [] if np.isnan(level) else [(u, float(level))]
-        else:
+            blocks = [[] if np.isnan(level) else [(u, float(level))]]
+        else:  # blocks of 1, 1, 2, 4, ..., 32: see _CONE_SAMPLES
             rng = np.random.default_rng(self.suite.cone_seed)
-            ties = normal_cone_ties(X, self.facets, kept, rng, _CONE_SAMPLES, tol)
-        found = next(((u, level) for u, level in ties if float(u @ theta) - level > tol), None)
+            blocks = (normal_cone_ties(X, self.facets, kept, rng, size, tol)
+                      for size in (1, *(1 << i for i in range(_CONE_SAMPLES.bit_length() - 1))))
+        found = next(((u, level) for ties in blocks for u, level in ties if float(u @ theta) - level > tol), None)
         if found is None:
             return None
         u, level = found
         rest = np.setdiff1d(np.arange(X.n), kept, assume_unique=True)
         proj = X.points[rest] @ u - level
-        partitions = {}
-        for b_rule, key in zip(_PARTITION_RULES, (-proj, proj)):
-            order = rest[np.lexsort((rest, key))].tolist()
-            partitions[b_rule] = tuple((tuple(sorted(order[m:])), tuple(sorted(order[:m])))
-                                       for m in range(len(order) + 1))
+        orders = {b_rule: tuple(rest[np.lexsort((rest, key))].tolist())
+                  for b_rule, key in zip(_PARTITION_RULES, (-proj, proj))}
         basis = basis_from_normal(u, X.points[list(kept)].mean(axis=0))
-        return _ShearFrame(kept, u, level, basis, X.points @ u - level, partitions)
+        return _ShearFrame(kept, u, level, basis, X.points @ u - level, orders)
 
 
 def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> None:
@@ -1007,14 +1007,16 @@ def empirical_fsbv(
     suite = suite or AttackSuite()
     n, k = X.n, X.k
     attacks = _Attacks(T, X, suite, threshold_factor)
-    frames = []  # (facet, frame), h ascending
+    shears = []  # (label, facet, frame, b_rule) per listed shear attack, h ascending
     if k >= 2:
         require_general_position(X, "empirical_fsbv")
-        frames = _shear_frames(attacks)
+        shears = [(f"shear(h={len(frame.kept)},facet={facet.indices},rule={b_rule})", facet, frame, b_rule)
+                  for facet, frame in _shear_frames(attacks) for b_rule in _PARTITION_RULES]
     # attacks per batch: a sweep has two families, a cluster attack one
     cap = max(1, _BATCH_FLOATS // (max(2 * len(suite.gamma_grid), len(suite.radius_grid)) * n * k))
     # plain floats, so the labels read the same under every numpy version
     directions = [tuple(row) for row in np.vstack([np.eye(k), -np.eye(k)]).tolist()]
+    clusters = [(f"cluster(direction={direction})", False) for direction in directions]
     units = [unit_direction(direction) for direction in directions]
 
     def traces(m):
@@ -1023,17 +1025,15 @@ def empirical_fsbv(
         Batches hold at most ``cap`` attacks."""
         listed, sweeps = [], []  # (label, repeats a sweep); (facet, frame, b_rule) per sweep
         swept = set()  # (frame, partition) of every shear sweep at m
-        for facet, frame in frames:
-            h = len(frame.kept)
-            if m > n - h:
+        for label, facet, frame, b_rule in shears:
+            if m > n - len(frame.kept):
                 continue
-            for b_rule in _PARTITION_RULES:
-                key = frame, frame.partition(m, b_rule)
-                listed.append((f"shear(h={h},facet={facet.indices},rule={b_rule})", key in swept))
-                if key not in swept:
-                    swept.add(key)
-                    sweeps.append((facet, frame, b_rule))
-        listed += [(f"cluster(direction={direction})", False) for direction in directions]
+            key = frame, frame.partition(m, b_rule)
+            listed.append((label, key in swept))
+            if key not in swept:
+                swept.add(key)
+                sweeps.append((facet, frame, b_rule))
+        listed += clusters
         S = len(sweeps)
         i, end, size = 0, 0, 1  # the next attack; the end of the batches; the next batch size
         for label, repeat in listed:

@@ -177,22 +177,63 @@ def test_both_rules_at_m_equal_n_minus_h_are_one_sweep(monkeypatch):
 
 @pytest.mark.parametrize("n, k", [(9, 2), (8, 3), (9, 4)])
 @pytest.mark.parametrize("cone_seed", [0, 7])
-def test_frame_partition_table_matches_a_from_scratch_oracle(n, k, cone_seed):
-    """Each frame's table holds, per rule and every budget m = 0..n-h, the
-    split a lexsort of the offsets gives (ties by index), both sides
-    sorted, as tuples of Python ints; ``partition`` reads the table."""
+def test_frame_partitions_match_a_lexsort_oracle(n, k, cone_seed):
+    """Each frame keeps one replacement order per rule, and ``partition``
+    derives from it, for every budget m = 0..n-h, the split a lexsort of
+    the offsets gives (ties by index), both sides sorted, as tuples of
+    Python ints."""
     X = random_gp_dataset(n, k, 1)
     attacks = _Attacks(make_estimator("cmedian"), X, AttackSuite(cone_seed=cone_seed))
     frames = list({id(frame): frame for _, frame in _shear_frames(attacks)}.values())
     assert {len(frame.kept) for frame in frames} == set(range(1, k + 1))
     for frame in frames:
         rest = np.setdiff1d(np.arange(n), frame.kept)
-        assert list(frame.partitions) == list(_PARTITION_RULES)
+        assert list(frame.orders) == list(_PARTITION_RULES)
         for rule, sign in zip(("largest_projection", "smallest_projection"), (-1.0, 1.0)):
             order = rest[np.lexsort((rest, sign * frame.offsets[rest]))]
-            table = frame.partitions[rule]
-            assert len(table) == len(rest) + 1
-            for m, partition in enumerate(table):
+            for m in range(len(rest) + 1):
+                partition = frame.partition(m, rule)
                 assert partition == (tuple(np.sort(order[m:]).tolist()), tuple(np.sort(order[:m]).tolist()))
                 assert all(type(i) is int for side in partition for i in side)
-                assert frame.partition(m, rule) is partition
+
+
+# GP(7,3) set #4 of the certify-engine workload at seed 1, with its cone_seed
+CONE_CASES = [(7, 3, 559134453, 1174444141)] + [(n, k, 1, cone_seed) for n, k in [(9, 2), (8, 3), (9, 4)]
+                                                for cone_seed in (0, 7)]
+
+
+@pytest.mark.parametrize("n, k, seed, cone_seed", CONE_CASES)
+def test_frames_draw_tie_directions_until_one_is_taken(monkeypatch, n, k, seed, cone_seed):
+    """For h < k a frame draws its tie directions from one stream in blocks
+    of 1, 1, 2, 4, ..., 32 and stops at the first block holding a tie with
+    the estimate strictly above: it takes the first such tie of a single
+    64-draw call, or none when that call has none, and draws no block
+    past the one that holds it."""
+    X = random_gp_dataset(n, k, seed)
+    draws = defaultdict(list)
+    inner = breakdown.normal_cone_ties
+
+    def drawing(X, facets, face, rng, samples, tol):
+        draws[face].append(samples)
+        return inner(X, facets, face, rng, samples, tol)
+
+    monkeypatch.setattr(breakdown, "normal_cone_ties", drawing)
+    attacks = _Attacks(make_estimator("cmedian"), X, AttackSuite(cone_seed=cone_seed))
+    theta = attacks.baseline.canonical
+    faces = {kept: facet for facet in attacks.admissible for h in range(1, k)
+             for kept in combinations(facet.indices, h)}
+    for kept, facet in faces.items():
+        frame = attacks.frame(facet, kept)
+        ties = inner(X, attacks.facets, kept, np.random.default_rng(cone_seed), 64, attacks.tol)
+        taken = [(u, level) for u, level in ties if float(u @ theta) - level > attacks.tol]
+        assert draws[kept] == [1, 1, 2, 4, 8, 16, 32][:len(draws[kept])]
+        if not taken:
+            assert frame is None and sum(draws[kept]) == 64
+            continue
+        u, level = taken[0]
+        assert np.array_equal(frame.normal, u) and frame.level == level
+        # the blocks before the last held no tie above the estimate
+        before = inner(X, attacks.facets, kept, np.random.default_rng(cone_seed), sum(draws[kept][:-1]), attacks.tol)
+        assert not any(float(v @ theta) - at > attacks.tol for v, at in before)
+    if seed == 559134453:
+        assert {kept: sum(sizes) for kept, sizes in draws.items() if sum(sizes) > 1} == {(2,): 2, (0, 2): 4, (2, 5): 4}
