@@ -63,7 +63,6 @@ from .breakdown import (
     BoundTable,
     BreakdownCertificate,
     FsbvResult,
-    PartitionRule,
     Witness,
     empirical_fsbv,
     pm_counterexample,

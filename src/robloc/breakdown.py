@@ -57,7 +57,6 @@ from .metric import _row_sup_distances
 __all__ = [
     "BoundTable",
     "theoretical_bounds",
-    "PartitionRule",
     "Witness",
     "AttackTrace",
     "shear_attack",
@@ -187,22 +186,6 @@ def theoretical_bounds(n: int, k: int, h: int) -> BoundTable:
 # ---------------------------------------------------------------------------
 # Attack traces
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionRule:
-    """How the shear attack splits the non-kept points.
-
-    ``b_rule`` chooses which side of the hyperplane-distance ordering gets
-    replaced by sheared images ("largest_projection" or
-    "smallest_projection"; ties break by index).
-    """
-
-    b_rule: str = "largest_projection"
-
-    def __post_init__(self):
-        if self.b_rule not in _PARTITION_RULES:
-            raise ParameterError(f"unknown b_rule {self.b_rule!r}")
 
 
 class Witness(NamedTuple):
@@ -514,10 +497,9 @@ class _Attacks:
     diameter (the finite proxy for an unbounded estimate); built on first
     use, the hull facets (enumerated once), the admissible facets best
     first, the position screen, per kept subset its frame, and T's one
-    evaluator, for the families of every frame and of the cluster attacks;
-    and ``settled``, the attacks a batch settled ahead of the walk, by
-    (frame, m, b_rule) or (m, direction), until their attack function
-    takes them.
+    evaluator, for the families of every frame and of the cluster attacks.
+    It keeps nothing per budget: :func:`_settle` returns what a batch
+    settled, and the walk hands it to each attack's function.
 
     A facet is admissible when its halfspace strictly contains the
     estimate: exactly a k-data-point face of the hull of the data plus the
@@ -534,7 +516,6 @@ class _Attacks:
         self.threshold = threshold_factor * max(X.diameter, 1e-300)
         self.baseline = T(X)
         self._pinned = {}  # kept subset -> its frame or None
-        self.settled = {}  # attack -> (used grid, columns, distances)
 
     @cached_property
     def facets(self) -> list:
@@ -580,7 +561,7 @@ class _Attacks:
         if found is None:
             return None
         u, level = found
-        rest = np.setdiff1d(np.arange(X.n), kept, assume_unique=True)
+        rest = np.delete(np.arange(X.n), kept)
         proj = X.points[rest] @ u - level
         orders = {b_rule: tuple(rest[np.lexsort((rest, key))].tolist())
                   for b_rule, key in zip(_PARTITION_RULES, (-proj, proj))}
@@ -588,42 +569,41 @@ class _Attacks:
         return _ShearFrame(kept, u, level, basis, X.points @ u - level, orders)
 
 
-def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> None:
-    """Settle the shear sweeps ``sweeps``, (frame, b_rule) pairs, and the
-    cluster attacks along the unit ``directions`` at budget m into
-    ``attacks.settled``, with one evaluator call and one distance pass
-    over its one estimate stack, which each family and each attack's (G, F)
-    distances then view. An error stores nothing. A batch of one attack
-    takes that attack's steps in order, so it raises what the attack
-    raises; a distance that overflows names the grid value of the first
-    such attack."""
+def _settle(attacks: _Attacks, m: int, sweeps: list, directions: list = ()) -> list:
+    """Settle the shear sweeps ``sweeps``, (frame, b_rule) pairs, and then
+    the cluster attacks along the unit ``directions`` at budget m, with one
+    evaluator call and one distance pass over its one estimate stack: per
+    attack in that order, its used grid, its (label, replaced, estimates)
+    columns and its (G, F) distances, each a view of the batch's arrays. A
+    batch of one attack takes that attack's steps in order, so it raises
+    what the attack raises; a distance that overflows names the grid value
+    of the first such attack."""
     built, settled = _shear_batch(attacks, m, sweeps) if sweeps else ([], [])
     X, theta = attacks.X, attacks.baseline.canonical
     for u in directions:
         order = np.lexsort((np.arange(X.n), -(X.points @ u)))
         built.append(_cluster_rows(X, np.sort(order[:m]), theta, u, attacks.suite.radius_grid))
-        settled.append(((m, tuple(u.tolist())), list(built[-1].parameters), [("cluster", len(built) - 1)]))
+        settled.append((list(built[-1].parameters), [("cluster", len(built) - 1)]))
     stack = attacks.evaluator(built)
     with np.errstate(over="ignore"):
         distances = _estimate_distances(stack, attacks.baseline)
     starts = np.cumsum([0] + [len(family.parameters) for family in built]).tolist()
     # the families of an attack are consecutive, each over the attack's grid
     views = [distances[starts[columns[0][1]]:starts[columns[-1][1] + 1]].reshape(len(columns), -1).T
-             for _, _, columns in settled]
+             for _, columns in settled]
     if not np.isfinite(distances).all():
-        for (_, used, columns), view in zip(settled, views):
+        for (used, columns), view in zip(settled, views):
             kind = "slope" if built[columns[0][1]].basis is not None else "radius"
             _require_finite_at(used, view, "its distance", kind)
-    for (key, used, columns), view in zip(settled, views):
-        attacks.settled[key] = used, [(label, built[f].replaced, stack[starts[f]:starts[f + 1]])
-                                      for label, f in columns], view
+    return [(used, [(label, built[f].replaced, stack[starts[f]:starts[f + 1]]) for label, f in columns], view)
+            for (used, columns), view in zip(settled, views)]
 
 
 def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     """The families of the shear sweeps ``sweeps`` at budget m from one
     row-determinant product of the position screen per chunk of families
     and one shear-image product per count of replaced rows, and per sweep
-    its key, grid and (label, family index) columns. A sweep with a slope
+    its grid and (label, family index) columns. A sweep with a slope
     that fails the screen takes its grid from :func:`_screened_grid`
     alone. The far family replaces the m rows B of the partition by their
     shear images, and the near family, when 0 < |A| <= m, the rows A by
@@ -663,9 +643,7 @@ def _shear_batch(attacks: _Attacks, m: int, sweeps: list) -> tuple:
     if pairs:
         _check_preimage_identity([built[lo] for lo in pairs], [built[lo + 1] for lo in pairs],
                                  [families[lo][0].offsets for lo in pairs], [families[lo][0].kept for lo in pairs])
-    settled = [((frame, m, b_rule), grids[s], [(families[f][1], f) for f in range(lo, hi)])
-               for s, ((frame, b_rule), (lo, hi)) in enumerate(zip(sweeps, spans))]
-    return built, settled
+    return built, [(used, [(families[f][1], f) for f in range(lo, hi)]) for used, (lo, hi) in zip(grids, spans)]
 
 
 def _shear_families(X: DataSet, bases: list, replaced: list, slopes: np.ndarray) -> list:
@@ -680,13 +658,12 @@ def _shear_families(X: DataSet, bases: list, replaced: list, slopes: np.ndarray)
     return ReplacementFamily.stack(X, replaced, [tuple(row) for row in slopes.tolist()], images, bases)
 
 
-def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int, b_rule: str) -> AttackTrace:
-    """One shear sweep of ``frame`` at budget m under ``b_rule``, as its
-    batch settled it, else settled alone; the facet only labels it in
-    ``details``."""
-    if (frame, m, b_rule) not in attacks.settled:
-        _settle(attacks, m, [(frame, b_rule)])
-    settled = attacks.settled.pop((frame, m, b_rule))
+def _run_shear_sweep(attacks: _Attacks, facet: Facet, frame: _ShearFrame, m: int, b_rule: str,
+                     settled: tuple | None = None) -> AttackTrace:
+    """One shear sweep of ``frame`` at budget m under ``b_rule``, from the
+    entry its batch ``settled``, else settled alone; the facet only labels
+    it in ``details``."""
+    settled = settled or _settle(attacks, m, [(frame, b_rule)])[0]
     a_idx, b_idx = frame.partition(m, b_rule)
     details = {
         "facet": list(facet.indices),
@@ -761,7 +738,7 @@ def shear_attack(
     X: DataSet,
     h: int,
     gamma_grid=DEFAULT_GAMMA_GRID,
-    partition_rule: PartitionRule = PartitionRule(),
+    b_rule: str = "largest_projection",
     m: int | None = None,
     cone_seed: int = 0,
 ) -> AttackTrace:
@@ -776,6 +753,10 @@ def shear_attack(
     remaining points by their inverse-sheared preimages. Gamma values that
     break general position are nudged once by +1e-6 relative.
 
+    ``b_rule`` picks the m sheared points by their offset along the normal:
+    "largest_projection" the largest first, "smallest_projection" the
+    smallest first, ties by index; any other value is a ParameterError.
+
     ``m`` defaults to floor((n - h + 1) / 2), the largest budget for which
     both families stay within m replacements; the threshold is
     ``DEFAULT_THRESHOLD_FACTOR``. The grid and ``cone_seed`` are checked as
@@ -785,6 +766,8 @@ def shear_attack(
     ``cone_seed``; only the subsets tried draw directions. It is swept by
     the same code as every frame there.
     """
+    if b_rule not in _PARTITION_RULES:
+        raise ParameterError(f"unknown b_rule {b_rule!r}")
     if X.k < 2:
         raise ParameterError("shear attack requires k >= 2")
     h = require_integer(h, "h", None)
@@ -800,7 +783,7 @@ def shear_attack(
     for facet in attacks.admissible:
         frame = attacks.frame(facet, facet.indices[:h])
         if frame is not None:
-            return _run_shear_sweep(attacks, facet, frame, m_eff, partition_rule.b_rule)
+            return _run_shear_sweep(attacks, facet, frame, m_eff, b_rule)
     raise RoblocError(f"estimator {T.name!r}: no hull facet strictly contains the estimate in its "
                       "halfspace; cannot anchor a shear frame")
 
@@ -835,13 +818,11 @@ def translation_cluster_attack(
     return _cluster_attack(_Attacks(T, X, suite), m, u)
 
 
-def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray) -> AttackTrace:
+def _cluster_attack(attacks: _Attacks, m: int, u: np.ndarray, settled: tuple | None = None) -> AttackTrace:
     """:func:`translation_cluster_attack` along the unit direction u over
-    the suite's radius grid, as its batch settled it, else settled alone."""
-    key = m, tuple(u.tolist())
-    if key not in attacks.settled:
-        _settle(attacks, m, [], [u])
-    settled = attacks.settled.pop(key)
+    the suite's radius grid, from the entry its batch ``settled``, else
+    settled alone."""
+    settled = settled or _settle(attacks, m, [], [u])[0]
     details = {
         "direction": [float(v) for v in u],
         "anchor": [float(v) for v in attacks.baseline.canonical],
@@ -1036,22 +1017,23 @@ def empirical_fsbv(
         listed += clusters
         S = len(sweeps)
         i, end, size = 0, 0, 1  # the next attack; the end of the batches; the next batch size
+        ahead = iter(())  # the entries of the last batch not yet handed on
         for label, repeat in listed:
             if repeat:
                 yield label, None
                 continue
             if i == end and size:
                 try:
-                    _settle(attacks, m, [(frame, b_rule) for _, frame, b_rule in sweeps[end:end + size]],
-                            units[max(end - S, 0):max(end + size - S, 0)])
+                    batch = [(frame, b_rule) for _, frame, b_rule in sweeps[end:end + size]]
+                    ahead = iter(_settle(attacks, m, batch, units[max(end - S, 0):max(end + size - S, 0)]))
                     end, size = end + size, min(2 * size, cap)
                 except RoblocError:
                     size = 0
             if i < S:
                 facet, frame, b_rule = sweeps[i]
-                yield label, _run_shear_sweep(attacks, facet, frame, m, b_rule)
+                yield label, _run_shear_sweep(attacks, facet, frame, m, b_rule, next(ahead, None))
             else:
-                yield label, _cluster_attack(attacks, m, units[i - S])
+                yield label, _cluster_attack(attacks, m, units[i - S], next(ahead, None))
             i += 1
 
     certificates = {}
@@ -1069,7 +1051,6 @@ def empirical_fsbv(
             if trace.diverged:
                 witness = trace
                 break
-        attacks.settled.clear()  # sweeps settled past the witness
         certificates[m] = BreakdownCertificate(
             m=m,
             n=n,

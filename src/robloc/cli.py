@@ -28,7 +28,6 @@ from .breakdown import (
     shear_attack,
     theoretical_bounds,
     translation_cluster_attack,
-    PartitionRule,
 )
 from .conditions import condition_margin
 from .dataset import load_dataset_csv
@@ -167,10 +166,7 @@ def attack(dataset, T, seed, params, family, h_value, m_value, gamma_grid, radiu
         if h < X.k and seed is None:
             raise ParameterError("shear attacks with h < k sample tie directions; --seed is mandatory")
         grid = DEFAULT_GAMMA_GRID if gamma_grid is None else _parse_grid(gamma_grid, "gamma")
-        trace = shear_attack(
-            T, X, h, gamma_grid=grid, partition_rule=PartitionRule(b_rule=b_rule),
-            m=m_value, cone_seed=0 if seed is None else seed,
-        )
+        trace = shear_attack(T, X, h, gamma_grid=grid, b_rule=b_rule, m=m_value, cone_seed=0 if seed is None else seed)
     else:
         if m_value is None:
             raise ParameterError("cluster attack requires --m")

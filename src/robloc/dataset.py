@@ -3,7 +3,7 @@
 A :class:`DataSet` is an ordered collection of n points in R^k. Point order
 matters only for indexing and reporting; every numerical operation in this
 package is permutation-invariant in value. Instances are immutable so they
-can be shared freely across attack grids evaluated in parallel.
+can be shared freely across attacks and their grids.
 """
 
 from __future__ import annotations

@@ -181,7 +181,7 @@ class EstimateStack:
     EstimatorError. ``stack[j]`` builds estimate j as an EstimateSet on
     demand, so only the estimates that are reported pay for objects, and
     ``stack[lo:hi]`` is the stack of estimates lo..hi as views, not checked
-    again.
+    again; a slice with a step other than 1 is a ParameterError.
     """
 
     __slots__ = ("members", "starts", "canonical")
@@ -214,7 +214,9 @@ class EstimateStack:
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            lo, hi, _ = j.indices(len(self))
+            lo, hi, step = j.indices(len(self))
+            if step != 1:
+                raise ParameterError(f"an estimate stack slices with step 1, got {j.step}")
             sub = object.__new__(EstimateStack)
             first = self._end(lo)
             sub.members = self.members[first:self._end(hi)]

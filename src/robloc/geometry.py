@@ -82,8 +82,9 @@ def check_general_position(X: DataSet) -> GeneralPositionReport:
     ``ok`` is false. A coordinate difference that overflows raises
     OverflowParameterError.
 
-    Attack sweeps re-test every contaminated dataset, so the subset loop is
-    batched through numpy.
+    Attacks test only clean data here (their contaminated datasets go
+    through the shear position screen); the subset loop is batched
+    through numpy.
     """
     pts = X.points
     n, k = X.n, X.k

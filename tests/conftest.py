@@ -52,9 +52,9 @@ def recording_sweeps(mp) -> list:
     makes as (attacks, facet, frame, m, b_rule), in the list returned."""
     sweeps, inner = [], breakdown._run_shear_sweep
 
-    def sweep(attacks, facet, frame, m, b_rule):
+    def sweep(attacks, facet, frame, m, b_rule, settled=None):
         sweeps.append((attacks, facet, frame, m, b_rule))
-        return inner(attacks, facet, frame, m, b_rule)
+        return inner(attacks, facet, frame, m, b_rule, settled)
 
     mp.setattr(breakdown, "_run_shear_sweep", sweep)
     return sweeps

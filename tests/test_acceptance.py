@@ -226,11 +226,8 @@ def test_criterion_9_shear_algebra():
     # the preimage identity is checked inline on every sweep step and raises
     # on violation; these runs cover both tie orders and both partition rules
     X = bundled_dataset("demo10_2d")
-    from robloc.breakdown import PartitionRule
-
     for h in (1, 2):
         for rule in ("largest_projection", "smallest_projection"):
-            trace = shear_attack(make_estimator("mcd"), X, h=h,
-                                 partition_rule=PartitionRule(b_rule=rule))
+            trace = shear_attack(make_estimator("mcd"), X, h=h, b_rule=rule)
             assert any(r.family == "shear_replace_near" for r in trace.records)
             assert len(trace.records) == 2 * len(trace.parameters)

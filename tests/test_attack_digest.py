@@ -23,7 +23,6 @@ import pytest
 import numpy as np
 
 from robloc import (
-    PartitionRule,
     bundled_dataset,
     load_dataset_csv,
     make_estimator,
@@ -55,8 +54,7 @@ def test_shear_attack_emits_pinned_bytes(estimator, data):
         for b_rule in ("largest_projection", "smallest_projection"):
             for m in (1, None):
                 for cone_seed in (0, 7):
-                    trace = shear_attack(T, X, h, partition_rule=PartitionRule(b_rule), m=m,
-                                         cone_seed=cone_seed)
+                    trace = shear_attack(T, X, h, b_rule=b_rule, m=m, cone_seed=cone_seed)
                     digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
     assert digest.hexdigest() == DIGESTS[estimator, data]
 
@@ -98,7 +96,7 @@ def test_long_mcd_families_emit_pinned_bytes(family):
     digest = hashlib.sha256()
     if family == "shear":
         slopes = tuple(np.geomspace(10.0, 1e8, 24).tolist())
-        traces = (shear_attack(T, X, h, gamma_grid=slopes, partition_rule=PartitionRule(rule), m=m)
+        traces = (shear_attack(T, X, h, gamma_grid=slopes, b_rule=rule, m=m)
                   for h in (1, 2) for rule in ("largest_projection", "smallest_projection") for m in (4, 7))
     else:
         radii = tuple(np.geomspace(10.0, 1e9, 24).tolist())

@@ -106,6 +106,29 @@ def test_one_evaluator_call_stacks_a_mixed_batch_as_the_per_dataset_loop(name, n
     assert _estimate_distances(stack, baseline).tolist() == [estimate_set_distance(e, baseline) for e in stack]
 
 
+@pytest.mark.parametrize("name", ["cmedian", "mcd"])
+def test_a_batch_hands_each_attack_what_it_settles_alone(name, demo10):
+    # at m = 4 an h = 1 sweep has the far family only, an h = 2 sweep both;
+    # one batch of them and two cluster attacks returns, in batch order, what
+    # each attack settles alone, byte for byte
+    attacks = _Attacks(make_estimator(name), demo10, AttackSuite())
+    first = {len(frame.kept): frame for _, frame in reversed(_shear_frames(attacks))}
+    sweeps = [(first[1], "largest_projection"), (first[2], "smallest_projection")]
+    units = [np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
+    alone = [breakdown._settle(attacks, 4, [sweep]) for sweep in sweeps]
+    alone += [breakdown._settle(attacks, 4, [], [u]) for u in units]
+
+    def as_bytes(entry):
+        used, columns, distances = entry
+        return (np.array(used).tobytes(), distances.shape, distances.tobytes(),
+                [(label, replaced, stack.members.tobytes(), stack.starts.tobytes(), stack.canonical.tobytes())
+                 for label, replaced, stack in columns])
+
+    batch = breakdown._settle(attacks, 4, sweeps, units)
+    assert [len(columns) for _, columns, _ in batch] == [1, 2, 1, 1]
+    assert [as_bytes(entry) for entry in batch] == [as_bytes(entry) for (entry,) in alone]
+
+
 def outcome(T, X, suite):
     try:
         return json.dumps(empirical_fsbv(T, X, suite=suite).to_dict(), sort_keys=True)
@@ -158,7 +181,7 @@ def test_an_error_mid_batch_is_the_lazy_walks(monkeypatch):
 
     def recording(attacks, m, sweeps, directions=()):
         batches.append((m, len(sweeps)))
-        settle(attacks, m, sweeps, directions)
+        return settle(attacks, m, sweeps, directions)
 
     monkeypatch.setattr(breakdown, "_settle", recording)
     cases = {"error first": ({far[5]}, {far[4]}), "divergence first": ({far[4]}, {far[5]})}

@@ -22,7 +22,7 @@ from robloc import (
     theoretical_bounds,
     translation_cluster_attack,
 )
-from robloc.breakdown import AttackSuite, PartitionRule, SURVIVED_MARKER, _Attacks, _shear_frames
+from robloc.breakdown import AttackSuite, SURVIVED_MARKER, _Attacks, _shear_frames
 from robloc.errors import GeneralPositionError, ParameterError, RoblocError
 from robloc.estimators import EstimateSet, EstimateStack, LocationEstimator
 from robloc.geometry import basis_from_normal, check_general_position, shear_transform
@@ -263,8 +263,7 @@ def test_trace_reductions_match_record_definitions(demo5, demo10):
     # traces; the cluster trace's columns come from one broadcast
     grid = (10.0, 10.0, 1e8)
     traces = [
-        shear_attack(make_estimator(name), demo10, h=h, gamma_grid=grid,
-                     partition_rule=PartitionRule(b_rule=rule), m=m)
+        shear_attack(make_estimator(name), demo10, h=h, gamma_grid=grid, b_rule=rule, m=m)
         for name in ("mcd", "cmedian")
         for h in (1, 2)
         for rule in ("largest_projection", "smallest_projection")
@@ -601,10 +600,12 @@ def test_fsbv_result_json_reproducible(demo5):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_partition_rule_rejects_unknown_b_rule():
-    with pytest.raises(ParameterError) as info:
-        PartitionRule(b_rule="median_projection")
-    assert str(info.value) == "unknown b_rule 'median_projection'"
+def test_shear_attack_rejects_unknown_b_rule(demo5, demo10):
+    # checked first, before the data's dimension
+    for X in (demo5, demo10):
+        with pytest.raises(ParameterError) as info:
+            shear_attack(make_estimator("cmedian"), X, 1, b_rule="median_projection")
+        assert str(info.value) == "unknown b_rule 'median_projection'"
 
 
 def test_fsbv_mcd_demo10_smoke(demo10):

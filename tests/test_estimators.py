@@ -163,6 +163,21 @@ def test_stack_indexes_from_the_end():
             stack[j]
 
 
+def test_stack_slices_only_with_step_one():
+    # four estimates of 1, 2, 1 and 3 members: a step would skip or reverse
+    # estimates whose members the slice's views cannot skip or reverse
+    members = np.arange(7.0)[:, None]
+    stack = EstimateStack(members, [0, 1, 3, 4])
+    for step in (slice(0, 4, 2), slice(None, None, -1)):
+        with pytest.raises(ParameterError):
+            stack[step]
+    sub = stack[1:3]
+    assert np.shares_memory(sub.members, stack.members)
+    assert sub.members.tolist() == [[1.0], [2.0], [3.0]] and sub.starts.tolist() == [0, 2]
+    assert sub.canonical.tolist() == [[1.0], [3.0]]
+    assert [est.members.tolist() for est in sub] == [[[1.0], [2.0]], [[3.0]]]
+
+
 def test_mcd_dedups_many_tied_winners_in_linear_memory():
     # 12 zeros and 4 fives, h = 9: every subset of 8 zeros and one five
     # ties, C(12, 8) * 4 = 1,980 winners that all share the mean 5/9
